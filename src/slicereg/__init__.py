@@ -4,7 +4,7 @@ constructive local and global extension, and the non-simple domain where
 global extension fails."""
 
 from .quaternions import (Quaternion, SliceCoord, UnitImaginary,
-                          coefficient_identities, im, inverse, mul,
+                          coefficient_identities, inverse, mul,
                           slice_decompose)
 from .holomorphic import (ContinuedLog, HoloSliceFunction, PowerSeries,
                           StemRestriction, dbar_residual)
@@ -13,10 +13,10 @@ from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, Verdict,
                       is_simple, is_slice_convex, is_slice_domain,
                       is_symmetric, omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
-from .extension import (ConsistencyReport, LocalExtension, StemPair,
-                        TubeDomain, build_tube, extend_to_completion,
-                        extension_formula, local_extend, regular_ext,
-                        rep_coeffs, rep_eval)
+from .extension import (ConsistencyReport, DomainFunction, LocalExtension,
+                        StemPair, TubeDomain, build_tube, check_compatible,
+                        extend_to_completion, extension_formula,
+                        local_extend, regular_ext, rep_coeffs, rep_eval)
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

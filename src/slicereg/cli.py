@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +20,8 @@ from .domains import (SphereSample, is_simple, is_slice_convex,
                       is_slice_domain, is_symmetric, rasterize,
                       symmetric_completion)
 from .errors import ConsistencyError, PreconditionError, SliceRegError
-from .extension import (build_tube, extend_to_completion, extension_formula,
+from .extension import (DomainFunction, build_tube, check_compatible,
+                        extend_to_completion, extension_formula,
                         local_extend, regular_ext, rep_coeffs, rep_eval)
 from .holomorphic import PowerSeries
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
@@ -54,15 +54,6 @@ def _load_spec(args):
     return spec, data, extra
 
 
-class _FnOnDomain:
-    def __init__(self, fn, domain):
-        self.fn = fn
-        self.domain = domain
-
-    def eval(self, coord):
-        return self.fn.eval(coord)
-
-
 _BUILTIN_FUNCTIONS = {
     "identity": [[0, 0, 0, 0], [1, 0, 0, 0]],
     "square": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
@@ -84,9 +75,8 @@ def _load_function(args, spec, spec_data):
         return BranchedLogFamily(cfg)
     if name in _BUILTIN_FUNCTIONS:
         coeffs = tuple(Quaternion.from_list(c) for c in _BUILTIN_FUNCTIONS[name])
-        return _FnOnDomain(PowerSeries(coeffs), spec)
-    fn = load_holo_function(name)
-    return _FnOnDomain(fn, spec)
+        return DomainFunction(PowerSeries(coeffs), spec)
+    return DomainFunction(load_holo_function(name), spec)
 
 
 def _parse_unit(text) -> UnitImaginary:
@@ -202,11 +192,13 @@ def cmd_extend(args) -> int:
     xs = np.arange(*g.get("x", (-1.0, 1.0, 0.1)))
     ys = np.arange(*g.get("y", (0.0, 1.0, 0.1)))
     unit = UnitImaginary.from_vector(g.get("unit", [0.0, 0.0, 1.0]))
+    check_compatible(r, s)
     rows = []
     for x in xs:
         for y in ys:
             try:
-                v = extension_formula(r, s, SliceCoord.make(float(x), float(y), unit))
+                v = extension_formula(r, s, SliceCoord.make(float(x), float(y), unit),
+                                      check_compat=False)
             except SliceRegError:
                 continue
             rows.append([x, y, *v.to_list()])
@@ -418,12 +410,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if "SLICEREG_THREADS" in os.environ:
-        try:
-            int(os.environ["SLICEREG_THREADS"])
-        except ValueError:
-            print("SLICEREG_THREADS must be an integer", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.fn(args)
     except json.JSONDecodeError as exc:

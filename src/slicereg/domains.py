@@ -19,7 +19,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import PreconditionError
-from .holomorphic import resample_polyline
 from .quaternions import Quaternion, SliceCoord, UnitImaginary
 
 _LABEL_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -123,24 +122,12 @@ class DomainSpec:
             return ok
         tol = max(self.cut_clearance, 0.0)
         for poly in self.cuts(J):
-            p = np.asarray(poly, dtype=float)
-            if _distance_to_polyline(x, y, p) <= tol:
+            if _points_to_polyline_dist([x], [y], poly)[0] <= tol:
                 return False
         return True
 
     def contains_point(self, coord: SliceCoord) -> bool:
         return self.contains(coord.x, coord.y, coord.unit)
-
-
-def _distance_to_polyline(x: float, y: float, pts: np.ndarray) -> float:
-    a = pts[:-1]
-    d = pts[1:] - a
-    L2 = np.einsum("ij,ij->i", d, d)
-    L2[L2 == 0.0] = 1.0
-    t = np.clip(((x - a[:, 0]) * d[:, 0] + (y - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
-    cx = a[:, 0] + t * d[:, 0]
-    cy = a[:, 1] + t * d[:, 1]
-    return float(np.sqrt(np.min((cx - x) ** 2 + (cy - y) ** 2)))
 
 
 def intersect_specs(a: DomainSpec, b: DomainSpec) -> DomainSpec:
@@ -199,8 +186,41 @@ class PlanarRegionGrid:
         return hashlib.sha1(np.packbits(self.occupied).tobytes()).hexdigest()
 
 
+def resample_polyline(points, max_step: float) -> np.ndarray:
+    """Insert vertices so consecutive points are at most max_step apart."""
+    pts = np.asarray(points, dtype=float)
+    out = [pts[0]]
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = b - a
+        n = max(1, int(math.ceil(np.hypot(*seg) / max_step)))
+        for k in range(1, n + 1):
+            out.append(a + seg * (k / n))
+    return np.asarray(out)
+
+
+def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
+    """Distance from each point (px[k], py[k]) to the polyline."""
+    pts = np.asarray(poly, dtype=float)
+    a = pts[:-1]
+    d = pts[1:] - a
+    L2 = np.einsum("ij,ij->i", d, d)
+    L2[L2 == 0.0] = 1.0
+    px = np.asarray(px, dtype=float)[:, None]
+    py = np.asarray(py, dtype=float)[:, None]
+    t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
+    cx = a[:, 0] + t * d[:, 0]
+    cy = a[:, 1] + t * d[:, 1]
+    return np.sqrt(np.min((cx - px) ** 2 + (cy - py) ** 2, axis=1))
+
+
 def _block_cut_cells(occupied, xs, ys, polylines, h):
-    """Mark cells crossed by cut curves, dilated to their 8-neighborhood."""
+    """Mark cells crossed by cut curves, dilated to their 8-neighborhood.
+
+    The one cut-barrier rule of every grid: each polyline is resampled at
+    h/2, each sample blocks its nearest cell center and that cell's eight
+    neighbors.  xs and ys are ascending cell centers at most h apart, so
+    no 4-connected step between free cells crosses a cut.
+    """
     ny, nx = occupied.shape
     for poly in polylines:
         pts = resample_polyline(poly, h / 2.0)
@@ -217,6 +237,66 @@ def _block_cut_cells(occupied, xs, ys, polylines, h):
                 yy = np.clip(iy + dy, 0, ny - 1)
                 xx = np.clip(ix + dx, 0, nx - 1)
                 occupied[yy, xx] = False
+
+
+# (dy, dx) of the four grid steps; a cell's BFS parent sits at cell - step
+_GRID_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def _grid_bfs(free: np.ndarray, start, targets: np.ndarray | None = None):
+    """Breadth-first search over 4-connected free cells from start.
+
+    Returns (dist, step): dist counts the steps from start (-1 where not
+    reached) and step is the index into _GRID_STEPS of the step that first
+    reached each cell.  Steps are tried in _GRID_STEPS order, so ties go to
+    the earlier step.  With a targets mask the search stops after the first
+    level that holds a target cell.
+    """
+    dist = np.full(free.shape, -1, dtype=np.int32)
+    step = np.full(free.shape, -1, dtype=np.int8)
+    dist[start] = 0
+    frontier = np.zeros_like(free)
+    frontier[start] = True
+    level = 0
+    while frontier.any():
+        if targets is not None and (frontier & targets).any():
+            break
+        newly = np.zeros_like(free)
+        for code, (dy, dx) in enumerate(_GRID_STEPS):
+            cand = np.zeros_like(free)
+            if dy == -1:
+                cand[:-1, :] = frontier[1:, :]
+            elif dy == 1:
+                cand[1:, :] = frontier[:-1, :]
+            elif dx == -1:
+                cand[:, :-1] = frontier[:, 1:]
+            else:
+                cand[:, 1:] = frontier[:, :-1]
+            cand &= free & (dist < 0) & ~newly
+            step[cand] = code
+            newly |= cand
+        level += 1
+        dist[newly] = level
+        frontier = newly
+    return dist, step
+
+
+def _grid_path(free: np.ndarray, start, targets: np.ndarray):
+    """Shortest 4-connected path of free cells from start to a target cell,
+    as a list of (row, col) cells; the first nearest target in row-major
+    order ends it.  None when no target is reachable."""
+    dist, step = _grid_bfs(free, start, targets)
+    hits = np.nonzero(targets & (dist >= 0))
+    if hits[0].size == 0:
+        return None
+    cell = (int(hits[0][0]), int(hits[1][0]))
+    path = [cell]
+    while cell != start:
+        dy, dx = _GRID_STEPS[step[cell]]
+        cell = (cell[0] - dy, cell[1] - dx)
+        path.append(cell)
+    path.reverse()
+    return path
 
 
 def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,

@@ -8,23 +8,20 @@ the symmetric completion with per-sphere consistency verification.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainSpec, SphereSample, ball_spec,
+from .domains import (DomainSpec, SphereSample, _grid_path,
+                      _points_to_polyline_dist, ball_spec,
                       completion_of_slice, intersect_specs, is_slice_domain,
-                      rasterize, symmetric_completion)
+                      rasterize, resample_polyline, symmetric_completion)
 from .errors import (ConsistencyError, DegeneratePairError, GeometryError,
                      IncompatiblePairError, OutOfDomainError, PathError,
                      PreconditionError, SliceRegError)
 from .holomorphic import HoloSliceFunction, dbar_residual
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
                           rotate_toward)
-
-_COMPAT_OK: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -60,29 +57,52 @@ def rep_eval(b: Quaternion, c: Quaternion,
 
 @dataclass
 class StemPair:
-    """Stem functions b(x, y), c(x, y) of a slice regular function on a
-    symmetric domain; c vanishes on the real axis by convention."""
+    """Stem functions of a slice regular function on a symmetric domain:
+    parts(x, y) returns the pair (b(x, y), c(x, y)); c vanishes on the real
+    axis by convention."""
 
-    b: callable
-    c: callable
+    parts: callable
     domain: DomainSpec | None = None
-
-    def eval_parts(self, x: float, y: float):
-        return self.b(x, y), self.c(x, y)
 
     def eval(self, coord: SliceCoord) -> Quaternion:
         if coord.is_real:
-            return self.b(coord.x, 0.0)
-        return rep_eval(self.b(coord.x, coord.y), self.c(coord.x, coord.y),
-                        coord.unit)
+            return self.parts(coord.x, 0.0)[0]
+        b, c = self.parts(coord.x, coord.y)
+        return rep_eval(b, c, coord.unit)
 
     def export_rows(self, xy):
         """CSV rows (x, y, b components, c components) over sample points."""
         rows = []
         for x, y in xy:
-            bq, cq = self.eval_parts(float(x), float(y))
+            bq, cq = self.parts(float(x), float(y))
             rows.append([x, y, *bq.to_list(), *cq.to_list()])
         return rows
+
+
+def _two_slice_parts(f, J: UnitImaginary, K: UnitImaginary):
+    """Stem parts of f at (x, y) from its values on the slices J and K, and
+    from its real value on the axis."""
+
+    def parts(x: float, y: float):
+        if y == 0.0:
+            return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
+        vj = f.eval(SliceCoord.make(x, y, J))
+        vk = f.eval(SliceCoord.make(x, y, K))
+        return rep_coeffs(vj, vk, J, K)
+
+    return parts
+
+
+@dataclass(frozen=True)
+class DomainFunction:
+    """A slice function paired with the domain it is extended from; fn must
+    evaluate wherever the extension queries it."""
+
+    fn: HoloSliceFunction
+    domain: DomainSpec
+
+    def eval(self, coord: SliceCoord) -> Quaternion:
+        return self.fn.eval(coord)
 
 
 def _real_samples(fn: HoloSliceFunction, count: int = 9):
@@ -97,10 +117,10 @@ def _real_samples(fn: HoloSliceFunction, count: int = 9):
     return np.linspace(-1.0, 1.0, count)
 
 
-def _check_compat(r: HoloSliceFunction, s: HoloSliceFunction, tol: float = 1e-9):
-    key = (id(r), id(s))
-    if key in _COMPAT_OK:
-        return
+def check_compatible(r: HoloSliceFunction, s: HoloSliceFunction,
+                     tol: float = 1e-9):
+    """Raise IncompatiblePairError unless r and s agree, within tol, on at
+    least three shared real points (their common real trace)."""
     xs = set(np.round(_real_samples(r), 12)) & set(np.round(_real_samples(s), 12))
     if len(xs) < 3:
         xs = set(np.round(_real_samples(r), 12))
@@ -117,9 +137,6 @@ def _check_compat(r: HoloSliceFunction, s: HoloSliceFunction, tol: float = 1e-9)
         good += 1
     if good < 3:
         raise IncompatiblePairError("no shared real trace to compare on")
-    if len(_COMPAT_OK) > 256:
-        _COMPAT_OK.clear()
-    _COMPAT_OK[key] = (r, s)
 
 
 def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
@@ -130,7 +147,9 @@ def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
 
     where J, K are the slice units the two functions are attached to.
     Targets always carry y >= 0 (SliceCoord is canonical), which is the
-    corrected hypothesis making the formula single-valued.
+    corrected hypothesis making the formula single-valued.  Callers that
+    evaluate one pair many times run check_compatible once and pass
+    check_compat=False.
     """
     J = r.slice_unit
     K = s.slice_unit
@@ -140,7 +159,7 @@ def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
     if J.chord(K) < 1e-12:
         raise DegeneratePairError("extension formula needs J != K")
     if check_compat:
-        _check_compat(r, s)
+        check_compatible(r, s)
     rj = r.eval(SliceCoord.make(target.x, target.y, J))
     sk = s.eval(SliceCoord.make(target.x, target.y, K))
     b, c = rep_coeffs(rj, sk, J, K)
@@ -157,17 +176,7 @@ def regular_ext(fI: HoloSliceFunction, domain: DomainSpec,
     if validate:
         _validate_symmetric(domain, unit)
         _validate_holomorphic(fI, domain, unit)
-
-    def parts(x: float, y: float):
-        if y == 0.0:
-            return fI.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
-        vj = fI.eval(SliceCoord.make(x, y, unit))
-        vk = fI.eval(SliceCoord.make(x, y, -unit))
-        return rep_coeffs(vj, vk, unit, -unit)
-
-    return StemPair(b=lambda x, y: parts(x, y)[0],
-                    c=lambda x, y: parts(x, y)[1],
-                    domain=domain)
+    return StemPair(parts=_two_slice_parts(fI, unit, -unit), domain=domain)
 
 
 def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary):
@@ -311,20 +320,6 @@ class TubeDomain:
         return max(min(self.epsilon / 6.0, self.waist / 5.0), h_budget)
 
 
-def _points_to_polyline_dist(px, py, poly):
-    pts = np.asarray(poly, dtype=float)
-    a = pts[:-1]
-    d = pts[1:] - a
-    L2 = np.einsum("ij,ij->i", d, d)
-    L2[L2 == 0.0] = 1.0
-    px = np.asarray(px, dtype=float)[:, None]
-    py = np.asarray(py, dtype=float)[:, None]
-    t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
-    cx = a[:, 0] + t * d[:, 0]
-    cy = a[:, 1] + t * d[:, 1]
-    return np.sqrt(np.min((cx - px) ** 2 + (cy - py) ** 2, axis=1))
-
-
 def _probe_units(J0: UnitImaginary):
     units = [J0, -J0]
     for v in SphereSample(8).units:
@@ -378,7 +373,6 @@ def _cut_clearance(samples: np.ndarray, J0: UnitImaginary, Y: DomainSpec) -> np.
     best = np.full(samples.shape[0], math.inf)
     if Y.cuts is None:
         return best
-    from .holomorphic import resample_polyline
     for W in _probe_units(J0):
         dotw = J0.vx * W.vx + J0.vy * W.vy + J0.vz * W.vz
         for poly in Y.cuts(W):
@@ -429,7 +423,6 @@ def build_tube(C, Y: DomainSpec, shrink: float,
 
     dense = np.asarray(pts, dtype=float)
     if dense.shape[0] > 1:
-        from .holomorphic import resample_polyline
         span = max(np.ptp(dense[:, 0]), np.ptp(dense[:, 1]), 1e-6)
         dense = resample_polyline(dense, max(span / 64.0, 1e-4))
 
@@ -497,54 +490,6 @@ def _validate_tube(tube: TubeDomain, Y: DomainSpec, n_points: int = 200):
         if not verdict.is_yes:
             raise GeometryError(
                 f"tube failed the slice-domain raster check: {verdict}")
-
-
-# ---------------------------------------------------------------------------
-# grid path search
-# ---------------------------------------------------------------------------
-
-def _wavefront_path(occupied: np.ndarray, start, targets: np.ndarray):
-    """Shortest 4-connected path from start cell to any target cell."""
-    visited = np.zeros_like(occupied)
-    pdir = np.full(occupied.shape, -1, dtype=np.int8)
-    visited[start] = True
-    frontier = np.zeros_like(occupied)
-    frontier[start] = True
-    shifts = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    while frontier.any():
-        if (frontier & targets).any():
-            break
-        newly = np.zeros_like(occupied)
-        for code, (dy, dx) in enumerate(shifts):
-            cand = np.zeros_like(occupied)
-            if dy == -1:
-                cand[:-1, :] = frontier[1:, :]
-            elif dy == 1:
-                cand[1:, :] = frontier[:-1, :]
-            elif dx == -1:
-                cand[:, :-1] = frontier[:, 1:]
-            else:
-                cand[:, 1:] = frontier[:, :-1]
-            cand &= occupied & ~visited & ~newly
-            pdir[cand] = code
-            newly |= cand
-        if not newly.any():
-            return None
-        visited |= newly
-        frontier = newly
-    hits = np.nonzero(frontier & targets)
-    if hits[0].size == 0:
-        return None
-    par_off = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
-    cell = (int(hits[0][0]), int(hits[1][0]))
-    path = [cell]
-    while cell != start:
-        code = int(pdir[cell])
-        off = par_off[code]
-        cell = (cell[0] + off[0], cell[1] + off[1])
-        path.append(cell)
-    path.reverse()
-    return path
 
 
 @dataclass
@@ -643,7 +588,7 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
     targets[0, :] = grid.occupied[0, :] & trace_ok
     if not targets.any():
         raise PathError("no real-axis cells reachable in this slice")
-    cells = _wavefront_path(grid.occupied, (iy, ix), targets)
+    cells = _grid_path(grid.occupied, (iy, ix), targets)
     if cells is None:
         raise PathError("no grid path from the point to the real axis")
 
@@ -657,17 +602,7 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
     chi = m_tube.epsilon / y_ref
     k0 = rotate_toward(j0, chi / 2.0)
     n_spec = completion_of_slice(m_tube.as_domain_spec(), k0)
-
-    def parts(x: float, y: float):
-        if y == 0.0:
-            return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
-        vj = f.eval(SliceCoord.make(x, y, j0))
-        vk = f.eval(SliceCoord.make(x, y, k0))
-        return rep_coeffs(vj, vk, j0, k0)
-
-    stem = StemPair(b=lambda x, y: parts(x, y)[0],
-                    c=lambda x, y: parts(x, y)[1],
-                    domain=n_spec)
+    stem = StemPair(parts=_two_slice_parts(f, j0, k0), domain=n_spec)
 
     lam = build_tube(gamma, intersect_specs(n_spec, omega), shrink,
                      carrier=j0, validate=validate)
@@ -689,17 +624,7 @@ def _local_extend_real(f, p0: SliceCoord, shrink: float, validate: bool):
         raise GeometryError("no interior ball around the real point")
     ball = ball_spec(p0.x, radius, h=omega.h)
     unit = UNIT_I
-
-    def parts(x: float, y: float):
-        if y == 0.0:
-            return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
-        vj = f.eval(SliceCoord.make(x, y, unit))
-        vk = f.eval(SliceCoord.make(x, y, -unit))
-        return rep_coeffs(vj, vk, unit, -unit)
-
-    stem = StemPair(b=lambda x, y: parts(x, y)[0],
-                    c=lambda x, y: parts(x, y)[1],
-                    domain=ball)
+    stem = StemPair(parts=_two_slice_parts(f, unit, -unit), domain=ball)
     tube = TubeDomain(unit=unit, polyline=np.array([[p0.x, 0.0]]),
                       epsilon=radius, y_ref=0.0, h=omega.h)
     checks = {}
@@ -719,7 +644,7 @@ def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
     max_real = 0.0
     for x in xs[trace]:
         try:
-            d = (stem.b(float(x), 0.0) - f.eval(SliceCoord(float(x), 0.0, None))).norm()
+            d = (stem.parts(float(x), 0.0)[0] - f.eval(SliceCoord(float(x), 0.0, None))).norm()
         except SliceRegError:
             continue
         max_real = max(max_real, d)
@@ -837,8 +762,7 @@ def _sphere_stems(f, omega: DomainSpec, sample: SphereSample,
 
 
 def extend_to_completion(f, sample: SphereSample, xy_grid,
-                         tol: float = 1e-8, force: bool = False,
-                         workers: int | None = None):
+                         tol: float = 1e-8, force: bool = False):
     """Extend f to the symmetric completion of its domain, verifying that the
     stem coefficients computed from different unit pairs agree sphere by
     sphere.  The maximal disagreement per sphere is the consistency defect;
@@ -880,15 +804,8 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
             entry["skipped_pairs"] = len(skipped)
         return entry
 
-    if workers is None:
-        workers = int(os.environ.get("SLICEREG_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(handle, xy))
-    else:
-        results = [handle(row) for row in xy]
-
-    for res in results:
+    for row in xy:
+        res = handle(row)
         if res is None:
             continue
         report.entries.append(res)
@@ -912,7 +829,5 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
                                    f"({x:g}, {y:g})")
         return stems[0][2], stems[0][3]
 
-    stem = StemPair(b=lambda x, y: parts(x, y)[0],
-                    c=lambda x, y: parts(x, y)[1],
-                    domain=completion)
+    stem = StemPair(parts=parts, domain=completion)
     return stem, report

@@ -9,11 +9,12 @@ that repeated evaluations share one breadth-first continuation tree.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
+from .domains import _GRID_STEPS, _block_cut_cells, _grid_bfs
 from .errors import (DisconnectedDomainError, OutOfDomainError, StencilError)
 from .quaternions import Quaternion, SliceCoord, UnitImaginary
 
@@ -111,18 +112,6 @@ def segment_crossings(p, q, polyline) -> int:
     return int(np.count_nonzero(hits & boxes))
 
 
-def resample_polyline(points, max_step: float) -> np.ndarray:
-    """Insert vertices so consecutive points are at most max_step apart."""
-    pts = np.asarray(points, dtype=float)
-    out = [pts[0]]
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        n = max(1, int(math.ceil(np.hypot(*seg) / max_step)))
-        for k in range(1, n + 1):
-            out.append(a + seg * (k / n))
-    return np.asarray(out)
-
-
 # ---------------------------------------------------------------------------
 # function variants
 # ---------------------------------------------------------------------------
@@ -179,11 +168,10 @@ class _PlaneContinuation:
 
     The table is a breadth-first continuation tree over free grid cells;
     evaluations add one adaptive straight leg from the nearest usable cell
-    center.  Built lazily under a lock, read-only afterwards.
+    center.  Built on first use, read-only afterwards.
     """
 
     ANCHOR_RADIUS = 4
-    CUT_DILATION = 2
 
     def __init__(self, pole, base, cuts, bbox, step):
         self.pole = complex(pole[0], pole[1])
@@ -191,8 +179,6 @@ class _PlaneContinuation:
         self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
         self.bbox = tuple(float(v) for v in bbox)  # (xlo, xhi, ylo, yhi)
         self.step = float(step)
-        self._lock = threading.Lock()
-        self._ready = False
         self._xs = self._ys = self._free = self._value = None
         offs = []
         r = self.ANCHOR_RADIUS
@@ -210,8 +196,7 @@ class _PlaneContinuation:
         xs = np.arange(xlo + h / 2.0, xhi, h)
         ys = np.arange(ylo + h / 2.0, yhi, h)
         free = np.ones((ys.size, xs.size), dtype=bool)
-        for poly in self.cuts:
-            self._stamp(free, xs, ys, poly)
+        _block_cut_cells(free, xs, ys, self.cuts, h)
         zz = xs[None, :] + 1j * ys[:, None]
         free &= np.abs(zz - self.pole) > 1.5 * h
 
@@ -221,7 +206,7 @@ class _PlaneContinuation:
         if not free[ib, jb]:
             raise DisconnectedDomainError("base point cell is blocked by a cut")
 
-        dist, pdir = self._bfs(free, (ib, jb))
+        dist, pdir = _grid_bfs(free, (ib, jb))
         value = self._accumulate(free, xs, ys, dist, pdir, (ib, jb))
         # the table is anchored at cell centers; shift so entries measure the
         # integral from the exact base point
@@ -231,57 +216,8 @@ class _PlaneContinuation:
             value[np.isfinite(value)] += integrate_reciprocal(z_base, z_start, self.pole)
         self._xs, self._ys, self._free, self._value = xs, ys, free, value
 
-    def _stamp(self, free, xs, ys, poly):
-        pts = resample_polyline(poly, self.step / 2.0)
-        h = self.step
-        ix = np.round((pts[:, 0] - xs[0]) / h).astype(int)
-        iy = np.round((pts[:, 1] - ys[0]) / h).astype(int)
-        keep = (ix >= -self.CUT_DILATION) & (ix < xs.size + self.CUT_DILATION) & \
-               (iy >= -self.CUT_DILATION) & (iy < ys.size + self.CUT_DILATION)
-        ix, iy = ix[keep], iy[keep]
-        d = self.CUT_DILATION
-        for dy in range(-d, d + 1):
-            for dx in range(-d, d + 1):
-                yy = np.clip(iy + dy, 0, ys.size - 1)
-                xx = np.clip(ix + dx, 0, xs.size - 1)
-                inside = (iy + dy >= 0) & (iy + dy < ys.size) & \
-                         (ix + dx >= 0) & (ix + dx < xs.size)
-                free[yy[inside], xx[inside]] = False
-
-    @staticmethod
-    def _bfs(free, start):
-        ny, nx = free.shape
-        dist = np.full((ny, nx), -1, dtype=np.int32)
-        pdir = np.full((ny, nx), -1, dtype=np.int8)
-        dist[start] = 0
-        frontier = np.zeros_like(free)
-        frontier[start] = True
-        shifts = ((-1, 0), (1, 0), (0, -1), (0, 1))
-        level = 0
-        while frontier.any():
-            newly = np.zeros_like(free)
-            for code, (dy, dx) in enumerate(shifts):
-                cand = np.zeros_like(free)
-                if dy == -1:
-                    cand[:-1, :] = frontier[1:, :]
-                elif dy == 1:
-                    cand[1:, :] = frontier[:-1, :]
-                elif dx == -1:
-                    cand[:, :-1] = frontier[:, 1:]
-                else:
-                    cand[:, 1:] = frontier[:, :-1]
-                cand &= free & (dist < 0) & ~newly
-                pdir[cand] = code
-                newly |= cand
-            level += 1
-            dist[newly] = level
-            frontier = newly
-        return dist, pdir
-
     def _accumulate(self, free, xs, ys, dist, pdir, start):
-        # parent offset for shift code: moving by (dy,dx) reached the cell,
-        # so its parent sits at cell - (dy,dx)
-        par_off = {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1)}
+        steps = np.array(_GRID_STEPS)
         ny, nx = free.shape
         value = np.full((ny, nx), np.nan + 0j, dtype=complex)
         value[start] = 0.0 + 0.0j
@@ -289,8 +225,8 @@ class _PlaneContinuation:
         reached = dist > 0
         iy, ix = np.nonzero(reached)
         codes = pdir[iy, ix]
-        py = iy + np.array([par_off[c][0] for c in codes])
-        px = ix + np.array([par_off[c][1] for c in codes])
+        py = iy - steps[codes, 0]
+        px = ix - steps[codes, 1]
         z1 = xs[ix] + 1j * ys[iy]
         z0 = xs[px] + 1j * ys[py]
         mid = 0.5 * (z0 + z1)
@@ -310,22 +246,13 @@ class _PlaneContinuation:
             lo = hi
         return flat_value
 
-    def _ensure(self):
-        if self._ready:
-            return
-        with self._lock:
-            if not self._ready:
-                self._build()
-                self._ready = True
-
     # -- evaluation --------------------------------------------------------
 
-    def integral_to(self, px: float, py: float) -> complex:
-        """Path integral of dz/(z - pole) from the base point to (px, py)."""
-        self._ensure()
-        xlo, xhi, ylo, yhi = self.bbox
-        if not (xlo <= px <= xhi and ylo <= py <= yhi):
-            raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
+    def _anchored(self, px: float, py: float):
+        """Path integrals to (px, py), one per usable anchor cell, nearest
+        anchors first; each value is computed when it is drawn."""
+        if self._xs is None:
+            self._build()
         h = self.step
         jx = int(np.clip(round((px - self._xs[0]) / h), 0, self._xs.size - 1))
         jy = int(np.clip(round((py - self._ys[0]) / h), 0, self._ys.size - 1))
@@ -342,35 +269,21 @@ class _PlaneContinuation:
             if any(segment_crossings((z0.real, z0.imag), (px, py), poly)
                    for poly in self.cuts):
                 continue
-            return complex(self._value[iy, ix]) + integrate_reciprocal(z0, target, self.pole)
+            yield complex(self._value[iy, ix]) + integrate_reciprocal(z0, target, self.pole)
+
+    def integral_to(self, px: float, py: float) -> complex:
+        """Path integral of dz/(z - pole) from the base point to (px, py)."""
+        xlo, xhi, ylo, yhi = self.bbox
+        if not (xlo <= px <= xhi and ylo <= py <= yhi):
+            raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
+        for value in self._anchored(px, py):
+            return value
         raise DisconnectedDomainError(
             f"no continuation anchor reaches ({px:g}, {py:g})")
 
     def anchored_integrals(self, px: float, py: float, count: int = 2):
         """Values via several distinct anchors; used by path-independence tests."""
-        self._ensure()
-        h = self.step
-        jx = int(np.clip(round((px - self._xs[0]) / h), 0, self._xs.size - 1))
-        jy = int(np.clip(round((py - self._ys[0]) / h), 0, self._ys.size - 1))
-        target = complex(px, py)
-        out = []
-        for dy, dx in self._anchor_offsets:
-            if len(out) >= count:
-                break
-            iy, ix = jy + dy, jx + dx
-            if not (0 <= iy < self._ys.size and 0 <= ix < self._xs.size):
-                continue
-            if not self._free[iy, ix] or not np.isfinite(self._value[iy, ix]):
-                continue
-            z0 = complex(self._xs[ix], self._ys[iy])
-            if _segment_point_distance(z0, target, self.pole) < 1e-9:
-                continue
-            if any(segment_crossings((z0.real, z0.imag), (px, py), poly)
-                   for poly in self.cuts):
-                continue
-            out.append(complex(self._value[iy, ix])
-                       + integrate_reciprocal(z0, target, self.pole))
-        return out
+        return list(islice(self._anchored(px, py), count))
 
 
 @dataclass(frozen=True)
@@ -443,12 +356,6 @@ class StemRestriction(HoloSliceFunction):
     def eval(self, coord: SliceCoord) -> Quaternion:
         unit = coord.unit if coord.unit is not None else self.slice_unit
         return self.stem.eval(SliceCoord.make(coord.x, coord.y, unit))
-
-
-def loop_consistency(f: ContinuedLog, loop) -> float:
-    """|integral of dz/(z - pole)| around a closed polyline; below 1e-9 for
-    loops that do not encircle the pole within the cut domain."""
-    return f.loop_consistency(loop)
 
 
 def dbar_residual(f: HoloSliceFunction, coord: SliceCoord, h: float) -> float:

@@ -221,11 +221,6 @@ def inverse(q: Quaternion) -> Quaternion:
     return q.inverse()
 
 
-def im(q: Quaternion) -> Quaternion:
-    """Vector part of q as a quaternion."""
-    return q.im()
-
-
 def slice_decompose(q: Quaternion, tol: float = 1e-13) -> SliceCoord:
     """Split q into (x, y, J) with q = x + y*J, y >= 0.
 
@@ -285,6 +280,3 @@ def rotate_toward(J: UnitImaginary, chord: float) -> UnitImaginary:
                          c * J.vy + s * u.vy,
                          c * J.vz + s * u.vz)
 
-
-def distance(p: Quaternion, q: Quaternion) -> float:
-    return (p - q).norm()

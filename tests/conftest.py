@@ -6,17 +6,6 @@ from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      log_pair, omega_spec)
 
 
-class FnOnDomain:
-    """Couples a globally evaluable slice function with a domain spec."""
-
-    def __init__(self, fn, domain):
-        self.fn = fn
-        self.domain = domain
-
-    def eval(self, coord):
-        return self.fn.eval(coord)
-
-
 @pytest.fixture(scope="session")
 def cfg():
     return CounterexampleConfig()

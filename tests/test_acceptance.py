@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from slicereg import (PowerSeries, Quaternion, SliceCoord, SphereSample,
-                      UnitImaginary, ball_spec, coefficient_identities,
+from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
+                      SphereSample, UnitImaginary, ball_spec, coefficient_identities,
                       connected_components, dbar_residual, extension_formula,
                       is_simple, is_slice_domain, local_extend, omega_jk_plus,
                       regular_ext, rep_coeffs, rep_eval, starlike_spec)
@@ -16,7 +16,7 @@ from slicereg.holomorphic import StemRestriction
 from slicereg.counterexample import intersection_grid, log_pair, pair_set_grid
 from slicereg.quaternions import ONE, UNIT_I, UNIT_J
 
-from conftest import FnOnDomain, random_polynomial, random_unit
+from conftest import random_polynomial, random_unit
 
 Q = Quaternion
 TWO_PI = 2.0 * math.pi
@@ -132,7 +132,7 @@ def test_criterion_4_dbar_verification(ball, star, cfg, log_family, sample16):
     w1, rat1 = _dbar_scan(stem_ball, units, pts, "regular_ext")
 
     # stem from local extension in the ball
-    f = FnOnDomain(PowerSeries((Q(0), Q(0), Q(0.4, 0.2, 0, 0), Q(1))), ball)
+    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(0.4, 0.2, 0, 0), Q(1))), ball)
     le_ball = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
     pts = [(rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.3)) for _ in range(100)]
     w2, rat2 = _dbar_scan(le_ball.stem, units, pts, "local_extend(ball)")
@@ -148,7 +148,7 @@ def test_criterion_4_dbar_verification(ball, star, cfg, log_family, sample16):
     w3, rat3 = _dbar_scan(le_log.stem, units, pts, "local_extend(log)")
 
     # stem from global extension on the starlike domain
-    fstar = FnOnDomain(PowerSeries((Q(0.1), Q(0, 1, 0, 0), Q(0), Q(0.7))), star)
+    fstar = DomainFunction(PowerSeries((Q(0.1), Q(0, 1, 0, 0), Q(0), Q(0.7))), star)
     xy = np.array([[x, y] for x in np.arange(-0.5, 1.5, 0.2)
                    for y in np.arange(0.0, 1.0, 0.2)])
     stem_star, _ = extend_to_completion(fstar, sample16, xy)
@@ -236,7 +236,7 @@ def test_criterion_6_jump_reproduction(cfg, logs):
 def test_criterion_7_local_extension_end_to_end(ball, omega, cfg, log_family):
     t0 = time.time()
     rng = np.random.default_rng(1007)
-    fball = FnOnDomain(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    fball = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
 
     def tube_passes_slice_domain(tube):
         # grid verdict at a step fine enough to resolve the tube's waist
@@ -274,7 +274,7 @@ def test_criterion_7_local_extension_end_to_end(ball, omega, cfg, log_family):
 def test_criterion_8_global_extension_dichotomy(star, cfg, log_family, sample64):
     t0 = time.time()
     poly = PowerSeries((Q(0.3, 0.1, 0, 0), Q(0, 1, 0.5, 0), Q(1, 0, 0, 0.2)))
-    fstar = FnOnDomain(poly, star)
+    fstar = DomainFunction(poly, star)
     xs = np.arange(star.bbox[0] + 0.05, star.bbox[1], 0.1)
     ys = np.arange(0.05, star.bbox[2], 0.1)
     grid = np.array([[x, y] for x in xs for y in ys])

@@ -1,14 +1,20 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       connected_components, halfspace_spec, is_simple,
                       is_slice_convex, is_slice_domain, is_symmetric,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
-from slicereg.domains import DomainSpec, fibonacci_points, intersect_specs, union_spec
+from slicereg.domains import (DomainSpec, _block_cut_cells, _grid_bfs,
+                              _grid_path, fibonacci_points, intersect_specs,
+                              union_spec)
+from slicereg.holomorphic import segment_crossings
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import intersection_grid
 
@@ -261,3 +267,72 @@ def test_resolution_stability_of_verdicts(ball, omega, cfg, sample16):
         assert is_simple(ball, sample16, h=h).is_yes
         v = is_simple(omega, sample16, h=h)
         assert v.value == "no" and v.witness["antipodal"]
+
+
+_H = 0.1
+_XS = np.arange(-1.0 + _H / 2.0, 1.0, _H)
+_YS_UP = np.arange(_H / 2.0, 1.0, _H)
+# the full-slice rows put the axis row h/2 from its neighbours
+_ROWS = {"uniform": _XS,
+         "full-slice": np.concatenate([-_YS_UP[::-1], [0.0], _YS_UP])}
+_coord = st.floats(-1.3, 1.3, allow_nan=False)
+_polyline = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_polyline, min_size=1, max_size=2), st.sampled_from(sorted(_ROWS)))
+def test_cut_barrier_never_leaks(polylines, rows):
+    """No 4-connected step between two free cells meets a cut curve."""
+    ys = _ROWS[rows]
+    polys = [np.asarray(p, dtype=float) for p in polylines]
+    free = np.ones((ys.size, _XS.size), dtype=bool)
+    _block_cut_cells(free, _XS, ys, polys, _H)
+    steps = [(r, c, r, c + 1) for r, c in np.argwhere(free[:, :-1] & free[:, 1:])]
+    steps += [(r, c, r + 1, c) for r, c in np.argwhere(free[:-1, :] & free[1:, :])]
+    for poly in polys:
+        lo, hi = poly.min(axis=0) - _H, poly.max(axis=0) + _H
+        for r0, c0, r1, c1 in steps:
+            p, q = (_XS[c0], ys[r0]), (_XS[c1], ys[r1])
+            if not (lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]):
+                continue
+            assert segment_crossings(p, q, poly) == 0, (p, q)
+
+
+def _queue_bfs(free, start):
+    dist = np.full(free.shape, -1)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        r, c = queue.popleft()
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= rr < free.shape[0] and 0 <= cc < free.shape[1] \
+                    and free[rr, cc] and dist[rr, cc] < 0:
+                dist[rr, cc] = dist[r, c] + 1
+                queue.append((rr, cc))
+    return dist
+
+
+def test_grid_bfs_matches_queue_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(80):
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+        free = rng.random(shape) < rng.uniform(0.4, 0.9)
+        cells = np.argwhere(free)
+        if cells.size == 0:
+            continue
+        start = tuple(int(v) for v in cells[rng.integers(len(cells))])
+        dist, _ = _grid_bfs(free, start)
+        want = _queue_bfs(free, start)
+        assert np.array_equal(dist, want)
+
+        targets = rng.random(shape) < 0.1
+        path = _grid_path(free, start, targets)
+        reachable = targets & (want >= 0)
+        if not reachable.any():
+            assert path is None
+            continue
+        assert path[0] == start and targets[path[-1]]
+        assert len(path) == want[reachable].min() + 1
+        assert all(free[cell] for cell in path)
+        for (r0, c0), (r1, c1) in zip(path, path[1:]):
+            assert abs(r0 - r1) + abs(c0 - c1) == 1

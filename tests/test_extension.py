@@ -1,19 +1,22 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from slicereg import (PowerSeries, Quaternion, SliceCoord, SphereSample,
-                      UnitImaginary, ball_spec, build_tube, connected_components,
-                      extension_formula, is_slice_domain, local_extend,
-                      rasterize, regular_ext, rep_coeffs, rep_eval)
+from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
+                      SphereSample, UnitImaginary, ball_spec, build_tube,
+                      connected_components, extension_formula,
+                      is_slice_domain, local_extend, rasterize, regular_ext,
+                      rep_coeffs, rep_eval)
 from slicereg.errors import (ConsistencyError, DegeneratePairError,
                              GeometryError, IncompatiblePairError,
                              PreconditionError)
 from slicereg.extension import TubeDomain, extend_to_completion
 from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K
 
-from conftest import FnOnDomain, random_polynomial, random_unit
+from conftest import random_polynomial, random_unit
 
 Q = Quaternion
 
@@ -116,9 +119,19 @@ def test_extension_formula_incompatible_pair():
         extension_formula(r, s, SliceCoord(0.5, 0.5, UNIT_K))
 
 
+def test_extension_formula_keeps_no_reference_to_its_inputs():
+    r = PowerSeries((Q(0), Q(1))).on_slice(UNIT_I)
+    s = PowerSeries((Q(0), Q(1))).on_slice(UNIT_J)
+    extension_formula(r, s, SliceCoord(0.5, 0.5, UNIT_K))
+    refs = (weakref.ref(r), weakref.ref(s))
+    del r, s
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+
+
 def test_regular_ext_identity(ball):
     stem = regular_ext(PowerSeries((Q(0), Q(1))).on_slice(UNIT_I), ball)
-    b, c = stem.eval_parts(0.3, 0.4)
+    b, c = stem.parts(0.3, 0.4)
     assert b.isclose(Q(0.3), atol=1e-14)
     assert c.isclose(Q(0.4), atol=1e-14)
 
@@ -254,13 +267,13 @@ def test_tube_slices_connected_with_real_trace(ball):
 # ---------------------------------------------------------------------------
 
 def test_local_extend_ball_square(ball):
-    f = FnOnDomain(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
     result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
     assert result.checks["tube_max_err"] <= 1e-8
     rng = np.random.default_rng(61)
     for _ in range(50):
         x, y = rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3)
-        b, c = result.stem.eval_parts(x, y)
+        b, c = result.stem.parts(x, y)
         assert (b - Q(x * x - y * y)).norm() <= 1e-10
         assert (c - Q(2 * x * y)).norm() <= 1e-10
     # the path is trimmed at its first real hit
@@ -269,21 +282,21 @@ def test_local_extend_ball_square(ball):
 
 
 def test_local_extend_real_point(ball):
-    f = FnOnDomain(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
     result = local_extend(f, SliceCoord(0.2, 0.0, None))
     assert result.checks["tube_max_err"] <= 1e-8
     assert result.epsilon_m > 0.0
 
 
 def test_local_extend_tubes_are_slice_domains(ball):
-    f = FnOnDomain(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
     result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
     assert is_slice_domain(result.tube.as_domain_spec(), SphereSample(16)).is_yes
     assert is_slice_domain(result.N, SphereSample(16)).is_yes
 
 
 def test_local_extend_k0_within_angular_bound(ball):
-    f = FnOnDomain(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
     result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
     chord = result.j0.chord(result.k0)
     y_ref = float(result.path[:, 1].max())
@@ -297,7 +310,7 @@ def test_local_extend_k0_within_angular_bound(ball):
 def test_extend_to_completion_polynomial(star):
     rng = np.random.default_rng(67)
     poly = PowerSeries((Q(0.3, 0.1, 0, 0), Q(0, 1, 0.5, 0), Q(1, 0, 0, 0.2)))
-    f = FnOnDomain(poly, star)
+    f = DomainFunction(poly, star)
     sample = SphereSample(32)
     xs = np.arange(star.bbox[0], star.bbox[1], 0.15)
     ys = np.arange(0.0, star.bbox[2], 0.15)
@@ -314,7 +327,7 @@ def test_extend_to_completion_polynomial(star):
 
 def test_extend_to_completion_constant(ball):
     a = Q(0.2, -0.4, 0.6, 0.1)
-    f = FnOnDomain(PowerSeries((a,)), ball)
+    f = DomainFunction(PowerSeries((a,)), ball)
     sample = SphereSample(16)
     grid = np.array([[x, y] for x in np.linspace(-0.9, 0.9, 12)
                      for y in np.linspace(0.0, 0.9, 8)])

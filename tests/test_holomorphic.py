@@ -196,5 +196,6 @@ def test_stem_restriction_roundtrip(ball):
     stem = regular_ext(PowerSeries((Q(0), Q(0), Q(1))).on_slice(UNIT_I), ball)
     restr = StemRestriction(stem=stem, slice_unit=UNIT_J)
     c = SliceCoord(0.3, 0.4, UNIT_J)
-    expect = stem.b(0.3, 0.4) + UNIT_J.as_quaternion() * stem.c(0.3, 0.4)
+    bq, cq = stem.parts(0.3, 0.4)
+    expect = bq + UNIT_J.as_quaternion() * cq
     assert restr.eval(c).isclose(expect, atol=0.0)
