@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,7 +94,7 @@ def cmd_check_domain(args) -> int:
     out = _out_dir(args)
     sd = is_slice_domain(spec, sample)
     sym = is_symmetric(spec, sample)
-    cvx = is_slice_convex(spec, sample, seed=args.seed)
+    cvx = is_slice_convex(spec, sample)
     smp = is_simple(spec, sample)
     report = {
         "spec": data,
@@ -325,6 +326,20 @@ def cmd_tube(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _grid_step(text) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"grid step must be finite and > 0, got {text}")
+    return value
+
+
+def _sample_size(text) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"sphere sample size must be >= 2, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicereg",
@@ -336,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec=True):
         if spec:
             p.add_argument("spec", help="domain spec JSON file")
-        p.add_argument("--h", type=float, default=None, help="grid step")
-        p.add_argument("--samples", type=int, default=64,
+        p.add_argument("--h", type=_grid_step, default=None, help="grid step")
+        p.add_argument("--samples", type=_sample_size, default=64,
                        help="sphere sample size N")
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override")

@@ -45,6 +45,40 @@ def test_check_domain_reports_are_deterministic(ball_json, tmp_path):
         (out2 / "verdicts.json").read_bytes()
 
 
+def test_check_domain_verdicts_do_not_depend_on_seed(tmp_path):
+    def leaf(kind, **fields):
+        return {"type": kind, "h": 0.02, "bbox": [-1.5, 1.5, 1.5], **fields}
+
+    box = leaf("ball", center=[0, 0, 0, 0], radius=1.4)
+    arms = [leaf("halfspace-slicewise", normal=[0, 1], offset=0.5),
+            leaf("halfspace-slicewise", normal=[1, 0], offset=-0.5)]
+    l_shape = {"type": "boolean-op", "op": "union", "operands": [
+        {"type": "boolean-op", "op": "intersection", "operands": [box, arm]}
+        for arm in arms]}
+    path = tmp_path / "l_shape.json"
+    path.write_text(json.dumps(l_shape))
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["check-domain", str(path), "--samples", "4", "--seed", seed,
+                     "--out", str(out)]) == 0
+        reports.append((out / "verdicts.json").read_bytes())
+    assert json.loads(reports[0])["slice_convex"] == "no"
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "0"), ("--h", "-0.5"), ("--h", "nan"), ("--h", "inf"),
+    ("--samples", "1"), ("--samples", "0")])
+def test_bad_grid_step_or_sample_size_exits_one(flag, value, ball_json, tmp_path,
+                                                capsys):
+    out = tmp_path / "out"
+    for argv in (["check-domain", str(ball_json)], ["counterexample"]):
+        assert main(argv + [flag, value, "--out", str(out)]) == 1
+        assert "usage" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_completion_command(ball_json, tmp_path):
     out = tmp_path / "out"
     assert main(["completion", str(ball_json), "--samples", "8",

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,13 +223,16 @@ def test_slice_convex_ball(ball, sample16):
     assert is_slice_convex(ball, sample16).is_yes
 
 
-def test_slice_convex_l_shape(sample16):
+def _l_shape():
     lower = halfspace_spec((0.0, 1.0), 0.5, bbox=(-1.5, 1.5, 1.5))
     left = halfspace_spec((1.0, 0.0), -0.5, bbox=(-1.5, 1.5, 1.5))
     box = ball_spec(0.0, 1.4, bbox=(-1.5, 1.5, 1.5))
-    spec = union_spec([intersect_specs(box, lower), intersect_specs(box, left)],
+    return union_spec([intersect_specs(box, lower), intersect_specs(box, left)],
                       name="l-shape")
-    assert is_slice_convex(spec, sample16).value == "no"
+
+
+def test_slice_convex_l_shape(sample16):
+    assert is_slice_convex(_l_shape(), sample16).value == "no"
 
 
 def test_slice_convex_counterexample(omega, sample16):
@@ -241,6 +248,80 @@ def test_slice_convex_implies_simple(sample16):
     for spec in specs:
         assert is_slice_convex(spec, sample16).is_yes
         assert is_simple(spec, sample16).is_yes
+
+
+_SAMPLE4 = SphereSample(4)
+_halfspace = st.tuples(st.floats(0.0, math.pi), st.floats(-0.5, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.floats(-0.5, 0.5)] * 4), st.floats(0.3, 1.0),
+       st.lists(_halfspace, max_size=3))
+def test_slice_convex_accepts_balls_cut_by_halfspaces(center, radius, halfspaces):
+    """The full slice of {a x + b y < c} is {a x + b|y| < c}, convex for
+    b >= 0, so these intersections are convex and must pass."""
+    spec = ball_spec(Q(*center), radius, h=0.05)
+    for angle, offset in halfspaces:
+        spec = intersect_specs(spec, halfspace_spec(
+            (math.cos(angle), math.sin(angle)), offset, h=0.05))
+    assert is_slice_convex(spec, _SAMPLE4, h=0.05).is_yes
+
+
+def test_slice_convex_collinear_core_is_tested():
+    # two three-row slabs on the real axis: each core is one row, so both
+    # cores lie on one line and have no 2D hull
+    def slab(side):
+        return intersect_specs(halfspace_spec((0.0, 1.0), 0.02, bbox=(-1, 1, 0.5)),
+                               halfspace_spec((side, 0.0), -0.2, bbox=(-1, 1, 0.5)))
+
+    verdict = is_slice_convex(union_spec([slab(1.0), slab(-1.0)]), _SAMPLE4, h=0.02)
+    assert verdict.value == "no"
+    assert -0.2 < verdict.witness["cell"][0] < 0.2
+    assert len(verdict.witness["segment"]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    _l_shape(), union_spec([ball_spec(-0.5, 0.5), ball_spec(0.5, 0.5)])],
+    ids=["l-shape", "touching-balls"])
+def test_slice_convex_witness_is_an_empty_cell_in_a_core_triangle(spec, sample16):
+    witness = is_slice_convex(spec, sample16).witness
+    J = next(u for u in sample16.units
+             if u.approx(UnitImaginary.from_vector(witness["unit"]), 1e-12))
+    grid = rasterize(spec, J, full_slice=True)
+
+    def cell(point):
+        ix = int(np.argmin(np.abs(grid.xs - point[0])))
+        iy = int(np.argmin(np.abs(grid.ys - point[1])))
+        assert abs(grid.xs[ix] - point[0]) < 1e-9 and abs(grid.ys[iy] - point[1]) < 1e-9
+        return iy, ix
+
+    assert not grid.occupied[cell(witness["cell"])]
+    for corner in witness["triangle"]:
+        iy, ix = cell(corner)
+        assert grid.occupied[iy - 1:iy + 2, ix - 1:ix + 2].all()
+    a, b, c = np.asarray(witness["triangle"])
+    weights = np.linalg.solve(np.column_stack([b - a, c - a]),
+                              np.asarray(witness["cell"]) - a)
+    assert weights.min() >= -1e-12 and weights.sum() <= 1.0 + 1e-12
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    import slicereg
+    env = dict(os.environ, PYTHONPATH=str(Path(slicereg.__file__).parents[1]))
+    code = "import sys, slicereg.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_pair_set_is_the_and_of_the_two_slice_rasters(omega, sample16):
+    # is_simple ANDs cached per-unit rasters; each raster blocks its own
+    # unit's cuts, so the AND carries both cut sets
+    units = sample16.units
+    for a, b in ((0, 1), (0, 16), (3, 20), (7, 30), (12, 17)):
+        J, K = units[a], units[b]
+        both = rasterize(omega, J, h=0.02).occupied & rasterize(omega, K, h=0.02).occupied
+        assert np.array_equal(both, omega_jk_plus(omega, J, K, h=0.02).occupied)
 
 
 def test_open_set_spot_check(ball, omega, cfg):
