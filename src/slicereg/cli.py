@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,8 @@ def _load_spec(args):
     if args.h is not None:
         data["h"] = args.h
     spec = load_domain_spec(data)
+    if args.h is not None:  # a boolean-op spec takes h from its leaves
+        spec = replace(spec, h=args.h)
     extra = []
     if data.get("type") == "counterexample":
         extra = [UnitImaginary.from_vector(data.get("axis", [1.0, 0.0, 0.0]))]

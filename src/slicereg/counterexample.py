@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample,
-                      _block_cut_cells, is_simple, is_slice_domain)
+                      _block_cut_cells, _mirror, is_simple, is_slice_domain)
 from .errors import SliceRegError
 from .extension import check_compatible, extension_formula
 from .holomorphic import ContinuedLog
@@ -69,17 +69,18 @@ def arc_coords(J: UnitImaginary, cfg: CounterexampleConfig,
                             2.0 + (1.0 - 2.0 * T) * np.sin(phi)])
 
 
+def upper_cuts(J: UnitImaginary, cfg: CounterexampleConfig) -> list:
+    """Excluded curves of the upper half slice through J, in J coordinates:
+    the half line at height 2 and the arc of J."""
+    half_line = np.array([[cfg.bbox[0] - 1.0, 2.0], [-2.0, 2.0]])
+    return [half_line, arc_coords(J, cfg)]
+
+
 def slice_cuts(J: UnitImaginary, cfg: CounterexampleConfig) -> list:
     """Excluded curves of the full slice plane through J, in J coordinates:
-    the two half lines at heights +-2 and the arcs of J and of -J (the
-    latter reflected into the lower half plane)."""
-    x_min = cfg.bbox[0] - 1.0
-    h_up = np.array([[x_min, 2.0], [-2.0, 2.0]])
-    h_dn = np.array([[x_min, -2.0], [-2.0, -2.0]])
-    upper = arc_coords(J, cfg)
-    lower = arc_coords(-J, cfg).copy()
-    lower[:, 1] *= -1.0
-    return [h_up, upper, h_dn, lower]
+    those of the upper half slices of J and of -J, the latter reflected
+    into the lower half plane."""
+    return upper_cuts(J, cfg) + _mirror(upper_cuts(-J, cfg))
 
 
 def omega_spec(cfg: CounterexampleConfig) -> DomainSpec:
@@ -95,7 +96,7 @@ def omega_spec(cfg: CounterexampleConfig) -> DomainSpec:
         return np.ones_like(np.asarray(x, dtype=float), dtype=bool)
 
     return DomainSpec(membership, real_trace, cfg.bbox, cfg.h,
-                      cuts=lambda J: slice_cuts(J, cfg),
+                      cuts=lambda J: upper_cuts(J, cfg),
                       cut_clearance=ARC_CLEARANCE,
                       name="counterexample")
 
@@ -115,11 +116,7 @@ def log_pair(cfg: CounterexampleConfig):
     """
     axis = cfg.axis
     direct_cuts = slice_cuts(axis, cfg)
-    conj_cuts = []
-    for poly in direct_cuts:
-        p = np.asarray(poly, float).copy()
-        p[:, 1] *= -1.0
-        conj_cuts.append(p)
+    conj_cuts = _mirror(direct_cuts)
     common = dict(pole=(0.0, 2.0), base=(1.0, 2.0),
                   base_value=Quaternion(0.0), carrier=axis,
                   bbox=_plane_bbox(cfg), step=0.05)
@@ -188,12 +185,7 @@ def intersection_grid(cfg: CounterexampleConfig, h: float | None = None) -> Plan
     (six excluded curves: both half lines and all four semicircle arcs)."""
     h = h or cfg.h
     direct = slice_cuts(cfg.axis, cfg)
-    conj = []
-    for poly in direct:
-        p = np.asarray(poly, float).copy()
-        p[:, 1] *= -1.0
-        conj.append(p)
-    return _plane_grid(cfg, direct + conj, h)
+    return _plane_grid(cfg, direct + _mirror(direct), h)
 
 
 def pair_set_grid(cfg: CounterexampleConfig, h: float | None = None) -> PlanarRegionGrid:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import PreconditionError
-from .quaternions import Quaternion, SliceCoord, UnitImaginary
+from .quaternions import Quaternion, UnitImaginary
 
 _LABEL_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -49,16 +49,15 @@ class SphereSample:
 
     MIN_ANGLE_COEFF = 0.02  # pairwise min angle >= coeff / sqrt(N)
 
-    def __init__(self, n: int = 64, include_antipodes: bool = True, extra=()):
+    def __init__(self, n: int = 64, extra=()):
         if n < 2:
             raise ValueError("need at least two sphere samples")
         base = fibonacci_points(n)
         for u in extra:
             base = np.vstack([base, [u.vx, u.vy, u.vz]])
-        vecs = np.vstack([base, -base]) if include_antipodes else base
+        vecs = np.vstack([base, -base])
         self.n_requested = n
         self.base_count = base.shape[0]
-        self.include_antipodes = include_antipodes
         self.vectors = vecs
         self.units = [UnitImaginary(*v) for v in vecs]
         dots = np.clip(vecs @ vecs.T, -1.0, 1.0)
@@ -74,14 +73,7 @@ class SphereSample:
 
     def antipodal_pairs(self):
         """Index pairs (m, m') with units[m'] == -units[m], each sphere once."""
-        if self.include_antipodes:
-            return [(m, m + self.base_count) for m in range(self.base_count)]
-        out = []
-        for m, u in enumerate(self.units):
-            for k in range(m + 1, len(self.units)):
-                if self.units[k].approx(-u, 1e-12):
-                    out.append((m, k))
-        return out
+        return [(m, m + self.base_count) for m in range(self.base_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +86,10 @@ class DomainSpec:
 
     membership(x, y, jx, jy, jz) -> bool array, defined for y >= 0;
     membership at y == 0 must be unit-independent and agree with real_trace.
-    cuts(J) optionally returns polylines (in the slice plane coordinates of
-    J, possibly spanning both half planes) that rasterize as barriers.
+    cuts(J) optionally returns the polylines that rasterize as barriers in
+    the upper half slice of J, in its (x, y) coordinates with y >= 0; the
+    lower half of the full slice through J is the upper half slice of -J,
+    so its barriers are the mirror image of cuts(-J).
     bbox is (x_min, x_max, y_max); grids cover [x_min, x_max] x [0, y_max].
     """
 
@@ -125,9 +119,6 @@ class DomainSpec:
             if _points_to_polyline_dist([x], [y], poly)[0] <= tol:
                 return False
         return True
-
-    def contains_point(self, coord: SliceCoord) -> bool:
-        return self.contains(coord.x, coord.y, coord.unit)
 
 
 def intersect_specs(a: DomainSpec, b: DomainSpec) -> DomainSpec:
@@ -196,6 +187,11 @@ def resample_polyline(points, max_step: float) -> np.ndarray:
         for k in range(1, n + 1):
             out.append(a + seg * (k / n))
     return np.asarray(out)
+
+
+def _mirror(polylines) -> list:
+    """The polylines reflected in the real axis, (x, y) -> (x, -y)."""
+    return [np.asarray(p, dtype=float) * (1.0, -1.0) for p in polylines]
 
 
 def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
@@ -327,8 +323,7 @@ def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
     if spec.cuts is not None:
         polylines = list(spec.cuts(J))
         if full_slice:
-            polylines.extend(np.column_stack([p[:, 0], -p[:, 1]])
-                             for p in spec.cuts(-J))
+            polylines += _mirror(spec.cuts(-J))
         _block_cut_cells(occ, xs, ys, polylines, h)
     return PlanarRegionGrid(xs=xs, ys=ys, occupied=occ)
 

@@ -8,6 +8,7 @@ that repeated evaluations share one breadth-first continuation tree.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -17,8 +18,6 @@ import numpy as np
 from .domains import _GRID_STEPS, _block_cut_cells, _grid_bfs
 from .errors import (DisconnectedDomainError, OutOfDomainError, StencilError)
 from .quaternions import Quaternion, SliceCoord, UnitImaginary
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -35,25 +34,15 @@ def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
     return abs(z0 + t * d - p)
 
 
-def _gauss_reciprocal(z0: complex, z1: complex, pole: complex) -> complex:
-    mid = 0.5 * (z0 + z1)
-    half = 0.5 * (z1 - z0)
-    vals = half / (mid + _GAUSS_NODES * half - pole)
-    return complex(np.dot(_GAUSS_WEIGHTS, vals))
+def integrate_reciprocal(z0: complex, z1: complex, pole: complex) -> complex:
+    """Integral of dz/(z - pole) over the segment z0-z1.
 
-
-def integrate_reciprocal(z0: complex, z1: complex, pole: complex,
-                         split_ratio: float = 0.05) -> complex:
-    """Integral of dz/(z - pole) over the segment, bisecting until each
-    piece is short relative to its distance from the pole."""
-    d = _segment_point_distance(z0, z1, pole)
-    if d < 1e-12:
+    A segment that misses the pole turns by less than pi around it, so the
+    integral is exactly the principal log((z1 - pole) / (z0 - pole)).
+    """
+    if _segment_point_distance(z0, z1, pole) < 1e-12:
         raise OutOfDomainError("integration segment passes through the pole")
-    if abs(z1 - z0) <= split_ratio * d or abs(z1 - z0) < 1e-15:
-        return _gauss_reciprocal(z0, z1, pole)
-    mid = 0.5 * (z0 + z1)
-    return (integrate_reciprocal(z0, mid, pole, split_ratio)
-            + integrate_reciprocal(mid, z1, pole, split_ratio))
+    return cmath.log((z1 - pole) / (z0 - pole))
 
 
 def polyline_integral(points, pole: complex) -> complex:
@@ -67,14 +56,12 @@ def polyline_integral(points, pole: complex) -> complex:
 
 
 def winding_number(points, point) -> float:
-    """Winding of a closed polyline around a point, by angle summation."""
+    """Winding of a polyline, closed if it is not, around a point."""
     pts = np.asarray(points, dtype=float)
-    zs = pts[:, 0] + 1j * pts[:, 1]
-    if abs(zs[0] - zs[-1]) > 1e-12:
-        zs = np.append(zs, zs[0])
-    rel = zs - complex(point[0], point[1]) if not isinstance(point, complex) else zs - point
-    angles = np.angle(rel[1:] / rel[:-1])
-    return float(np.sum(angles) / (2.0 * math.pi))
+    if np.hypot(*(pts[0] - pts[-1])) > 1e-12:
+        pts = np.vstack([pts, pts[:1]])
+    pole = point if isinstance(point, complex) else complex(point[0], point[1])
+    return polyline_integral(pts, pole).imag / (2.0 * math.pi)
 
 
 def segment_crossings(p, q, polyline) -> int:
@@ -167,7 +154,7 @@ class _PlaneContinuation:
     """Shared raster table of path integrals of 1/(z - pole) on a cut plane.
 
     The table is a breadth-first continuation tree over free grid cells;
-    evaluations add one adaptive straight leg from the nearest usable cell
+    evaluations add one closed-form straight leg from the nearest usable cell
     center.  Built on first use, read-only afterwards.
     """
 
@@ -229,10 +216,7 @@ class _PlaneContinuation:
         px = ix - steps[codes, 1]
         z1 = xs[ix] + 1j * ys[iy]
         z0 = xs[px] + 1j * ys[py]
-        mid = 0.5 * (z0 + z1)
-        half = 0.5 * (z1 - z0)
-        seg = half[:, None] / (mid[:, None] + np.outer(half, _GAUSS_NODES) - self.pole)
-        edge = seg @ _GAUSS_WEIGHTS
+        edge = np.log((z1 - self.pole) / (z0 - self.pole))
 
         order = np.argsort(dist[iy, ix], kind="stable")
         flat_value = value  # accumulate level by level

@@ -91,10 +91,6 @@ class Quaternion:
             raise NonInvertibleError("zero quaternion is non-invertible")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
-    def im(self) -> "Quaternion":
-        """Vector (imaginary) part as a quaternion."""
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def im_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
@@ -161,10 +157,6 @@ class UnitImaginary:
     def from_vector(cls, items) -> "UnitImaginary":
         a, b, c = (float(v) for v in items)
         return cls(a, b, c)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "UnitImaginary":
-        return cls(q.x, q.y, q.z)
 
 
 UNIT_I = UnitImaginary(1.0, 0.0, 0.0)

@@ -152,6 +152,9 @@ def load_domain_spec(data) -> DomainSpec:
         raise UnsupportedError(f"unknown domain spec type {kind!r}")
     if "cuts" in data and data["cuts"]:
         polylines = [np.asarray(c, float) for c in data["cuts"]]
+        if any((p[:, 1] < 0.0).any() for p in polylines):
+            raise UnsupportedError("cut vertices must have y >= 0: cuts lie in "
+                                   "the upper half slice")
         if spec.cuts is not None:
             raise UnsupportedError("cannot add cuts to a cut-bearing spec")
         from dataclasses import replace
@@ -181,22 +184,3 @@ def load_holo_function(data, default_unit=None):
             bbox=tuple(data.get("bbox", (-5.0, 5.0, -5.0, 5.0))),
             step=float(data.get("step", 0.05)))
     raise UnsupportedError(f"unknown function variant {variant!r}")
-
-
-def holo_function_to_json(fn) -> dict:
-    if isinstance(fn, PowerSeries):
-        out = {"variant": "power-series", "center": fn.center,
-               "coeffs": [c.to_list() for c in fn.coeffs]}
-        if math.isfinite(fn.radius):
-            out["radius"] = fn.radius
-        if fn.slice_unit is not None:
-            out["slice_unit"] = fn.slice_unit.to_list()
-        return out
-    if isinstance(fn, ContinuedLog):
-        return {"variant": "continued-log", "pole": list(fn.pole),
-                "base": list(fn.base), "base_value": fn.base_value.to_list(),
-                "cuts": [np.asarray(c).tolist() for c in fn.cuts],
-                "carrier": fn.carrier.to_list(),
-                "slice_unit": fn.slice_unit.to_list(),
-                "bbox": list(fn.bbox), "step": fn.step}
-    raise UnsupportedError(f"cannot serialize {type(fn)!r}")

@@ -45,7 +45,9 @@ def test_check_domain_reports_are_deterministic(ball_json, tmp_path):
         (out2 / "verdicts.json").read_bytes()
 
 
-def test_check_domain_verdicts_do_not_depend_on_seed(tmp_path):
+@pytest.fixture()
+def l_shape_json(tmp_path):
+    """An L-shaped union of two box-and-halfspace intersections, h = 0.02."""
     def leaf(kind, **fields):
         return {"type": kind, "h": 0.02, "bbox": [-1.5, 1.5, 1.5], **fields}
 
@@ -57,14 +59,36 @@ def test_check_domain_verdicts_do_not_depend_on_seed(tmp_path):
         for arm in arms]}
     path = tmp_path / "l_shape.json"
     path.write_text(json.dumps(l_shape))
+    return path
+
+
+def test_check_domain_verdicts_do_not_depend_on_seed(l_shape_json, tmp_path):
     reports = []
     for seed in ("1", "2"):
         out = tmp_path / seed
-        assert main(["check-domain", str(path), "--samples", "4", "--seed", seed,
+        assert main(["check-domain", str(l_shape_json), "--samples", "4", "--seed", seed,
                      "--out", str(out)]) == 0
         reports.append((out / "verdicts.json").read_bytes())
     assert json.loads(reports[0])["slice_convex"] == "no"
     assert reports[0] == reports[1]
+
+
+def test_grid_step_flag_reaches_boolean_op_specs(l_shape_json, tmp_path):
+    out = tmp_path / "out"
+    assert main(["check-domain", str(l_shape_json), "--h", "0.1", "--samples", "2",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "verdicts.json").read_text())
+    assert report["slice_domain"] == "yes@N=2,h=0.1"
+
+
+def test_cut_below_the_real_axis_exits_one(tmp_path, capsys):
+    path = tmp_path / "slit.json"
+    path.write_text(json.dumps({"type": "ball", "center": [0, 0, 0, 0],
+                                "radius": 1.0, "h": 0.05,
+                                "cuts": [[[0.0, 0.5], [0.0, -0.5]]]}))
+    assert main(["check-domain", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "y >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [

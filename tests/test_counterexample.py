@@ -7,7 +7,9 @@ from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary
 from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      CounterexampleConfig, arc_coords,
                                      arc_point, demonstrate, intersection_grid,
-                                     log_pair, omega_spec, pair_set_grid, t_of)
+                                     log_pair, omega_spec, pair_set_grid,
+                                     slice_cuts, t_of, _plane_grid)
+from slicereg.domains import rasterize
 from slicereg.extension import extension_formula
 from slicereg.holomorphic import dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, slice_decompose
@@ -205,6 +207,18 @@ def test_component_grids(cfg):
     pg = pair_set_grid(cfg)
     n2, _ = pg.label()
     assert n2 == 2
+
+
+def test_cuts_describe_the_upper_half_slice(omega, cfg):
+    """omega.cuts(J) lies in y >= 0, and the full raster blocks exactly the
+    curves of slice_cuts(J): those of J and the mirrored ones of -J."""
+    rng = np.random.default_rng(5)
+    units = [cfg.axis, -cfg.axis, UNIT_J] + [random_unit(rng) for _ in range(3)]
+    for J in units:
+        assert all((np.asarray(p)[:, 1] >= 0.0).all() for p in omega.cuts(J))
+        full = rasterize(omega, J, full_slice=True, h=0.05)
+        plane = _plane_grid(cfg, slice_cuts(J, cfg), 0.05)
+        assert np.array_equal(full.occupied, plane.occupied)
 
 
 def test_demonstrate_bundle(cfg):

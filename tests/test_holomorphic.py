@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
                       StemRestriction, UnitImaginary, ball_spec, dbar_residual,
@@ -184,6 +187,42 @@ def test_integrate_reciprocal_matches_closed_form():
     val = integrate_reciprocal(complex(1, 0), complex(0, 1), complex(0, 0))
     exact = complex(0.0, math.pi / 2.0)  # log(i) - log(1)
     assert abs(val - exact) <= 1e-12
+
+
+_point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(lambda t: complex(*t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point, _point, _point)
+def test_integrate_reciprocal_matches_quadrature(z0, z1, pole):
+    """The closed-form leg against adaptive quadrature of the parametrized
+    integrand, for legs at least 5% of their length away from the pole."""
+    d = z1 - z0
+    t = min(1.0, max(0.0, ((pole - z0) / d).real)) if d else 0.0
+    assume(abs(z0 + t * d - pole) >= max(0.05 * abs(d), 1e-6))
+
+    def part(fn):
+        return quad(lambda s: fn(d / (z0 + s * d - pole)), 0.0, 1.0,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    val = integrate_reciprocal(z0, z1, pole)
+    assert abs(val.real - part(lambda w: w.real)) <= 1e-10
+    assert abs(val.imag - part(lambda w: w.imag)) <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["plain", "direct", "conj"])
+def test_table_cells_exponentiate_to_the_ratio(which, logs):
+    """Each finite table entry is a logarithm of (z - pole)/(base - pole)."""
+    fn = (_plain_log(cuts=[np.array([[0.0, 0.0], [0.0, -4.5]])]) if which == "plain"
+          else logs[which == "conj"])
+    table = fn._table
+    table.integral_to(*table.base)  # builds the table
+    iy, ix = np.nonzero(np.isfinite(table._value))
+    assert iy.size > 1000
+    z = table._xs[ix] + 1j * table._ys[iy]
+    ratio = (z - table.pole) / (complex(*table.base) - table.pole)
+    err = np.abs(np.exp(table._value[iy, ix]) - ratio) / np.abs(ratio)
+    assert err.max() <= 1e-12
 
 
 def test_slice_mismatch_raises(logs):
