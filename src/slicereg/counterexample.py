@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, PlanarRegionGrid, SphereSample,
-                      _block_cut_cells, _mirror, is_simple, is_slice_domain)
+from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _and_grids,
+                      _mirror, is_simple, is_slice_domain, omega_jk_plus,
+                      rasterize)
 from .errors import SliceRegError
-from .extension import check_compatible, extension_formula
+from .extension import check_compatible, extension_formula, rep_coeffs, rep_eval
 from .holomorphic import ContinuedLog
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
 
@@ -101,28 +102,26 @@ def omega_spec(cfg: CounterexampleConfig) -> DomainSpec:
                       name="counterexample")
 
 
-def _plane_bbox(cfg: CounterexampleConfig):
+def plane_log(J: UnitImaginary, cfg: CounterexampleConfig) -> ContinuedLog:
+    """log(z - 2*axis), continued from the base point 1 + 2*axis with value
+    0 over the plane of the slice through J, cut by slice_cuts(J)."""
     x_min, x_max, y_max = cfg.bbox
-    return (x_min, x_max, -y_max, y_max)
+    return ContinuedLog(pole=(0.0, 2.0), base=(1.0, 2.0),
+                        base_value=Quaternion(0.0),
+                        cuts=tuple(slice_cuts(J, cfg)), carrier=cfg.axis,
+                        bbox=(x_min, x_max, -y_max, y_max), step=0.05)
 
 
 def log_pair(cfg: CounterexampleConfig):
     """The two holomorphic logarithms of the construction.
 
-    Both continue log(z - 2*axis) from the base point 1 + 2*axis with value
-    0; the first lives on the original slice plane (cut by the slice's own
+    The first lives on the original slice plane (cut by the slice's own
     excluded curves), the second on the conjugate domain, identified with
-    the same plane by conjugation and attached to the antipodal unit.
+    the same plane by conjugation and attached to the antipodal unit: its
+    cuts, slice_cuts(-axis), are the mirror image of slice_cuts(axis).
     """
     axis = cfg.axis
-    direct_cuts = slice_cuts(axis, cfg)
-    conj_cuts = _mirror(direct_cuts)
-    common = dict(pole=(0.0, 2.0), base=(1.0, 2.0),
-                  base_value=Quaternion(0.0), carrier=axis,
-                  bbox=_plane_bbox(cfg), step=0.05)
-    direct = ContinuedLog(cuts=tuple(direct_cuts), slice_unit=axis, **common)
-    conj = ContinuedLog(cuts=tuple(conj_cuts), slice_unit=-axis, **common)
-    return direct, conj
+    return plane_log(axis, cfg), plane_log(-axis, cfg).on_slice(-axis)
 
 
 class BranchedLogFamily:
@@ -133,6 +132,8 @@ class BranchedLogFamily:
     through the stem coefficient map, which makes every restriction
     holomorphic while the branch structure varies with the unit; its
     restriction to the reference slice is the first function of log_pair.
+    slice_cuts(J) reads J only through t_of(J) and t_of(-J), so units with
+    equal weights share one table.
     """
 
     def __init__(self, cfg: CounterexampleConfig):
@@ -141,15 +142,10 @@ class BranchedLogFamily:
         self._tables: dict = {}
 
     def _plane_log(self, J: UnitImaginary) -> ContinuedLog:
-        key = (round(J.vx, 12), round(J.vy, 12), round(J.vz, 12))
+        key = (t_of(J, self.cfg), t_of(-J, self.cfg))
         fn = self._tables.get(key)
         if fn is None:
-            fn = ContinuedLog(pole=(0.0, 2.0), base=(1.0, 2.0),
-                              base_value=Quaternion(0.0),
-                              cuts=tuple(slice_cuts(J, self.cfg)),
-                              carrier=self.cfg.axis,
-                              bbox=_plane_bbox(self.cfg), step=0.05)
-            self._tables[key] = fn
+            fn = self._tables[key] = plane_log(J, self.cfg)
         return fn
 
     def eval(self, coord: SliceCoord) -> Quaternion:
@@ -157,7 +153,6 @@ class BranchedLogFamily:
         if coord.is_real:
             w = cmath.log(complex(coord.x, -2.0))
             return Quaternion(w.real) + axis.as_quaternion() * w.imag
-        from .extension import rep_coeffs, rep_eval
         fn = self._plane_log(coord.unit)
         up = fn.eval_plane(coord.x, coord.y)
         dn = fn.eval_plane(coord.x, -coord.y)
@@ -169,28 +164,18 @@ class BranchedLogFamily:
 # evidence bundle
 # ---------------------------------------------------------------------------
 
-def _plane_grid(cfg: CounterexampleConfig, cut_polylines, h: float) -> PlanarRegionGrid:
-    """Full-plane occupancy grid (axis row included) minus the given cuts."""
-    x_min, x_max, y_max = cfg.bbox
-    xs = np.arange(x_min + h / 2.0, x_max, h)
-    ys_up = np.arange(h / 2.0, y_max, h)
-    ys = np.concatenate([-ys_up[::-1], [0.0], ys_up])
-    occ = np.ones((ys.size, xs.size), dtype=bool)
-    _block_cut_cells(occ, xs, ys, cut_polylines, h)
-    return PlanarRegionGrid(xs=xs, ys=ys, occupied=occ)
-
-
 def intersection_grid(cfg: CounterexampleConfig, h: float | None = None) -> PlanarRegionGrid:
     """Grid of the intersection of the slice plane domain with its conjugate
-    (six excluded curves: both half lines and all four semicircle arcs)."""
+    (six excluded curves: both half lines and all four semicircle arcs):
+    the AND of the full slices through axis and -axis."""
+    spec = omega_spec(cfg)
     h = h or cfg.h
-    direct = slice_cuts(cfg.axis, cfg)
-    return _plane_grid(cfg, direct + _mirror(direct), h)
+    return _and_grids(rasterize(spec, cfg.axis, full_slice=True, h=h),
+                      rasterize(spec, -cfg.axis, full_slice=True, h=h))
 
 
 def pair_set_grid(cfg: CounterexampleConfig, h: float | None = None) -> PlanarRegionGrid:
     """Grid of the upper half-plane pair set for (axis, -axis)."""
-    from .domains import omega_jk_plus
     return omega_jk_plus(omega_spec(cfg), cfg.axis, -cfg.axis, h=h or cfg.h)
 
 

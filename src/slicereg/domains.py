@@ -180,13 +180,14 @@ class PlanarRegionGrid:
 def resample_polyline(points, max_step: float) -> np.ndarray:
     """Insert vertices so consecutive points are at most max_step apart."""
     pts = np.asarray(points, dtype=float)
-    out = [pts[0]]
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        n = max(1, int(math.ceil(np.hypot(*seg) / max_step)))
-        for k in range(1, n + 1):
-            out.append(a + seg * (k / n))
-    return np.asarray(out)
+    a = pts[:-1]
+    seg = pts[1:] - a
+    n = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / max_step).astype(int))
+    first = np.repeat(np.cumsum(n) - n, n)  # output index of each segment's k = 1
+    k = np.arange(1, first.size + 1) - first
+    frac = k / np.repeat(n, n)
+    return np.vstack([pts[:1], np.repeat(a, n, axis=0)
+                      + np.repeat(seg, n, axis=0) * frac[:, None]])
 
 
 def _mirror(polylines) -> list:
@@ -462,24 +463,18 @@ def completion_of_slice(spec: DomainSpec, K0: UnitImaginary) -> DomainSpec:
                       cuts=None, name=f"slice-completion({spec.name})")
 
 
+def _and_grids(a: PlanarRegionGrid, b: PlanarRegionGrid) -> PlanarRegionGrid:
+    """Cells occupied in both grids (same axes)."""
+    return PlanarRegionGrid(xs=a.xs, ys=a.ys, occupied=a.occupied & b.occupied)
+
+
 def omega_jk_plus(spec: DomainSpec, J: UnitImaginary, K: UnitImaginary,
                   h: float | None = None) -> PlanarRegionGrid:
     """Grid of the upper half-plane set where both the J- and K-slices of the
-    domain contain the point; cut curves of both slices block cells."""
-    h = float(h if h is not None else spec.h)
-    x_min, x_max, y_max = spec.bbox
-    xs = np.arange(x_min + h / 2.0, x_max, h)
-    ys = np.arange(h / 2.0, y_max, h)
-    X, Y = np.meshgrid(xs, ys)
-    occ = np.asarray(spec.membership(X, Y, J.vx, J.vy, J.vz), dtype=bool)
-    if not K.approx(J):
-        occ &= np.asarray(spec.membership(X, Y, K.vx, K.vy, K.vz), dtype=bool)
-    if spec.cuts is not None:
-        polylines = list(spec.cuts(J))
-        if not K.approx(J):
-            polylines.extend(spec.cuts(K))
-        _block_cut_cells(occ, xs, ys, polylines, h)
-    return PlanarRegionGrid(xs=xs, ys=ys, occupied=occ)
+    domain contain the point: the AND of the two slice rasters, so cut
+    curves of both slices block cells."""
+    grid = rasterize(spec, J, h=h)
+    return grid if K.approx(J) else _and_grids(grid, rasterize(spec, K, h=h))
 
 
 def is_simple(spec: DomainSpec, sample: SphereSample,
@@ -500,9 +495,7 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
             grid_cache[mi] = ga
             gb = grid_cache.get(mk) or rasterize(spec, K, h=h)
             grid_cache[mk] = gb
-            # each raster blocks its unit's cuts: the AND is omega_jk_plus
-            grid = PlanarRegionGrid(xs=ga.xs, ys=ga.ys,
-                                    occupied=ga.occupied & gb.occupied)
+            grid = _and_grids(ga, gb)
         else:
             grid = omega_jk_plus(spec, J, K, h=h)
         if not grid.occupied.any():
@@ -632,7 +625,7 @@ def starlike_spec(pull: float = 0.5, h: float = 0.01) -> DomainSpec:
     is simple; used as the well-behaved partner of the counterexample.
     """
     if not 0.0 <= pull < 1.0:
-        raise ValueError("pull must lie in [0, 1)")
+        raise PreconditionError("pull must lie in [0, 1)")
 
     def membership(x, y, jx, jy, jz):
         return np.hypot(np.asarray(x), np.asarray(y)) < 1.0 + pull * np.asarray(x)

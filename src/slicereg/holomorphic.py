@@ -83,8 +83,8 @@ def segment_crossings(p, q, polyline) -> int:
 
     d1 = orient(px, py, qx, qy, a[:, 0], a[:, 1])
     d2 = orient(px, py, qx, qy, b[:, 0], b[:, 1])
-    d3 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], np.full_like(d1, px), np.full_like(d1, py))
-    d4 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], np.full_like(d1, qx), np.full_like(d1, qy))
+    d3 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], px, py)
+    d4 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], qx, qy)
     hits = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
     # reject far-apart degenerate cases where all four orientations vanish
     # but bounding boxes do not overlap

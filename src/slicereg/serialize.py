@@ -13,7 +13,7 @@ import numpy as np
 
 from .domains import (DomainSpec, PlanarRegionGrid, ball_spec, halfspace_spec,
                       starlike_spec, union_spec, intersect_specs)
-from .errors import UnsupportedError
+from .errors import PreconditionError, UnsupportedError
 from .holomorphic import ContinuedLog, PowerSeries
 from .quaternions import Quaternion, UnitImaginary
 
@@ -107,10 +107,28 @@ def grid_components_csv(grid: PlanarRegionGrid, path) -> None:
 # loaders
 # ---------------------------------------------------------------------------
 
+def _check_numbers(data, where: str) -> None:
+    """Every number of a JSON description must be finite, and h, radius and
+    epsilon must be positive."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            at = f"{where}.{key}"
+            _check_numbers(value, at)
+            if key in ("h", "radius", "epsilon") and isinstance(value, (int, float)) \
+                    and not value > 0:
+                raise PreconditionError(f"{at} must be positive, got {value!r}")
+    elif isinstance(data, list):
+        for i, value in enumerate(data):
+            _check_numbers(value, f"{where}[{i}]")
+    elif isinstance(data, float) and not math.isfinite(data):
+        raise PreconditionError(f"{where} must be a finite number, got {data!r}")
+
+
 def load_domain_spec(data) -> DomainSpec:
     """Domain spec from its JSON description (dict or path)."""
     if isinstance(data, (str, Path)):
         data = json.loads(Path(data).read_text())
+    _check_numbers(data, "spec")
     kind = data.get("type")
     h = float(data.get("h", 0.01))
     if kind == "ball":
@@ -166,6 +184,7 @@ def load_holo_function(data, default_unit=None):
     """Holomorphic slice function from its JSON description."""
     if isinstance(data, (str, Path)):
         data = json.loads(Path(data).read_text())
+    _check_numbers(data, "function")
     variant = data.get("variant")
     unit = data.get("slice_unit", None)
     unit = UnitImaginary.from_vector(unit) if unit is not None else default_unit

@@ -103,6 +103,37 @@ def test_bad_grid_step_or_sample_size_exits_one(flag, value, ball_json, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"type": "ball", "radius": 1, "h": NaN}', "spec.h must be a finite number"),
+    ('{"type": "ball", "radius": NaN}', "spec.radius must be a finite number"),
+    ('{"type": "ball", "radius": 1, "h": Infinity}', "spec.h must be a finite number"),
+    ('{"type": "starlike", "pull": NaN}', "spec.pull must be a finite number"),
+    ('{"type": "starlike", "pull": 2}', "pull must lie in [0, 1)"),
+    ('{"type": "ball", "radius": -1}', "spec.radius must be positive"),
+    ('{"type": "ball", "radius": 1, "h": 0}', "spec.h must be positive"),
+    ('{"type": "ball", "radius": 1, "center": [0, -Infinity, 0, 0]}',
+     "spec.center[1] must be a finite number"),
+    ('{"type": "boolean-op", "op": "union", "operands": '
+     '[{"type": "ball", "radius": 1}, {"type": "ball", "radius": 0}]}',
+     "spec.operands[1].radius must be positive"),
+])
+def test_hostile_numbers_in_spec_exit_one(text, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["check-domain", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_hostile_numbers_in_function_exit_one(ball_json, tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text('{"variant": "power-series", "coeffs": [[0, 0, 0, 0], [NaN, 0, 0, 0]]}')
+    assert main(["local-extend", str(ball_json), "--function", str(fn),
+                 "--point", "[0.1, 0.2, 0, 0]", "--out", str(tmp_path / "out")]) == 1
+    assert "function.coeffs[1][0] must be a finite number" in capsys.readouterr().err
+
+
 def test_completion_command(ball_json, tmp_path):
     out = tmp_path / "out"
     assert main(["completion", str(ball_json), "--samples", "8",

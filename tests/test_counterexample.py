@@ -8,10 +8,11 @@ from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      CounterexampleConfig, arc_coords,
                                      arc_point, demonstrate, intersection_grid,
                                      log_pair, omega_spec, pair_set_grid,
-                                     slice_cuts, t_of, _plane_grid)
-from slicereg.domains import rasterize
+                                     slice_cuts, t_of)
+from slicereg.domains import _block_cut_cells, _mirror, rasterize
+from slicereg.errors import SliceRegError
 from slicereg.extension import extension_formula
-from slicereg.holomorphic import dbar_residual
+from slicereg.holomorphic import ContinuedLog, dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, slice_decompose
 
 from conftest import random_unit
@@ -217,8 +218,73 @@ def test_cuts_describe_the_upper_half_slice(omega, cfg):
     for J in units:
         assert all((np.asarray(p)[:, 1] >= 0.0).all() for p in omega.cuts(J))
         full = rasterize(omega, J, full_slice=True, h=0.05)
-        plane = _plane_grid(cfg, slice_cuts(J, cfg), 0.05)
-        assert np.array_equal(full.occupied, plane.occupied)
+        plane = np.ones_like(full.occupied)
+        _block_cut_cells(plane, full.xs, full.ys, slice_cuts(J, cfg), 0.05)
+        assert np.array_equal(full.occupied, plane)
+
+
+def _old_log(cfg, cuts, unit):
+    """Oracle: the continued logarithm with explicitly given cuts and
+    slice unit, built without plane_log."""
+    return ContinuedLog(pole=(0.0, 2.0), base=(1.0, 2.0),
+                        base_value=Q(0.0), cuts=tuple(cuts), carrier=cfg.axis,
+                        slice_unit=unit, bbox=(-5.0, 5.0, -5.0, 5.0), step=0.05)
+
+
+def _plane_points(rng, count):
+    return [(float(rng.uniform(-4.8, 4.8)), float(rng.uniform(-4.8, 4.8)))
+            for _ in range(count)]
+
+
+def _same_values(new, old, points):
+    checked = 0
+    for x, y in points:
+        try:
+            want = old.eval_plane(x, y)
+        except SliceRegError:
+            with pytest.raises(SliceRegError):
+                new.eval_plane(x, y)
+            continue
+        assert new.eval_plane(x, y).to_list() == want.to_list()
+        checked += 1
+    return checked
+
+
+def test_log_pair_matches_per_side_construction(logs, cfg):
+    """The conjugate log is the log of -axis viewed on -axis; as a cut set,
+    slice_cuts(-axis) is the mirror image of slice_cuts(axis)."""
+    direct, conj = logs
+    axis = cfg.axis
+    assert conj.slice_unit.approx(-axis) and conj.carrier.approx(axis)
+    cuts = slice_cuts(axis, cfg)
+    points = _plane_points(np.random.default_rng(113), 150)
+    assert _same_values(direct, _old_log(cfg, cuts, axis), points) > 100
+    assert _same_values(conj, _old_log(cfg, _mirror(cuts), -axis), points) > 100
+
+
+@pytest.mark.parametrize("n, tables", [(8, 11), (32, 33)])
+def test_family_builds_one_table_per_cut_geometry(cfg, n, tables):
+    family = BranchedLogFamily(cfg)
+    for J in SphereSample(n, extra=[cfg.axis]).units:
+        family.eval(SliceCoord(3.0, 1.0, J))
+    built = [fn for fn in family._tables.values() if fn._table._xs is not None]
+    assert len(family._tables) == len(built) == tables
+
+
+def test_family_shares_tables_only_between_equal_cuts(cfg):
+    """A unit that reuses another unit's table gets the values its own cuts
+    would give."""
+    family = BranchedLogFamily(cfg)
+    units = SphereSample(8, extra=[cfg.axis]).units
+    owner = {}
+    for J in units:
+        first = owner.setdefault(id(family._plane_log(J)), J)
+        got, want = slice_cuts(J, cfg), slice_cuts(first, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    J = next(J for J in units[1:] if family._plane_log(J) is family._plane_log(units[0]))
+    points = _plane_points(np.random.default_rng(127), 60)
+    assert _same_values(family._plane_log(J),
+                        _old_log(cfg, slice_cuts(J, cfg), cfg.axis), points) > 40
 
 
 def test_demonstrate_bundle(cfg):

@@ -17,7 +17,7 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       symmetric_completion)
 from slicereg.domains import (DomainSpec, _block_cut_cells, _grid_bfs,
                               _grid_path, fibonacci_points, intersect_specs,
-                              union_spec)
+                              resample_polyline, union_spec)
 from slicereg.holomorphic import segment_crossings
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import intersection_grid
@@ -348,6 +348,27 @@ def test_resolution_stability_of_verdicts(ball, omega, cfg, sample16):
         assert is_simple(ball, sample16, h=h).is_yes
         v = is_simple(omega, sample16, h=h)
         assert v.value == "no" and v.witness["antipodal"]
+
+
+def _resample_by_point(points, max_step):
+    """Per-point oracle of resample_polyline."""
+    pts = np.asarray(points, dtype=float)
+    out = [pts[0]]
+    for a, b in zip(pts[:-1], pts[1:]):
+        seg = b - a
+        n = max(1, int(math.ceil(np.hypot(*seg) / max_step)))
+        for k in range(1, n + 1):
+            out.append(a + seg * (k / n))
+    return np.asarray(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                min_size=1, max_size=12),
+       st.floats(0.005, 3.0))
+def test_resample_polyline_matches_per_point_oracle(points, max_step):
+    assert np.array_equal(resample_polyline(points, max_step),
+                          _resample_by_point(points, max_step))
 
 
 _H = 0.1
