@@ -215,10 +215,10 @@ def cmd_extend(args) -> int:
 def cmd_ext_slice(args) -> int:
     spec, data, _ = _load_spec(args)
     out = _out_dir(args)
-    fn = load_holo_function(args.function,
-                            default_unit=_parse_unit(args.unit) if args.unit else UNIT_I)
+    unit = _parse_unit(args.unit) if args.unit else UNIT_I
+    fn = load_holo_function(args.function, default_unit=unit)
     if fn.slice_unit is None:
-        fn = fn.on_slice(_parse_unit(args.unit) if args.unit else UNIT_I)
+        fn = fn.on_slice(unit)
     stem = regular_ext(fn, spec)
     x_min, x_max, y_max = spec.bbox
     xy = [(x, y) for x in np.linspace(x_min, x_max, 41)

@@ -19,14 +19,14 @@ import numpy as np
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _and_grids,
                       _mirror, is_simple, is_slice_domain, omega_jk_plus,
                       rasterize)
-from .errors import SliceRegError
+from .errors import OutOfDomainError, SliceRegError
 from .extension import check_compatible, extension_formula, rep_coeffs, rep_eval
 from .holomorphic import ContinuedLog
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
 
 # chord deviation bound for 256-point parametric sampling of the arcs;
-# scalar membership treats anything this close to the sampled polyline
-# as lying on the cut
+# scalar membership, and with it the closed-form log family, treats
+# anything this close to the sampled polyline as lying on the cut
 ARC_SAMPLES = 256
 ARC_CLEARANCE = 3e-5
 
@@ -38,7 +38,6 @@ class CounterexampleConfig:
     axis: UnitImaginary = UNIT_I
     h: float = 0.01
     bbox: tuple = (-5.0, 5.0, 5.0)
-    arc_samples: int = ARC_SAMPLES
 
 
 def t_of(J: UnitImaginary, cfg: CounterexampleConfig) -> float:
@@ -60,12 +59,10 @@ def arc_point(J: UnitImaginary, t: float, cfg: CounterexampleConfig) -> Quaterni
     return Quaternion(x, y * J.vx, y * J.vy, y * J.vz)
 
 
-def arc_coords(J: UnitImaginary, cfg: CounterexampleConfig,
-               n: int | None = None) -> np.ndarray:
+def arc_coords(J: UnitImaginary, cfg: CounterexampleConfig) -> np.ndarray:
     """The arc of slice J as (x, y) coordinates in the J plane."""
-    n = n or cfg.arc_samples
     T = t_of(J, cfg)
-    phi = np.linspace(0.0, math.pi, n)
+    phi = np.linspace(0.0, math.pi, ARC_SAMPLES)
     return np.column_stack([-1.0 + np.cos(phi),
                             2.0 + (1.0 - 2.0 * T) * np.sin(phi)])
 
@@ -132,30 +129,46 @@ class BranchedLogFamily:
     through the stem coefficient map, which makes every restriction
     holomorphic while the branch structure varies with the unit; its
     restriction to the reference slice is the first function of log_pair.
-    slice_cuts(J) reads J only through t_of(J) and t_of(-J), so units with
-    equal weights share one table.
+
+    The continuation has a closed form, tested against plane_log(J, cfg):
+    the upper cuts run from the pole 2i to infinity (the arc of weight
+    T = t_of(J), then the half line) and the mirrored lower ones do not
+    wind around it, so the value is the principal Log(z - 2i), less
+    2*pi*i*sign(1 - 2T) in the lens between the arc and the chord
+    [-2, 0] + 2i, which paths from the base point 1 + 2i enter by the chord.
     """
 
     def __init__(self, cfg: CounterexampleConfig):
         self.cfg = cfg
         self.domain = omega_spec(cfg)
-        self._tables: dict = {}
 
-    def _plane_log(self, J: UnitImaginary) -> ContinuedLog:
-        key = (t_of(J, self.cfg), t_of(-J, self.cfg))
-        fn = self._tables.get(key)
-        if fn is None:
-            fn = self._tables[key] = plane_log(J, self.cfg)
-        return fn
+    def _plane_value(self, J: UnitImaginary, x: float, y: float) -> Quaternion:
+        """Continued log(z - 2i) at z = x + iy of the plane of slice J."""
+        x_min, x_max, y_max = self.cfg.bbox
+        if not (x_min <= x <= x_max and -y_max <= y <= y_max):
+            raise OutOfDomainError(f"point ({x:g}, {y:g}) outside the cut plane box")
+        # y < 0 carries the mirrored cuts of -J.  The sampled arc lies within
+        # c (its sagitta bound) of its ellipse, which is at least
+        # |hypot(a (x + 1), v) - |a|| away: only points within c of the half
+        # line or 2c of the ellipse, the pole among them, can be on a cut
+        side = J if y > 0.0 else -J
+        a, v, c = 1.0 - 2.0 * t_of(side, self.cfg), abs(y) - 2.0, ARC_CLEARANCE
+        if x <= c and (abs(v) <= c or abs(math.hypot(a * (x + 1.0), v) - abs(a)) <= 2.0 * c) \
+                and not self.domain.contains(x, abs(y), side):
+            raise OutOfDomainError(f"point ({x:g}, {y:g}) lies on a cut")
+        w = cmath.log(complex(x, y - 2.0))
+        if y > 0.0 and a != 0.0 and (v >= 0.0) == (a > 0.0) \
+                and (x + 1.0) ** 2 + (v / a) ** 2 < 1.0:
+            w -= math.copysign(2.0 * math.pi, a) * 1j
+        return Quaternion(w.real) + self.cfg.axis.as_quaternion() * w.imag
 
     def eval(self, coord: SliceCoord) -> Quaternion:
         axis = self.cfg.axis
         if coord.is_real:
             w = cmath.log(complex(coord.x, -2.0))
             return Quaternion(w.real) + axis.as_quaternion() * w.imag
-        fn = self._plane_log(coord.unit)
-        up = fn.eval_plane(coord.x, coord.y)
-        dn = fn.eval_plane(coord.x, -coord.y)
+        up = self._plane_value(coord.unit, coord.x, coord.y)
+        dn = self._plane_value(coord.unit, coord.x, -coord.y)
         b, c = rep_coeffs(up, dn, axis, -axis)
         return rep_eval(b, c, coord.unit)
 

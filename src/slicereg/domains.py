@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UnsupportedError
 from .quaternions import Quaternion, UnitImaginary
 
 _LABEL_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -48,6 +48,7 @@ class SphereSample:
     """
 
     MIN_ANGLE_COEFF = 0.02  # pairwise min angle >= coeff / sqrt(N)
+    _MIN_ANGLE_ROWS = 128  # rows of the dot matrix held at once
 
     def __init__(self, n: int = 64, extra=()):
         if n < 2:
@@ -60,9 +61,14 @@ class SphereSample:
         self.base_count = base.shape[0]
         self.vectors = vecs
         self.units = [UnitImaginary(*v) for v in vecs]
-        dots = np.clip(vecs @ vecs.T, -1.0, 1.0)
-        np.fill_diagonal(dots, -1.0)
-        self.min_angle = float(np.min(np.arccos(np.max(dots, axis=1))))
+        # largest dot product of distinct units, in blocks of rows whose
+        # elementwise sums do not depend on the block size
+        top, rows = -1.0, self._MIN_ANGLE_ROWS
+        for lo in range(0, len(vecs), rows):
+            dots = (vecs[lo:lo + rows, None] * vecs).sum(axis=2)
+            dots[np.arange(len(dots)), np.arange(lo, lo + len(dots))] = -1.0
+            top = max(top, float(dots.max()))
+        self.min_angle = float(np.arccos(min(top, 1.0)))
         floor = self.MIN_ANGLE_COEFF / math.sqrt(len(self.units))
         if self.min_angle < floor:
             raise PreconditionError(
@@ -224,6 +230,11 @@ def _block_cut_cells(occupied, xs, ys, polylines, h):
     h/2, each sample blocks its nearest cell center and that cell's eight
     neighbors.  xs and ys are ascending cell centers at most h apart, so
     no 4-connected step between free cells crosses a cut.
+
+    One blocked cell per sample would stop leaks; the dilation stays as it
+    puts cut points more than 1.25h (Chebyshev) from free centers (2h to the
+    sample's cell, less h/2 to the sample and h/4 to the cut), so a query's
+    straight leg to its nearest free center (<= h/2) never meets a cut.
     """
     ny, nx = occupied.shape
     for poly in polylines:
@@ -317,8 +328,7 @@ def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
         ys = np.concatenate([-ys_up[::-1], [0.0], ys_up])
         X, Yu = np.meshgrid(xs, ys_up)
         upper = np.asarray(spec.membership(X, Yu, J.vx, J.vy, J.vz), dtype=bool)
-        Jn = -J
-        lower = np.asarray(spec.membership(X, Yu, Jn.vx, Jn.vy, Jn.vz), dtype=bool)
+        lower = np.asarray(spec.membership(X, Yu, -J.vx, -J.vy, -J.vz), dtype=bool)
         axis = np.asarray(spec.real_trace(xs), dtype=bool)
         occ = np.vstack([lower[::-1, :], axis[None, :], upper])
     if spec.cuts is not None:
@@ -417,9 +427,7 @@ def is_symmetric(spec: DomainSpec, sample: SphereSample,
             for poly in spec.cuts(J):
                 pts = np.asarray(poly, float)
                 sub = pts[:: max(1, len(pts) // 16)]
-                for px, py in sub:
-                    if py <= 0:
-                        continue
+                for px, py in sub[sub[:, 1] > 0]:
                     on_J = spec.contains(px, py, J)
                     for K in probe_units:
                         if K.approx(J):
@@ -452,11 +460,9 @@ def symmetric_completion(spec: DomainSpec, sample: SphereSample) -> DomainSpec:
 
 def completion_of_slice(spec: DomainSpec, K0: UnitImaginary) -> DomainSpec:
     """Exact symmetric completion of the single full slice through K0."""
-    Kn = -K0
-
     def membership(x, y, jx, jy, jz):
         up = np.asarray(spec.membership(x, y, K0.vx, K0.vy, K0.vz), dtype=bool)
-        dn = np.asarray(spec.membership(x, y, Kn.vx, Kn.vy, Kn.vz), dtype=bool)
+        dn = np.asarray(spec.membership(x, y, -K0.vx, -K0.vy, -K0.vz), dtype=bool)
         return up | dn
 
     return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
@@ -491,11 +497,10 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
     def components_for(mi, mk, cache: bool) -> int:
         J, K = units[mi], units[mk]
         if cache:
-            ga = grid_cache.get(mi) or rasterize(spec, J, h=h)
-            grid_cache[mi] = ga
-            gb = grid_cache.get(mk) or rasterize(spec, K, h=h)
-            grid_cache[mk] = gb
-            grid = _and_grids(ga, gb)
+            for m in (mi, mk):
+                if m not in grid_cache:
+                    grid_cache[m] = rasterize(spec, units[m], h=h)
+            grid = _and_grids(grid_cache[mi], grid_cache[mk])
         else:
             grid = omega_jk_plus(spec, J, K, h=h)
         if not grid.occupied.any():
@@ -640,23 +645,16 @@ def starlike_spec(pull: float = 0.5, h: float = 0.01) -> DomainSpec:
 
 def union_spec(specs, name="union") -> DomainSpec:
     """Pointwise union of cut-free specs."""
-    from .errors import UnsupportedError
     if any(s.cuts is not None for s in specs):
         raise UnsupportedError("union of cut-bearing domains is not supported")
 
     def membership(x, y, jx, jy, jz):
-        out = None
-        for s in specs:
-            m = np.asarray(s.membership(x, y, jx, jy, jz), dtype=bool)
-            out = m if out is None else (out | m)
-        return out
+        return np.logical_or.reduce(np.broadcast_arrays(
+            *(np.asarray(s.membership(x, y, jx, jy, jz), dtype=bool) for s in specs)))
 
     def real_trace(x):
-        out = None
-        for s in specs:
-            m = np.asarray(s.real_trace(x), dtype=bool)
-            out = m if out is None else (out | m)
-        return out
+        return np.logical_or.reduce(np.broadcast_arrays(
+            *(np.asarray(s.real_trace(x), dtype=bool) for s in specs)))
 
     bbox = (min(s.bbox[0] for s in specs), max(s.bbox[1] for s in specs),
             max(s.bbox[2] for s in specs))

@@ -321,10 +321,7 @@ class TubeDomain:
 
 
 def _probe_units(J0: UnitImaginary):
-    units = [J0, -J0]
-    for v in SphereSample(8).units:
-        units.append(v)
-    return units
+    return [J0, -J0] + SphereSample(8).units
 
 
 def _clearance_radii(samples: np.ndarray, J0: UnitImaginary, Y: DomainSpec,
@@ -567,20 +564,14 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
     ix = int(np.clip(round((p0.x - grid.xs[0]) / h), 0, grid.xs.size - 1))
     iy = int(np.clip(round((p0.y - grid.ys[0]) / h), 0, grid.ys.size - 1))
     if not grid.occupied[iy, ix]:
-        found = False
+        # first free cell, row-major, of the smallest block around it
         for r in (1, 2, 3):
-            for dy in range(-r, r + 1):
-                for dx in range(-r, r + 1):
-                    yy, xx = iy + dy, ix + dx
-                    if 0 <= yy < grid.ys.size and 0 <= xx < grid.xs.size \
-                            and grid.occupied[yy, xx]:
-                        iy, ix, found = yy, xx, True
-                        break
-                if found:
-                    break
-            if found:
+            y0, x0 = max(iy - r, 0), max(ix - r, 0)
+            free = np.argwhere(grid.occupied[y0:iy + r + 1, x0:ix + r + 1])
+            if free.size:
+                iy, ix = y0 + int(free[0][0]), x0 + int(free[0][1])
                 break
-        if not found:
+        else:
             raise PathError("start point has no free cell nearby")
 
     targets = np.zeros_like(grid.occupied)

@@ -143,12 +143,6 @@ class PowerSeries(HoloSliceFunction):
             acc = q * acc + a
         return acc
 
-    def derivative(self) -> "PowerSeries":
-        if len(self.coeffs) == 1:
-            return PowerSeries((Quaternion(0.0),), self.center, self.radius, self.slice_unit)
-        der = tuple(a * float(n) for n, a in enumerate(self.coeffs) if n >= 1)
-        return PowerSeries(der, self.center, self.radius, self.slice_unit)
-
 
 class _PlaneContinuation:
     """Shared raster table of path integrals of 1/(z - pole) on a cut plane.
@@ -167,13 +161,9 @@ class _PlaneContinuation:
         self.bbox = tuple(float(v) for v in bbox)  # (xlo, xhi, ylo, yhi)
         self.step = float(step)
         self._xs = self._ys = self._free = self._value = None
-        offs = []
-        r = self.ANCHOR_RADIUS
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                offs.append((dy * dy + dx * dx, dy, dx))
-        offs.sort()
-        self._anchor_offsets = [(dy, dx) for _, dy, dx in offs]
+        r = range(-self.ANCHOR_RADIUS, self.ANCHOR_RADIUS + 1)
+        self._anchor_offsets = [(dy, dx) for _, dy, dx in sorted(
+            (dy * dy + dx * dx, dy, dx) for dy in r for dx in r)]
 
     # -- construction ------------------------------------------------------
 
@@ -218,17 +208,17 @@ class _PlaneContinuation:
         z0 = xs[px] + 1j * ys[py]
         edge = np.log((z1 - self.pole) / (z0 - self.pole))
 
+        # accumulate level by level
         order = np.argsort(dist[iy, ix], kind="stable")
-        flat_value = value  # accumulate level by level
         levels = dist[iy, ix][order]
         bounds = np.searchsorted(levels, np.arange(1, levels[-1] + 2)) if levels.size else []
         lo = 0
         for hi in bounds:
             sl = order[lo:hi]
             if sl.size:
-                flat_value[iy[sl], ix[sl]] = flat_value[py[sl], px[sl]] + edge[sl]
+                value[iy[sl], ix[sl]] = value[py[sl], px[sl]] + edge[sl]
             lo = hi
-        return flat_value
+        return value
 
     # -- evaluation --------------------------------------------------------
 

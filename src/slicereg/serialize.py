@@ -108,11 +108,13 @@ def grid_components_csv(grid: PlanarRegionGrid, path) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_numbers(data, where: str) -> None:
-    """Every number of a JSON description must be finite, and h, radius and
-    epsilon must be positive."""
+    """Every value but the type, op and variant names must be finite numbers
+    (no strings, bools or nulls); h, radius and epsilon must be positive."""
     if isinstance(data, dict):
         for key, value in data.items():
             at = f"{where}.{key}"
+            if key in ("type", "op", "variant"):
+                continue
             _check_numbers(value, at)
             if key in ("h", "radius", "epsilon") and isinstance(value, (int, float)) \
                     and not value > 0:
@@ -120,7 +122,9 @@ def _check_numbers(data, where: str) -> None:
     elif isinstance(data, list):
         for i, value in enumerate(data):
             _check_numbers(value, f"{where}[{i}]")
-    elif isinstance(data, float) and not math.isfinite(data):
+    elif isinstance(data, bool) or not isinstance(data, (int, float)):
+        raise PreconditionError(f"{where} must be a number, got {data!r}")
+    elif not math.isfinite(data):
         raise PreconditionError(f"{where} must be a finite number, got {data!r}")
 
 

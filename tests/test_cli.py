@@ -134,6 +134,23 @@ def test_hostile_numbers_in_function_exit_one(ball_json, tmp_path, capsys):
     assert "function.coeffs[1][0] must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ['"nan"', '"1"', "true"])
+def test_non_numeric_values_exit_one(value, ball_json, tmp_path, capsys):
+    """A string or bool where a number belongs is rejected, not converted."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"type": "halfspace-slicewise", "offset": %s, "h": 0.1}' % value)
+    assert main(["check-domain", str(spec), "--samples", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "spec.offset must be a number" in err and "Traceback" not in err
+    fn = tmp_path / "fn.json"
+    fn.write_text('{"variant": "power-series", "coeffs": [[0, 0, 0, 0]], '
+                  '"center": %s}' % value)
+    assert main(["local-extend", str(ball_json), "--function", str(fn),
+                 "--point", "[0.1, 0.2, 0, 0]", "--out", str(tmp_path / "out")]) == 1
+    assert "function.center must be a number" in capsys.readouterr().err
+
+
 def test_completion_command(ball_json, tmp_path):
     out = tmp_path / "out"
     assert main(["completion", str(ball_json), "--samples", "8",

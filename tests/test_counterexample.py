@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary
 from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      CounterexampleConfig, arc_coords,
                                      arc_point, demonstrate, intersection_grid,
                                      log_pair, omega_spec, pair_set_grid,
-                                     slice_cuts, t_of)
-from slicereg.domains import _block_cut_cells, _mirror, rasterize
-from slicereg.errors import SliceRegError
-from slicereg.extension import extension_formula
+                                     plane_log, slice_cuts, t_of)
+from slicereg.domains import (_block_cut_cells, _mirror,
+                              _points_to_polyline_dist, rasterize)
+from slicereg.errors import OutOfDomainError, SliceRegError
+from slicereg.extension import extension_formula, rep_coeffs, rep_eval
 from slicereg.holomorphic import ContinuedLog, dbar_residual
-from slicereg.quaternions import UNIT_I, UNIT_J, slice_decompose
+from slicereg.quaternions import UNIT_I, UNIT_J, rotate_toward, slice_decompose
 
 from conftest import random_unit
 
@@ -262,29 +265,116 @@ def test_log_pair_matches_per_side_construction(logs, cfg):
     assert _same_values(conj, _old_log(cfg, _mirror(cuts), -axis), points) > 100
 
 
+# path-continued oracle tables, one per cut geometry (t_of(J), t_of(-J))
+_ORACLE_TABLES: dict = {}
+
+
+def _oracle_value(cfg, coord):
+    """The family's value at coord from plane_log's continuation table."""
+    J = coord.unit
+    key = (t_of(J, cfg), t_of(-J, cfg))
+    if key not in _ORACLE_TABLES:
+        _ORACLE_TABLES[key] = plane_log(J, cfg)
+    fn = _ORACLE_TABLES[key]
+    b, c = rep_coeffs(fn.eval_plane(coord.x, coord.y),
+                      fn.eval_plane(coord.x, -coord.y), cfg.axis, -cfg.axis)
+    return rep_eval(b, c, J)
+
+
+def _near_cut(cfg, coord) -> bool:
+    """Whether (x, y) or (x, -y) lies within ARC_CLEARANCE of slice_cuts(J)."""
+    return any(_points_to_polyline_dist([coord.x], [y], poly)[0] <= ARC_CLEARANCE
+               for poly in slice_cuts(coord.unit, cfg) for y in (coord.y, -coord.y))
+
+
+# units of eight cut geometries: both extremes, the degenerate arc
+# (1 - 2T = 0 at chord 1/2) and weights on either side of it
+_FAMILY_UNITS = [UNIT_I, -UNIT_I, UNIT_J] + [
+    rotate_toward(UNIT_I, chord) for chord in (0.1, 0.4, 0.5, 0.6, 0.9)]
+_CFG = CounterexampleConfig()
+
+
+@st.composite
+def _family_points(draw):
+    """(x, y, J): uniform points around the bbox, points near the arc of J
+    or of -J (the latter is the mirrored arc seen at (x, -y)), near the half
+    line and the chord at height 2, exactly on that chord, and near the
+    axis."""
+    J = draw(st.sampled_from(_FAMILY_UNITS))
+    kind = draw(st.sampled_from(["box", "arc", "arc", "line", "chord", "axis"]))
+    if kind == "box":  # the bbox with a margin
+        return draw(st.floats(-5.5, 5.5)), draw(st.floats(1e-9, 5.5)), J
+    if kind == "axis":
+        return draw(st.floats(-5.0, 5.0)), 10.0 ** draw(st.floats(-12.0, -1.0)), J
+    if kind == "chord":
+        return draw(st.floats(-2.0, 0.0)), 2.0, J
+    d = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-7.0, -1.0))
+    if kind == "line":
+        return draw(st.floats(-5.0, 0.0)), 2.0 + d, J
+    arc = arc_coords(draw(st.sampled_from([J, -J])), _CFG)
+    x, y = arc[draw(st.integers(0, len(arc) - 1))]
+    angle = draw(st.floats(0.0, TWO_PI))
+    return float(x + d * math.cos(angle)), abs(float(y + d * math.sin(angle))), J
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_points())
+def test_family_matches_continuation_tables(point):
+    """The closed-form family raises exactly where the point lies within
+    ARC_CLEARANCE of a cut (as omega_spec.contains treats it) or where the
+    family built on plane_log's path continuation raises ("both raise");
+    elsewhere the two agree within 1e-12."""
+    x, y, J = point
+    family = BranchedLogFamily(_CFG)
+    coord = SliceCoord.make(x, y, J)
+    if _near_cut(_CFG, coord):
+        with pytest.raises(OutOfDomainError):
+            family.eval(coord)
+        event("family raises within ARC_CLEARANCE of a cut")
+        return
+    try:
+        want = _oracle_value(_CFG, coord)
+    except SliceRegError:
+        with pytest.raises(SliceRegError):
+            family.eval(coord)
+        event("both raise")
+        return
+    assert (family.eval(coord) - want).norm() <= 1e-12
+    event("compared")
+
+
 @pytest.mark.parametrize("n, tables", [(8, 11), (32, 33)])
 def test_family_builds_one_table_per_cut_geometry(cfg, n, tables):
+    """The units of a sample fall into `tables` cut geometries; on every unit
+    the family matches the one path-continued table of its geometry, and
+    builds none itself."""
     family = BranchedLogFamily(cfg)
+    before = dict(vars(family))
+    oracles = {}
     for J in SphereSample(n, extra=[cfg.axis]).units:
-        family.eval(SliceCoord(3.0, 1.0, J))
-    built = [fn for fn in family._tables.values() if fn._table._xs is not None]
-    assert len(family._tables) == len(built) == tables
+        key = (t_of(J, cfg), t_of(-J, cfg))
+        if key not in oracles:
+            oracles[key] = plane_log(J, cfg)
+        fn = oracles[key]
+        b, c = rep_coeffs(fn.eval_plane(3.0, 1.0), fn.eval_plane(3.0, -1.0),
+                          cfg.axis, -cfg.axis)
+        got = family.eval(SliceCoord(3.0, 1.0, J))
+        assert (got - rep_eval(b, c, J)).norm() <= 1e-12
+    assert len(oracles) == tables
+    assert vars(family) == before
 
 
-def test_family_shares_tables_only_between_equal_cuts(cfg):
-    """A unit that reuses another unit's table gets the values its own cuts
-    would give."""
+def test_family_keeps_no_per_unit_state(cfg):
+    """Evaluating on every unit of a sample leaves the family as it was: no
+    per-unit or per-geometry container grows."""
     family = BranchedLogFamily(cfg)
-    units = SphereSample(8, extra=[cfg.axis]).units
-    owner = {}
-    for J in units:
-        first = owner.setdefault(id(family._plane_log(J)), J)
-        got, want = slice_cuts(J, cfg), slice_cuts(first, cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    J = next(J for J in units[1:] if family._plane_log(J) is family._plane_log(units[0]))
-    points = _plane_points(np.random.default_rng(127), 60)
-    assert _same_values(family._plane_log(J),
-                        _old_log(cfg, slice_cuts(J, cfg), cfg.axis), points) > 40
+    before = dict(vars(family))
+    for J in SphereSample(64).units:
+        family.eval(SliceCoord(3.0, 1.0, J))
+        family.eval(SliceCoord(-1.0, 2.5, J))
+    assert vars(family) == before
+    assert not any(isinstance(v, (dict, list, set, tuple))
+                   for v in vars(family).values())
 
 
 def test_demonstrate_bundle(cfg):

@@ -39,6 +39,21 @@ def test_fibonacci_sample_invariants():
         assert sample.min_angle >= sample.MIN_ANGLE_COEFF / math.sqrt(2 * n)
 
 
+@pytest.mark.parametrize("n", [2, 5, 27, 40])
+def test_min_angle_blocks_match_one_dense_block(n, monkeypatch):
+    """The row-blocked nearest-neighbour search gives the dense result bit
+    for bit, wherever the block boundaries fall."""
+    monkeypatch.setattr(SphereSample, "_MIN_ANGLE_ROWS", 4 * n)
+    dense = SphereSample(n).min_angle
+    for rows in (1, 2, 3, 7, 2 * n - 1):
+        monkeypatch.setattr(SphereSample, "_MIN_ANGLE_ROWS", rows)
+        assert SphereSample(n).min_angle == dense
+    vecs = SphereSample(n).vectors
+    angles = np.arccos(np.clip(vecs @ vecs.T, -1.0, 1.0))
+    np.fill_diagonal(angles, np.inf)
+    assert abs(dense - angles.min()) <= 1e-12
+
+
 def test_sphere_sample_extra_units():
     axis = UnitImaginary(1, 0, 0)
     sample = SphereSample(16, extra=[axis])
