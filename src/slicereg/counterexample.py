@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _and_grids,
-                      _mirror, is_simple, is_slice_domain, omega_jk_plus,
-                      rasterize)
+from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _mirror,
+                      is_simple, is_slice_domain, omega_jk_plus, rasterize)
 from .errors import OutOfDomainError, SliceRegError
-from .extension import check_compatible, extension_formula, rep_coeffs, rep_eval
+from .extension import check_compatible, extension_formula, rep_eval
 from .holomorphic import ContinuedLog
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
 
@@ -87,6 +86,7 @@ def omega_spec(cfg: CounterexampleConfig) -> DomainSpec:
     def membership(x, y, jx, jy, jz):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        # on_h stays: symmetric_completion keeps this membership but no cuts
         on_h = (np.abs(y - 2.0) <= 1e-12) & (x < -2.0)
         return ~on_h & (y >= 0.0)
 
@@ -169,7 +169,9 @@ class BranchedLogFamily:
             return Quaternion(w.real) + axis.as_quaternion() * w.imag
         up = self._plane_value(coord.unit, coord.x, coord.y)
         dn = self._plane_value(coord.unit, coord.x, -coord.y)
-        b, c = rep_coeffs(up, dn, axis, -axis)
+        # rep_coeffs(up, dn, axis, -axis) in closed form: axis^-1 = -axis
+        b = (up + dn) * 0.5
+        c = axis.as_quaternion() * (dn - up) * 0.5
         return rep_eval(b, c, coord.unit)
 
 
@@ -180,11 +182,11 @@ class BranchedLogFamily:
 def intersection_grid(cfg: CounterexampleConfig, h: float | None = None) -> PlanarRegionGrid:
     """Grid of the intersection of the slice plane domain with its conjugate
     (six excluded curves: both half lines and all four semicircle arcs):
-    the AND of the full slices through axis and -axis."""
-    spec = omega_spec(cfg)
-    h = h or cfg.h
-    return _and_grids(rasterize(spec, cfg.axis, full_slice=True, h=h),
-                      rasterize(spec, -cfg.axis, full_slice=True, h=h))
+    the AND of the full slices through axis and -axis, the latter being
+    the row flip of the former."""
+    grid = rasterize(omega_spec(cfg), cfg.axis, full_slice=True, h=h or cfg.h)
+    return PlanarRegionGrid(xs=grid.xs, ys=grid.ys,
+                            occupied=grid.occupied & grid.occupied[::-1])
 
 
 def pair_set_grid(cfg: CounterexampleConfig, h: float | None = None) -> PlanarRegionGrid:

@@ -217,10 +217,17 @@ def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
 
 
 def _nearest_index(centres: np.ndarray, values) -> np.ndarray:
-    """Index of the ascending cell centre nearest each value (ties go up)."""
+    """Index of the ascending cell centre nearest each value.
+
+    An exact tie goes to the centre farther from 0 (up for values >= 0,
+    down below 0).  The rule is symmetric under v -> -v, so on centres
+    symmetric about 0 the value -v gets the mirror index of v: a cut point
+    midway between two rows (the half line y = 2 when 2/h is an integer)
+    then blocks mirrored rows in the full slices of J and -J.
+    """
     i = np.clip(np.searchsorted(centres, values), 1, centres.size - 1)
-    return np.where(np.abs(centres[i] - values) <= np.abs(centres[i - 1] - values),
-                    i, i - 1)
+    up, lo = np.abs(centres[i] - values), np.abs(centres[i - 1] - values)
+    return np.where((up < lo) | ((up == lo) & (values >= 0.0)), i, i - 1)
 
 
 def _block_cut_cells(occupied, xs, ys, polylines, h):
@@ -235,6 +242,10 @@ def _block_cut_cells(occupied, xs, ys, polylines, h):
     puts cut points more than 1.25h (Chebyshev) from free centers (2h to the
     sample's cell, less h/2 to the sample and h/4 to the cut), so a query's
     straight leg to its nearest free center (<= h/2) never meets a cut.
+
+    A sample midway between two centres blocks the one farther from the
+    real axis (see _nearest_index), so mirrored cuts block mirrored cells
+    and the full slice of -J is exactly the row flip of that of J.
     """
     ny, nx = occupied.shape
     for poly in polylines:
@@ -320,17 +331,18 @@ def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
     x_min, x_max, y_max = spec.bbox
     xs = np.arange(x_min + h / 2.0, x_max, h)
     ys_up = np.arange(h / 2.0, y_max, h)
+
+    def half(K):  # membership on the (row, column) axes of the upper half
+        mem = spec.membership(xs[None, :], ys_up[:, None], K.vx, K.vy, K.vz)
+        return np.broadcast_to(np.asarray(mem, dtype=bool), (ys_up.size, xs.size))
+
     if not full_slice:
         ys = ys_up
-        X, Y = np.meshgrid(xs, ys)
-        occ = np.asarray(spec.membership(X, Y, J.vx, J.vy, J.vz), dtype=bool)
+        occ = half(J).copy()
     else:
         ys = np.concatenate([-ys_up[::-1], [0.0], ys_up])
-        X, Yu = np.meshgrid(xs, ys_up)
-        upper = np.asarray(spec.membership(X, Yu, J.vx, J.vy, J.vz), dtype=bool)
-        lower = np.asarray(spec.membership(X, Yu, -J.vx, -J.vy, -J.vz), dtype=bool)
         axis = np.asarray(spec.real_trace(xs), dtype=bool)
-        occ = np.vstack([lower[::-1, :], axis[None, :], upper])
+        occ = np.vstack([half(-J)[::-1, :], axis[None, :], half(J)])
     if spec.cuts is not None:
         polylines = list(spec.cuts(J))
         if full_slice:
@@ -380,7 +392,9 @@ def is_slice_domain(spec: DomainSpec, sample: SphereSample,
     if not trace.any():
         return Verdict("no", {"reason": "empty real trace"}, res)
     indeterminate = False
-    for m, J in enumerate(sample.units):
+    # one raster per plane: the full slice of units[m + base_count] = -J is
+    # the row flip of that of J, so it fails exactly when J's does
+    for J in sample.units[:sample.base_count]:
         grid = rasterize(spec, J, full_slice=True, h=h)
         if not grid.occupied.any():
             return Verdict("no", {"reason": "empty slice", "unit": J.to_list()}, res)
@@ -550,7 +564,7 @@ def is_slice_convex(spec: DomainSpec, sample: SphereSample,
 
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
-    for J in sample.units:
+    for J in sample.units[:sample.base_count]:  # -J's slice is the row flip
         grid = rasterize(spec, J, full_slice=True, h=h)
         occ = grid.occupied
         core = occ & ndimage.binary_erosion(occ, structure=np.ones((3, 3), bool))

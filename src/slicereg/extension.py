@@ -241,16 +241,15 @@ class TubeDomain:
     y_ref: float
     h: float = 0.01
 
-    def __post_init__(self):
-        object.__setattr__(self, "polyline",
-                           np.asarray(self.polyline, dtype=float))
+    # (min, max) of the real points of C, or None when C has none
+    real_interval: tuple | None = field(init=False, repr=False, compare=False)
 
-    def _real_interval(self):
-        ys = self.polyline[:, 1]
-        real = self.polyline[ys == 0.0]
-        if real.size == 0:
-            return None
-        return float(real[:, 0].min()), float(real[:, 0].max())
+    def __post_init__(self):
+        pts = np.asarray(self.polyline, dtype=float)
+        real = pts[pts[:, 1] == 0.0, 0]
+        object.__setattr__(self, "polyline", pts)
+        object.__setattr__(self, "real_interval", (float(real.min()), float(real.max()))
+                           if real.size else None)
 
     def membership(self, x, y, jx, jy, jz):
         x = np.asarray(x, dtype=float)
@@ -258,9 +257,8 @@ class TubeDomain:
         d = jx * self.unit.vx + jy * self.unit.vy + jz * self.unit.vz
         shape = np.broadcast(x, y, np.asarray(d)).shape
         member = np.zeros(shape, dtype=bool)
-        interval = self._real_interval()
-        if interval is not None:
-            rlo, rhi = interval
+        if self.real_interval is not None:
+            rlo, rhi = self.real_interval
             gap = np.maximum(np.maximum(rlo - x, x - rhi), 0.0)
             member |= gap * gap + y * y < self.epsilon ** 2
         if self.y_ref > 0.0:
@@ -285,7 +283,7 @@ class TubeDomain:
         pad = self.epsilon * 1.25
         bbox = (float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad),
                 float(pts[:, 1].max() + pad))
-        interval = self._real_interval()
+        interval = self.real_interval
 
         def real_trace(x):
             if interval is None:

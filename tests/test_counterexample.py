@@ -377,6 +377,26 @@ def test_family_keeps_no_per_unit_state(cfg):
                    for v in vars(family).values())
 
 
+_unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 1e-3).map(lambda v: UnitImaginary(*v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit, _unit, st.floats(-5.0, 5.0), st.floats(1e-9, 5.0))
+def test_family_stem_coefficients_match_rep_coeffs(axis, J, x, y):
+    """eval's closed-form stem coefficients of the pair (axis, -axis) agree
+    with the generic rep_coeffs within 1e-14."""
+    family = BranchedLogFamily(CounterexampleConfig(axis=axis))
+    coord = SliceCoord.make(x, y, J)
+    try:
+        got = family.eval(coord)
+    except OutOfDomainError:
+        return
+    b, c = rep_coeffs(family._plane_value(J, x, y), family._plane_value(J, x, -y),
+                      axis, -axis)
+    assert (got - rep_eval(b, c, J)).norm() <= 1e-14
+
+
 def test_demonstrate_bundle(cfg):
     sample = SphereSample(24, extra=[cfg.axis])
     report = demonstrate(cfg, sample=sample, seed=0)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       is_slice_convex, is_slice_domain, is_symmetric,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
+from slicereg import counterexample, domains
 from slicereg.domains import (DomainSpec, _block_cut_cells, _grid_bfs,
-                              _grid_path, fibonacci_points, intersect_specs,
-                              resample_polyline, union_spec)
+                              _grid_path, _nearest_index, fibonacci_points,
+                              intersect_specs, resample_polyline, union_spec)
 from slicereg.holomorphic import segment_crossings
 from slicereg.quaternions import UNIT_I, UNIT_J
-from slicereg.counterexample import intersection_grid
+from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
+                                     omega_spec)
 
 from conftest import random_unit
 
@@ -453,3 +456,84 @@ def test_grid_bfs_matches_queue_oracle():
         assert all(free[cell] for cell in path)
         for (r0, c0), (r1, c1) in zip(path, path[1:]):
             assert abs(r0 - r1) + abs(c0 - c1) == 1
+
+
+# ---------------------------------------------------------------------------
+# one raster per slice plane
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True),
+       st.sampled_from([0.25, 0.1, 0.01]), st.booleans(), st.data())
+def test_nearest_index_mirrors_on_symmetric_centres(steps, h, with_zero, data):
+    """Centres k h - h/2 or k h put cut points midway between two rows; a
+    tie must go to the centre farther from 0 for -v to mirror v."""
+    pos = np.sort([(k - 0.5) * h for k in steps])
+    c = np.concatenate([-pos[::-1], [0.0] if with_zero else [], pos])
+    v = data.draw(st.one_of(
+        st.floats(-2.0 * c[-1], 2.0 * c[-1]),
+        st.sampled_from(list((c[:-1] + c[1:]) / 2.0)) if c.size > 1 else st.nothing(),
+        st.sampled_from(list(c))))
+    if v == 0.0 and not with_zero:
+        return  # a tie between -a and a: no centre is farther from 0
+    i = int(_nearest_index(c, v))
+    assert int(_nearest_index(c, -v)) == c.size - 1 - i
+    gaps = np.abs(c - v)
+    assert gaps[i] == gaps.min()
+    if np.count_nonzero(gaps == gaps.min()) > 1:
+        assert abs(c[i]) == np.abs(c[gaps == gaps.min()]).max()
+
+
+# (spec, h) of the one-raster-per-plane tests, on _SAMPLE16_I
+_PLANE_CORPUS = {
+    "ball": (ball_spec(0.0, 1.0), 0.05),
+    "starlike": (starlike_spec(0.5), 0.05),
+    "l-shape": (_l_shape(), 0.02),
+    "touching-balls": (union_spec([ball_spec(-0.5, 0.5), ball_spec(0.5, 0.5)]), 0.02),
+    "off-axis-ball": (union_spec([ball_spec(Q(0, 2, 0, 0), 0.5), ball_spec(0.0, 0.1)]), 0.02),
+    "counterexample-h0.05": (omega_spec(CounterexampleConfig()), 0.05),
+    "counterexample-h0.25": (omega_spec(CounterexampleConfig()), 0.25),
+}
+_SAMPLE16_I = SphereSample(16, extra=[UNIT_I])
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_full_slice_of_antipode_is_the_row_flip(name):
+    spec, h = _PLANE_CORPUS[name]
+    units = _SAMPLE16_I.units
+    for m, mm in _SAMPLE16_I.antipodal_pairs():
+        grid = rasterize(spec, units[m], full_slice=True, h=h)
+        flip = rasterize(spec, units[mm], full_slice=True, h=h)
+        assert np.array_equal(flip.ys, -grid.ys[::-1])
+        assert np.array_equal(flip.occupied, grid.occupied[::-1]), m
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_plane_loops_match_all_units_loops(name):
+    """The verdicts equal those of loops over every unit: the oracle is the
+    sample with every unit counted as a base unit."""
+    spec, h = _PLANE_CORPUS[name]
+    all_units = SimpleNamespace(units=_SAMPLE16_I.units,
+                                base_count=len(_SAMPLE16_I.units),
+                                n_requested=_SAMPLE16_I.n_requested)
+    for verdict in (is_slice_domain, is_slice_convex):
+        assert verdict(spec, _SAMPLE16_I, h=h) == verdict(spec, all_units, h=h)
+
+
+def test_verdicts_rasterize_each_plane_once(ball, sample16, cfg, monkeypatch):
+    calls = []
+    real = domains.rasterize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(domains, "rasterize", counting)
+    monkeypatch.setattr(counterexample, "rasterize", counting)
+    for verdict in (is_slice_domain, is_slice_convex):
+        calls.clear()
+        assert verdict(ball, sample16, h=0.05).is_yes
+        assert calls == sample16.units[:sample16.base_count]
+    calls.clear()
+    intersection_grid(cfg, h=0.05)
+    assert calls == [cfg.axis]
