@@ -19,9 +19,10 @@ import numpy as np
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _mirror,
                       is_simple, is_slice_domain, omega_jk_plus, rasterize)
 from .errors import OutOfDomainError, SliceRegError
-from .extension import check_compatible, extension_formula, rep_eval
-from .holomorphic import ContinuedLog
-from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
+from .extension import check_compatible, extension_formula
+from .holomorphic import ContinuedLog, HoloSliceFunction
+from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
+                          imaginary_rows, mul_rows)
 
 # chord deviation bound for 256-point parametric sampling of the arcs;
 # scalar membership, and with it the closed-form log family, treats
@@ -121,7 +122,7 @@ def log_pair(cfg: CounterexampleConfig):
     return plane_log(axis, cfg), plane_log(-axis, cfg).on_slice(-axis)
 
 
-class BranchedLogFamily:
+class BranchedLogFamily(HoloSliceFunction):
     """Slice regular function whose restriction to each slice is the
     continued logarithm over that slice's cut plane.
 
@@ -142,37 +143,75 @@ class BranchedLogFamily:
         self.cfg = cfg
         self.domain = omega_spec(cfg)
 
-    def _plane_value(self, J: UnitImaginary, x: float, y: float) -> Quaternion:
-        """Continued log(z - 2i) at z = x + iy of the plane of slice J."""
+    def _plane_logs(self, x: float, y: float, vectors):
+        """Continued log(z - 2i) on the planes of the units J (rows of
+        vectors) at z = x + iy and z = x - iy, y > 0, as quaternions
+        u + axis*v: (up (n, 4) rows, dn (4,), ok (n,)).
+
+        The two principal logs are computed once; only the lens shift of up
+        depends on J.  The lower half plane of slice J is the upper half
+        slice of -J: dn is tested against the cuts of -J, and as no lens
+        lies below the real axis its value does not depend on J.  Rows of up
+        are NaN where ok is False."""
+        v3 = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        up = np.full((len(v3), 4), np.nan)
+        dn = np.full(4, np.nan)
         x_min, x_max, y_max = self.cfg.bbox
-        if not (x_min <= x <= x_max and -y_max <= y <= y_max):
-            raise OutOfDomainError(f"point ({x:g}, {y:g}) outside the cut plane box")
-        # y < 0 carries the mirrored cuts of -J.  The sampled arc lies within
-        # c (its sagitta bound) of its ellipse, which is at least
-        # |hypot(a (x + 1), v) - |a|| away: only points within c of the half
-        # line or 2c of the ellipse, the pole among them, can be on a cut
-        side = J if y > 0.0 else -J
-        a, v, c = 1.0 - 2.0 * t_of(side, self.cfg), abs(y) - 2.0, ARC_CLEARANCE
-        if x <= c and (abs(v) <= c or abs(math.hypot(a * (x + 1.0), v) - abs(a)) <= 2.0 * c) \
-                and not self.domain.contains(x, abs(y), side):
-            raise OutOfDomainError(f"point ({x:g}, {y:g}) lies on a cut")
-        w = cmath.log(complex(x, y - 2.0))
-        if y > 0.0 and a != 0.0 and (v >= 0.0) == (a > 0.0) \
-                and (x + 1.0) ** 2 + (v / a) ** 2 < 1.0:
-            w -= math.copysign(2.0 * math.pi, a) * 1j
-        return Quaternion(w.real) + self.cfg.axis.as_quaternion() * w.imag
+        if not (x_min <= x <= x_max and y <= y_max):
+            return up, dn, np.zeros(len(v3), dtype=bool)
+        ax = self.cfg.axis
+        dot = v3[:, 0] * ax.vx + v3[:, 1] * ax.vy + v3[:, 2] * ax.vz
+        # 1 - 2T with T = t_of(J) and t_of(-J): the arc weights of both sides
+        chords = np.sqrt(np.maximum(2.0 + np.multiply.outer((-2.0, 2.0), dot), 0.0))
+        a_up, a_dn = 1.0 - 2.0 * np.minimum(chords, 1.0)
+        # the sampled arc lies within c (its sagitta bound) of its ellipse,
+        # which is at least |hypot(a (x + 1), v) - |a|| away: only points
+        # within c of the half line or 2c of the ellipse, the pole among
+        # them, can be on a cut, and only those get the scalar membership
+        v, c = y - 2.0, ARC_CLEARANCE
+        ok = np.ones(len(v3), dtype=bool)
+        if x <= c:
+            for sign, a in ((1.0, a_up), (-1.0, a_dn)):
+                near = (abs(v) <= c) | (np.abs(np.hypot(a * (x + 1.0), v) - np.abs(a)) <= 2.0 * c)
+                for m in np.flatnonzero(near & ok):
+                    ok[m] = self.domain.contains(x, y, UnitImaginary(*(sign * v3[m])))
+        if not ok.any():  # the pole, where log(0) fails, is on every cut
+            return up, dn, ok
+        w_up = cmath.log(complex(x, y - 2.0))
+        w_dn = cmath.log(complex(x, -y - 2.0))
+        im_up = np.full(len(v3), w_up.imag)
+        # the lens between the arc and the chord [-2, 0] + 2i, where
+        # (x + 1)^2 + (v / a)^2 < 1 with v on the side of the arc; |a| <= 1
+        if (x + 1.0) ** 2 < 1.0 and abs(v) < 1.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lens = ((a_up > 0.0) if v >= 0.0 else (a_up < 0.0)) \
+                    & ((x + 1.0) ** 2 + (v / a_up) ** 2 < 1.0)
+            im_up[lens] -= np.copysign(2.0 * math.pi, a_up[lens])
+        axis = np.array([ax.vx, ax.vy, ax.vz])
+        up[ok, 0] = w_up.real
+        up[ok, 1:] = im_up[ok, None] * axis
+        dn[0], dn[1:] = w_dn.real, w_dn.imag * axis
+        return up, dn, ok
+
+    def eval_units(self, x: float, y: float, vectors):
+        """Values at x + yJ, y > 0, for the units J given as rows of vectors
+        (n, 3), from the stem coefficients of the pair (axis, -axis) in
+        closed form: axis^-1 = -axis, so rep_coeffs(up, dn, axis, -axis)
+        is b = (up + dn)/2, c = axis (dn - up)/2."""
+        up, dn, ok = self._plane_logs(x, y, vectors)
+        b = (up + dn) * 0.5
+        c = mul_rows(imaginary_rows(self.cfg.axis.to_list()), dn - up) * 0.5
+        return b + mul_rows(imaginary_rows(vectors), c), ok
 
     def eval(self, coord: SliceCoord) -> Quaternion:
-        axis = self.cfg.axis
         if coord.is_real:
             w = cmath.log(complex(coord.x, -2.0))
-            return Quaternion(w.real) + axis.as_quaternion() * w.imag
-        up = self._plane_value(coord.unit, coord.x, coord.y)
-        dn = self._plane_value(coord.unit, coord.x, -coord.y)
-        # rep_coeffs(up, dn, axis, -axis) in closed form: axis^-1 = -axis
-        b = (up + dn) * 0.5
-        c = axis.as_quaternion() * (dn - up) * 0.5
-        return rep_eval(b, c, coord.unit)
+            return Quaternion(w.real) + self.cfg.axis.as_quaternion() * w.imag
+        values, ok = self.eval_units(coord.x, coord.y, [coord.unit.to_list()])
+        if not ok[0]:
+            raise OutOfDomainError(f"point ({coord.x:g}, {coord.y:g}) lies outside "
+                                   "the cut plane box or on a cut of its slice")
+        return Quaternion.from_list(values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PreconditionError, UnsupportedError
 from .quaternions import Quaternion, UnitImaginary
@@ -169,6 +168,7 @@ class PlanarRegionGrid:
 
     def label(self):
         if self.labels is None:
+            from scipy import ndimage  # loaded only where a grid is labelled
             self.labels, self.n_components = ndimage.label(
                 self.occupied, structure=_LABEL_STRUCTURE)
         return self.n_components, self.labels
@@ -274,33 +274,31 @@ def _grid_bfs(free: np.ndarray, start, targets: np.ndarray | None = None):
     the earlier step.  With a targets mask the search stops after the first
     level that holds a target cell.
     """
-    dist = np.full(free.shape, -1, dtype=np.int32)
-    step = np.full(free.shape, -1, dtype=np.int8)
-    dist[start] = 0
-    frontier = np.zeros_like(free)
-    frontier[start] = True
+    ny, nx = free.shape
+    dist = np.full(ny * nx, -1, dtype=np.int32)
+    step = np.full(ny * nx, -1, dtype=np.int8)
+    walkable = free.ravel()
+    goal = None if targets is None else targets.ravel()
+    frontier = np.array([start[0] * nx + start[1]])
+    dist[frontier] = 0
     level = 0
-    while frontier.any():
-        if targets is not None and (frontier & targets).any():
+    # the frontier is a flat index array: each level visits only the
+    # neighbours of its cells, and each step claims the free unvisited ones
+    while frontier.size:
+        if goal is not None and goal[frontier].any():
             break
-        newly = np.zeros_like(free)
-        for code, (dy, dx) in enumerate(_GRID_STEPS):
-            cand = np.zeros_like(free)
-            if dy == -1:
-                cand[:-1, :] = frontier[1:, :]
-            elif dy == 1:
-                cand[1:, :] = frontier[:-1, :]
-            elif dx == -1:
-                cand[:, :-1] = frontier[:, 1:]
-            else:
-                cand[:, 1:] = frontier[:, :-1]
-            cand &= free & (dist < 0) & ~newly
-            step[cand] = code
-            newly |= cand
         level += 1
-        dist[newly] = level
-        frontier = newly
-    return dist, step
+        row, col = np.divmod(frontier, nx)
+        reached = []
+        for code, (dy, dx) in enumerate(_GRID_STEPS):
+            inside = (0 <= row + dy) & (row + dy < ny) & (0 <= col + dx) & (col + dx < nx)
+            cells = frontier[inside] + (dy * nx + dx)
+            cells = cells[walkable[cells] & (dist[cells] < 0)]
+            dist[cells] = level
+            step[cells] = code
+            reached.append(cells)
+        frontier = np.concatenate(reached)
+    return dist.reshape(ny, nx), step.reshape(ny, nx)
 
 
 def _grid_path(free: np.ndarray, start, targets: np.ndarray):
@@ -321,13 +319,45 @@ def _grid_path(free: np.ndarray, start, targets: np.ndarray):
     return path
 
 
+# the most cells one raster or continuation table may hold: 4x the 4.0e6
+# cells of the counterexample's full slice at h = 0.005
+MAX_GRID_CELLS = 16_000_000
+
+
+def _arange_len(lo: float, hi: float, h: float) -> float:
+    """len(np.arange(lo, hi, h)) for h > 0, computed without allocating;
+    inf when the count overflows."""
+    n = (hi - lo) / h
+    return float(max(math.ceil(n), 0)) if math.isfinite(n) else n
+
+
+def _check_cells(rows: float, cols: float, what: str) -> None:
+    """Raise PreconditionError, before anything is allocated, when a grid
+    of rows x cols cells exceeds MAX_GRID_CELLS."""
+    if not rows * cols <= MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"{what} needs {rows:.4g} x {cols:.4g} cells, more than the "
+            f"budget of {MAX_GRID_CELLS:.4g}; use a coarser grid step")
+
+
+def _check_raster(spec: DomainSpec, h: float, full_slice: bool) -> None:
+    """Raise PreconditionError unless h > 0 and the grid of
+    rasterize(spec, ., full_slice=full_slice, h=h) fits MAX_GRID_CELLS."""
+    if not h > 0.0:
+        raise PreconditionError("grid step must be positive")
+    x_min, x_max, y_max = spec.bbox
+    rows = _arange_len(h / 2.0, y_max, h)
+    _check_cells(2.0 * rows + 1.0 if full_slice else rows,
+                 _arange_len(x_min + h / 2.0, x_max, h),
+                 f"a raster at h = {h:g}")
+
+
 def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
               h: float | None = None) -> PlanarRegionGrid:
     """Occupancy grid of the slice through J (upper half, or the full slice
     including the real trace row and the reflected antipodal half)."""
     h = float(h if h is not None else spec.h)
-    if h <= 0.0:
-        raise PreconditionError("grid step must be positive")
+    _check_raster(spec, h, full_slice)
     x_min, x_max, y_max = spec.bbox
     xs = np.arange(x_min + h / 2.0, x_max, h)
     ys_up = np.arange(h / 2.0, y_max, h)
@@ -385,6 +415,7 @@ def is_slice_domain(spec: DomainSpec, sample: SphereSample,
     connected planar grid; connected slices that never reach the trace row
     leave 4-dimensional connectivity undecided."""
     h = float(h if h is not None else spec.h)
+    _check_raster(spec, h, full_slice=True)
     x_min, x_max, _ = spec.bbox
     xs = np.arange(x_min + h / 2.0, x_max, h)
     trace = np.asarray(spec.real_trace(xs), dtype=bool)
@@ -560,6 +591,7 @@ def is_slice_convex(spec: DomainSpec, sample: SphereSample,
     Occupancy is membership at the cell centre, so a convex slice always
     passes.  A core on one line has no 2D hull; it is probed along the
     segment between its extreme points, sampled at h/2 (nearest cell)."""
+    from scipy import ndimage
     from scipy.spatial import ConvexHull, Delaunay, QhullError
 
     h = float(h if h is not None else spec.h)

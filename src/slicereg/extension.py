@@ -21,7 +21,7 @@ from .errors import (ConsistencyError, DegeneratePairError, GeometryError,
                      PreconditionError, SliceRegError)
 from .holomorphic import HoloSliceFunction, dbar_residual
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
-                          rotate_toward)
+                          imaginary_rows, mul_rows, norm_rows, rotate_toward)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,23 @@ def rep_coeffs(fJ: Quaternion, fK: Quaternion,
     b = dinv * (jq * fJ - kq * fK)
     c = dinv * (fJ - fK)
     return b, c
+
+
+def rep_coeffs_rows(fJ, fK, J, K):
+    """rep_coeffs over rows: slice values fJ, fK (n, 4) as quaternion rows at
+    the units J, K (n, 3).  J - K is imaginary, so (J - K)^-1 is
+    -(J - K)/|J - K|^2.  Returns (b, c, ok); a pair with |J - K| < 1e-12
+    has ok False (where rep_coeffs raises) and NaN coefficients.  Each row
+    repeats the arithmetic of rep_coeffs, so it equals its result bit for
+    bit."""
+    jk = imaginary_rows(np.array([J, K]))
+    d = jk[0] - jk[1]
+    n2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] + d[:, 3] * d[:, 3]
+    ok = np.sqrt(n2) >= 1e-12
+    dinv = d * (1.0, -1.0, -1.0, -1.0) / np.where(ok, n2, np.nan)[:, None]
+    jf, kf = mul_rows(jk, np.array([fJ, fK]))
+    b, c = mul_rows(dinv, np.array([jf - kf, fJ - fK]))
+    return b, c, ok
 
 
 def rep_eval(b: Quaternion, c: Quaternion,
@@ -103,6 +120,9 @@ class DomainFunction:
 
     def eval(self, coord: SliceCoord) -> Quaternion:
         return self.fn.eval(coord)
+
+    def eval_units(self, x: float, y: float, vectors):
+        return self.fn.eval_units(x, y, vectors)
 
 
 def _real_samples(fn: HoloSliceFunction, count: int = 9):
@@ -327,32 +347,33 @@ def _clearance_radii(samples: np.ndarray, J0: UnitImaginary, Y: DomainSpec,
     """Per-sample estimate of the distance to the boundary of Y, by bisecting
     probe rings of points of H around each sample."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False) + 0.11
-    units = _probe_units(J0)
+    # probes on the axes (unit, angle, sample); math's cos and sin, so each
+    # probe point is the float a scalar evaluation of it gives
+    cos_t = np.array([math.cos(th) for th in thetas])[:, None]
+    sin_t = np.array([math.sin(th) for th in thetas])[:, None]
+    wx, wy, wz = np.array([[W.vx, W.vy, W.vz]
+                           for W in _probe_units(J0)]).T[:, :, None, None]
     n = samples.shape[0]
     lo = np.zeros(n)
     hi = np.full(n, hi0)
 
     def feasible(r):
-        ok = np.ones(n, dtype=bool)
-        for W in units:
-            for th in thetas:
-                px = samples[:, 0] + r * math.cos(th)
-                ivx = samples[:, 1] * J0.vx + r * math.sin(th) * W.vx
-                ivy = samples[:, 1] * J0.vy + r * math.sin(th) * W.vy
-                ivz = samples[:, 1] * J0.vz + r * math.sin(th) * W.vz
-                yn = np.sqrt(ivx * ivx + ivy * ivy + ivz * ivz)
-                tiny = yn < 1e-12
-                jxn = np.where(tiny, 1.0, ivx / np.where(tiny, 1.0, yn))
-                jyn = np.where(tiny, 0.0, ivy / np.where(tiny, 1.0, yn))
-                jzn = np.where(tiny, 0.0, ivz / np.where(tiny, 1.0, yn))
-                mem = np.asarray(Y.membership(px, yn, jxn, jyn, jzn), dtype=bool)
-                mem = np.broadcast_to(mem, px.shape).copy()
-                if tiny.any():
-                    mem[tiny] = np.asarray(Y.real_trace(px[tiny]), dtype=bool)
-                ok &= mem
-                if not ok.any():
-                    return ok
-        return ok
+        """Whether every probe at radius r lies in Y, in one membership call."""
+        rs = r * sin_t
+        ivx = samples[:, 1] * J0.vx + rs * wx
+        ivy = samples[:, 1] * J0.vy + rs * wy
+        ivz = samples[:, 1] * J0.vz + rs * wz
+        px = np.broadcast_to(samples[:, 0] + r * cos_t, ivx.shape)
+        yn = np.sqrt(ivx * ivx + ivy * ivy + ivz * ivz)
+        tiny = yn < 1e-12
+        jxn = np.where(tiny, 1.0, ivx / np.where(tiny, 1.0, yn))
+        jyn = np.where(tiny, 0.0, ivy / np.where(tiny, 1.0, yn))
+        jzn = np.where(tiny, 0.0, ivz / np.where(tiny, 1.0, yn))
+        mem = np.asarray(Y.membership(px, yn, jxn, jyn, jzn), dtype=bool)
+        mem = np.broadcast_to(mem, px.shape).copy()
+        if tiny.any():
+            mem[tiny] = np.asarray(Y.real_trace(px[tiny]), dtype=bool)
+        return mem.all(axis=(0, 1))
 
     # expand the certified radius from below
     for _ in range(iters):
@@ -705,49 +726,50 @@ class ConsistencyReport:
 
 def _sphere_stems(f, omega: DomainSpec, sample: SphereSample,
                   x: float, y: float, first_only: bool = False):
-    """Stem pairs on the sphere x + yS from antipodal unit pairs.
+    """Stem pairs on the sphere x + yS from antipodal unit pairs, as arrays.
 
     Mirrors the per-slice functions of the extension construction: each unit
     J present together with its antipode contributes the stem of the slice
-    through J.  When no antipodal pair is available the first present units
-    are paired as a fallback fan.  first_only stops at the first usable stem
-    (enough to evaluate the extension, not to measure its defect).
+    through J.  When no antipodal pair gives a stem the first present unit
+    is paired with the next (up to eight) present units as a fallback fan.
+    One membership call and one f.eval_units call cover the sphere.
+    first_only returns just the first stem, and tries the first present
+    antipodal pair on its own before evaluating every unit (enough to
+    evaluate the extension, not to measure its defect).
+
+    Returns (pairs (k, 2) unit indices, b (k, 4), c (k, 4), skipped pairs,
+    present mask); a pair is skipped when f fails at one of its units or
+    its units coincide.
     """
     vec = sample.vectors
     mem = np.asarray(omega.membership(x, y, vec[:, 0], vec[:, 1], vec[:, 2]),
                      dtype=bool)
     present = np.broadcast_to(mem, (vec.shape[0],))
-    stems = []
-    skipped = []
-    values = {}
+    anti = np.array(sample.antipodal_pairs()).reshape(-1, 2)
+    anti = anti[present[anti[:, 0]] & present[anti[:, 1]]]
+    values = np.full((vec.shape[0], 4), np.nan)
+    ok = np.zeros(vec.shape[0], dtype=bool)
 
-    def value(m):
-        if m not in values:
-            values[m] = f.eval(SliceCoord.make(x, y, sample.units[m]))
-        return values[m]
+    def stems(pairs):
+        a, b = pairs[:, 0], pairs[:, 1]
+        bq, cq, distinct = rep_coeffs_rows(values[a], values[b], vec[a], vec[b])
+        use = distinct & ok[a] & ok[b]
+        return pairs[use], bq[use], cq[use], pairs[~use]
 
-    for a, b in sample.antipodal_pairs():
-        if not (present[a] and present[b]):
-            continue
-        try:
-            stems.append((a, b) + rep_coeffs(value(a), value(b),
-                                             sample.units[a], sample.units[b]))
-        except SliceRegError:
-            skipped.append((a, b))
-        if first_only and stems:
-            return stems, skipped, present
-    if not stems:
-        idx = [m for m in range(len(sample.units)) if present[m]]
-        for k in range(1, min(len(idx), 9)):
-            a, b = idx[0], idx[k]
-            try:
-                stems.append((a, b) + rep_coeffs(value(a), value(b),
-                                                 sample.units[a], sample.units[b]))
-            except SliceRegError:
-                skipped.append((a, b))
-            if first_only and stems:
-                break
-    return stems, skipped, present
+    if first_only and len(anti):
+        values[anti[0]], ok[anti[0]] = f.eval_units(x, y, vec[anti[0]])
+        pairs, bq, cq, _ = stems(anti[:1])
+        if len(pairs):
+            return pairs, bq, cq, anti[:0], present
+    idx = np.flatnonzero(present)
+    if idx.size:
+        values[idx], ok[idx] = f.eval_units(x, y, vec[idx])
+    pairs, bq, cq, skipped = stems(anti)
+    if not len(pairs) and idx.size > 1:
+        fan = np.column_stack([np.full(len(idx[1:9]), idx[0]), idx[1:9]])
+        pairs, bq, cq, fan_skipped = stems(fan)
+        skipped = np.concatenate([skipped, fan_skipped])
+    return pairs, bq, cq, skipped, present
 
 
 def extend_to_completion(f, sample: SphereSample, xy_grid,
@@ -774,22 +796,24 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
             if bool(np.asarray(omega.real_trace(np.asarray(x))).reshape(-1)[0]):
                 return {"sphere": [x, y], "defect": 0.0, "witnesses": None}
             return None
-        stems, skipped, present = _sphere_stems(f, omega, sample, x, y)
+        pairs, bq, cq, skipped, present = _sphere_stems(f, omega, sample, x, y)
         if not present.any():
             return None
-        if len(stems) < 2:
+        if len(pairs) < 2:
             return {"sphere": [x, y], "defect": 0.0, "witnesses": None,
                     "note": "fewer than two usable unit pairs"}
-        a0, b0, bq0, cq0 = stems[0]
-        defect = 0.0
+        # defects against the first stem; the first largest positive one
+        # names the witness pair (NaN never counts)
+        d = norm_rows(bq[1:] - bq[0]) + norm_rows(cq[1:] - cq[0])
+        d = np.where(d > 0.0, d, 0.0)
+        k = int(np.argmax(d))
+        defect = float(d[k])
         witness = None
-        for a, b, bq, cq in stems[1:]:
-            d = (bq - bq0).norm() + (cq - cq0).norm()
-            if d > defect:
-                defect = d
-                witness = [sample.units[a].to_list(), sample.units[b].to_list()]
+        if defect > 0.0:
+            a, b = pairs[k + 1]
+            witness = [sample.units[a].to_list(), sample.units[b].to_list()]
         entry = {"sphere": [x, y], "defect": defect, "witnesses": witness}
-        if skipped:
+        if len(skipped):
             entry["skipped_pairs"] = len(skipped)
         return entry
 
@@ -811,12 +835,12 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
     def parts(x: float, y: float):
         if y == 0.0:
             return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
-        stems, _, present = _sphere_stems(f, omega, sample, x, y,
-                                          first_only=True)
-        if not stems:
+        pairs, bq, cq, _, _ = _sphere_stems(f, omega, sample, x, y,
+                                            first_only=True)
+        if not len(pairs):
             raise OutOfDomainError(f"no usable slice data on the sphere "
                                    f"({x:g}, {y:g})")
-        return stems[0][2], stems[0][3]
+        return Quaternion.from_list(bq[0]), Quaternion.from_list(cq[0])
 
     stem = StemPair(parts=parts, domain=completion)
     return stem, report

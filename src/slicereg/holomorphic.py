@@ -15,9 +15,12 @@ from itertools import islice
 
 import numpy as np
 
-from .domains import _GRID_STEPS, _block_cut_cells, _grid_bfs
-from .errors import (DisconnectedDomainError, OutOfDomainError, StencilError)
-from .quaternions import Quaternion, SliceCoord, UnitImaginary
+from .domains import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
+                      _grid_bfs)
+from .errors import (DisconnectedDomainError, OutOfDomainError,
+                     PreconditionError, SliceRegError, StencilError)
+from .quaternions import (Quaternion, SliceCoord, UnitImaginary, mul_rows,
+                          norm_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,22 @@ class HoloSliceFunction:
     def eval(self, coord: SliceCoord) -> Quaternion:  # pragma: no cover
         raise NotImplementedError
 
+    def eval_units(self, x: float, y: float, vectors):
+        """Values at x + yJ for the units J given as rows of vectors (n, 3),
+        y > 0: (values (n, 4) as quaternion rows, ok (n,)); rows where eval
+        raises a package error have ok False and NaN values.  This default
+        calls eval once per unit."""
+        vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        values = np.full((len(vectors), 4), np.nan)
+        ok = np.zeros(len(vectors), dtype=bool)
+        for m, v in enumerate(vectors):
+            try:
+                values[m] = self.eval(SliceCoord.make(x, y, UnitImaginary(*v))).to_list()
+            except SliceRegError:
+                continue
+            ok[m] = True
+        return values, ok
+
 
 @dataclass(frozen=True)
 class PowerSeries(HoloSliceFunction):
@@ -142,6 +161,18 @@ class PowerSeries(HoloSliceFunction):
         for a in reversed(self.coeffs[:-1]):
             acc = q * acc + a
         return acc
+
+    def eval_units(self, x: float, y: float, vectors):
+        """Horner's scheme of eval on quaternion rows, one row per unit."""
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        q = np.column_stack([np.full(len(v), x - self.center), y * v])
+        ok = norm_rows(q) < self.radius
+        acc = np.asarray(self.coeffs[-1].to_list())
+        for a in reversed(self.coeffs[:-1]):
+            acc = mul_rows(q, acc) + a.to_list()
+        values = np.broadcast_to(acc, q.shape).copy()
+        values[~ok] = np.nan
+        return values, ok
 
 
 class _PlaneContinuation:
@@ -170,6 +201,10 @@ class _PlaneContinuation:
     def _build(self):
         xlo, xhi, ylo, yhi = self.bbox
         h = self.step
+        if not h > 0.0:
+            raise PreconditionError("continuation step must be positive")
+        _check_cells(_arange_len(ylo + h / 2.0, yhi, h), _arange_len(xlo + h / 2.0, xhi, h),
+                     f"a continuation table at step {h:g}")
         xs = np.arange(xlo + h / 2.0, xhi, h)
         ys = np.arange(ylo + h / 2.0, yhi, h)
         free = np.ones((ys.size, xs.size), dtype=bool)

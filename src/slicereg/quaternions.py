@@ -2,12 +2,16 @@
 
 Basis convention: right-handed Hamilton product with i*j = k.  All other
 modules build on the types defined here; every operation is a pure function
-on immutable values.
+on immutable values.  The *_rows functions are their array counterparts
+for batched evaluation: a quaternion is a row [w, x, y, z] of an (..., 4)
+array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegeneratePairError, NonInvertibleError
 
@@ -206,6 +210,40 @@ class SliceCoord:
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product, explicit function form of Quaternion.__mul__."""
     return p * q
+
+
+# the terms (sign, i, j) of sign * p_i * q_j that Quaternion.__mul__ sums,
+# per output component [w, x, y, z] and in the order it sums them
+_MUL_TERMS = (((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+              ((1, 0, 1), (1, 1, 0), (1, 2, 3), (-1, 3, 2)),
+              ((1, 0, 2), (-1, 1, 3), (1, 2, 0), (1, 3, 1)),
+              ((1, 0, 3), (1, 1, 2), (-1, 2, 1), (1, 3, 0)))
+_MUL_SIGN, _MUL_P, _MUL_Q = np.moveaxis(np.array(_MUL_TERMS), -1, 0)
+
+
+def mul_rows(p, q) -> np.ndarray:
+    """Hamilton products of quaternion rows (..., 4) [w, x, y, z], broadcast
+    like numpy.  Each component sums the terms of Quaternion.__mul__ in its
+    order (a - b is a + (-b) exactly), so each row equals the scalar
+    product bit for bit."""
+    terms = (np.asarray(p, dtype=float).take(_MUL_P, axis=-1) * _MUL_SIGN
+             * np.asarray(q, dtype=float).take(_MUL_Q, axis=-1))
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+
+
+def norm_rows(q) -> np.ndarray:
+    """Norms of quaternion rows (..., 4), summed as Quaternion.norm sums."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.sqrt(w * w + x * x + y * y + z * z)
+
+
+def imaginary_rows(vectors) -> np.ndarray:
+    """Quaternion rows [0, vx, vy, vz] of imaginary vectors (..., 3)."""
+    v = np.asarray(vectors, dtype=float)
+    rows = np.zeros(v.shape[:-1] + (4,))
+    rows[..., 1:] = v
+    return rows
 
 
 def inverse(q: Quaternion) -> Quaternion:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +105,26 @@ def test_bad_grid_step_or_sample_size_exits_one(flag, value, ball_json, tmp_path
         assert main(argv + [flag, value, "--out", str(out)]) == 1
         assert "usage" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["counterexample", "--h", "1e-5"],
+                                  ["check-domain", "{ball}", "--h", "1e-6"]])
+def test_grid_over_the_cell_budget_exits_one_before_allocating(argv, ball_json,
+                                                               tmp_path, capsys):
+    """A grid step whose raster would exceed MAX_GRID_CELLS exits 1 with a
+    clear message; the cell count comes from math, so not even the 8 MB
+    column axis of the first raster is allocated."""
+    argv = [str(ball_json) if a == "{ball}" else a for a in argv]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--samples", "4", "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cells, more than the budget" in err and "Traceback" not in err
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("text, message", [
@@ -234,6 +258,25 @@ def test_global_extend_counterexample_forced(counterexample_json, tmp_path):
     flagged = [e for e in report["spheres"]
                if e["defect"] > 1.0 and e["witnesses"] is not None]
     assert flagged
+
+
+def test_forced_scan_loads_no_scipy(tmp_path):
+    """The forced global-extend scan of the log family labels and hulls no
+    grid, so a fresh interpreter that runs it never imports scipy."""
+    import slicereg
+    spec = tmp_path / "counterexample.json"
+    spec.write_text(json.dumps({"type": "counterexample", "axis": [1.0, 0.0, 0.0]}))
+    argv = ["global-extend", str(spec), "--function", "log-family", "--force",
+            "--h", "0.25", "--samples", "4", "--out", str(tmp_path / "out")]
+    code = ("import sys, slicereg.cli, slicereg.counterexample\n"
+            f"code = slicereg.cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(slicereg.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "2 []"
+    report = json.loads((tmp_path / "out" / "consistency.json").read_text())
+    assert abs(report["max_defect"] - 2.0 * math.pi) <= 1e-3
 
 
 def test_counterexample_command(tmp_path):

@@ -392,8 +392,8 @@ def test_family_stem_coefficients_match_rep_coeffs(axis, J, x, y):
         got = family.eval(coord)
     except OutOfDomainError:
         return
-    b, c = rep_coeffs(family._plane_value(J, x, y), family._plane_value(J, x, -y),
-                      axis, -axis)
+    up, dn, _ = family._plane_logs(x, y, [J.to_list()])
+    b, c = rep_coeffs(Q.from_list(up[0]), Q.from_list(dn), axis, -axis)
     assert (got - rep_eval(b, c, J)).norm() <= 1e-14
 
 

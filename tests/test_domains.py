@@ -17,9 +17,11 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
 from slicereg import counterexample, domains
-from slicereg.domains import (DomainSpec, _block_cut_cells, _grid_bfs,
-                              _grid_path, _nearest_index, fibonacci_points,
+from slicereg.domains import (MAX_GRID_CELLS, DomainSpec, _arange_len,
+                              _block_cut_cells, _grid_bfs, _grid_path,
+                              _nearest_index, fibonacci_points,
                               intersect_specs, resample_polyline, union_spec)
+from slicereg.errors import PreconditionError
 from slicereg.holomorphic import segment_crossings
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
@@ -418,6 +420,27 @@ def test_cut_barrier_never_leaks(polylines, rows):
             assert segment_crossings(p, q, poly) == 0, (p, q)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(0.0, 20.0), st.floats(1e-3, 2.0))
+def test_arange_len_is_the_numpy_length(lo, span, h):
+    """The cell counts the budget checks are the lengths np.arange gives."""
+    assert _arange_len(lo, lo + span, h) == len(np.arange(lo, lo + span, h))
+
+
+def test_cell_budget_refuses_oversized_rasters(ball, omega):
+    """rasterize and is_slice_domain refuse a grid over MAX_GRID_CELLS before
+    allocating it; the 4.0e6-cell full slice of the counterexample at
+    h = 0.005 is within the budget."""
+    for call in (lambda: rasterize(ball, UNIT_I, h=1e-4),
+                 lambda: rasterize(omega, UNIT_I, full_slice=True, h=1e-3),
+                 lambda: is_slice_domain(ball, SphereSample(4), h=1e-4)):
+        with pytest.raises(PreconditionError, match="budget"):
+            call()
+    x_min, x_max, y_max = omega.bbox
+    rows = 2 * _arange_len(0.0025, y_max, 0.005) + 1
+    assert 4.0e6 <= rows * _arange_len(x_min + 0.0025, x_max, 0.005) <= MAX_GRID_CELLS
+
+
 def _queue_bfs(free, start):
     dist = np.full(free.shape, -1)
     dist[start] = 0
@@ -456,6 +479,56 @@ def test_grid_bfs_matches_queue_oracle():
         assert all(free[cell] for cell in path)
         for (r0, c0), (r1, c1) in zip(path, path[1:]):
             assert abs(r0 - r1) + abs(c0 - c1) == 1
+
+
+def _level_scan_bfs(free, start, targets=None):
+    """Oracle: the BFS as full-grid mask scans, one per level and step."""
+    dist = np.full(free.shape, -1, dtype=np.int32)
+    step = np.full(free.shape, -1, dtype=np.int8)
+    dist[start] = 0
+    frontier = np.zeros_like(free)
+    frontier[start] = True
+    level = 0
+    while frontier.any():
+        if targets is not None and (frontier & targets).any():
+            break
+        newly = np.zeros_like(free)
+        for code, (dy, dx) in enumerate(domains._GRID_STEPS):
+            cand = np.zeros_like(free)
+            if dy == -1:
+                cand[:-1, :] = frontier[1:, :]
+            elif dy == 1:
+                cand[1:, :] = frontier[:-1, :]
+            elif dx == -1:
+                cand[:, :-1] = frontier[:, 1:]
+            else:
+                cand[:, 1:] = frontier[:, :-1]
+            cand &= free & (dist < 0) & ~newly
+            step[cand] = code
+            newly |= cand
+        level += 1
+        dist[newly] = level
+        frontier = newly
+    return dist, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.floats(0.3, 1.0),
+       st.booleans(), st.data())
+def test_grid_bfs_matches_level_scan(rows, cols, density, with_targets, data):
+    """The frontier BFS gives the dist and step arrays of the level scan,
+    the first step in _GRID_STEPS order claiming each cell, with and
+    without a targets mask."""
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    free = rng.random((rows, cols)) < density
+    start = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+    targets = rng.random((rows, cols)) < 0.05 if with_targets else None
+    dist, step = _grid_bfs(free, start, targets)
+    want_dist, want_step = _level_scan_bfs(free, start, targets)
+    assert dist.dtype == want_dist.dtype and step.dtype == want_step.dtype
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(step, want_step)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, build_tube,
                       connected_components, extension_formula,
                       is_slice_domain, local_extend, rasterize, regular_ext,
                       rep_coeffs, rep_eval)
+from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
+                                     arc_coords)
+from slicereg.domains import intersect_specs, resample_polyline
 from slicereg.errors import (ConsistencyError, DegeneratePairError,
                              GeometryError, IncompatiblePairError,
-                             PreconditionError)
+                             PreconditionError, SliceRegError)
 from slicereg.extension import TubeDomain, extend_to_completion
 from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K
 
@@ -342,3 +347,185 @@ def test_extend_to_completion_requires_simple(omega, cfg, log_family):
     grid = np.array([[3.0, 1.0]])
     with pytest.raises(PreconditionError):
         extend_to_completion(log_family, sample, grid, force=False)
+
+
+# ---------------------------------------------------------------------------
+# batched probes and sphere stems against their per-unit oracles
+# ---------------------------------------------------------------------------
+
+def _clearance_radii_per_probe(samples, J0, Y, hi0, iters=16):
+    """Oracle: _clearance_radii with one membership call per (unit, angle)."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False) + 0.11
+    units = [J0, -J0] + SphereSample(8).units
+    n = samples.shape[0]
+    lo, hi = np.zeros(n), np.full(n, hi0)
+
+    def feasible(r):
+        ok = np.ones(n, dtype=bool)
+        for W in units:
+            for th in thetas:
+                px = samples[:, 0] + r * math.cos(th)
+                ivx = samples[:, 1] * J0.vx + r * math.sin(th) * W.vx
+                ivy = samples[:, 1] * J0.vy + r * math.sin(th) * W.vy
+                ivz = samples[:, 1] * J0.vz + r * math.sin(th) * W.vz
+                yn = np.sqrt(ivx * ivx + ivy * ivy + ivz * ivz)
+                tiny = yn < 1e-12
+                jxn = np.where(tiny, 1.0, ivx / np.where(tiny, 1.0, yn))
+                jyn = np.where(tiny, 0.0, ivy / np.where(tiny, 1.0, yn))
+                jzn = np.where(tiny, 0.0, ivz / np.where(tiny, 1.0, yn))
+                mem = np.asarray(Y.membership(px, yn, jxn, jyn, jzn), dtype=bool)
+                mem = np.broadcast_to(mem, px.shape).copy()
+                if tiny.any():
+                    mem[tiny] = np.asarray(Y.real_trace(px[tiny]), dtype=bool)
+                ok &= mem
+        return ok
+
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        good = feasible(mid)
+        lo = np.where(good, mid, lo)
+        hi = np.where(good, hi, mid)
+    return lo
+
+
+def test_clearance_radii_match_per_probe_loop(ball, star, omega):
+    """One membership call per bisection step gives the radii of one call
+    per (probe unit, angle), bit for bit."""
+    from slicereg.domains import completion_of_slice
+    from slicereg.extension import _clearance_radii
+    tube = TubeDomain(unit=UNIT_I, polyline=np.array([[0.0, 0.6], [0.1, 0.3], [0.0, 0.0]]),
+                      epsilon=0.2, y_ref=0.6).as_domain_spec()
+    path = resample_polyline(np.array([[0.0, 0.6], [0.1, 0.3], [0.0, 0.0]]), 0.02)
+    K = UnitImaginary(0.6, 0.8, 0.0)
+    cases = [(ball, path, UNIT_I), (star, path, K), (tube, path, UNIT_I),
+             (intersect_specs(completion_of_slice(tube, K), ball), path, K),
+             (omega, np.array([[3.0, 1.0], [-1.0, 2.5], [1.0, 0.0], [-3.0, 1.5],
+                               [-0.5, 1.2]]), UNIT_J)]
+    for spec, samples, J0 in cases:
+        got = _clearance_radii(samples, J0, spec, 2.0)
+        want = _clearance_radii_per_probe(samples, J0, spec, 2.0)
+        assert got.tobytes() == want.tobytes()
+        assert (got > 0.0).any()
+
+
+def _scalar_sphere_stems(f, omega, sample, x, y):
+    """Oracle: the sphere's stems from per-unit f.eval and scalar rep_coeffs,
+    antipodal pairs first, else a fan from the first present unit."""
+    vec, units = sample.vectors, sample.units
+    present = np.broadcast_to(np.asarray(
+        omega.membership(x, y, vec[:, 0], vec[:, 1], vec[:, 2]), dtype=bool), (len(vec),))
+    values, stems, skipped = {}, [], []
+
+    def stem(a, b):
+        try:
+            for m in (a, b):
+                if m not in values:
+                    values[m] = f.eval(SliceCoord.make(x, y, units[m]))
+            stems.append((a, b) + rep_coeffs(values[a], values[b], units[a], units[b]))
+        except SliceRegError:
+            skipped.append((a, b))
+
+    for a, b in sample.antipodal_pairs():
+        if present[a] and present[b]:
+            stem(a, b)
+    if not stems:
+        idx = [m for m in range(len(units)) if present[m]]
+        for k in range(1, min(len(idx), 9)):
+            stem(idx[0], idx[k])
+    return stems, skipped, present
+
+
+_CFG = CounterexampleConfig()
+_FAMILY = BranchedLogFamily(_CFG)
+_FAMILY_SAMPLE = SphereSample(8, extra=[_CFG.axis])
+_TUBE = TubeDomain(unit=UNIT_I, polyline=np.array([[0.0, 0.6], [0.0, 0.0]]),
+                   epsilon=0.3, y_ref=0.6).as_domain_spec()
+
+
+@st.composite
+def _sphere_cases(draw):
+    """(f, sample, x, y): family spheres anywhere in the box and within
+    1e-4 of an arc, the half line at height 2 and its chord [-2, 0] + 2i;
+    random power series on the ball, on a tube whose slices depend on the
+    unit (so antipodes are missing and the fan is used) and, with a finite
+    radius of convergence, on spheres where the series fails."""
+    kind = draw(st.sampled_from(["box", "arc", "arc", "line", "chord",
+                                 "ball", "tube", "radius"]))
+    near = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-8.0, -4.0))
+    if kind in ("ball", "tube", "radius"):
+        coeffs = draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+                               min_size=1, max_size=7))
+        radius = draw(st.floats(0.3, 1.0)) if kind == "radius" else math.inf
+        f = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
+        spec = _TUBE if kind == "tube" else ball_spec(0.0, 1.0)
+        x = draw(st.floats(-0.35, 0.35) if kind == "tube" else st.floats(-0.9, 0.9))
+        return DomainFunction(f, spec), SphereSample(8), x, draw(st.floats(1e-6, 0.9))
+    if kind == "box":
+        x, y = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-6, 5.0))
+    elif kind == "line":
+        x, y = draw(st.floats(-5.0, -2.0)), 2.0 + near
+    elif kind == "chord":
+        x, y = draw(st.floats(-2.0, 0.0)), 2.0 + near
+    else:
+        arc = arc_coords(draw(st.sampled_from(_FAMILY_SAMPLE.units)), _CFG)
+        px, py = arc[draw(st.integers(0, len(arc) - 1))]
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        x, y = float(px + near * math.cos(angle)), abs(float(py + near * math.sin(angle)))
+    return _FAMILY, _FAMILY_SAMPLE, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sphere_cases())
+def test_sphere_stems_match_per_unit_oracle(case):
+    """The batched sphere scan (one eval_units call, array rep_coeffs)
+    gives the oracle's values, pairs, stem coefficients within 1e-12 and
+    skipped pairs."""
+    from slicereg.extension import _sphere_stems
+    f, sample, x, y = case
+    stems, skipped, present = _scalar_sphere_stems(f, f.domain, sample, x, y)
+    pairs, bq, cq, got_skipped, got_present = _sphere_stems(f, f.domain, sample, x, y)
+    assert np.array_equal(got_present, present)
+    assert [tuple(p) for p in pairs] == [s[:2] for s in stems]
+    assert [tuple(p) for p in got_skipped] == skipped
+    for row_b, row_c, (_, _, b, c) in zip(bq, cq, stems):
+        assert (Quaternion.from_list(row_b) - b).norm() <= 1e-12
+        assert (Quaternion.from_list(row_c) - c).norm() <= 1e-12
+    values, ok = f.eval_units(x, y, sample.vectors)
+    for row, good, J in zip(values, ok, sample.units):
+        try:
+            want = f.eval(SliceCoord.make(x, y, J))
+        except SliceRegError:
+            assert not good and np.isnan(row).all()
+            continue
+        assert good and (Quaternion.from_list(row) - want).norm() <= 1e-12
+
+
+def test_consistency_report_matches_scalar_scan(omega):
+    """extend_to_completion's entries (defect as row norms, witness as the
+    first largest positive defect) equal a scalar scan over the oracle's
+    stems, on family spheres across the box, the disk and the cuts."""
+    xy = np.array([[x, y] for x in np.arange(-4.875, 5.0, 0.75)
+                   for y in np.arange(0.125, 5.0, 0.75)]
+                  + [[-1.0, 3.0 + 1e-6], [-1.0, 2.0 + 1e-6], [-3.0, 2.0 + 1e-6], [0.0, 2.0]])
+    _, report = extend_to_completion(_FAMILY, _FAMILY_SAMPLE, xy, force=True)
+    want = []
+    for x, y in xy:
+        stems, skipped, present = _scalar_sphere_stems(_FAMILY, omega, _FAMILY_SAMPLE, x, y)
+        if not present.any():
+            continue
+        entry = {"sphere": [x, y], "defect": 0.0, "witnesses": None}
+        if len(stems) < 2:
+            entry["note"] = "fewer than two usable unit pairs"
+        else:
+            _, _, b0, c0 = stems[0]
+            for a, b, bq, cq in stems[1:]:
+                d = (bq - b0).norm() + (cq - c0).norm()
+                if d > entry["defect"]:
+                    entry["defect"] = d
+                    entry["witnesses"] = [_FAMILY_SAMPLE.units[a].to_list(),
+                                          _FAMILY_SAMPLE.units[b].to_list()]
+            if skipped:
+                entry["skipped_pairs"] = len(skipped)
+        want.append(entry)
+    assert report.entries == want
+    assert any(e["defect"] > 6.0 for e in want) and any(e.get("skipped_pairs") for e in want)

@@ -110,6 +110,22 @@ def _plain_log(cuts=()):
                         bbox=(-4.0, 4.0, -4.0, 4.0), step=0.05)
 
 
+@pytest.mark.parametrize("step, message", [(1e-3, "continuation table"),
+                                           (0.0, "must be positive"),
+                                           (-0.05, "must be positive")])
+def test_continued_log_table_step_is_checked_before_building(step, message):
+    """A table step that is not positive, or whose grid would exceed
+    MAX_GRID_CELLS (8/1e-3 squared is 6.4e7 cells), fails with
+    PreconditionError before the table is built."""
+    from dataclasses import replace
+    from slicereg.errors import PreconditionError
+    fn = _plain_log()
+    bad = replace(fn, step=step, _table=None)
+    with pytest.raises(PreconditionError, match=message):
+        bad.eval_plane(1.0, 1.0)
+    assert replace(bad, step=0.05, _table=None).eval_plane(1.0, 0.0).isclose(Q(0.0))
+
+
 def test_continued_log_principal_values():
     fn = _plain_log(cuts=[np.array([[0.0, 0.0], [0.0, -4.5]])])
     v = fn.eval(SliceCoord(math.e, 0.0, None))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from slicereg import (Quaternion, SliceCoord, UnitImaginary,
                       coefficient_identities, inverse, mul, slice_decompose)
 from slicereg.errors import DegeneratePairError, NonInvertibleError
-from slicereg.quaternions import ONE, QI, QJ, QK, rotate_toward
+from slicereg.quaternions import (ONE, QI, QJ, QK, mul_rows, norm_rows,
+                                  rotate_toward)
 
 from conftest import random_unit
 
@@ -166,3 +167,22 @@ def test_mul_function_matches_operator():
     p = Quaternion(*rng.uniform(-1, 1, 4))
     q = Quaternion(*rng.uniform(-1, 1, 4))
     assert mul(p, q).isclose(p * q)
+
+
+_component = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+_row = st.tuples(*[_component] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_row, _row), min_size=1, max_size=8))
+def test_row_products_and_norms_match_scalar_bit_for_bit(pairs):
+    """mul_rows and norm_rows give Quaternion.__mul__ and .norm exactly,
+    signed zeros included, also when one side broadcasts."""
+    p = np.array([a for a, _ in pairs])
+    q = np.array([b for _, b in pairs])
+    Q = Quaternion
+    want = np.array([(Q(*a) * Q(*b)).to_list() for a, b in pairs])
+    assert mul_rows(p, q).tobytes() == want.tobytes()
+    first = np.array([(Q(*pairs[0][0]) * Q(*b)).to_list() for _, b in pairs])
+    assert mul_rows(p[0], q).tobytes() == first.tobytes()
+    assert norm_rows(p).tobytes() == np.array([Q(*a).norm() for a, _ in pairs]).tobytes()
