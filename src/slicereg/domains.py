@@ -20,7 +20,10 @@ import numpy as np
 from .errors import PreconditionError, UnsupportedError
 from .quaternions import Quaternion, UnitImaginary
 
-_LABEL_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# the most cells one raster or continuation table may hold, and the most
+# entries of a sphere sample's pairwise dot matrix: 4x the 4.0e6 cells of
+# the counterexample's full slice at h = 0.005
+MAX_GRID_CELLS = 16_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,15 @@ class SphereSample:
     def __init__(self, n: int = 64, extra=()):
         if n < 2:
             raise ValueError("need at least two sphere samples")
+        extra = list(extra)
+        units = 2 * (n + len(extra))
+        # the min-angle check compares every pair of units, and the sphere
+        # scans visit every unit: both are bounded by the cell budget
+        if units * units > MAX_GRID_CELLS:
+            raise PreconditionError(
+                f"a sphere sample of N = {n} has {units} units, whose "
+                f"{units}^2 pairwise dot products exceed the budget of "
+                f"{MAX_GRID_CELLS:.4g}; use fewer samples")
         base = fibonacci_points(n)
         for u in extra:
             base = np.vstack([base, [u.vx, u.vy, u.vz]])
@@ -166,11 +178,22 @@ class PlanarRegionGrid:
     def h(self) -> float:
         return float(self.xs[1] - self.xs[0]) if self.xs.size > 1 else 0.0
 
+    def component_count(self) -> int:
+        """Number of 4-connected components, without painting labels."""
+        if self.n_components is None:
+            self.n_components = _run_components(self.occupied)[3]
+        return self.n_components
+
     def label(self):
+        """(count, labels): labels is an int32 array, 0 off the region and
+        components numbered 1, 2, ... by their first cell in raster order."""
         if self.labels is None:
-            from scipy import ndimage  # loaded only where a grid is labelled
-            self.labels, self.n_components = ndimage.label(
-                self.occupied, structure=_LABEL_STRUCTURE)
+            ny, nx = self.occupied.shape
+            starts, ends, comp, self.n_components = _run_components(self.occupied)
+            delta = np.zeros(ny * (nx + 1), dtype=np.int32)
+            delta[starts] = comp
+            delta[ends] = -comp
+            self.labels = np.cumsum(delta, dtype=np.int32).reshape(ny, nx + 1)[:, :nx]
         return self.n_components, self.labels
 
     def component_at(self, x: float, y: float) -> int:
@@ -181,6 +204,45 @@ class PlanarRegionGrid:
 
     def occupancy_digest(self) -> str:
         return hashlib.sha1(np.packbits(self.occupied).tobytes()).hexdigest()
+
+
+def _run_components(occupied: np.ndarray):
+    """Run-length labelling of the 4-connected components of a bool mask.
+
+    Returns (starts, ends, comp, count).  The k-th row run, in raster
+    order, covers the flat keys starts[k] <= row*(nx+1) + col < ends[k]
+    (the extra column is always empty, so a run never wraps), and comp[k]
+    is its component, numbered 1, 2, ... by first run in raster order.
+    """
+    ny, nx = occupied.shape
+    width = nx + 1
+    padded = np.zeros((ny, width), dtype=np.int8)
+    padded[:, :nx] = occupied
+    step = np.diff(padded.ravel(), prepend=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    # the runs of the next row that share a column with run k are the
+    # slice lo[k]:hi[k]: they end after its start and start before its end
+    lo = np.searchsorted(ends, starts + width, side="right")
+    hi = np.searchsorted(starts, ends + width, side="left")
+    parent = list(range(starts.size))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    linked = np.flatnonzero(hi > lo)
+    for k, first, last in zip(linked.tolist(), lo[linked].tolist(), hi[linked].tolist()):
+        for j in range(first, last):
+            a, b = find(k), find(j)
+            if a != b:  # the lower run index is the root
+                parent[max(a, b)] = min(a, b)
+    # a root is its component's first run, so sorted roots number the
+    # components in raster order
+    roots, comp = np.unique([find(k) for k in range(starts.size)], return_inverse=True)
+    return starts, ends, comp.astype(np.int32) + 1, roots.size
 
 
 def resample_polyline(points, max_step: float) -> np.ndarray:
@@ -319,11 +381,6 @@ def _grid_path(free: np.ndarray, start, targets: np.ndarray):
     return path
 
 
-# the most cells one raster or continuation table may hold: 4x the 4.0e6
-# cells of the counterexample's full slice at h = 0.005
-MAX_GRID_CELLS = 16_000_000
-
-
 def _arange_len(lo: float, hi: float, h: float) -> float:
     """len(np.arange(lo, hi, h)) for h > 0, computed without allocating;
     inf when the count overflows."""
@@ -429,7 +486,7 @@ def is_slice_domain(spec: DomainSpec, sample: SphereSample,
         grid = rasterize(spec, J, full_slice=True, h=h)
         if not grid.occupied.any():
             return Verdict("no", {"reason": "empty slice", "unit": J.to_list()}, res)
-        n, labels = grid.label()
+        n = grid.component_count()
         if n > 1:
             return Verdict("no", {"reason": "disconnected slice",
                                   "unit": J.to_list(), "components": int(n)}, res)
@@ -553,7 +610,7 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
         digest = grid.occupancy_digest()
         if digest in digest_cache:
             return digest_cache[digest]
-        n, _ = grid.label()
+        n = grid.component_count()
         digest_cache[digest] = int(n)
         return int(n)
 
@@ -583,6 +640,79 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
     return Verdict("yes", None, res)
 
 
+def _core(occupied: np.ndarray) -> np.ndarray:
+    """Cells whose 3x3 neighbourhood is occupied; border cells never are."""
+    ny, nx = occupied.shape
+    core = np.zeros_like(occupied)
+    inner = core[1:-1, 1:-1]
+    inner[...] = True
+    for dy in range(3):
+        for dx in range(3):
+            inner &= occupied[dy:dy + ny - 2, dx:dx + nx - 2]
+    return core
+
+
+def _turn(o, a, b) -> int:
+    """Twice the signed area of (o, a, b); > 0 for a counter-clockwise turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _integer_hull(points) -> list:
+    """Vertices of the convex hull of integer points, counter-clockwise and
+    no three on one line (Andrew's monotone chain); fewer than three when
+    the points lie on one line."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def _half_step_rows(ys: np.ndarray, h: float) -> np.ndarray:
+    """Row coordinates in units of h/2: odd off the real axis and 0 on it,
+    as the full slice's axis row sits h/2 from its neighbours."""
+    return np.rint(ys / (h / 2.0)).astype(np.int64)
+
+
+def _core_hull(core: np.ndarray, Y: np.ndarray) -> list:
+    """_integer_hull of the core cell centres (2 ix, Y[iy]): the hull of
+    each row's outermost core cells is the hull of the core."""
+    rows = np.flatnonzero(core.any(axis=1))
+    left = core[rows].argmax(axis=1)
+    right = core.shape[1] - 1 - core[rows, ::-1].argmax(axis=1)
+    return _integer_hull(zip((2 * np.concatenate([left, right])).tolist(),
+                             np.tile(Y[rows], 2).tolist()))
+
+
+def _first_cell_in_hull(occupied: np.ndarray, hull: list, Y: np.ndarray):
+    """(iy, ix) of the first unoccupied cell, in row-major order, whose
+    centre (2 ix, Y[iy]) lies in the closed hull; None when there is none.
+
+    Each edge (A, B) of the counter-clockwise hull keeps the points with
+    ey (X - Ax) <= ex (Y - Ay); on one row that bounds X above (ey > 0),
+    below (ey < 0) or keeps the whole row or none of it (ey = 0), and
+    floor division turns the bounds into columns lo <= ix <= hi.
+    """
+    nx = occupied.shape[1]
+    A = np.asarray(hull, dtype=np.int64)
+    ex, ey = (np.roll(A, -1, axis=0) - A).T
+    bound = A[:, 0] * ey + ex * (Y[:, None] - A[:, 1])  # ey X <= bound
+    up, dn = ey > 0, ey < 0
+    hi = np.min(bound[:, up] // (2 * ey[up]), axis=1, initial=nx - 1)
+    lo = np.max(-(bound[:, dn] // (-2 * ey[dn])), axis=1, initial=0)
+    hi[~(bound[:, ey == 0] >= 0).all(axis=1)] = -1
+    cols = np.arange(nx)
+    hits = np.flatnonzero((cols >= lo[:, None]) & (cols <= hi[:, None]) & ~occupied)
+    return divmod(int(hits[0]), nx) if hits.size else None
+
+
 def is_slice_convex(spec: DomainSpec, sample: SphereSample,
                     h: float | None = None) -> Verdict:
     """Hull test on the rasterized full slices: a slice is convex at
@@ -590,39 +720,45 @@ def is_slice_convex(spec: DomainSpec, sample: SphereSample,
     its core (the occupied cells whose eight neighbours are occupied).
     Occupancy is membership at the cell centre, so a convex slice always
     passes.  A core on one line has no 2D hull; it is probed along the
-    segment between its extreme points, sampled at h/2 (nearest cell)."""
-    from scipy import ndimage
-    from scipy.spatial import ConvexHull, Delaunay, QhullError
+    segment between its extreme points, sampled at h/2 (nearest cell).
 
+    The hull is exact: cell centres are integer points in units of h/2,
+    column 2 ix and row _half_step_rows."""
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
     for J in sample.units[:sample.base_count]:  # -J's slice is the row flip
         grid = rasterize(spec, J, full_slice=True, h=h)
         occ = grid.occupied
-        core = occ & ndimage.binary_erosion(occ, structure=np.ones((3, 3), bool))
-        iy, ix = np.nonzero(core)
-        if not iy.size:
+        core = _core(occ)
+        Y = _half_step_rows(grid.ys, h)
+        hull = _core_hull(core, Y)
+        if not hull:
             continue
-        pts = np.column_stack([grid.xs[ix], grid.ys[iy]])
-        try:
-            tri = Delaunay(pts[ConvexHull(pts).vertices])
-        except QhullError:  # fewer than three core points, or all on one line
-            tri = None
+        if len(hull) < 3:  # fewer than three core points, or all on one line
+            iy, ix = np.nonzero(core)
+            pts = np.column_stack([grid.xs[ix], grid.ys[iy]])
             ends = pts[np.lexsort((pts[:, 1], pts[:, 0]))[[0, -1]]]
             probe = resample_polyline(ends, h / 2.0)
             cx = _nearest_index(grid.xs, probe[:, 0])
             cy = _nearest_index(grid.ys, probe[:, 1])
             hits = np.nonzero(~occ[cy, cx])[0]
+            if not hits.size:
+                continue
+            cy, cx = int(cy[hits[0]]), int(cx[hits[0]])
+            around = {"segment": ends.tolist()}
         else:
-            cy, cx = np.nonzero(~occ)
-            simplex = tri.find_simplex(np.column_stack([grid.xs[cx], grid.ys[cy]]))
-            hits = np.nonzero(simplex >= 0)[0]
-        if hits.size:
-            k = hits[0]
-            around = ({"segment": ends.tolist()} if tri is None else
-                      {"triangle": tri.points[tri.simplices[simplex[k]]].tolist()})
-            return Verdict("no", {"unit": J.to_list(), **around,
-                                  "cell": [float(grid.xs[cx[k]]), float(grid.ys[cy[k]])]}, res)
+            hit = _first_cell_in_hull(occ, hull, Y)
+            if hit is None:
+                continue
+            cy, cx = hit
+            # the fan triangle (v0, vi, vi+1) of the hull that holds the cell
+            v0, cell = hull[0], (2 * cx, int(Y[cy]))
+            i = next(i for i in range(1, len(hull) - 1)
+                     if _turn(v0, hull[i], cell) >= 0 >= _turn(v0, hull[i + 1], cell))
+            around = {"triangle": [[float(grid.xs[X // 2]), float(grid.ys[np.searchsorted(Y, y)])]
+                                   for X, y in (v0, hull[i], hull[i + 1])]}
+        return Verdict("no", {"unit": J.to_list(), **around,
+                              "cell": [float(grid.xs[cx]), float(grid.ys[cy])]}, res)
     return Verdict("yes", None, res)
 
 

@@ -127,6 +127,23 @@ def test_grid_over_the_cell_budget_exits_one_before_allocating(argv, ball_json,
     assert peak < 4e6
 
 
+def test_sample_size_over_the_budget_exits_one_before_allocating(ball_json, tmp_path,
+                                                                capsys):
+    """A --samples whose (2N)^2 min-angle dot matrix would exceed
+    MAX_GRID_CELLS exits 1 with a clear message before any lattice exists."""
+    tracemalloc.start()
+    try:
+        code = main(["check-domain", str(ball_json), "--samples", "1000000000000",
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "exceed the budget" in err and "Traceback" not in err
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"type": "ball", "radius": 1, "h": NaN}', "spec.h must be a finite number"),
     ('{"type": "ball", "radius": NaN}', "spec.radius must be a finite number"),
@@ -277,6 +294,27 @@ def test_forced_scan_loads_no_scipy(tmp_path):
     assert out.strip().splitlines()[-1] == "2 []"
     report = json.loads((tmp_path / "out" / "consistency.json").read_text())
     assert abs(report["max_defect"] - 2.0 * math.pi) <= 1e-3
+
+
+def test_grid_verdicts_load_no_scipy(ball_json, tmp_path):
+    """Labelling, the core erosion and the hull are numpy kernels, so a
+    fresh interpreter that runs check-domain and counterexample never
+    imports scipy."""
+    import slicereg
+    runs = [["check-domain", str(ball_json), "--samples", "4",
+             "--out", str(tmp_path / "domain")],
+            ["counterexample", "--h", "0.05", "--samples", "4",
+             "--out", str(tmp_path / "evidence")]]
+    code = ("import sys, slicereg.cli\n"
+            f"codes = [slicereg.cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(slicereg.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[0, 0] []"
+    report = json.loads((tmp_path / "evidence" / "report.json").read_text())
+    assert report["intersection_components"] == 3
+    assert report["pair_set_components"] == 2
 
 
 def test_counterexample_command(tmp_path):

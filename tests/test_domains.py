@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       connected_components, halfspace_spec, is_simple,
@@ -17,15 +18,17 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
 from slicereg import counterexample, domains
-from slicereg.domains import (MAX_GRID_CELLS, DomainSpec, _arange_len,
-                              _block_cut_cells, _grid_bfs, _grid_path,
-                              _nearest_index, fibonacci_points,
-                              intersect_specs, resample_polyline, union_spec)
+from slicereg.domains import (MAX_GRID_CELLS, DomainSpec, PlanarRegionGrid,
+                              _arange_len, _block_cut_cells, _core,
+                              _core_hull, _first_cell_in_hull, _grid_bfs,
+                              _grid_path, _half_step_rows, _nearest_index,
+                              fibonacci_points, intersect_specs,
+                              resample_polyline, union_spec)
 from slicereg.errors import PreconditionError
 from slicereg.holomorphic import segment_crossings
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
-                                     omega_spec)
+                                     omega_spec, pair_set_grid)
 
 from conftest import random_unit
 
@@ -610,3 +613,134 @@ def test_verdicts_rasterize_each_plane_once(ball, sample16, cfg, monkeypatch):
     calls.clear()
     intersection_grid(cfg, h=0.05)
     assert calls == [cfg.axis]
+
+
+# ---------------------------------------------------------------------------
+# grid kernels against their scipy oracles
+# ---------------------------------------------------------------------------
+
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def _assert_labels_match_scipy(occ):
+    want, count = ndimage.label(occ, structure=_CROSS)
+    ny, nx = occ.shape
+    grid = PlanarRegionGrid(xs=np.arange(nx, dtype=float),
+                            ys=np.arange(ny, dtype=float), occupied=occ)
+    assert grid.component_count() == count
+    n, labels = grid.label()
+    assert n == count and labels.dtype == want.dtype
+    assert np.array_equal(labels, want)
+
+
+def _random_mask(data, rows, cols):
+    density = data.draw(st.floats(0.0, 1.0))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).random((rows, cols)) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_run_labels_match_scipy_label(rows, cols, data):
+    """Run-length labelling gives ndimage.label's count and labels, whose
+    numbering follows the first cell of each component in raster order."""
+    _assert_labels_match_scipy(_random_mask(data, rows, cols))
+
+
+@pytest.mark.parametrize("occ", [
+    np.zeros((6, 9), bool), np.ones((6, 9), bool),
+    np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], bool),
+    np.array([[1], [0], [1], [1], [0], [1]], bool),
+    np.indices((7, 8)).sum(axis=0) % 2 == 0,
+    np.indices((8, 7)).sum(axis=0) % 2 == 1,
+    np.zeros((1, 1), bool), np.ones((1, 1), bool)],
+    ids=["empty", "full", "one-row", "one-column", "checkerboard-even",
+         "checkerboard-odd", "empty-cell", "one-cell"])
+def test_run_labels_match_scipy_label_on_edge_masks(occ):
+    _assert_labels_match_scipy(occ)
+
+
+def test_run_labels_match_scipy_label_on_counterexample_slices():
+    cfg = CounterexampleConfig(h=0.05)
+    spec = omega_spec(cfg)
+    grids = [rasterize(spec, J, full_slice=True)
+             for J in SphereSample(8, extra=[cfg.axis]).units]
+    grids += [intersection_grid(cfg), pair_set_grid(cfg)]
+    for grid in grids:
+        _assert_labels_match_scipy(grid.occupied)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_core_matches_scipy_binary_erosion(rows, cols, data):
+    occ = _random_mask(data, rows, cols)
+    want = ndimage.binary_erosion(occ, structure=np.ones((3, 3), bool))
+    assert np.array_equal(_core(occ), want)
+
+
+def _delaunay_first_hit(occ, xs, ys):
+    """The first unoccupied cell, in row-major order, that Delaunay's
+    find_simplex places in the hull of the core; "line" when qhull finds no
+    2D hull."""
+    from scipy.spatial import ConvexHull, Delaunay, QhullError
+    core = ndimage.binary_erosion(occ, structure=np.ones((3, 3), bool))
+    iy, ix = np.nonzero(core)
+    pts = np.column_stack([xs[ix], ys[iy]])
+    try:
+        tri = Delaunay(pts[ConvexHull(pts).vertices])
+    except (QhullError, ValueError):  # too few points, or all on one line
+        return "line"
+    cy, cx = np.nonzero(~occ)
+    hits = np.nonzero(tri.find_simplex(np.column_stack([xs[cx], ys[cy]])) >= 0)[0]
+    return (int(cy[hits[0]]), int(cx[hits[0]])) if hits.size else None
+
+
+def _exact_first_hit(occ, ys, h):
+    Y = _half_step_rows(ys, h)
+    hull = _core_hull(_core(occ), Y)
+    return "line" if len(hull) < 3 else _first_cell_in_hull(occ, hull, Y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 20), st.integers(8, 40), st.booleans(), st.integers(1, 3),
+       st.sampled_from([0.0, 0.01, 0.05]), st.integers(0, 2 ** 32 - 1))
+@example(half_rows=4, cols=12, full_slice=True, blobs=2, holes=0.0, seed=59)
+def test_exact_hull_first_hit_matches_delaunay(half_rows, cols, full_slice, blobs,
+                                               holes, seed):
+    """On unions of ellipses with random holes, rasterized on upper-half and
+    full-slice rows (whose axis row sits h/2 from its neighbours), the
+    integer hull's first hit is the cell Delaunay.find_simplex finds.  In
+    the explicit example the hit is missed when rows count whole cells."""
+    rng = np.random.default_rng(seed)
+    h = 2.0 / cols
+    xs = -1.0 + h / 2.0 + h * np.arange(cols)
+    ys = h / 2.0 + h * np.arange(half_rows)
+    if full_slice:
+        ys = np.concatenate([-ys[::-1], [0.0], ys])
+    X, Yn = np.meshgrid(xs, 2.0 * (ys - ys[0]) / (ys[-1] - ys[0]) - 1.0)
+    occ = np.zeros(X.shape, bool)
+    for _ in range(blobs):
+        cx, cy = rng.uniform(-0.6, 0.6, 2)
+        a, b = rng.uniform(0.3, 1.0, 2)
+        occ |= ((X - cx) / a) ** 2 + ((Yn - cy) / b) ** 2 < 1.0
+    occ &= rng.random(occ.shape) >= holes
+    assert _exact_first_hit(occ, ys, h) == _delaunay_first_hit(occ, xs, ys)
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_exact_hull_first_hit_matches_delaunay_on_full_slices(name):
+    spec, h = _PLANE_CORPUS[name]
+    for J in _SAMPLE16_I.units[:_SAMPLE16_I.base_count]:
+        grid = rasterize(spec, J, full_slice=True, h=h)
+        assert (_exact_first_hit(grid.occupied, grid.ys, h)
+                == _delaunay_first_hit(grid.occupied, grid.xs, grid.ys))
+
+
+def test_sphere_sample_over_the_budget_raises_before_allocating():
+    """(2N)^2, the entries of the min-angle dot matrix, is bounded by the
+    cell budget; the check is integer maths, so a huge N allocates nothing."""
+    side = math.isqrt(MAX_GRID_CELLS) // 2
+    assert len(SphereSample(side)) == 2 * side
+    for n, extra in ((side + 1, ()), (side - 1, [UNIT_I, UNIT_J]), (10 ** 12, ())):
+        with pytest.raises(PreconditionError, match="exceed the budget"):
+            SphereSample(n, extra=extra)
