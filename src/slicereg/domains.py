@@ -304,6 +304,9 @@ def _block_cut_cells(occupied, xs, ys, polylines, h):
     puts cut points more than 1.25h (Chebyshev) from free centers (2h to the
     sample's cell, less h/2 to the sample and h/4 to the cut), so a query's
     straight leg to its nearest free center (<= h/2) never meets a cut.
+    At the grid's edge, where samples more than 3h/4 from every centre are
+    dropped, a cut point within h/2 of a centre still has a kept sample
+    within 3h/4 of it, which blocks that cell.
 
     A sample midway between two centres blocks the one farther from the
     real axis (see _nearest_index), so mirrored cuts block mirrored cells
@@ -466,6 +469,16 @@ class Verdict:
         return self.value == "yes"
 
 
+def _counted_components(grid: PlanarRegionGrid, counts: dict[str, int]) -> int:
+    """Component count of grid, labelled once per distinct raster: counts
+    maps occupancy digests to counts and grows with each new one.  Keyed on
+    the observed raster, so it holds whatever the membership depends on."""
+    digest = grid.occupancy_digest()
+    if digest not in counts:
+        counts[digest] = grid.component_count()
+    return counts[digest]
+
+
 def is_slice_domain(spec: DomainSpec, sample: SphereSample,
                     h: float | None = None) -> Verdict:
     """Checks the real trace is nonempty and every sampled slice is a
@@ -480,13 +493,14 @@ def is_slice_domain(spec: DomainSpec, sample: SphereSample,
     if not trace.any():
         return Verdict("no", {"reason": "empty real trace"}, res)
     indeterminate = False
+    counts: dict[str, int] = {}
     # one raster per plane: the full slice of units[m + base_count] = -J is
     # the row flip of that of J, so it fails exactly when J's does
     for J in sample.units[:sample.base_count]:
         grid = rasterize(spec, J, full_slice=True, h=h)
         if not grid.occupied.any():
             return Verdict("no", {"reason": "empty slice", "unit": J.to_list()}, res)
-        n = grid.component_count()
+        n = _counted_components(grid, counts)
         if n > 1:
             return Verdict("no", {"reason": "disconnected slice",
                                   "unit": J.to_list(), "components": int(n)}, res)
@@ -593,7 +607,7 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
     units = sample.units
-    digest_cache: dict[str, int] = {}
+    counts: dict[str, int] = {}
     grid_cache: dict[int, PlanarRegionGrid] = {}
 
     def components_for(mi, mk, cache: bool) -> int:
@@ -607,12 +621,7 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
             grid = omega_jk_plus(spec, J, K, h=h)
         if not grid.occupied.any():
             return 0
-        digest = grid.occupancy_digest()
-        if digest in digest_cache:
-            return digest_cache[digest]
-        n = grid.component_count()
-        digest_cache[digest] = int(n)
-        return int(n)
+        return _counted_components(grid, counts)
 
     def scan(pairs, cache):
         for mi, mk in pairs:

@@ -257,23 +257,36 @@ class _PlaneContinuation:
 
     # -- evaluation --------------------------------------------------------
 
-    def _anchored(self, px: float, py: float):
-        """Path integrals to (px, py), one per usable anchor cell, nearest
-        anchors first; each value is computed when it is drawn."""
+    def _nearest_cell(self, px: float, py: float):
+        """(row, column) of the cell centre nearest (px, py), building the
+        table on first use.  Both anchor searches start here.  The indices
+        are not clamped: a point more than h/2 past the table's edge
+        centres gets one off the table."""
         if self._xs is None:
             self._build()
         h = self.step
-        jx = int(np.clip(round((px - self._xs[0]) / h), 0, self._xs.size - 1))
-        jy = int(np.clip(round((py - self._ys[0]) / h), 0, self._ys.size - 1))
+        return round((py - self._ys[0]) / h), round((px - self._xs[0]) / h)
+
+    def _usable(self, iy: int, ix: int, z0: complex, target: complex) -> bool:
+        """Cell (iy, ix) is free and reached, and its straight leg to target
+        keeps 1e-9 away from the pole."""
+        return (bool(self._free[iy, ix]) and cmath.isfinite(self._value[iy, ix])
+                and _segment_point_distance(z0, target, self.pole) >= 1e-9)
+
+    def _anchored(self, px: float, py: float):
+        """Path integrals to (px, py), one per usable anchor cell whose leg
+        crosses no cut, nearest anchors first; each value is computed when
+        it is drawn."""
+        jy, jx = self._nearest_cell(px, py)
+        ny, nx = self._free.shape
+        jy, jx = min(max(jy, 0), ny - 1), min(max(jx, 0), nx - 1)
         target = complex(px, py)
         for dy, dx in self._anchor_offsets:
             iy, ix = jy + dy, jx + dx
-            if not (0 <= iy < self._ys.size and 0 <= ix < self._xs.size):
-                continue
-            if not self._free[iy, ix] or not np.isfinite(self._value[iy, ix]):
+            if not (0 <= iy < ny and 0 <= ix < nx):
                 continue
             z0 = complex(self._xs[ix], self._ys[iy])
-            if _segment_point_distance(z0, target, self.pole) < 1e-9:
+            if not self._usable(iy, ix, z0, target):
                 continue
             if any(segment_crossings((z0.real, z0.imag), (px, py), poly)
                    for poly in self.cuts):
@@ -281,10 +294,30 @@ class _PlaneContinuation:
             yield complex(self._value[iy, ix]) + integrate_reciprocal(z0, target, self.pole)
 
     def integral_to(self, px: float, py: float) -> complex:
-        """Path integral of dz/(z - pole) from the base point to (px, py)."""
+        """Path integral of dz/(z - pole) from the base point to (px, py).
+
+        The value is the first one _anchored draws.  A nearest cell on the
+        table has its centre within h/2 of the point per coordinate; when
+        that cell is usable it is the first anchor, and its straight leg,
+        which stays in the box of half-width h/2 around the centre, needs no
+        crossing test.  A cut point in that box has a cut sample within h/4
+        of it, so within 3h/4 of the centre, and that sample's nearest cell
+        is the cell or one of its eight neighbours: _block_cut_cells would
+        have blocked the cell.  Free centres are more than 1.5h from the
+        pole, so the leg keeps more than 0.79h from it; the pole test of
+        _usable stays, as 0.79h exceeds its 1e-9 only for h > 1.3e-9.
+        Queries whose nearest cell is blocked, unreached or off the table
+        run the full search.
+        """
         xlo, xhi, ylo, yhi = self.bbox
         if not (xlo <= px <= xhi and ylo <= py <= yhi):
             raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
+        iy, ix = self._nearest_cell(px, py)
+        ny, nx = self._free.shape
+        if 0 <= iy < ny and 0 <= ix < nx:
+            z0, target = complex(self._xs[ix], self._ys[iy]), complex(px, py)
+            if self._usable(iy, ix, z0, target):
+                return complex(self._value[iy, ix]) + integrate_reciprocal(z0, target, self.pole)
         for value in self._anchored(px, py):
             return value
         raise DisconnectedDomainError(

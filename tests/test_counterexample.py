@@ -15,7 +15,7 @@ from slicereg.domains import (_block_cut_cells, _mirror,
                               _points_to_polyline_dist, rasterize)
 from slicereg.errors import OutOfDomainError, SliceRegError
 from slicereg.extension import extension_formula, rep_coeffs, rep_eval
-from slicereg.holomorphic import ContinuedLog, dbar_residual
+from slicereg.holomorphic import ContinuedLog, _PlaneContinuation, dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, rotate_toward, slice_decompose
 
 from conftest import random_unit
@@ -411,3 +411,25 @@ def test_demonstrate_bundle(cfg):
     # deterministic given the configuration
     again = demonstrate(cfg, sample=sample, seed=0)
     assert again == report
+
+
+def test_demonstrate_queries_take_the_nearest_cell(cfg, monkeypatch):
+    """Every continuation query of the evidence bundle at seed 1 is
+    answered by its nearest cell: the anchor search never runs.  The
+    query points depend on the seed only, so a small sample keeps the
+    run short."""
+    calls = {"integral_to": 0, "_anchored": 0}
+
+    def counting(name):
+        real = getattr(_PlaneContinuation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_PlaneContinuation, name, counting(name))
+    demonstrate(cfg, sample=SphereSample(4, extra=[cfg.axis]), seed=1)
+    assert calls["integral_to"] > 1500
+    assert calls["_anchored"] == 0

@@ -615,6 +615,48 @@ def test_verdicts_rasterize_each_plane_once(ball, sample16, cfg, monkeypatch):
     assert calls == [cfg.axis]
 
 
+def _count_component_counts(monkeypatch) -> list:
+    calls = []
+    real = PlanarRegionGrid.component_count
+
+    def counting(grid):
+        calls.append(grid.occupancy_digest())
+        return real(grid)
+
+    monkeypatch.setattr(PlanarRegionGrid, "component_count", counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["counterexample", "ball"])
+def test_slice_domain_labels_each_distinct_slice_once(which, cfg, ball, monkeypatch):
+    """is_slice_domain counts components once per distinct full-slice
+    raster; every slice of the ball is the same disk."""
+    spec, sample = ((omega_spec(cfg), SphereSample(64, extra=[cfg.axis]))
+                    if which == "counterexample" else (ball, SphereSample(16)))
+    base = sample.units[:sample.base_count]
+    distinct = {rasterize(spec, J, full_slice=True, h=0.05).occupancy_digest() for J in base}
+    calls = _count_component_counts(monkeypatch)
+    assert is_slice_domain(spec, sample, h=0.05).is_yes
+    assert sorted(calls) == sorted(distinct)
+    if which == "ball":
+        assert len(calls) == 1
+    else:
+        assert len(calls) < len(base)
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_verdicts_do_not_depend_on_the_digest_cache(name, monkeypatch):
+    """With a digest unique to each grid every raster is labelled, and
+    is_slice_domain and is_simple return the same verdicts as with the
+    digest-keyed count."""
+    spec, h = _PLANE_CORPUS[name]
+    cached = [verdict(spec, _SAMPLE16_I, h=h) for verdict in (is_slice_domain, is_simple)]
+    fresh = iter(range(10 ** 9))
+    monkeypatch.setattr(PlanarRegionGrid, "occupancy_digest", lambda grid: str(next(fresh)))
+    assert [verdict(spec, _SAMPLE16_I, h=h)
+            for verdict in (is_slice_domain, is_simple)] == cached
+
+
 # ---------------------------------------------------------------------------
 # grid kernels against their scipy oracles
 # ---------------------------------------------------------------------------

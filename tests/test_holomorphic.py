@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
                       StemRestriction, UnitImaginary, ball_spec, dbar_residual,
                       regular_ext)
-from slicereg.errors import OutOfDomainError, StencilError
+from slicereg.counterexample import CounterexampleConfig, plane_log
+from slicereg.domains import resample_polyline
+from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
+                             StencilError)
 from slicereg.holomorphic import (HoloSliceFunction, integrate_reciprocal,
                                   polyline_integral, segment_crossings,
                                   winding_number)
@@ -159,6 +162,83 @@ def test_continued_log_two_anchor_agreement():
     assert len(vals) >= 2
     for v in vals[1:]:
         assert abs(vals[0] - v) <= 1e-9
+
+
+# tables of the nearest-cell fast path: the counterexample's planes of
+# axis, -axis and a unit at chord >= 1, and a plain log whose box is no
+# multiple of the step: its top and right edge centres lie 0.045 inside
+# the box, so the cut along y = 4.065 runs 0.04 > 3h/4 past the top row,
+# blocks none of it, and is met only by queries off the table
+_FAST_PATH_LOGS = {
+    "axis": plane_log(UNIT_I, CounterexampleConfig()),
+    "-axis": plane_log(-UNIT_I, CounterexampleConfig()),
+    "chord-sqrt2": plane_log(UNIT_J, CounterexampleConfig()),
+    "plain": ContinuedLog(pole=(0.0, 0.0), base=(1.0, 0.0), base_value=Q(0.0),
+                          cuts=(np.array([[0.0, 0.0], [0.0, 4.065], [4.07, 4.065]]),
+                                np.array([[-1.0, -1.0], [-3.0, -2.5], [-4.0, -2.0]])),
+                          carrier=UNIT_I, bbox=(-4.0, 4.07, -4.0, 4.07), step=0.05),
+}
+
+
+@st.composite
+def _fast_path_queries(draw):
+    """A table and a point of its box within a few h of a cut vertex or
+    segment, the pole, a box edge, or anywhere."""
+    name = draw(st.sampled_from(sorted(_FAST_PATH_LOGS)))
+    table = _FAST_PATH_LOGS[name]._table
+    xlo, xhi, ylo, yhi = table.bbox
+    near = draw(st.sampled_from(["cut", "pole", "edge", "anywhere"]))
+    x, y = draw(st.floats(xlo, xhi)), draw(st.floats(ylo, yhi))
+    if near == "cut":
+        poly = draw(st.sampled_from(table.cuts))
+        k = draw(st.integers(0, len(poly) - 2))
+        x, y = poly[k] + draw(st.floats(0.0, 1.0)) * (poly[k + 1] - poly[k])
+    elif near == "pole":
+        x, y = table.pole.real, table.pole.imag
+    elif near == "edge":
+        side = draw(st.integers(0, 3))
+        x, y = ((table.bbox[side], y) if side < 2 else (x, table.bbox[side]))
+    shift = st.one_of(st.just(0.0), st.floats(-3.0 * table.step, 3.0 * table.step))
+    x, y = x + draw(shift), y + draw(shift)
+    return name, min(max(float(x), xlo), xhi), min(max(float(y), ylo), yhi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fast_path_queries())
+def test_integral_to_is_the_first_anchor_of_the_full_search(query):
+    """integral_to returns exactly the first value of the full anchor
+    search, and raises where that search finds no anchor."""
+    name, px, py = query
+    table = _FAST_PATH_LOGS[name]._table
+    try:
+        expected = next(table._anchored(px, py))
+    except StopIteration:
+        event("no anchor")
+        with pytest.raises(DisconnectedDomainError):
+            table.integral_to(px, py)
+    else:
+        iy, ix = table._nearest_cell(px, py)
+        on_table = 0 <= iy < table._ys.size and 0 <= ix < table._xs.size
+        event("nearest cell" if on_table and np.isfinite(table._value[iy, ix])
+              else "farther anchor")
+        assert table.integral_to(px, py) == expected
+
+
+@pytest.mark.parametrize("name", sorted(_FAST_PATH_LOGS))
+def test_no_cut_point_lies_within_half_a_step_of_a_free_centre(name):
+    """The lemma of the fast path, on the cuts resampled at h/100: a cut
+    point within h/2 (per coordinate) of a cell centre blocks that cell."""
+    table = _FAST_PATH_LOGS[name]._table
+    table._nearest_cell(0.0, 0.0)  # builds the table
+    h, xs, ys = table.step, table._xs, table._ys
+    for poly in table.cuts:
+        pts = resample_polyline(poly, h / 100.0)
+        ix = np.clip(np.rint((pts[:, 0] - xs[0]) / h).astype(int), 0, xs.size - 1)
+        iy = np.clip(np.rint((pts[:, 1] - ys[0]) / h).astype(int), 0, ys.size - 1)
+        reach = h / 2.0 * (1.0 + 1e-9)  # the closed box, whatever the rounding
+        near = (np.abs(pts[:, 0] - xs[ix]) <= reach) & (np.abs(pts[:, 1] - ys[iy]) <= reach)
+        assert near.any()
+        assert not table._free[iy[near], ix[near]].any()
 
 
 def test_loop_consistency_far_from_pole():
