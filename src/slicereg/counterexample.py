@@ -196,11 +196,14 @@ class BranchedLogFamily(HoloSliceFunction):
     def eval_units(self, x: float, y: float, vectors):
         """Values at x + yJ, y > 0, for the units J given as rows of vectors
         (n, 3), from the stem coefficients of the pair (axis, -axis) in
-        closed form: axis^-1 = -axis, so rep_coeffs(up, dn, axis, -axis)
-        is b = (up + dn)/2, c = axis (dn - up)/2."""
+        closed form: axis^-1 = -axis/|axis|^2, so rep_coeffs(up, dn, axis,
+        -axis) is b = (up + dn)/2, c = axis (dn - up)/(2 |axis|^2).  The
+        norm stays in, as UnitImaginary keeps vectors within 1e-12 of unit
+        norm as given."""
         up, dn, ok = self._plane_logs(x, y, vectors)
+        axis = self.cfg.axis
         b = (up + dn) * 0.5
-        c = mul_rows(imaginary_rows(self.cfg.axis.to_list()), dn - up) * 0.5
+        c = mul_rows(imaginary_rows(axis.to_list()), dn - up) * (0.5 / axis.dot(axis))
         return b + mul_rows(imaginary_rows(vectors), c), ok
 
     def eval(self, coord: SliceCoord) -> Quaternion:

@@ -213,35 +213,52 @@ def _run_components(occupied: np.ndarray):
     order, covers the flat keys starts[k] <= row*(nx+1) + col < ends[k]
     (the extra column is always empty, so a run never wraps), and comp[k]
     is its component, numbered 1, 2, ... by first run in raster order.
+
+    Runs that share a column in consecutive rows are joined by rounds of
+    min-hooking on arrays: each root takes the smallest root of the runs
+    joined to it, then pointer jumping makes every parent a root.  A
+    parent only decreases and never exceeds its index, so there are no
+    cycles, and a component's smallest run index stays its root.  Each
+    round hooks every root that is not a local minimum among its
+    neighbours' roots; a local minimum that nothing hooks onto has only
+    neighbours that hooked onto smaller roots, so it hooks in the next
+    round.  Two rounds thus at least halve the roots of an unfinished
+    component, and the rounds are O(log runs).
     """
     ny, nx = occupied.shape
     width = nx + 1
-    padded = np.zeros((ny, width), dtype=np.int8)
-    padded[:, :nx] = occupied
-    step = np.diff(padded.ravel(), prepend=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
+    # each row behind one empty cell, with one more after the last row, so
+    # every row sits between two empty cells: transitions alternate start
+    # and end, and the transition after flat index e is the key e
+    flat = np.zeros(ny * width + 1, dtype=bool)
+    flat[:-1].reshape(ny, width)[:, 1:] = occupied
+    edge = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edge[0::2], edge[1::2]
     # the runs of the next row that share a column with run k are the
     # slice lo[k]:hi[k]: they end after its start and start before its end
     lo = np.searchsorted(ends, starts + width, side="right")
     hi = np.searchsorted(starts, ends + width, side="left")
-    parent = list(range(starts.size))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    linked = np.flatnonzero(hi > lo)
-    for k, first, last in zip(linked.tolist(), lo[linked].tolist(), hi[linked].tolist()):
-        for j in range(first, last):
-            a, b = find(k), find(j)
-            if a != b:  # the lower run index is the root
-                parent[max(a, b)] = min(a, b)
-    # a root is its component's first run, so sorted roots number the
+    count = np.maximum(hi - lo, 0)
+    k = np.repeat(np.arange(starts.size), count)
+    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    parent = np.arange(starts.size)
+    while True:
+        rk, rj = parent[k], parent[j]
+        split = rk != rj
+        if not split.any():
+            break
+        k, j, rk, rj = k[split], j[split], rk[split], rj[split]
+        low = np.minimum(rk, rj)
+        np.minimum.at(parent, rk, low)
+        np.minimum.at(parent, rj, low)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    # each root is its component's first run, so sorted roots number the
     # components in raster order
-    roots, comp = np.unique([find(k) for k in range(starts.size)], return_inverse=True)
+    roots, comp = np.unique(parent, return_inverse=True)
     return starts, ends, comp.astype(np.int32) + 1, roots.size
 
 
@@ -311,19 +328,22 @@ def _block_cut_cells(occupied, xs, ys, polylines, h):
     A sample midway between two centres blocks the one farther from the
     real axis (see _nearest_index), so mirrored cuts block mirrored cells
     and the full slice of -J is exactly the row flip of that of J.
+
+    The samples of all polylines are stacked and their 3x3 blocks, clamped
+    to the grid, written in one indexed assignment; writes of False do not
+    depend on order, so this blocks the cells a per-polyline loop would.
     """
+    if not polylines:
+        return
     ny, nx = occupied.shape
-    for poly in polylines:
-        pts = resample_polyline(poly, h / 2.0)
-        ix = _nearest_index(xs, pts[:, 0])
-        iy = _nearest_index(ys, pts[:, 1])
-        near = (np.abs(xs[ix] - pts[:, 0]) <= 0.75 * h) & (np.abs(ys[iy] - pts[:, 1]) <= 0.75 * h)
-        ix, iy = ix[near], iy[near]
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                yy = np.clip(iy + dy, 0, ny - 1)
-                xx = np.clip(ix + dx, 0, nx - 1)
-                occupied[yy, xx] = False
+    pts = np.vstack([resample_polyline(poly, h / 2.0) for poly in polylines])
+    ix = _nearest_index(xs, pts[:, 0])
+    iy = _nearest_index(ys, pts[:, 1])
+    near = (np.abs(xs[ix] - pts[:, 0]) <= 0.75 * h) & (np.abs(ys[iy] - pts[:, 1]) <= 0.75 * h)
+    off = np.arange(-1, 2)
+    yy = np.minimum(np.maximum(iy[near, None] + off, 0), ny - 1)
+    xx = np.minimum(np.maximum(ix[near, None] + off, 0), nx - 1)
+    occupied[yy[:, :, None], xx[:, None, :]] = False
 
 
 # (dy, dx) of the four grid steps; a cell's BFS parent sits at cell - step
@@ -337,14 +357,23 @@ def _grid_bfs(free: np.ndarray, start, targets: np.ndarray | None = None):
     reached) and step is the index into _GRID_STEPS of the step that first
     reached each cell.  Steps are tried in _GRID_STEPS order, so ties go to
     the earlier step.  With a targets mask the search stops after the first
-    level that holds a target cell.
+    level that holds a target cell.  The search runs on a copy of free
+    padded with a ring of blocked cells, so no step needs a bounds check.
     """
     ny, nx = free.shape
-    dist = np.full(ny * nx, -1, dtype=np.int32)
-    step = np.full(ny * nx, -1, dtype=np.int8)
-    walkable = free.ravel()
-    goal = None if targets is None else targets.ravel()
-    frontier = np.array([start[0] * nx + start[1]])
+    width = nx + 2
+
+    def ringed(mask):  # flat copy of mask inside a ring of False cells
+        out = np.zeros((ny + 2, width), dtype=bool)
+        out[1:-1, 1:-1] = mask
+        return out.ravel()
+
+    walkable = ringed(free)
+    goal = None if targets is None else ringed(targets)
+    dist = np.full(walkable.size, -1, dtype=np.int32)
+    step = np.full(walkable.size, -1, dtype=np.int8)
+    offsets = [dy * width + dx for dy, dx in _GRID_STEPS]
+    frontier = np.array([(start[0] + 1) * width + start[1] + 1])
     dist[frontier] = 0
     level = 0
     # the frontier is a flat index array: each level visits only the
@@ -353,17 +382,16 @@ def _grid_bfs(free: np.ndarray, start, targets: np.ndarray | None = None):
         if goal is not None and goal[frontier].any():
             break
         level += 1
-        row, col = np.divmod(frontier, nx)
         reached = []
-        for code, (dy, dx) in enumerate(_GRID_STEPS):
-            inside = (0 <= row + dy) & (row + dy < ny) & (0 <= col + dx) & (col + dx < nx)
-            cells = frontier[inside] + (dy * nx + dx)
+        for code, offset in enumerate(offsets):
+            cells = frontier + offset
             cells = cells[walkable[cells] & (dist[cells] < 0)]
             dist[cells] = level
             step[cells] = code
             reached.append(cells)
         frontier = np.concatenate(reached)
-    return dist.reshape(ny, nx), step.reshape(ny, nx)
+    return (dist.reshape(ny + 2, width)[1:-1, 1:-1],
+            step.reshape(ny + 2, width)[1:-1, 1:-1])
 
 
 def _grid_path(free: np.ndarray, start, targets: np.ndarray):

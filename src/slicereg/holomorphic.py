@@ -191,7 +191,7 @@ class _PlaneContinuation:
         self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
         self.bbox = tuple(float(v) for v in bbox)  # (xlo, xhi, ylo, yhi)
         self.step = float(step)
-        self._xs = self._ys = self._free = self._value = None
+        self._xs = self._ys = self._x0 = self._y0 = self._free = self._value = None
         r = range(-self.ANCHOR_RADIUS, self.ANCHOR_RADIUS + 1)
         self._anchor_offsets = [(dy, dx) for _, dy, dx in sorted(
             (dy * dy + dx * dx, dy, dx) for dy in r for dx in r)]
@@ -227,6 +227,7 @@ class _PlaneContinuation:
         if abs(z_start - z_base) > 1e-15:
             value[np.isfinite(value)] += integrate_reciprocal(z_base, z_start, self.pole)
         self._xs, self._ys, self._free, self._value = xs, ys, free, value
+        self._x0, self._y0 = float(xs[0]), float(ys[0])
 
     def _accumulate(self, free, xs, ys, dist, pdir, start):
         steps = np.array(_GRID_STEPS)
@@ -261,11 +262,12 @@ class _PlaneContinuation:
         """(row, column) of the cell centre nearest (px, py), building the
         table on first use.  Both anchor searches start here.  The indices
         are not clamped: a point more than h/2 past the table's edge
-        centres gets one off the table."""
+        centres gets one off the table.  The origin is kept as Python
+        floats, so round() takes no numpy path."""
         if self._xs is None:
             self._build()
         h = self.step
-        return round((py - self._ys[0]) / h), round((px - self._xs[0]) / h)
+        return round((py - self._y0) / h), round((px - self._x0) / h)
 
     def _usable(self, iy: int, ix: int, z0: complex, target: complex) -> bool:
         """Cell (iy, ix) is free and reached, and its straight leg to target

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary
@@ -383,9 +383,11 @@ _unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 
 @settings(max_examples=200, deadline=None)
 @given(_unit, _unit, st.floats(-5.0, 5.0), st.floats(1e-9, 5.0))
+@example(axis=UnitImaginary(0.0, 1.0, 1e-6), J=UnitImaginary(0.0, 0.0, 1.0), x=0.0, y=1.0)
 def test_family_stem_coefficients_match_rep_coeffs(axis, J, x, y):
     """eval's closed-form stem coefficients of the pair (axis, -axis) agree
-    with the generic rep_coeffs within 1e-14."""
+    with the generic rep_coeffs within 1e-14, also for an axis that
+    UnitImaginary leaves 1e-12 off unit norm."""
     family = BranchedLogFamily(CounterexampleConfig(axis=axis))
     coord = SliceCoord.make(x, y, J)
     try:

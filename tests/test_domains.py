@@ -423,6 +423,46 @@ def test_cut_barrier_never_leaks(polylines, rows):
             assert segment_crossings(p, q, poly) == 0, (p, q)
 
 
+def _block_by_polyline(occupied, xs, ys, polylines, h):
+    """Oracle: the cut rule one polyline and one 3x3 offset at a time."""
+    ny, nx = occupied.shape
+    for poly in polylines:
+        pts = resample_polyline(poly, h / 2.0)
+        ix = _nearest_index(xs, pts[:, 0])
+        iy = _nearest_index(ys, pts[:, 1])
+        near = (np.abs(xs[ix] - pts[:, 0]) <= 0.75 * h) & (np.abs(ys[iy] - pts[:, 1]) <= 0.75 * h)
+        ix, iy = ix[near], iy[near]
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                occupied[np.clip(iy + dy, 0, ny - 1), np.clip(ix + dx, 0, nx - 1)] = False
+
+
+# centres, midpoints between centres (exact ties) and points past the edge
+_MIDPOINTS = sorted({float(v) for c in _ROWS.values() for v in (c[:-1] + c[1:]) / 2.0})
+_cut_coord = st.one_of(_coord, st.sampled_from(_MIDPOINTS + list(_XS)),
+                       st.sampled_from([-1.2, -1.05, -1.0, 1.0, 1.05, 1.2]))
+_cut_polyline = st.lists(st.tuples(_cut_coord, _cut_coord), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_cut_polyline, min_size=0, max_size=4), st.sampled_from(sorted(_ROWS)),
+       st.booleans(), st.booleans())
+def test_block_cut_cells_matches_per_polyline_oracle(polylines, rows, mirrored, occupied):
+    """One indexed write blocks exactly the cells of the per-polyline loop,
+    with samples past the grid's edge, on midpoint ties and on mirrored cuts."""
+    ys = _ROWS[rows]
+    polys = [np.asarray(p, dtype=float) for p in polylines]
+    if mirrored:
+        polys += domains._mirror(polys)
+    start = np.ones((ys.size, _XS.size), dtype=bool)
+    if not occupied:
+        start[::3, ::2] = False
+    got, want = start.copy(), start.copy()
+    _block_cut_cells(got, _XS, ys, polys, _H)
+    _block_by_polyline(want, _XS, ys, polys, _H)
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-10.0, 10.0), st.floats(0.0, 20.0), st.floats(1e-3, 2.0))
 def test_arange_len_is_the_numpy_length(lo, span, h):
@@ -482,6 +522,41 @@ def test_grid_bfs_matches_queue_oracle():
         assert all(free[cell] for cell in path)
         for (r0, c0), (r1, c1) in zip(path, path[1:]):
             assert abs(r0 - r1) + abs(c0 - c1) == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 11)])
+def test_grid_bfs_from_the_border_matches_queue_oracle(shape):
+    """Starts and targets on the first and last row and column, where every
+    step of the padded search meets the blocked ring."""
+    ny, nx = shape
+    rng = np.random.default_rng(41)
+    border = dict.fromkeys([(0, 0), (0, nx - 1), (ny - 1, 0), (ny - 1, nx - 1),
+                            (0, nx // 2), (ny - 1, nx // 2), (ny // 2, 0), (ny // 2, nx - 1)])
+    edges = [np.zeros(shape, bool) for _ in range(4)]
+    for mask, index in zip(edges, [(0, slice(None)), (-1, slice(None)),
+                                   (slice(None), 0), (slice(None), -1)]):
+        mask[index] = True
+    for start in border:
+        for free in (np.ones(shape, bool), rng.random(shape) < 0.7):
+            free[start] = True
+            want = _queue_bfs(free, start)
+            dist, step = _grid_bfs(free, start)
+            assert np.array_equal(dist, want)
+            assert np.array_equal(step, _level_scan_bfs(free, start)[1])
+            for targets in edges:
+                targets = targets & (want != 0)
+                path = _grid_path(free, start, targets)
+                reachable = targets & (want >= 0)
+                if not reachable.any():
+                    assert path is None
+                    continue
+                first = tuple(int(v) for v in np.argwhere(
+                    reachable & (want == want[reachable].min()))[0])
+                assert path[0] == start and path[-1] == first
+                assert len(path) == want[first] + 1
+                assert all(free[cell] for cell in path)
+                for (r0, c0), (r1, c1) in zip(path, path[1:]):
+                    assert abs(r0 - r1) + abs(c0 - c1) == 1
 
 
 def _level_scan_bfs(free, start, targets=None):
@@ -700,6 +775,56 @@ def test_run_labels_match_scipy_label(rows, cols, data):
          "checkerboard-odd", "empty-cell", "one-cell"])
 def test_run_labels_match_scipy_label_on_edge_masks(occ):
     _assert_labels_match_scipy(occ)
+
+
+def _serpentine(rows, teeth):
+    """A 1-cell path up and down columns 0, 2, 4, ...: one run per tooth in
+    every inner row."""
+    occ = np.zeros((rows, 2 * teeth - 1), bool)
+    occ[:, ::2] = True
+    occ[0, 1::4] = True
+    occ[-1, 3::4] = True
+    return occ
+
+
+def _comb(rows, teeth):
+    """Teeth in columns 0, 2, 4, ..., joined only by the last row."""
+    occ = np.zeros((rows, 2 * teeth - 1), bool)
+    occ[:, ::2] = True
+    occ[-1, :] = True
+    return occ
+
+
+def _spiral(n):
+    """A 1-cell square spiral walked inwards from the top-left corner."""
+    occ = np.zeros((n, n), bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    occ[r, c] = True
+    turns = 0
+    while turns < 2:
+        ahead = (r + 2 * dr, c + 2 * dc)
+        if (0 <= r + dr < n and 0 <= c + dc < n
+                and not (0 <= ahead[0] < n and 0 <= ahead[1] < n and occ[ahead])):
+            r, c = r + dr, c + dc
+            occ[r, c] = True
+            turns = 0
+        else:
+            dr, dc = dc, -dr
+            turns += 1
+    return occ
+
+
+@pytest.mark.parametrize("occ, components", [
+    (_serpentine(24, 26), 1), (_comb(24, 26), 1), (_comb(24, 26)[::-1], 1),
+    (_comb(24, 26)[:-1], 26), (_spiral(61), 1)],
+    ids=["serpentine", "comb", "comb-flipped", "comb-cut", "spiral"])
+def test_run_labels_match_scipy_label_on_long_chains(occ, components):
+    """Masks whose runs join only through long chains: the hooking rounds
+    must carry each component down to its smallest run."""
+    starts = domains._run_components(occ)[0]
+    assert starts.size >= 500
+    _assert_labels_match_scipy(occ)
+    assert ndimage.label(occ, structure=_CROSS)[1] == components
 
 
 def test_run_labels_match_scipy_label_on_counterexample_slices():
