@@ -257,20 +257,25 @@ def cmd_local_extend(args) -> int:
     return EXIT_OK
 
 
+def _scan_grid(spec) -> np.ndarray:
+    """Sphere centres (x, y) of the global-extend scan: cell centres of a
+    grid over the spec's box, x-major, with at least 4 h between them."""
+    x_min, x_max, y_max = spec.bbox
+    step = max(4 * spec.h, min(x_max - x_min, y_max) / 40.0)
+    xs = np.arange(x_min + step / 2.0, x_max, step)
+    ys = np.arange(step / 2.0, y_max, step)
+    return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
+
+
 def cmd_global_extend(args) -> int:
     spec, data, extra = _load_spec(args)
     sample = _sample(args, extra)
     out = _out_dir(args)
     f = _load_function(args, spec, data)
     tol = args.tol if args.tol is not None else 1e-8
-    x_min, x_max, y_max = spec.bbox
-    step = max(4 * spec.h, min(x_max - x_min, y_max) / 40.0)
-    xy = np.array([[x, y]
-                   for x in np.arange(x_min + step / 2.0, x_max, step)
-                   for y in np.arange(step / 2.0, y_max, step)])
     exit_code = EXIT_OK
     try:
-        stem, report = extend_to_completion(f, sample, xy, tol=tol,
+        stem, report = extend_to_completion(f, sample, _scan_grid(spec), tol=tol,
                                             force=args.force)
         if report.max_defect > tol:
             exit_code = EXIT_CHECK_FAILED

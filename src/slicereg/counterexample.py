@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -142,69 +143,97 @@ class BranchedLogFamily(HoloSliceFunction):
     def __init__(self, cfg: CounterexampleConfig):
         self.cfg = cfg
         self.domain = omega_spec(cfg)
+        self._axis_row = imaginary_rows(cfg.axis.to_list())
 
-    def _plane_logs(self, x: float, y: float, vectors):
-        """Continued log(z - 2i) on the planes of the units J (rows of
-        vectors) at z = x + iy and z = x - iy, y > 0, as quaternions
-        u + axis*v: (up (n, 4) rows, dn (4,), ok (n,)).
-
-        The two principal logs are computed once; only the lens shift of up
-        depends on J.  The lower half plane of slice J is the upper half
-        slice of -J: dn is tested against the cuts of -J, and as no lens
-        lies below the real axis its value does not depend on J.  Rows of up
-        are NaN where ok is False."""
-        v3 = np.asarray(vectors, dtype=float).reshape(-1, 3)
-        up = np.full((len(v3), 4), np.nan)
-        dn = np.full(4, np.nan)
+    def _point_terms(self, px: float, py: float):
+        """What the point (px, py) contributes to the row of every unit: px,
+        whether it lies in the box, left of x = ARC_CLEARANCE (where a cut
+        can pass) and in the disk of the lenses, v = py - 2, (px + 1)^2, and
+        the principal Log(z - 2i) at z = px + i py and px - i py (NaN at the
+        pole), in Python floats: cmath.log and the float power need not
+        match np.log and x*x in the last bit."""
         x_min, x_max, y_max = self.cfg.bbox
-        if not (x_min <= x <= x_max and y <= y_max):
-            return up, dn, np.zeros(len(v3), dtype=bool)
-        ax = self.cfg.axis
-        dot = v3[:, 0] * ax.vx + v3[:, 1] * ax.vy + v3[:, 2] * ax.vz
-        # 1 - 2T with T = t_of(J) and t_of(-J): the arc weights of both sides
-        chords = np.sqrt(np.maximum(2.0 + np.multiply.outer((-2.0, 2.0), dot), 0.0))
-        a_up, a_dn = 1.0 - 2.0 * np.minimum(chords, 1.0)
-        # the sampled arc lies within c (its sagitta bound) of its ellipse,
-        # which is at least |hypot(a (x + 1), v) - |a|| away: only points
-        # within c of the half line or 2c of the ellipse, the pole among
-        # them, can be on a cut, and only those get the scalar membership
-        v, c = y - 2.0, ARC_CLEARANCE
-        ok = np.ones(len(v3), dtype=bool)
-        if x <= c:
-            for sign, a in ((1.0, a_up), (-1.0, a_dn)):
-                near = (abs(v) <= c) | (np.abs(np.hypot(a * (x + 1.0), v) - np.abs(a)) <= 2.0 * c)
-                for m in np.flatnonzero(near & ok):
-                    ok[m] = self.domain.contains(x, y, UnitImaginary(*(sign * v3[m])))
-        if not ok.any():  # the pole, where log(0) fails, is on every cut
-            return up, dn, ok
-        w_up = cmath.log(complex(x, y - 2.0))
-        w_dn = cmath.log(complex(x, -y - 2.0))
-        im_up = np.full(len(v3), w_up.imag)
-        # the lens between the arc and the chord [-2, 0] + 2i, where
-        # (x + 1)^2 + (v / a)^2 < 1 with v on the side of the arc; |a| <= 1
-        if (x + 1.0) ** 2 < 1.0 and abs(v) < 1.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lens = ((a_up > 0.0) if v >= 0.0 else (a_up < 0.0)) \
-                    & ((x + 1.0) ** 2 + (v / a_up) ** 2 < 1.0)
-            im_up[lens] -= np.copysign(2.0 * math.pi, a_up[lens])
-        axis = np.array([ax.vx, ax.vy, ax.vz])
-        up[ok, 0] = w_up.real
-        up[ok, 1:] = im_up[ok, None] * axis
-        dn[0], dn[1:] = w_dn.real, w_dn.imag * axis
-        return up, dn, ok
+        inside = x_min <= px <= x_max and py <= y_max
+        v, x2 = py - 2.0, (px + 1.0) ** 2
+        w_up = cmath.log(complex(px, v)) if px or v else complex(math.nan, math.nan)
+        w_dn = cmath.log(complex(px, -py - 2.0))
+        return (px, inside, inside and px <= ARC_CLEARANCE, x2 < 1.0 and abs(v) < 1.0,
+                v, x2, w_up.real, w_up.imag, w_dn.real, w_dn.imag)
 
-    def eval_units(self, x: float, y: float, vectors):
-        """Values at x + yJ, y > 0, for the units J given as rows of vectors
-        (n, 3), from the stem coefficients of the pair (axis, -axis) in
-        closed form: axis^-1 = -axis/|axis|^2, so rep_coeffs(up, dn, axis,
-        -axis) is b = (up + dn)/2, c = axis (dn - up)/(2 |axis|^2).  The
-        norm stays in, as UnitImaginary keeps vectors within 1e-12 of unit
-        norm as given."""
+    def _plane_logs(self, x, y, vectors):
+        """Continued log(z - 2i) on the plane of the unit J of each row
+        (rows of vectors) at z = x + iy and z = x - iy, y > 0, as
+        quaternions u + axis*v: (up (n, 4), dn, ok (n,)), x and y broadcast
+        to (n,); up is NaN where ok is False.
+
+        Only the lens shift of up depends on J.  The lower half plane of
+        slice J is the upper half slice of -J: dn is tested against the cuts
+        of -J, and as no lens lies below the real axis its value does not
+        depend on J.  So the terms of a point are computed once per run of
+        rows with equal (x, y) (once per sphere in the consistency scan),
+        and dn is one quaternion (4,) at one point (scalar x and y), else
+        one row (n, 4) per row."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        v3 = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        n = len(v3)
+        one_point = x.ndim == y.ndim == 0
+        if one_point:
+            points, run = [(float(x), float(y))], np.zeros(n, dtype=np.intp)
+        else:
+            runs = [(point, len(list(rows))) for point, rows in groupby(zip(
+                *(np.broadcast_to(a, (n,)).tolist() for a in (x, y))))]
+            points = [point for point, _ in runs]
+            run = np.repeat(np.arange(len(runs)), [count for _, count in runs])
+        terms = [self._point_terms(px, py) for px, py in points]
+        table = np.array(terms)
+        xr, inside, left, disk, v, x2, u_re, u_im = table[run, :8].T
+        ok = inside > 0.0
+        any_left, any_disk = any(t[2] for t in terms), any(t[3] for t in terms)
+        if any_left or any_disk:
+            ax = self.cfg.axis
+            dot = v3[:, 0] * ax.vx + v3[:, 1] * ax.vy + v3[:, 2] * ax.vz
+            # 1 - 2T with T = t_of(J) and t_of(-J): the arc weights of both sides
+            chords = np.sqrt(np.maximum(2.0 + np.multiply.outer((-2.0, 2.0), dot), 0.0))
+            arcs = 1.0 - 2.0 * np.minimum(chords, 1.0)
+            a_up = arcs[0]
+        if any_left:
+            # the sampled arc lies within c (its sagitta bound) of its ellipse,
+            # which is at least |hypot(a (x + 1), v) - |a|| away: only points
+            # within c of the half line or 2c of the ellipse, the pole among
+            # them, can be on a cut, and only those get the scalar membership
+            c = ARC_CLEARANCE
+            near = (np.abs(v) <= c) \
+                | (np.abs(np.hypot(arcs * (xr + 1.0), v) - np.abs(arcs)) <= 2.0 * c)
+            near &= left > 0.0
+            for sign, near_side in zip((1.0, -1.0), near):
+                for m in (near_side & ok).nonzero()[0].tolist():
+                    ok[m] = self.domain.contains(*points[run[m]],
+                                                 UnitImaginary(*(sign * v3[m])))
+        if any_disk:
+            # the lens between the arc and the chord [-2, 0] + 2i, where
+            # (x + 1)^2 + (v / a)^2 < 1 with v on the side of the arc; |a| <= 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lens = (disk > 0.0) & np.where(v >= 0.0, a_up > 0.0, a_up < 0.0) \
+                    & (x2 + (v / a_up) ** 2 < 1.0)
+            u_im[lens] -= np.copysign(2.0 * math.pi, a_up[lens])
+        up = np.empty((n, 4))
+        up[:, 0], up[:, 1:] = u_re, u_im[:, None] * self._axis_row[1:]
+        up[~ok] = np.nan
+        dn = np.empty((len(table), 4))
+        dn[:, 0], dn[:, 1:] = table[:, 8], table[:, 9, None] * self._axis_row[1:]
+        return up, dn[0] if one_point else dn[run], ok
+
+    def eval_rows(self, x, y, vectors):
+        """Values at x + yJ, y > 0, one point per row (x and y broadcast to
+        the rows of vectors (n, 3)), from the stem coefficients of the pair
+        (axis, -axis) in closed form: axis^-1 = -axis/|axis|^2, so
+        rep_coeffs(up, dn, axis, -axis) is b = (up + dn)/2,
+        c = axis (dn - up)/(2 |axis|^2).  The norm stays in, as
+        UnitImaginary keeps vectors within 1e-12 of unit norm as given."""
         up, dn, ok = self._plane_logs(x, y, vectors)
         axis = self.cfg.axis
-        b = (up + dn) * 0.5
-        c = mul_rows(imaginary_rows(axis.to_list()), dn - up) * (0.5 / axis.dot(axis))
-        return b + mul_rows(imaginary_rows(vectors), c), ok
+        c = mul_rows(self._axis_row, dn - up) * (0.5 / axis.dot(axis))
+        return (up + dn) * 0.5 + mul_rows(imaginary_rows(vectors), c), ok
 
     def eval(self, coord: SliceCoord) -> Quaternion:
         if coord.is_real:

@@ -72,6 +72,8 @@ class SphereSample:
         self.base_count = base.shape[0]
         self.vectors = vecs
         self.units = [UnitImaginary(*v) for v in vecs]
+        # the antipodal index pairs (m, m + base_count), one row each
+        self.antipodes = np.arange(len(vecs)).reshape(2, -1).T
         # largest dot product of distinct units, in blocks of rows whose
         # elementwise sums do not depend on the block size
         top, rows = -1.0, self._MIN_ANGLE_ROWS
@@ -90,7 +92,7 @@ class SphereSample:
 
     def antipodal_pairs(self):
         """Index pairs (m, m') with units[m'] == -units[m], each sphere once."""
-        return [(m, m + self.base_count) for m in range(self.base_count)]
+        return [tuple(p) for p in self.antipodes.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def _two_slice_parts(f, J: UnitImaginary, K: UnitImaginary):
 
 
 @dataclass(frozen=True)
-class DomainFunction:
+class DomainFunction(HoloSliceFunction):
     """A slice function paired with the domain it is extended from; fn must
     evaluate wherever the extension queries it."""
 
@@ -121,8 +121,8 @@ class DomainFunction:
     def eval(self, coord: SliceCoord) -> Quaternion:
         return self.fn.eval(coord)
 
-    def eval_units(self, x: float, y: float, vectors):
-        return self.fn.eval_units(x, y, vectors)
+    def eval_rows(self, x, y, vectors):
+        return self.fn.eval_rows(x, y, vectors)
 
 
 def _real_samples(fn: HoloSliceFunction, count: int = 9):
@@ -726,50 +726,12 @@ class ConsistencyReport:
 
 def _sphere_stems(f, omega: DomainSpec, sample: SphereSample,
                   x: float, y: float, first_only: bool = False):
-    """Stem pairs on the sphere x + yS from antipodal unit pairs, as arrays.
-
-    Mirrors the per-slice functions of the extension construction: each unit
-    J present together with its antipode contributes the stem of the slice
-    through J.  When no antipodal pair gives a stem the first present unit
-    is paired with the next (up to eight) present units as a fallback fan.
-    One membership call and one f.eval_units call cover the sphere.
-    first_only returns just the first stem, and tries the first present
-    antipodal pair on its own before evaluating every unit (enough to
-    evaluate the extension, not to measure its defect).
-
-    Returns (pairs (k, 2) unit indices, b (k, 4), c (k, 4), skipped pairs,
-    present mask); a pair is skipped when f fails at one of its units or
-    its units coincide.
-    """
-    vec = sample.vectors
-    mem = np.asarray(omega.membership(x, y, vec[:, 0], vec[:, 1], vec[:, 2]),
-                     dtype=bool)
-    present = np.broadcast_to(mem, (vec.shape[0],))
-    anti = np.array(sample.antipodal_pairs()).reshape(-1, 2)
-    anti = anti[present[anti[:, 0]] & present[anti[:, 1]]]
-    values = np.full((vec.shape[0], 4), np.nan)
-    ok = np.zeros(vec.shape[0], dtype=bool)
-
-    def stems(pairs):
-        a, b = pairs[:, 0], pairs[:, 1]
-        bq, cq, distinct = rep_coeffs_rows(values[a], values[b], vec[a], vec[b])
-        use = distinct & ok[a] & ok[b]
-        return pairs[use], bq[use], cq[use], pairs[~use]
-
-    if first_only and len(anti):
-        values[anti[0]], ok[anti[0]] = f.eval_units(x, y, vec[anti[0]])
-        pairs, bq, cq, _ = stems(anti[:1])
-        if len(pairs):
-            return pairs, bq, cq, anti[:0], present
-    idx = np.flatnonzero(present)
-    if idx.size:
-        values[idx], ok[idx] = f.eval_units(x, y, vec[idx])
-    pairs, bq, cq, skipped = stems(anti)
-    if not len(pairs) and idx.size > 1:
-        fan = np.column_stack([np.full(len(idx[1:9]), idx[0]), idx[1:9]])
-        pairs, bq, cq, fan_skipped = stems(fan)
-        skipped = np.concatenate([skipped, fan_skipped])
-    return pairs, bq, cq, skipped, present
+    """_block_stems on the one sphere x + yS: (pairs (k, 2) unit indices of
+    the usable stems, b (k, 4), c (k, 4), skipped pairs, present mask)."""
+    from .consistency import _block_stems
+    pairs, b, c, use, tried, present = (a[0] for a in _block_stems(
+        f, omega, sample, np.array([float(x)]), np.array([float(y)]), first_only))
+    return pairs[use], b[use], c[use], pairs[tried & ~use], present
 
 
 def extend_to_completion(f, sample: SphereSample, xy_grid,
@@ -778,6 +740,7 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
     stem coefficients computed from different unit pairs agree sphere by
     sphere.  The maximal disagreement per sphere is the consistency defect;
     it exceeds the threshold exactly where no single-valued extension exists.
+    The spheres are scanned in blocks (slicereg.consistency).
     """
     omega: DomainSpec = f.domain
     if not force:
@@ -787,42 +750,10 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
             raise PreconditionError(
                 f"domain is not simple at this resolution: {verdict.witness}")
 
-    xy = np.asarray(xy_grid, dtype=float)
-    report = ConsistencyReport(threshold=tol)
-
-    def handle(row):
-        x, y = float(row[0]), float(row[1])
-        if y == 0.0:
-            if bool(np.asarray(omega.real_trace(np.asarray(x))).reshape(-1)[0]):
-                return {"sphere": [x, y], "defect": 0.0, "witnesses": None}
-            return None
-        pairs, bq, cq, skipped, present = _sphere_stems(f, omega, sample, x, y)
-        if not present.any():
-            return None
-        if len(pairs) < 2:
-            return {"sphere": [x, y], "defect": 0.0, "witnesses": None,
-                    "note": "fewer than two usable unit pairs"}
-        # defects against the first stem; the first largest positive one
-        # names the witness pair (NaN never counts)
-        d = norm_rows(bq[1:] - bq[0]) + norm_rows(cq[1:] - cq[0])
-        d = np.where(d > 0.0, d, 0.0)
-        k = int(np.argmax(d))
-        defect = float(d[k])
-        witness = None
-        if defect > 0.0:
-            a, b = pairs[k + 1]
-            witness = [sample.units[a].to_list(), sample.units[b].to_list()]
-        entry = {"sphere": [x, y], "defect": defect, "witnesses": witness}
-        if len(skipped):
-            entry["skipped_pairs"] = len(skipped)
-        return entry
-
-    for row in xy:
-        res = handle(row)
-        if res is None:
-            continue
-        report.entries.append(res)
-        report.max_defect = max(report.max_defect, res["defect"])
+    from .consistency import scan_entries
+    report = ConsistencyReport(threshold=tol,
+                               entries=scan_entries(f, omega, sample, xy_grid))
+    report.max_defect = max((e["defect"] for e in report.entries), default=0.0)
     report.n_spheres = len(report.entries)
 
     if report.max_defect > tol and not force:

@@ -120,16 +120,25 @@ class HoloSliceFunction:
         raise NotImplementedError
 
     def eval_units(self, x: float, y: float, vectors):
-        """Values at x + yJ for the units J given as rows of vectors (n, 3),
-        y > 0: (values (n, 4) as quaternion rows, ok (n,)); rows where eval
-        raises a package error have ok False and NaN values.  This default
-        calls eval once per unit."""
+        """Values at x + yJ for the units J given as rows of vectors (n, 3):
+        eval_rows at one point (x, y)."""
+        return self.eval_rows(x, y, vectors)
+
+    def eval_rows(self, x, y, vectors):
+        """Values at the points x + yJ, one per row: x and y broadcast to
+        (n,) and the units J are the rows of vectors (n, 3).  Returns
+        (values (n, 4) as quaternion rows, ok (n,)); rows where eval raises
+        a package error have ok False and NaN values.  This default calls
+        eval once per row."""
         vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
-        values = np.full((len(vectors), 4), np.nan)
-        ok = np.zeros(len(vectors), dtype=bool)
-        for m, v in enumerate(vectors):
+        n = len(vectors)
+        values = np.full((n, 4), np.nan)
+        ok = np.zeros(n, dtype=bool)
+        xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
+        ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
+        for m, (px, py, v) in enumerate(zip(xs, ys, vectors)):
             try:
-                values[m] = self.eval(SliceCoord.make(x, y, UnitImaginary(*v))).to_list()
+                values[m] = self.eval(SliceCoord.make(px, py, UnitImaginary(*v))).to_list()
             except SliceRegError:
                 continue
             ok[m] = True
@@ -162,10 +171,13 @@ class PowerSeries(HoloSliceFunction):
             acc = q * acc + a
         return acc
 
-    def eval_units(self, x: float, y: float, vectors):
-        """Horner's scheme of eval on quaternion rows, one row per unit."""
+    def eval_rows(self, x, y, vectors):
+        """Horner's scheme of eval on quaternion rows q = [x - center, y v],
+        one row per point."""
         v = np.asarray(vectors, dtype=float).reshape(-1, 3)
-        q = np.column_stack([np.full(len(v), x - self.center), y * v])
+        q = np.empty((len(v), 4))
+        q[:, 0] = np.asarray(x, dtype=float) - self.center
+        q[:, 1:] = np.asarray(y, dtype=float).reshape(-1, 1) * v
         ok = norm_rows(q) < self.radius
         acc = np.asarray(self.coeffs[-1].to_list())
         for a in reversed(self.coeffs[:-1]):

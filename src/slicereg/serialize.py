@@ -33,35 +33,57 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot format {type(value)!r}")
 
 
-def dumps_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
+def _render(o) -> str:
+    """Deterministic JSON text of o: sorted keys, 17-significant-digit
+    floats."""
+    if o is None:
+        return "null"
+    if isinstance(o, str):
+        return json.dumps(o)
+    if isinstance(o, (bool, int, float, np.integer, np.floating)):
+        return _fmt(o)
+    if isinstance(o, np.ndarray):
+        return _render(o.tolist())
+    if isinstance(o, Quaternion):
+        return _render(o.to_list())
+    if isinstance(o, UnitImaginary):
+        return _render(o.to_list())
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join(_render(v) for v in o) + "]"
+    if isinstance(o, dict):
+        items = sorted(o.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _render(v)
+                              for k, v in items) + "}"
+    raise TypeError(f"cannot serialize {type(o)!r}")
 
-    def render(o):
-        if o is None:
-            return "null"
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, (bool, int, float, np.integer, np.floating)):
-            return _fmt(o)
-        if isinstance(o, np.ndarray):
-            return render(o.tolist())
-        if isinstance(o, Quaternion):
-            return render(o.to_list())
-        if isinstance(o, UnitImaginary):
-            return render(o.to_list())
-        if isinstance(o, (list, tuple)):
-            return "[" + ",".join(render(v) for v in o) + "]"
-        if isinstance(o, dict):
-            items = sorted(o.items(), key=lambda kv: str(kv[0]))
-            return "{" + ",".join(json.dumps(str(k)) + ":" + render(v)
-                                  for k, v in items) + "}"
-        raise TypeError(f"cannot serialize {type(o)!r}")
 
-    return render(obj) + "\n"
+def _pieces(o, depth: int):
+    """The text of _render(o) in pieces, containers split into their items
+    down to the given depth."""
+    if depth and isinstance(o, dict):
+        yield "{"
+        for n, (k, v) in enumerate(sorted(o.items(), key=lambda kv: str(kv[0]))):
+            yield ("," if n else "") + json.dumps(str(k)) + ":"
+            yield from _pieces(v, depth - 1)
+        yield "}"
+    elif depth and isinstance(o, (list, tuple)):
+        yield "["
+        for n, v in enumerate(o):
+            yield "," if n else ""
+            yield from _pieces(v, depth - 1)
+        yield "]"
+    else:
+        yield _render(o)
 
 
 def dump_json(obj, path) -> None:
-    Path(path).write_text(dumps_json(obj), encoding="ascii")
+    """Write the deterministic JSON text of obj (sorted keys,
+    17-significant-digit floats) and a newline to path, item by item down
+    to the entries of a report's lists, so a large report's text is never
+    held whole."""
+    with open(path, "w", encoding="ascii") as out:
+        out.writelines(_pieces(obj, 2))
+        out.write("\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicereg.cli import main
+from slicereg.cli import _scan_grid, main
 
 
 @pytest.fixture()
@@ -252,6 +252,35 @@ def test_global_extend_ball(ball_json, tmp_path):
     assert code == 0
     report = json.loads((out / "consistency.json").read_text())
     assert report["max_defect"] <= 1e-8
+
+
+def test_global_extend_reports_are_deterministic(ball_json, tmp_path):
+    spec = tmp_path / "counterexample.json"
+    spec.write_text(json.dumps({"type": "counterexample", "axis": [1.0, 0.0, 0.0]}))
+    runs = [["global-extend", str(spec), "--function", "log-family", "--h", "0.25",
+             "--samples", "8", "--force"],
+            ["global-extend", str(ball_json), "--function", "square"]]
+    for k, argv in enumerate(runs):
+        out1, out2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
+        assert main(argv + ["--out", str(out1)]) == main(argv + ["--out", str(out2)])
+        assert (out1 / "consistency.json").read_bytes() == \
+            (out2 / "consistency.json").read_bytes()
+
+
+def test_scan_grid_matches_the_double_comprehension():
+    """The global-extend sphere grid, built with repeat and tile, is the
+    x-major double loop over the same two arange vectors, float for float."""
+    from slicereg import ball_spec, starlike_spec
+    from slicereg.counterexample import CounterexampleConfig, omega_spec
+    specs = [ball_spec(0.0, 1.0, h=0.02), starlike_spec(0.5), ball_spec(0.3, 0.7, h=0.3)]
+    specs += [omega_spec(CounterexampleConfig(h=h)) for h in (0.01, 0.075, 0.25)]
+    for spec in specs:
+        x_min, x_max, y_max = spec.bbox
+        step = max(4 * spec.h, min(x_max - x_min, y_max) / 40.0)
+        want = np.array([[x, y]
+                         for x in np.arange(x_min + step / 2.0, x_max, step)
+                         for y in np.arange(step / 2.0, y_max, step)])
+        assert np.array_equal(_scan_grid(spec), want)
 
 
 def test_global_extend_counterexample_not_simple_without_force(

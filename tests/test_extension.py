@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from slicereg.domains import intersect_specs, resample_polyline
 from slicereg.errors import (ConsistencyError, DegeneratePairError,
                              GeometryError, IncompatiblePairError,
                              PreconditionError, SliceRegError)
-from slicereg.extension import TubeDomain, extend_to_completion
-from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K
+from slicereg import consistency
+from slicereg.extension import TubeDomain, _sphere_stems, extend_to_completion
+from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K, norm_rows
 
 from conftest import random_polynomial, random_unit
 
@@ -529,3 +531,117 @@ def test_consistency_report_matches_scalar_scan(omega):
         want.append(entry)
     assert report.entries == want
     assert any(e["defect"] > 6.0 for e in want) and any(e.get("skipped_pairs") for e in want)
+
+
+def _per_sphere_scan(f, sample, xy):
+    """Oracle: the consistency entries sphere by sphere, one _sphere_stems
+    call per sphere (the scan before it ran on blocks of spheres)."""
+    omega, entries = f.domain, []
+    for row in np.asarray(xy, dtype=float):
+        x, y = float(row[0]), float(row[1])
+        if y == 0.0:
+            if bool(np.asarray(omega.real_trace(np.asarray(x))).reshape(-1)[0]):
+                entries.append({"sphere": [x, y], "defect": 0.0, "witnesses": None})
+            continue
+        pairs, bq, cq, skipped, present = _sphere_stems(f, omega, sample, x, y)
+        if not present.any():
+            continue
+        if len(pairs) < 2:
+            entries.append({"sphere": [x, y], "defect": 0.0, "witnesses": None,
+                            "note": "fewer than two usable unit pairs"})
+            continue
+        d = norm_rows(bq[1:] - bq[0]) + norm_rows(cq[1:] - cq[0])
+        d = np.where(d > 0.0, d, 0.0)
+        k = int(np.argmax(d))
+        entry = {"sphere": [x, y], "defect": float(d[k]), "witnesses": None}
+        if d[k] > 0.0:
+            a, b = pairs[k + 1]
+            entry["witnesses"] = [sample.units[a].to_list(), sample.units[b].to_list()]
+        if len(skipped):
+            entry["skipped_pairs"] = len(skipped)
+        entries.append(entry)
+    return entries
+
+
+@st.composite
+def _scan_grids(draw):
+    """(f, sample, xy): a grid of spheres for one function, in any order and
+    with repeats: family spheres in and out of the box, near the arcs, the
+    half line at height 2, its chord [-2, 0] + 2i and the pole; power series
+    on the ball, on the tube (missing antipodes, so fans) and with a finite
+    radius (skipped pairs, note entries), with spheres that miss the domain;
+    and real rows y == 0."""
+    kind = draw(st.sampled_from(["family", "family", "ball", "tube", "radius"]))
+    near = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                     st.floats(-8.0, -4.0))
+    if kind == "family":
+        f, sample = _FAMILY, _FAMILY_SAMPLE
+
+        @st.composite
+        def sphere(draw):
+            where = draw(st.sampled_from(["box", "arc", "line", "chord", "pole"]))
+            d = draw(near)
+            if where == "box":
+                return draw(st.floats(-6.0, 6.0)), draw(st.floats(1e-6, 6.0))
+            if where == "line":
+                return draw(st.floats(-5.0, -2.0)), 2.0 + d
+            if where == "chord":
+                return draw(st.floats(-2.0, 0.0)), 2.0 + d
+            if where == "pole":
+                return draw(st.sampled_from([(0.0, 2.0), (d, 2.0), (0.0, 2.0 + d)]))
+            arc = arc_coords(draw(st.sampled_from(sample.units)), _CFG)
+            px, py = arc[draw(st.integers(0, len(arc) - 1))]
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            return float(px + d * math.cos(angle)), abs(float(py + d * math.sin(angle)))
+
+        spheres = sphere()
+    else:
+        coeffs = draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+                               min_size=1, max_size=7))
+        radius = draw(st.floats(0.3, 1.0)) if kind == "radius" else math.inf
+        series = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
+        f = DomainFunction(series, _TUBE if kind == "tube" else ball_spec(0.0, 1.0))
+        sample = SphereSample(8)
+        spheres = st.tuples(st.floats(-1.2, 1.2), st.floats(1e-6, 1.2))
+    real = st.tuples(st.floats(-6.0, 6.0), st.just(0.0))
+    xy = draw(st.lists(st.one_of(spheres, spheres, real), min_size=1, max_size=14))
+    return f, sample, np.array(xy, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_grids())
+def test_blocked_scan_matches_per_sphere_oracle(case):
+    """The blocked consistency scan gives the per-sphere scan's report
+    exactly (entries, skipped and max_defect ==), at blocks of one sphere,
+    of three spheres and at the default row bound, so grids cross block
+    boundaries."""
+    f, sample, xy = case
+    want = _per_sphere_scan(f, sample, xy)
+    for rows in (len(sample), 3 * len(sample), consistency.SCAN_BLOCK_ROWS):
+        with mock.patch.object(consistency, "SCAN_BLOCK_ROWS", rows):
+            _, report = extend_to_completion(f, sample, xy, force=True)
+        assert report.entries == want
+        assert report.skipped == []
+        assert report.max_defect == max([e["defect"] for e in want], default=0.0)
+        assert report.n_spheres == len(want)
+
+
+def test_scan_blocks_bound_the_rows_of_each_evaluation(monkeypatch):
+    """A scan over several blocks never hands f.eval_rows more (sphere,
+    unit) rows than SCAN_BLOCK_ROWS."""
+    rows = []
+    eval_rows = BranchedLogFamily.eval_rows
+
+    def spy(self, x, y, vectors):
+        rows.append(len(vectors))
+        return eval_rows(self, x, y, vectors)
+
+    monkeypatch.setattr(BranchedLogFamily, "eval_rows", spy)
+    xs, ys = np.arange(-4.9, 5.0, 0.25), np.arange(0.05, 5.0, 0.25)
+    xy = np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
+    _, report = extend_to_completion(_FAMILY, _FAMILY_SAMPLE, xy, force=True)
+    per_block = consistency.SCAN_BLOCK_ROWS // len(_FAMILY_SAMPLE)
+    assert len(xy) > 2 * per_block and len(rows) >= 3
+    assert max(rows) <= consistency.SCAN_BLOCK_ROWS
+    assert sum(rows) == len(xy) * len(_FAMILY_SAMPLE)
+    assert report.n_spheres == len(xy)

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
                       StemRestriction, UnitImaginary, ball_spec, dbar_residual,
                       regular_ext)
-from slicereg.counterexample import CounterexampleConfig, plane_log
+from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
+                                     arc_coords, plane_log)
 from slicereg.domains import resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
                              StencilError)
@@ -334,3 +335,66 @@ def test_stem_restriction_roundtrip(ball):
     bq, cq = stem.parts(0.3, 0.4)
     expect = bq + UNIT_J.as_quaternion() * cq
     assert restr.eval(c).isclose(expect, atol=0.0)
+
+
+_ROWS_CFG = CounterexampleConfig()
+_ROWS_FUNCTIONS = {
+    "series": PowerSeries((Q(0.2, 0.1, 0, 0), Q(0, 1, 0.3, 0), Q(0.5, 0, 0, -0.4)),
+                          radius=2.5),
+    "family": BranchedLogFamily(_ROWS_CFG),
+    "continued": plane_log(UNIT_I, _ROWS_CFG),
+}
+
+
+@st.composite
+def _row_points(draw):
+    """(x, y) of mixed kinds: anywhere, outside the box, at the pole, within
+    1e-6 of an arc, of the half line or of its chord, inside the lens."""
+    where = draw(st.sampled_from(["any", "outside", "pole", "arc", "line", "lens"]))
+    d = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-9.0, -6.0))
+    if where == "any":
+        return draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-6, 5.0))
+    if where == "outside":
+        return draw(st.sampled_from([(-6.0, 1.0), (5.5, 2.0), (1.0, 5.5)]))
+    if where == "pole":
+        return draw(st.sampled_from([(0.0, 2.0), (d, 2.0)]))
+    if where == "line":
+        return draw(st.floats(-5.0, 0.0)), 2.0 + d
+    if where == "lens":
+        return draw(st.floats(-1.9, -0.1)), draw(st.floats(1.1, 2.9))
+    J = UnitImaginary(*draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                            .filter(lambda v: np.linalg.norm(v) > 0.1)))
+    arc = arc_coords(J, _ROWS_CFG)
+    px, py = arc[draw(st.integers(0, len(arc) - 1))]
+    return float(px + d), abs(float(py + d))
+
+
+@st.composite
+def _row_cases(draw):
+    """(f, x (n,), y (n,), vectors (n, 3)): runs of rows at one point with
+    different units, among them the reference axis and its antipode."""
+    f = _ROWS_FUNCTIONS[draw(st.sampled_from(sorted(_ROWS_FUNCTIONS)))]
+    unit = st.one_of(st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]),
+                     st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                     .filter(lambda v: np.linalg.norm(v) > 0.1))
+    xs, ys, vecs = [], [], []
+    for x, y in draw(st.lists(_row_points(), min_size=1, max_size=6)):
+        for v in draw(st.lists(unit, min_size=1, max_size=3)):
+            xs.append(x)
+            ys.append(y)
+            vecs.append(UnitImaginary(*v).to_list())
+    return f, np.array(xs), np.array(ys), np.array(vecs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_cases())
+def test_eval_rows_matches_eval_units_per_point(case):
+    """eval_rows on rows of mixed (x, y) equals eval_units one point at a
+    time, NaN positions and ok included: PowerSeries (Horner on rows),
+    BranchedLogFamily (per-point terms once per run of rows) and a
+    ContinuedLog (the base class loop over eval)."""
+    f, x, y, vectors = case
+    values, ok = f.eval_rows(x, y, vectors)
+    want = [f.eval_units(float(px), float(py), v[None]) for px, py, v in zip(x, y, vectors)]
+    assert np.array_equal(values, np.concatenate([w[0] for w in want]), equal_nan=True)
+    assert np.array_equal(ok, np.concatenate([w[1] for w in want]))
