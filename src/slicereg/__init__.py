@@ -7,12 +7,11 @@ from .quaternions import (Quaternion, SliceCoord, UnitImaginary,
                           coefficient_identities, inverse, mul,
                           slice_decompose)
 from .holomorphic import (ContinuedLog, HoloSliceFunction, PowerSeries,
-                          StemRestriction, dbar_residual)
+                          dbar_residual)
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, Verdict,
-                      ball_spec, connected_components, halfspace_spec,
-                      is_simple, is_slice_convex, is_slice_domain,
-                      is_symmetric, omega_jk_plus, rasterize, starlike_spec,
-                      symmetric_completion)
+                      ball_spec, halfspace_spec, is_simple, is_slice_convex,
+                      is_slice_domain, is_symmetric, omega_jk_plus, rasterize,
+                      starlike_spec, symmetric_completion)
 from .extension import (ConsistencyReport, DomainFunction, LocalExtension,
                         StemPair, TubeDomain, build_tube, check_compatible,
                         extend_to_completion, extension_formula,

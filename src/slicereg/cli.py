@@ -18,17 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domains import (SphereSample, is_simple, is_slice_convex,
-                      is_slice_domain, is_symmetric, rasterize,
-                      symmetric_completion)
+from .domains import (SphereSample, _arange_len, _check_cells, is_simple,
+                      is_slice_convex, is_slice_domain, is_symmetric,
+                      rasterize, symmetric_completion)
 from .errors import ConsistencyError, PreconditionError, SliceRegError
 from .extension import (DomainFunction, build_tube, check_compatible,
                         extend_to_completion, extension_formula,
                         local_extend, regular_ext, rep_coeffs, rep_eval)
 from .holomorphic import PowerSeries
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
-from .serialize import (dump_json, grid_to_pgm, load_domain_spec,
-                        load_holo_function, write_csv)
+from .serialize import (_check_numbers, dump_json, grid_to_pgm,
+                        load_domain_spec, load_holo_function, write_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,8 +83,34 @@ def _load_function(args, spec, spec_data):
     return DomainFunction(load_holo_function(name), spec)
 
 
-def _parse_unit(text) -> UnitImaginary:
-    return UnitImaginary.from_vector(json.loads(text))
+def _vector(value, size: int, what: str) -> list:
+    """value as a list of size finite numbers; PreconditionError otherwise."""
+    _check_numbers(value, what)
+    if not isinstance(value, list) or len(value) != size:
+        raise PreconditionError(f"{what} must be a list of {size} numbers, got {value!r}")
+    return value
+
+
+def _unit(value, what: str) -> UnitImaginary:
+    try:
+        return UnitImaginary.from_vector(_vector(value, 3, what))
+    except ValueError as exc:  # a vector too short to normalize
+        raise PreconditionError(f"{what}: {exc}") from None
+
+
+def _extend_grid(grid) -> tuple:
+    """(xs, ys, unit) of the extend pair file's grid entry: x and y are
+    spans [start, stop, step] with step > 0, whose cells are checked
+    against MAX_GRID_CELLS before np.arange allocates them."""
+    if not isinstance(grid, dict):
+        raise PreconditionError("grid must be an object")
+    spans = [_vector(grid.get(key, default), 3, f"grid.{key}")
+             for key, default in (("x", [-1.0, 1.0, 0.1]), ("y", [0.0, 1.0, 0.1]))]
+    if not all(step > 0 for _, _, step in spans):
+        raise PreconditionError("grid steps must be positive")
+    _check_cells(_arange_len(*spans[1]), _arange_len(*spans[0]), "the extend grid")
+    xs, ys = (np.arange(*span) for span in spans)
+    return xs, ys, _unit(grid.get("unit", [0.0, 0.0, 1.0]), "grid.unit")
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +218,7 @@ def cmd_extend(args) -> int:
     s = load_holo_function(data["s"])
     if r.slice_unit is None or s.slice_unit is None:
         raise PreconditionError("function pair must carry slice_unit entries")
-    g = data.get("grid", {})
-    xs = np.arange(*g.get("x", (-1.0, 1.0, 0.1)))
-    ys = np.arange(*g.get("y", (0.0, 1.0, 0.1)))
-    unit = UnitImaginary.from_vector(g.get("unit", [0.0, 0.0, 1.0]))
+    xs, ys, unit = _extend_grid(data.get("grid", {}))
     check_compatible(r, s)
     rows = []
     for x in xs:
@@ -215,7 +238,7 @@ def cmd_extend(args) -> int:
 def cmd_ext_slice(args) -> int:
     spec, data, _ = _load_spec(args)
     out = _out_dir(args)
-    unit = _parse_unit(args.unit) if args.unit else UNIT_I
+    unit = args.unit or UNIT_I
     fn = load_holo_function(args.function, default_unit=unit)
     if fn.slice_unit is None:
         fn = fn.on_slice(unit)
@@ -235,7 +258,7 @@ def cmd_local_extend(args) -> int:
     spec, data, _ = _load_spec(args)
     out = _out_dir(args)
     f = _load_function(args, spec, data)
-    q = Quaternion.from_list(json.loads(args.point))
+    q = args.point
     from .quaternions import slice_decompose
     p0 = slice_decompose(q)
     result = local_extend(f, p0, seed=args.seed)
@@ -298,7 +321,7 @@ def cmd_counterexample(args) -> int:
                                  intersection_grid, jump_heatmap,
                                  omega_spec, pair_set_grid)
     out = _out_dir(args)
-    axis = _parse_unit(args.axis) if args.axis else UNIT_I
+    axis = args.axis or UNIT_I
     cfg = CounterexampleConfig(axis=axis, h=args.h if args.h else 0.01)
     sample = SphereSample(args.samples, extra=[axis])
     report = demonstrate(cfg, sample=sample, seed=args.seed)
@@ -339,6 +362,17 @@ def _grid_step(text) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"grid step must be finite and > 0, got {text}")
     return value
+
+
+def _json_arg(parse):
+    """argparse type: the JSON text, converted by parse(value, what), which
+    raises PreconditionError on a bad value."""
+    def convert(text):
+        try:
+            return parse(json.loads(text), "value")
+        except (json.JSONDecodeError, PreconditionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _sample_size(text) -> int:
@@ -391,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ext-slice", help="regular extension from one slice")
     common(p)
     p.add_argument("--function", required=True, help="holomorphic function JSON")
-    p.add_argument("--unit", default=None, help="slice unit as JSON list")
+    p.add_argument("--unit", type=_json_arg(_unit),
+                   default=None, help="slice unit as JSON list")
     p.set_defaults(fn=cmd_ext_slice)
 
     p = sub.add_parser("local-extend",
@@ -400,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True,
                    help="builtin name, JSON file, or log-family")
     p.add_argument("--point", required=True,
+                   type=_json_arg(lambda v, what: Quaternion.from_list(_vector(v, 4, what))),
                    help="quaternion as JSON list [w,x,y,z]")
     p.set_defaults(fn=cmd_local_extend)
 
@@ -415,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="evidence bundle for the non-simple domain")
     common(p, spec=False)
-    p.add_argument("--axis", default=None, help="reference unit as JSON list")
+    p.add_argument("--axis", type=_json_arg(_unit),
+                   default=None, help="reference unit as JSON list")
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("tube", help="build and validate a tube domain")

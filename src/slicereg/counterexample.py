@@ -239,7 +239,7 @@ class BranchedLogFamily(HoloSliceFunction):
         if coord.is_real:
             w = cmath.log(complex(coord.x, -2.0))
             return Quaternion(w.real) + self.cfg.axis.as_quaternion() * w.imag
-        values, ok = self.eval_units(coord.x, coord.y, [coord.unit.to_list()])
+        values, ok = self.eval_rows(coord.x, coord.y, [coord.unit.to_list()])
         if not ok[0]:
             raise OutOfDomainError(f"point ({coord.x:g}, {coord.y:g}) lies outside "
                                    "the cut plane box or on a cut of its slice")
@@ -373,6 +373,8 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
         "disk_general_unit_max": float(np.max(general)),
     }
 
+    # free the labelled grids: is_simple holds a raster per unit
+    del tgrid, pgrid
     verdict_simple = is_simple(spec, sample)
     report["simple"] = verdict_simple.summary()
     report["simple_witness"] = verdict_simple.witness

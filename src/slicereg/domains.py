@@ -471,12 +471,6 @@ def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
     return PlanarRegionGrid(xs=xs, ys=ys, occupied=occ)
 
 
-def connected_components(grid: PlanarRegionGrid):
-    """Flood-fill labeling; returns (count, labels)."""
-    n, labels = grid.label()
-    return n, labels
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -631,51 +625,32 @@ def omega_jk_plus(spec: DomainSpec, J: UnitImaginary, K: UnitImaginary,
 
 def is_simple(spec: DomainSpec, sample: SphereSample,
               h: float | None = None) -> Verdict:
-    """Connectivity of every sampled pair set; antipodal pairs are scanned
-    first so witnesses of the counterexample kind surface as (J, -J).
+    """Connectivity of every sampled pair set: the AND of the upper half
+    slice rasters of its two units (a unit paired with itself is its own
+    raster), each unit rasterized once, on first use.  Antipodal pairs are
+    scanned first so witnesses of the counterexample kind surface as
+    (J, -J), then each unit with itself, then the other pairs.
     A yes is only "simple at resolution (N, h)"."""
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
     units = sample.units
+    pairs = sample.antipodal_pairs() + [(m, m) for m in range(len(units))]
+    pairs += [(a, b) for a in range(len(units)) for b in range(a + 1, len(units))
+              if b - a != sample.base_count]  # antipodal pairs are scanned
+    rasters: dict[int, PlanarRegionGrid] = {}
     counts: dict[str, int] = {}
-    grid_cache: dict[int, PlanarRegionGrid] = {}
-
-    def components_for(mi, mk, cache: bool) -> int:
-        J, K = units[mi], units[mk]
-        if cache:
-            for m in (mi, mk):
-                if m not in grid_cache:
-                    grid_cache[m] = rasterize(spec, units[m], h=h)
-            grid = _and_grids(grid_cache[mi], grid_cache[mk])
-        else:
-            grid = omega_jk_plus(spec, J, K, h=h)
-        if not grid.occupied.any():
-            return 0
-        return _counted_components(grid, counts)
-
-    def scan(pairs, cache):
-        for mi, mk in pairs:
-            n = components_for(mi, mk, cache)
-            if n > 1:
-                return Verdict("no", {
-                    "pair": [units[mi].to_list(), units[mk].to_list()],
-                    "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
-                    "components": n,
-                }, res)
-        return None
-
-    hit = scan(sample.antipodal_pairs(), cache=False)
-    if hit:
-        return hit
-    hit = scan([(m, m) for m in range(len(units))], cache=False)
-    if hit:
-        return hit
-    anti = set(sample.antipodal_pairs())
-    rest = [(a, b) for a in range(len(units)) for b in range(a + 1, len(units))
-            if (a, b) not in anti]
-    hit = scan(rest, cache=True)
-    if hit:
-        return hit
+    for mi, mk in pairs:
+        for m in (mi, mk):
+            if m not in rasters:
+                rasters[m] = rasterize(spec, units[m], h=h)
+        grid = rasters[mi] if mi == mk else _and_grids(rasters[mi], rasters[mk])
+        n = _counted_components(grid, counts) if grid.occupied.any() else 0
+        if n > 1:
+            return Verdict("no", {
+                "pair": [units[mi].to_list(), units[mk].to_list()],
+                "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
+                "components": n,
+            }, res)
     return Verdict("yes", None, res)
 
 

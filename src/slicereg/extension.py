@@ -15,7 +15,7 @@ import numpy as np
 from .domains import (DomainSpec, SphereSample, _grid_path,
                       _points_to_polyline_dist, ball_spec,
                       completion_of_slice, intersect_specs, is_slice_domain,
-                      rasterize, resample_polyline, symmetric_completion)
+                      rasterize, resample_polyline)
 from .errors import (ConsistencyError, DegeneratePairError, GeometryError,
                      IncompatiblePairError, OutOfDomainError, PathError,
                      PreconditionError, SliceRegError)
@@ -79,7 +79,6 @@ class StemPair:
     axis by convention."""
 
     parts: callable
-    domain: DomainSpec | None = None
 
     def eval(self, coord: SliceCoord) -> Quaternion:
         if coord.is_real:
@@ -186,17 +185,16 @@ def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
     return rep_eval(b, c, target.unit)
 
 
-def regular_ext(fI: HoloSliceFunction, domain: DomainSpec,
-                validate: bool = True) -> StemPair:
+def regular_ext(fI: HoloSliceFunction, domain: DomainSpec) -> StemPair:
     """Regular extension of a holomorphic function on one slice of a
-    symmetric slice domain; the result restricts back to the input."""
+    symmetric slice domain; the result restricts back to the input.  The
+    domain's symmetry and fI's holomorphy are checked first."""
     unit = fI.slice_unit
     if unit is None:
         raise PreconditionError("regular extension needs a slice-attached input")
-    if validate:
-        _validate_symmetric(domain, unit)
-        _validate_holomorphic(fI, domain, unit)
-    return StemPair(parts=_two_slice_parts(fI, unit, -unit), domain=domain)
+    _validate_symmetric(domain, unit)
+    _validate_holomorphic(fI, domain, unit)
+    return StemPair(parts=_two_slice_parts(fI, unit, -unit))
 
 
 def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary):
@@ -402,8 +400,7 @@ def _cut_clearance(samples: np.ndarray, J0: UnitImaginary, Y: DomainSpec) -> np.
 
 
 def build_tube(C, Y: DomainSpec, shrink: float,
-               carrier: UnitImaginary | None = None,
-               validate: bool = True) -> TubeDomain:
+               carrier: UnitImaginary | None = None) -> TubeDomain:
     """Tube around the compact path C inside Y.
 
     The radius scale is epsilon = shrink * min over C of the boundary
@@ -416,7 +413,7 @@ def build_tube(C, Y: DomainSpec, shrink: float,
     C is a polyline in the carrier's slice plane with heights >= 0 whose
     zero-height vertices form one contiguous run (a closed real interval,
     possibly a single point); its non-real part must lie in the open upper
-    half slice of Y.
+    half slice of Y.  The tube is validated against Y (_validate_tube).
     """
     if not 0.0 < shrink < 1.0:
         raise PreconditionError("shrink must lie in (0, 1)")
@@ -465,8 +462,7 @@ def build_tube(C, Y: DomainSpec, shrink: float,
 
     tube = TubeDomain(unit=carrier, polyline=pts, epsilon=epsilon,
                       y_ref=y_ref, h=min(Y.h, max(epsilon / 6.0, 1e-4)))
-    if validate:
-        _validate_tube(tube, Y)
+    _validate_tube(tube, Y)
     return tube
 
 
@@ -564,18 +560,19 @@ def _shortcut(spec: DomainSpec, J: UnitImaginary, pts: np.ndarray,
 
 
 def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
-                 validate: bool = True, seed: int = 0) -> LocalExtension:
+                 seed: int = 0) -> LocalExtension:
     """Constructive local extension around p0 in a slice domain.
 
     Finds a grid path from p0 down to the real axis in its slice, thickens
     it to a tube M, picks a nearby unit K0 within the tube's angular reach,
     completes the K0-slice of M to a symmetric slice domain N, and extends
     f to N by the two-slice formula.  The returned tube sits inside both N
-    and the original domain, and the extension agrees with f there.
+    and the original domain, and the extension agrees with f there: the
+    checks sample the real trace and the tube (_validate_local).
     """
     omega: DomainSpec = f.domain
     if p0.is_real:
-        return _local_extend_real(f, p0, shrink, validate)
+        return _local_extend_real(f, p0, shrink)
 
     j0 = p0.unit
     grid = rasterize(omega, j0)
@@ -607,24 +604,21 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
     pts.append((float(grid.xs[cells[-1][1]]), 0.0))
     gamma = _shortcut(omega, j0, np.asarray(pts), h)
 
-    m_tube = build_tube(gamma, omega, shrink, carrier=j0, validate=validate)
+    m_tube = build_tube(gamma, omega, shrink, carrier=j0)
     y_ref = m_tube.y_ref
     chi = m_tube.epsilon / y_ref
     k0 = rotate_toward(j0, chi / 2.0)
     n_spec = completion_of_slice(m_tube.as_domain_spec(), k0)
-    stem = StemPair(parts=_two_slice_parts(f, j0, k0), domain=n_spec)
+    stem = StemPair(parts=_two_slice_parts(f, j0, k0))
 
-    lam = build_tube(gamma, intersect_specs(n_spec, omega), shrink,
-                     carrier=j0, validate=validate)
-    checks = {}
-    if validate:
-        checks = _validate_local(f, stem, n_spec, lam, j0, k0, chi, seed)
+    lam = build_tube(gamma, intersect_specs(n_spec, omega), shrink, carrier=j0)
+    checks = _validate_local(f, stem, n_spec, lam, j0, k0, chi, seed)
     return LocalExtension(N=n_spec, tube=lam, stem=stem, j0=j0, k0=k0,
                           path=gamma, epsilon_m=m_tube.epsilon,
                           epsilon_tube=lam.epsilon, checks=checks)
 
 
-def _local_extend_real(f, p0: SliceCoord, shrink: float, validate: bool):
+def _local_extend_real(f, p0: SliceCoord, shrink: float):
     omega: DomainSpec = f.domain
     sample = np.array([[p0.x, 0.0]])
     radius = float(_clearance_radii(sample, UNIT_I, omega, 2.0)[0])
@@ -634,12 +628,10 @@ def _local_extend_real(f, p0: SliceCoord, shrink: float, validate: bool):
         raise GeometryError("no interior ball around the real point")
     ball = ball_spec(p0.x, radius, h=omega.h)
     unit = UNIT_I
-    stem = StemPair(parts=_two_slice_parts(f, unit, -unit), domain=ball)
+    stem = StemPair(parts=_two_slice_parts(f, unit, -unit))
     tube = TubeDomain(unit=unit, polyline=np.array([[p0.x, 0.0]]),
                       epsilon=radius, y_ref=0.0, h=omega.h)
-    checks = {}
-    if validate:
-        checks = _validate_local(f, stem, ball, tube, unit, -unit, 1.0, 0)
+    checks = _validate_local(f, stem, ball, tube, unit, -unit, 1.0, 0)
     return LocalExtension(N=ball, tube=tube, stem=stem, j0=unit, k0=-unit,
                           path=np.array([[p0.x, 0.0]]), epsilon_m=radius,
                           epsilon_tube=radius, checks=checks)
@@ -761,8 +753,6 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
             f"consistency defect {report.max_defect:.6g} exceeds {tol:g}: "
             "no single-valued extension on this domain", report)
 
-    completion = symmetric_completion(omega, sample)
-
     def parts(x: float, y: float):
         if y == 0.0:
             return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
@@ -773,5 +763,4 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
                                    f"({x:g}, {y:g})")
         return Quaternion.from_list(bq[0]), Quaternion.from_list(cq[0])
 
-    stem = StemPair(parts=parts, domain=completion)
-    return stem, report
+    return StemPair(parts=parts), report

@@ -1,8 +1,8 @@
 """Quaternion-valued holomorphic functions on a planar slice.
 
-Three families are provided: power series with real center (slice regular on
-their ball, powers act on the left of the coefficients), path-continued
-logarithms on a cut plane, and restrictions of stem pairs to one slice.
+Two families are provided: power series with real center (slice regular on
+their ball, powers act on the left of the coefficients) and path-continued
+logarithms on a cut plane.
 The continued logarithm carries its own raster table of path integrals so
 that repeated evaluations share one breadth-first continuation tree.
 """
@@ -118,11 +118,6 @@ class HoloSliceFunction:
 
     def eval(self, coord: SliceCoord) -> Quaternion:  # pragma: no cover
         raise NotImplementedError
-
-    def eval_units(self, x: float, y: float, vectors):
-        """Values at x + yJ for the units J given as rows of vectors (n, 3):
-        eval_rows at one point (x, y)."""
-        return self.eval_rows(x, y, vectors)
 
     def eval_rows(self, x, y, vectors):
         """Values at the points x + yJ, one per row: x and y broadcast to
@@ -402,20 +397,9 @@ class ContinuedLog(HoloSliceFunction):
         return abs(polyline_integral(loop, self._table.pole))
 
 
-@dataclass(frozen=True)
-class StemRestriction(HoloSliceFunction):
-    """Restriction of a stem pair to one slice: f(x + yJ) = b(x,y) + J c(x,y)."""
-
-    stem: object
-    slice_unit: UnitImaginary = None
-
-    def eval(self, coord: SliceCoord) -> Quaternion:
-        unit = coord.unit if coord.unit is not None else self.slice_unit
-        return self.stem.eval(SliceCoord.make(coord.x, coord.y, unit))
-
-
 def dbar_residual(f: HoloSliceFunction, coord: SliceCoord, h: float) -> float:
-    """|0.5 (d/dx + J d/dy) f| by central differences of step h.
+    """|0.5 (d/dx + J d/dy) f| by central differences of step h; f is
+    anything with eval(coord), a StemPair among them.
 
     For holomorphic f the value decays like h^2 times the local third
     derivative scale; an O(1) value flags non-holomorphy.

@@ -8,11 +8,10 @@ import pytest
 
 from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, coefficient_identities,
-                      connected_components, dbar_residual, extension_formula,
+                      dbar_residual, extension_formula,
                       is_simple, is_slice_domain, local_extend, omega_jk_plus,
                       regular_ext, rep_coeffs, rep_eval, starlike_spec)
 from slicereg.extension import StemPair, extend_to_completion
-from slicereg.holomorphic import StemRestriction
 from slicereg.counterexample import intersection_grid, log_pair, pair_set_grid
 from slicereg.quaternions import ONE, UNIT_I, UNIT_J
 
@@ -103,14 +102,13 @@ def _dbar_scan(stem: StemPair, units, points, label):
     worst_rel = 0.0
     ratios = []
     for W in units:
-        restriction = StemRestriction(stem=stem, slice_unit=W)
         for x, y in points:
             coord = SliceCoord.make(float(x), float(y), W)
             try:
-                r_acc = dbar_residual(restriction, coord, 1e-4)
-                r1 = dbar_residual(restriction, coord, 1e-3)
-                r2 = dbar_residual(restriction, coord, 5e-4)
-                scale = 1.0 + restriction.eval(coord).norm()
+                r_acc = dbar_residual(stem, coord, 1e-4)
+                r1 = dbar_residual(stem, coord, 1e-3)
+                r2 = dbar_residual(stem, coord, 5e-4)
+                scale = 1.0 + stem.eval(coord).norm()
             except Exception:
                 continue
             worst_rel = max(worst_rel, r_acc / scale)
@@ -167,10 +165,10 @@ def test_criterion_5_counterexample_discrete_facts(omega, cfg, ball, sample64):
     t0 = time.time()
     for h in (0.01, 0.005):
         tg = intersection_grid(cfg, h=h)
-        n_tu, _ = connected_components(tg)
+        n_tu, _ = tg.label()
         assert n_tu == 3, f"h={h}: intersection components {n_tu}"
         pg = pair_set_grid(cfg, h=h)
-        n_pair, _ = connected_components(pg)
+        n_pair, _ = pg.label()
         assert n_pair == 2, f"h={h}: pair set components {n_pair}"
         verdict = is_simple(omega, sample64, h=h)
         assert verdict.value == "no"
@@ -184,7 +182,7 @@ def test_criterion_6_jump_reproduction(cfg, logs):
     direct, conj = logs
     rng = np.random.default_rng(1006)
     grid = intersection_grid(cfg)
-    n, labels = connected_components(grid)
+    n, labels = grid.label()
     lbl_disk = grid.component_at(-1.0, 2.0)
     lbl_low = grid.component_at(-1.0, -2.0)
     lbl_out = grid.component_at(3.0, 0.0)

@@ -192,6 +192,58 @@ def test_non_numeric_values_exit_one(value, ball_json, tmp_path, capsys):
     assert "function.center must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"x": [-1, 1, 0]}, "grid steps must be positive"),
+    ({"y": [0, 1, -0.1]}, "grid steps must be positive"),
+    ({"x": [-1, 1, "0.1"]}, "grid.x[2] must be a number"),
+    ({"x": [-1e12, 1e12, 1e-3]}, "cells, more than the budget"),
+    ({"x": [-1, 1]}, "grid.x must be a list of 3 numbers"),
+    ({"unit": [0, 0, 0]}, "grid.unit: cannot normalize"),
+    ([0, 1], "grid must be an object"),
+])
+def test_hostile_extend_grid_exits_one(grid, message, tmp_path, capsys):
+    """A bad grid in the extend pair file exits 1 with a message, before
+    np.arange allocates anything."""
+    series = {"variant": "power-series", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]]}
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"r": {**series, "slice_unit": [1, 0, 0]},
+                                "s": {**series, "slice_unit": [0, 1, 0]},
+                                "grid": grid}))
+    tracemalloc.start()
+    try:
+        code = main(["extend", str(pair), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--point", '"x"', "value must be a number"),
+    ("--point", "[0, 0.3]", "value must be a list of 4 numbers"),
+    ("--point", "[0, 0.3, NaN, 0]", "value[2] must be a finite number"),
+    ("--point", "[0, 0.3", "Expecting"),
+    ("--unit", "[0, 0, 0]", "cannot normalize"),
+    ("--unit", "[1, 0]", "value must be a list of 3 numbers"),
+    ("--axis", "[0, 0, 0]", "cannot normalize"),
+    ("--axis", "[true, 0, 0]", "value[0] must be a number"),
+])
+def test_hostile_point_unit_and_axis_exit_one(flag, value, message, ball_json, tmp_path,
+                                              capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"variant": "power-series", "coeffs": [[1, 0, 0, 0]]}))
+    argv = {"--point": ["local-extend", str(ball_json), "--function", "square"],
+            "--unit": ["ext-slice", str(ball_json), "--function", str(fn)],
+            "--axis": ["counterexample"]}[flag]
+    assert main(argv + [flag, value, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_completion_command(ball_json, tmp_path):
     out = tmp_path / "out"
     assert main(["completion", str(ball_json), "--samples", "8",

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
-                      connected_components, halfspace_spec, is_simple,
+                      halfspace_spec, is_simple,
                       is_slice_convex, is_slice_domain, is_symmetric,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
 from slicereg import counterexample, domains
 from slicereg.domains import (MAX_GRID_CELLS, DomainSpec, PlanarRegionGrid,
-                              _arange_len, _block_cut_cells, _core,
+                              Verdict, _and_grids, _arange_len,
+                              _block_cut_cells, _core, _counted_components,
                               _core_hull, _first_cell_in_hull, _grid_bfs,
                               _grid_path, _half_step_rows, _nearest_index,
                               fibonacci_points, intersect_specs,
@@ -72,20 +73,20 @@ def test_sphere_sample_extra_units():
 
 def test_rasterize_half_disk_one_component(ball):
     grid = rasterize(ball, UNIT_I)
-    n, _ = connected_components(grid)
+    n, _ = grid.label()
     assert n == 1
 
 
 def test_rasterize_two_disks_two_components():
     spec = union_spec([ball_spec(-1.5, 0.4), ball_spec(1.5, 0.4)])
     grid = rasterize(spec, UNIT_I)
-    n, _ = connected_components(grid)
+    n, _ = grid.label()
     assert n == 2
 
 
 def test_empty_grid_zero_components():
     spec = ball_spec(10.0, 0.1, bbox=(-1.0, 1.0, 1.0))
-    n, _ = connected_components(rasterize(spec, UNIT_I))
+    n, _ = rasterize(spec, UNIT_I).label()
     assert n == 0
 
 
@@ -100,7 +101,7 @@ def test_annulus_slit_once_still_one_component():
     slit = [np.array([[0.0, 0.5], [0.0, 1.0]])]
     spec = DomainSpec(membership, real_trace, (-1.2, 1.2, 1.2), 0.01,
                       cuts=lambda J: slit if J.vx > 0 else [])
-    n, _ = connected_components(rasterize(spec, UNIT_I, full_slice=True))
+    n, _ = rasterize(spec, UNIT_I, full_slice=True).label()
     assert n == 1
 
 
@@ -108,13 +109,13 @@ def test_counterexample_slice_one_component_two_resolutions(omega, cfg):
     # flood-fill oracle at the finer step must agree
     for h in (0.01, 0.005):
         grid = rasterize(omega, cfg.axis, full_slice=True, h=h)
-        n, _ = connected_components(grid)
+        n, _ = grid.label()
         assert n == 1
 
 
 def test_intersection_three_components(cfg):
     grid = intersection_grid(cfg)
-    n, _ = connected_components(grid)
+    n, _ = grid.label()
     assert n == 3
 
 
@@ -200,14 +201,14 @@ def test_omega_jk_ball_any_pair(ball, sample16):
     rng = np.random.default_rng(11)
     J, K = random_unit(rng), random_unit(rng)
     grid = omega_jk_plus(ball, J, K)
-    n, _ = connected_components(grid)
+    n, _ = grid.label()
     assert n == 1
 
 
 def test_omega_jk_counterexample_antipodal_pair(omega, cfg):
     for h in (0.01, 0.005):
         grid = omega_jk_plus(omega, cfg.axis, -cfg.axis, h=h)
-        n, _ = connected_components(grid)
+        n, _ = grid.label()
         assert n == 2
         # one component is the open disk, the other the rest of the half plane
         assert grid.component_at(-1.0, 2.0) != grid.component_at(3.0, 1.0)
@@ -730,6 +731,74 @@ def test_verdicts_do_not_depend_on_the_digest_cache(name, monkeypatch):
     monkeypatch.setattr(PlanarRegionGrid, "occupancy_digest", lambda grid: str(next(fresh)))
     assert [verdict(spec, _SAMPLE16_I, h=h)
             for verdict in (is_slice_domain, is_simple)] == cached
+
+
+def _three_scan_is_simple(spec, sample, h=None):
+    """Oracle: is_simple as three scans, the antipodal pairs and the pairs
+    (m, m) through one omega_jk_plus call each (two fresh rasters), and
+    the other pairs through a cache of per-unit rasters."""
+    h = float(h if h is not None else spec.h)
+    res = {"N": sample.n_requested, "h": h}
+    units = sample.units
+    counts = {}
+    grid_cache = {}
+
+    def components_for(mi, mk, cache):
+        if cache:
+            for m in (mi, mk):
+                if m not in grid_cache:
+                    grid_cache[m] = rasterize(spec, units[m], h=h)
+            grid = _and_grids(grid_cache[mi], grid_cache[mk])
+        else:
+            grid = omega_jk_plus(spec, units[mi], units[mk], h=h)
+        if not grid.occupied.any():
+            return 0
+        return _counted_components(grid, counts)
+
+    def scan(pairs, cache):
+        for mi, mk in pairs:
+            n = components_for(mi, mk, cache)
+            if n > 1:
+                return Verdict("no", {
+                    "pair": [units[mi].to_list(), units[mk].to_list()],
+                    "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
+                    "components": n,
+                }, res)
+        return None
+
+    anti = set(sample.antipodal_pairs())
+    rest = [(a, b) for a in range(len(units)) for b in range(a + 1, len(units))
+            if (a, b) not in anti]
+    return (scan(sample.antipodal_pairs(), cache=False)
+            or scan([(m, m) for m in range(len(units))], cache=False)
+            or scan(rest, cache=True) or Verdict("yes", None, res))
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_is_simple_matches_the_three_scan_oracle(name):
+    spec, h = _PLANE_CORPUS[name]
+    for step in (h, h / 2.0):
+        assert is_simple(spec, _SAMPLE16_I, h=step) == \
+            _three_scan_is_simple(spec, _SAMPLE16_I, h=step), step
+
+
+def test_is_simple_matches_the_three_scan_oracle_on_the_counterexample(omega, sample64):
+    got = is_simple(omega, sample64, h=0.05)
+    assert got.value == "no" and got == _three_scan_is_simple(omega, sample64, h=0.05)
+
+
+def test_is_simple_rasterizes_each_unit_once(ball, sample16, monkeypatch):
+    calls = []
+    real = domains.rasterize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(domains, "rasterize", counting)
+    assert is_simple(ball, sample16, h=0.05).is_yes
+    assert len(calls) <= len(sample16)
+    assert sorted(map(sample16.units.index, calls)) == list(range(len(sample16)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, build_tube,
-                      connected_components, extension_formula,
+                      extension_formula,
                       is_slice_domain, local_extend, rasterize, regular_ext,
                       rep_coeffs, rep_eval)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
@@ -228,7 +228,7 @@ def test_build_tube_small_angle_slice_connected(ball):
     from slicereg.quaternions import rotate_toward
     K = rotate_toward(UNIT_I, 2.0 * math.sin(theta0 / 4.0))
     grid = rasterize(tube.as_domain_spec(), K)
-    n, _ = connected_components(grid)
+    n, _ = grid.label()
     assert n == 1
     assert tube.contains(0.0, 0.5 * math.cos(theta0 / 2.0), K)
 
@@ -263,7 +263,7 @@ def test_tube_slices_connected_with_real_trace(ball):
         spec = tube.as_domain_spec()
         for W in SphereSample(8).units:
             grid = rasterize(spec, W, full_slice=True)
-            n, _ = connected_components(grid)
+            n, _ = grid.label()
             assert n == 1
             axis_row = np.where(grid.ys == 0.0)[0][0]
             assert grid.occupied[axis_row].any()
@@ -479,7 +479,7 @@ def _sphere_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_sphere_cases())
 def test_sphere_stems_match_per_unit_oracle(case):
-    """The batched sphere scan (one eval_units call, array rep_coeffs)
+    """The batched sphere scan (one eval_rows call, array rep_coeffs)
     gives the oracle's values, pairs, stem coefficients within 1e-12 and
     skipped pairs."""
     from slicereg.extension import _sphere_stems
@@ -492,7 +492,7 @@ def test_sphere_stems_match_per_unit_oracle(case):
     for row_b, row_c, (_, _, b, c) in zip(bq, cq, stems):
         assert (Quaternion.from_list(row_b) - b).norm() <= 1e-12
         assert (Quaternion.from_list(row_c) - c).norm() <= 1e-12
-    values, ok = f.eval_units(x, y, sample.vectors)
+    values, ok = f.eval_rows(x, y, sample.vectors)
     for row, good, J in zip(values, ok, sample.units):
         try:
             want = f.eval(SliceCoord.make(x, y, J))

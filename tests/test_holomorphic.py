@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
-                      StemRestriction, UnitImaginary, ball_spec, dbar_residual,
-                      regular_ext)
+                      UnitImaginary, ball_spec, dbar_residual, regular_ext)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords, plane_log)
 from slicereg.domains import resample_polyline
@@ -330,11 +329,10 @@ def test_slice_mismatch_raises(logs):
 
 def test_stem_restriction_roundtrip(ball):
     stem = regular_ext(PowerSeries((Q(0), Q(0), Q(1))).on_slice(UNIT_I), ball)
-    restr = StemRestriction(stem=stem, slice_unit=UNIT_J)
     c = SliceCoord(0.3, 0.4, UNIT_J)
     bq, cq = stem.parts(0.3, 0.4)
     expect = bq + UNIT_J.as_quaternion() * cq
-    assert restr.eval(c).isclose(expect, atol=0.0)
+    assert stem.eval(c).isclose(expect, atol=0.0)
 
 
 _ROWS_CFG = CounterexampleConfig()
@@ -389,12 +387,12 @@ def _row_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_row_cases())
 def test_eval_rows_matches_eval_units_per_point(case):
-    """eval_rows on rows of mixed (x, y) equals eval_units one point at a
-    time, NaN positions and ok included: PowerSeries (Horner on rows),
+    """eval_rows on rows of mixed (x, y) equals eval_rows at one point per
+    call, NaN positions and ok included: PowerSeries (Horner on rows),
     BranchedLogFamily (per-point terms once per run of rows) and a
     ContinuedLog (the base class loop over eval)."""
     f, x, y, vectors = case
     values, ok = f.eval_rows(x, y, vectors)
-    want = [f.eval_units(float(px), float(py), v[None]) for px, py, v in zip(x, y, vectors)]
+    want = [f.eval_rows(float(px), float(py), v[None]) for px, py, v in zip(x, y, vectors)]
     assert np.array_equal(values, np.concatenate([w[0] for w in want]), equal_nan=True)
     assert np.array_equal(ok, np.concatenate([w[1] for w in want]))
