@@ -15,7 +15,8 @@ from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, Verdict,
 from .extension import (ConsistencyReport, DomainFunction, LocalExtension,
                         StemPair, TubeDomain, build_tube, check_compatible,
                         extend_to_completion, extension_formula,
-                        local_extend, regular_ext, rep_coeffs, rep_eval)
+                        formula_stem, local_extend, regular_ext, rep_coeffs,
+                        rep_eval)
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,13 +22,14 @@ from .domains import (SphereSample, _arange_len, _check_cells, is_simple,
                       is_slice_convex, is_slice_domain, is_symmetric,
                       rasterize, symmetric_completion)
 from .errors import ConsistencyError, PreconditionError, SliceRegError
-from .extension import (DomainFunction, build_tube, check_compatible,
-                        extend_to_completion, extension_formula,
-                        local_extend, regular_ext, rep_coeffs, rep_eval)
+from .extension import (DomainFunction, build_tube, extend_to_completion,
+                        formula_stem, local_extend, regular_ext, rep_coeffs,
+                        rep_eval)
 from .holomorphic import PowerSeries
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
-from .serialize import (_check_numbers, dump_json, grid_to_pgm,
-                        load_domain_spec, load_holo_function, write_csv)
+from .serialize import (_check_numbers, _object, _required, dump_json,
+                        grid_to_pgm, load_domain_spec, load_holo_function,
+                        write_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +47,7 @@ def _sample(args, extra=()) -> SphereSample:
 
 
 def _load_spec(args):
-    data = json.loads(Path(args.spec).read_text())
+    data = _object(json.loads(Path(args.spec).read_text()), "spec")
     if args.h is not None:
         data["h"] = args.h
     spec = load_domain_spec(data)
@@ -155,20 +156,18 @@ def cmd_completion(args) -> int:
     out = _out_dir(args)
     comp = symmetric_completion(spec, sample)
     x_min, x_max, y_max = spec.bbox
-    xs = np.linspace(x_min, x_max, 81)
-    ys = np.linspace(0.0, y_max, 41)
-    rows = []
+    # rows y-major over the points (x, y), as fractions of the sample's
+    # units J with x + yJ in the spec: one membership call on (y, x, unit)
+    # axes, and the real trace on the row y == 0
+    x, y = np.meshgrid(np.linspace(x_min, x_max, 81), np.linspace(0.0, y_max, 41))
     vec = sample.vectors
-    for y in ys:
-        for x in xs:
-            if y == 0.0:
-                frac = 1.0 if bool(np.asarray(spec.real_trace(np.asarray(x))).reshape(-1)[0]) else 0.0
-            else:
-                mem = np.asarray(spec.membership(x, y, vec[:, 0], vec[:, 1], vec[:, 2]))
-                mem = np.broadcast_to(mem, (vec.shape[0],))
-                frac = float(np.count_nonzero(mem)) / vec.shape[0]
-            rows.append([x, y, frac])
-    write_csv(out / "coverage.csv", ["x", "y", "covered_fraction"], rows)
+    mem = np.broadcast_to(np.asarray(spec.membership(x[..., None], y[..., None], *vec.T),
+                                     dtype=bool), x.shape + (len(vec),))
+    frac = np.count_nonzero(mem, axis=2) / len(vec)
+    real = y == 0.0
+    frac[real] = np.asarray(spec.real_trace(x[real]), dtype=bool)
+    write_csv(out / "coverage.csv", ["x", "y", "covered_fraction"],
+              np.stack([x, y, frac], axis=2).reshape(-1, 3).tolist())
     verdict = is_symmetric(comp, sample)
     report = {"base_spec": data, "samples": sample.n_requested,
               "completion_symmetric": verdict.summary()}
@@ -214,24 +213,18 @@ def cmd_repr(args) -> int:
 def cmd_extend(args) -> int:
     out = _out_dir(args)
     data = json.loads(Path(args.pair).read_text())
-    r = load_holo_function(data["r"])
-    s = load_holo_function(data["s"])
+    r, s = (load_holo_function(_required(data, key, "pair"), where=f"pair.{key}")
+            for key in ("r", "s"))
     if r.slice_unit is None or s.slice_unit is None:
         raise PreconditionError("function pair must carry slice_unit entries")
     xs, ys, unit = _extend_grid(data.get("grid", {}))
-    check_compatible(r, s)
-    rows = []
-    for x in xs:
-        for y in ys:
-            try:
-                v = extension_formula(r, s, SliceCoord.make(float(x), float(y), unit),
-                                      check_compat=False)
-            except SliceRegError:
-                continue
-            rows.append([x, y, *v.to_list()])
-    write_csv(out / "extension.csv",
-              ["x", "y", "f_w", "f_x", "f_y", "f_z"], rows)
-    print(json.dumps({"rows": len(rows)}))
+    # the grid x-major; a point below the axis is x + |y|(-unit)
+    x, y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    vectors = np.where((y < 0.0)[:, None], -np.array(unit.to_list()), unit.to_list())
+    values, ok = formula_stem(r, s).eval_rows(x, np.abs(y), vectors)
+    write_csv(out / "extension.csv", ["x", "y", "f_w", "f_x", "f_y", "f_z"],
+              np.column_stack([x, y, values])[ok].tolist())
+    print(json.dumps({"rows": int(ok.sum())}))
     return EXIT_OK
 
 
@@ -341,9 +334,9 @@ def cmd_counterexample(args) -> int:
 def cmd_tube(args) -> int:
     spec, data, _ = _load_spec(args)
     out = _out_dir(args)
-    cdata = json.loads(Path(args.path).read_text())
+    cdata = _object(json.loads(Path(args.path).read_text()), "path")
     carrier = UnitImaginary.from_vector(cdata.get("unit", [1.0, 0.0, 0.0]))
-    tube = build_tube(np.asarray(cdata["points"], float), spec,
+    tube = build_tube(np.asarray(_required(cdata, "points", "path"), float), spec,
                       args.shrink, carrier=carrier)
     report = {"type": "tube", "unit": tube.unit.to_list(),
               "polyline": tube.polyline.tolist(), "epsilon": tube.epsilon,

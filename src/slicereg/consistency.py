@@ -2,7 +2,8 @@
 
 Each block is one array pass over its (sphere, unit) rows: one membership
 call, one f.eval_rows call and one rep_coeffs_rows call on the antipodal
-pairs, whatever the number of spheres in it.
+pairs, whatever the number of spheres in it.  The stem of the extension
+takes the first usable stem of each sphere on the same blocks.
 """
 from __future__ import annotations
 
@@ -117,13 +118,36 @@ def _scan_block(f, omega: DomainSpec, sample: SphereSample, xy) -> list:
     return [e for e in entries if e is not None]
 
 
+def _sphere_blocks(n: int, sample: SphereSample):
+    """Slices of n spheres in blocks of at most SCAN_BLOCK_ROWS (sphere,
+    unit) rows and at least one sphere."""
+    per_block = max(1, SCAN_BLOCK_ROWS // len(sample))
+    return (slice(lo, lo + per_block) for lo in range(0, n, per_block))
+
+
 def scan_entries(f, omega: DomainSpec, sample: SphereSample, xy_grid) -> list:
     """Consistency entries of the spheres xy_grid (rows (x, y)), in row
-    order, scanned in blocks of at most SCAN_BLOCK_ROWS (sphere, unit) rows
-    and at least one sphere."""
+    order, scanned in _sphere_blocks."""
     xy = np.asarray(xy_grid, dtype=float)
-    per_block = max(1, SCAN_BLOCK_ROWS // len(sample))
     entries = []
-    for lo in range(0, len(xy), per_block):
-        entries.extend(_scan_block(f, omega, sample, xy[lo:lo + per_block, :2]))
+    for blk in _sphere_blocks(len(xy), sample):
+        entries.extend(_scan_block(f, omega, sample, xy[blk, :2]))
     return entries
+
+
+def first_stems(f, omega: DomainSpec, sample: SphereSample, x, y):
+    """The stems map of extend_to_completion at points (x, y), arrays (n,):
+    (b, c, ok) of the first usable stem of each sphere x + yS, from
+    _block_stems with its first-pair shortcut on the scan's blocks, and
+    (f(x), 0) on the real axis."""
+    b, c = np.full((len(x), 4), np.nan), np.zeros((len(x), 4))
+    ok = np.zeros(len(x), dtype=bool)
+    real = y == 0.0
+    b[real], ok[real] = f.eval_rows(x[real], 0.0, np.tile((1.0, 0.0, 0.0), (real.sum(), 1)))
+    sph = (~real).nonzero()[0]
+    for blk in _sphere_blocks(len(sph), sample):
+        s = sph[blk]
+        _, bs, cs, use, _, _ = _block_stems(f, omega, sample, x[s], y[s], first_only=True)
+        first = (np.arange(len(s)), use.argmax(axis=1))
+        b[s], c[s], ok[s] = bs[first], cs[first], use.any(axis=1)
+    return b, c, ok

@@ -20,10 +20,10 @@ import numpy as np
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _mirror,
                       is_simple, is_slice_domain, omega_jk_plus, rasterize)
 from .errors import OutOfDomainError, SliceRegError
-from .extension import check_compatible, extension_formula
+from .extension import formula_stem
 from .holomorphic import ContinuedLog, HoloSliceFunction
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
-                          imaginary_rows, mul_rows)
+                          imaginary_rows, mul_rows, norm_rows)
 
 # chord deviation bound for 256-point parametric sampling of the arcs;
 # scalar membership, and with it the closed-form log family, treats
@@ -44,20 +44,6 @@ class CounterexampleConfig:
 def t_of(J: UnitImaginary, cfg: CounterexampleConfig) -> float:
     """Interpolation weight min(|J - axis|, 1) steering the arc of slice J."""
     return min(J.chord(cfg.axis), 1.0)
-
-
-def arc_point(J: UnitImaginary, t: float, cfg: CounterexampleConfig) -> Quaternion:
-    """Point -1 + 2J + (1-T) e^{2 pi J t} + T e^{-2 pi J t} of L_J, t in [0, 1/2].
-
-    The parameter endpoints land on {2J, -2+2J}; t = 0 sits at 2J.
-    """
-    if not 0.0 <= t <= 0.5:
-        raise ValueError("arc parameter must lie in [0, 1/2]")
-    T = t_of(J, cfg)
-    phi = 2.0 * math.pi * t
-    x = -1.0 + math.cos(phi)
-    y = 2.0 + (1.0 - 2.0 * T) * math.sin(phi)
-    return Quaternion(x, y * J.vx, y * J.vy, y * J.vz)
 
 
 def arc_coords(J: UnitImaginary, cfg: CounterexampleConfig) -> np.ndarray:
@@ -147,13 +133,14 @@ class BranchedLogFamily(HoloSliceFunction):
 
     def _point_terms(self, px: float, py: float):
         """What the point (px, py) contributes to the row of every unit: px,
-        whether it lies in the box, left of x = ARC_CLEARANCE (where a cut
-        can pass) and in the disk of the lenses, v = py - 2, (px + 1)^2, and
+        whether it lies in the box (a real point always does: Log(x - 2i)
+        is defined on the whole axis), left of x = ARC_CLEARANCE (where a
+        cut can pass) and in the disk of the lenses, v = py - 2, (px + 1)^2, and
         the principal Log(z - 2i) at z = px + i py and px - i py (NaN at the
         pole), in Python floats: cmath.log and the float power need not
         match np.log and x*x in the last bit."""
         x_min, x_max, y_max = self.cfg.bbox
-        inside = x_min <= px <= x_max and py <= y_max
+        inside = py == 0.0 or (x_min <= px <= x_max and py <= y_max)
         v, x2 = py - 2.0, (px + 1.0) ** 2
         w_up = cmath.log(complex(px, v)) if px or v else complex(math.nan, math.nan)
         w_dn = cmath.log(complex(px, -py - 2.0))
@@ -162,7 +149,7 @@ class BranchedLogFamily(HoloSliceFunction):
 
     def _plane_logs(self, x, y, vectors):
         """Continued log(z - 2i) on the plane of the unit J of each row
-        (rows of vectors) at z = x + iy and z = x - iy, y > 0, as
+        (rows of vectors) at z = x + iy and z = x - iy, y >= 0, as
         quaternions u + axis*v: (up (n, 4), dn, ok (n,)), x and y broadcast
         to (n,); up is NaN where ok is False.
 
@@ -185,7 +172,7 @@ class BranchedLogFamily(HoloSliceFunction):
             points = [point for point, _ in runs]
             run = np.repeat(np.arange(len(runs)), [count for _, count in runs])
         terms = [self._point_terms(px, py) for px, py in points]
-        table = np.array(terms)
+        table = np.array(terms).reshape(-1, 10)
         xr, inside, left, disk, v, x2, u_re, u_im = table[run, :8].T
         ok = inside > 0.0
         any_left, any_disk = any(t[2] for t in terms), any(t[3] for t in terms)
@@ -224,22 +211,22 @@ class BranchedLogFamily(HoloSliceFunction):
         return up, dn[0] if one_point else dn[run], ok
 
     def eval_rows(self, x, y, vectors):
-        """Values at x + yJ, y > 0, one point per row (x and y broadcast to
+        """Values at x + yJ, y >= 0, one point per row (x and y broadcast to
         the rows of vectors (n, 3)), from the stem coefficients of the pair
         (axis, -axis) in closed form: axis^-1 = -axis/|axis|^2, so
         rep_coeffs(up, dn, axis, -axis) is b = (up + dn)/2,
         c = axis (dn - up)/(2 |axis|^2).  The norm stays in, as
-        UnitImaginary keeps vectors within 1e-12 of unit norm as given."""
+        UnitImaginary keeps vectors within 1e-12 of unit norm as given.  On
+        a real row up = dn = Log(x - 2i) and c = +0.0, so the value is the
+        scalar sum Log(x - 2i).real + axis Log(x - 2i).imag bit for bit."""
         up, dn, ok = self._plane_logs(x, y, vectors)
         axis = self.cfg.axis
         c = mul_rows(self._axis_row, dn - up) * (0.5 / axis.dot(axis))
         return (up + dn) * 0.5 + mul_rows(imaginary_rows(vectors), c), ok
 
     def eval(self, coord: SliceCoord) -> Quaternion:
-        if coord.is_real:
-            w = cmath.log(complex(coord.x, -2.0))
-            return Quaternion(w.real) + self.cfg.axis.as_quaternion() * w.imag
-        values, ok = self.eval_rows(coord.x, coord.y, [coord.unit.to_list()])
+        values, ok = self.eval_rows(coord.x, coord.y,
+                                    [(coord.unit or self.cfg.axis).to_list()])
         if not ok[0]:
             raise OutOfDomainError(f"point ({coord.x:g}, {coord.y:g}) lies outside "
                                    "the cut plane box or on a cut of its slice")
@@ -296,6 +283,9 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
         "disk": pgrid.component_at(-1.0, 2.0),
         "outer": pgrid.component_at(3.0, 1.0),
     }
+    # free the labelled grids before the continuation tables and the
+    # rasters of is_simple are built
+    del tgrid, pgrid
 
     direct, conj = log_pair(cfg)
 
@@ -339,33 +329,19 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
         agree.append((direct.eval_plane(x, -y) - conj.eval_plane(x, -y)).norm())
     report["log_jump"]["elsewhere_max"] = float(np.max(agree))
 
-    # the two orderings of the extension formula; the swapped views share
-    # the tables and the real trace of the pair, so one check covers both
-    check_compatible(direct, conj)
-    swapped_direct = direct.on_slice(-axis)
-    swapped_conj = conj.on_slice(axis)
-
-    def ordering_gap(t):
-        f1 = extension_formula(direct, conj, t, check_compat=False)
-        f2 = extension_formula(swapped_direct, swapped_conj, t,
-                               check_compat=False)
-        return (f1 - f2).norm()
-
-    in_disk = []
-    for _ in range(100):
-        x, y = disk_coord()
-        in_disk.append(ordering_gap(SliceCoord.make(x, y, axis)))
-    in_disk = np.array(in_disk)
-    out_vals = []
-    for _ in range(100):
-        x, y = outside_coord()
-        W = UnitImaginary(*rng.normal(size=3))
-        out_vals.append(ordering_gap(SliceCoord.make(x, y, W)))
-    general = []
-    for _ in range(40):
-        x, y = disk_coord()
-        W = UnitImaginary(*rng.normal(size=3))
-        general.append(ordering_gap(SliceCoord.make(x, y, W)))
+    # the two orderings of the extension formula at 100 disk points on the
+    # axis slice, 100 outside points and 40 disk points on random slices,
+    # drawn in this order; the swapped views share the tables and the real
+    # trace of the pair, so one check covers both
+    points = [(*disk_coord(), axis.to_list()) for _ in range(100)]
+    points += [(*where(), UnitImaginary(*rng.normal(size=3)).to_list())
+               for where, count in ((outside_coord, 100), (disk_coord, 40))
+               for _ in range(count)]
+    x, y, vectors = (np.array(a) for a in zip(*points))
+    f1, _ = formula_stem(direct, conj).eval_rows(x, y, vectors)
+    f2, _ = formula_stem(direct.on_slice(-axis), conj.on_slice(axis),
+                         check_compat=False).eval_rows(x, y, vectors)
+    in_disk, out_vals, general = np.split(norm_rows(f1 - f2), [100, 200])
     report["ordering_jump"] = {
         "disk_axis_max_dev_from_2pi": float(np.max(np.abs(in_disk - 2.0 * math.pi))),
         "outside_max": float(np.max(out_vals)),
@@ -373,8 +349,6 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
         "disk_general_unit_max": float(np.max(general)),
     }
 
-    # free the labelled grids: is_simple holds a raster per unit
-    del tgrid, pgrid
     verdict_simple = is_simple(spec, sample)
     report["simple"] = verdict_simple.summary()
     report["simple_witness"] = verdict_simple.witness

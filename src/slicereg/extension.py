@@ -72,41 +72,64 @@ def rep_eval(b: Quaternion, c: Quaternion,
     return b + I.as_quaternion() * c
 
 
-@dataclass
+@dataclass(frozen=True)
 class StemPair:
-    """Stem functions of a slice regular function on a symmetric domain:
-    parts(x, y) returns the pair (b(x, y), c(x, y)); c vanishes on the real
+    """Stem functions of a slice regular function on a symmetric domain,
+    f(x + yJ) = b(x, y) + J c(x, y).  stems(x, y) maps points, arrays (n,),
+    to (b (n, 4), c (n, 4), ok (n,)) as quaternion rows; rows where the stem
+    is undefined have ok False and NaN coefficients.  c vanishes on the real
     axis by convention."""
 
-    parts: callable
+    stems: callable
+
+    def eval_rows(self, x, y, vectors):
+        """Values b + J c at the points x + yJ, as HoloSliceFunction.eval_rows:
+        x and y broadcast to the rows J of vectors (n, 3).  Real rows
+        (y == 0) give b."""
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
+        b, c, ok = self.stems(x, y)
+        values = b + mul_rows(imaginary_rows(v), c)
+        real = y == 0.0
+        values[real] = b[real]
+        return values, ok
 
     def eval(self, coord: SliceCoord) -> Quaternion:
-        if coord.is_real:
-            return self.parts(coord.x, 0.0)[0]
-        b, c = self.parts(coord.x, coord.y)
-        return rep_eval(b, c, coord.unit)
+        values, ok = self.eval_rows(coord.x, coord.y, (coord.unit or UNIT_I).to_list())
+        if not ok[0]:
+            raise OutOfDomainError(f"no stem at ({coord.x:g}, {coord.y:g})")
+        return Quaternion.from_list(values[0])
 
     def export_rows(self, xy):
         """CSV rows (x, y, b components, c components) over sample points."""
-        rows = []
-        for x, y in xy:
-            bq, cq = self.parts(float(x), float(y))
-            rows.append([x, y, *bq.to_list(), *cq.to_list()])
-        return rows
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        b, c, ok = self.stems(xy[:, 0], xy[:, 1])
+        if not ok.all():
+            raise OutOfDomainError("no stem at ({:g}, {:g})".format(*xy[~ok][0]))
+        return np.hstack([xy, b, c]).tolist()
 
 
-def _two_slice_parts(f, J: UnitImaginary, K: UnitImaginary):
-    """Stem parts of f at (x, y) from its values on the slices J and K, and
-    from its real value on the axis."""
+def _two_slice_stem(r, J: UnitImaginary, s, K: UnitImaginary,
+                    axis: bool = True) -> StemPair:
+    """Stems of r on the slice J and s on the slice K (the extension
+    formula), from one r.eval_rows call at x + yJ, one s.eval_rows call at
+    x + yK and one rep_coeffs_rows call.  On the real axis the stems of one
+    function (axis) are (r(x), 0); extension_formula keeps rep_coeffs of
+    r(x) and s(x) there."""
+    jk = np.array([J.to_list(), K.to_list()])
 
-    def parts(x: float, y: float):
-        if y == 0.0:
-            return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
-        vj = f.eval(SliceCoord.make(x, y, J))
-        vk = f.eval(SliceCoord.make(x, y, K))
-        return rep_coeffs(vj, vk, J, K)
+    def stems(x, y):
+        vj, vk = (np.broadcast_to(v, (len(x), 3)) for v in jk)
+        rj, rok = r.eval_rows(x, y, vj)
+        sk, sok = s.eval_rows(x, y, vk)
+        b, c, ok = rep_coeffs_rows(rj, sk, vj, vk)
+        ok &= rok & sok
+        if axis:
+            real = y == 0.0
+            b[real], c[real], ok[real] = rj[real], 0.0, rok[real]
+        return b, c, ok
 
-    return parts
+    return StemPair(stems)
 
 
 @dataclass(frozen=True)
@@ -158,17 +181,16 @@ def check_compatible(r: HoloSliceFunction, s: HoloSliceFunction,
         raise IncompatiblePairError("no shared real trace to compare on")
 
 
-def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
-                      target: SliceCoord, check_compat: bool = True) -> Quaternion:
-    """Slice regular value at x + yI from holomorphic data on two slices:
+def formula_stem(r: HoloSliceFunction, s: HoloSliceFunction,
+                 check_compat: bool = True) -> StemPair:
+    """Stems of the extension formula of r and s, attached to the slices J
+    and K: its value at x + yI is
 
-    f(x+yI) = (J-K)^-1 [J r(x+yJ) - K s(x+yK)] + I (J-K)^-1 [r(x+yJ) - s(x+yK)]
+    f(x+yI) = (J-K)^-1 [J r(x+yJ) - K s(x+yK)] + I (J-K)^-1 [r(x+yJ) - s(x+yK)].
 
-    where J, K are the slice units the two functions are attached to.
-    Targets always carry y >= 0 (SliceCoord is canonical), which is the
-    corrected hypothesis making the formula single-valued.  Callers that
-    evaluate one pair many times run check_compatible once and pass
-    check_compat=False.
+    Targets carry y >= 0, which is the corrected hypothesis making the
+    formula single-valued; on the real axis the value is the first term.
+    check_compat runs check_compatible on the pair first.
     """
     J = r.slice_unit
     K = s.slice_unit
@@ -179,10 +201,15 @@ def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
         raise DegeneratePairError("extension formula needs J != K")
     if check_compat:
         check_compatible(r, s)
-    rj = r.eval(SliceCoord.make(target.x, target.y, J))
-    sk = s.eval(SliceCoord.make(target.x, target.y, K))
-    b, c = rep_coeffs(rj, sk, J, K)
-    return rep_eval(b, c, target.unit)
+    return _two_slice_stem(r, J, s, K, axis=False)
+
+
+def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
+                      target: SliceCoord, check_compat: bool = True) -> Quaternion:
+    """Slice regular value at the target from holomorphic data on two
+    slices (formula_stem).  Callers that evaluate one pair at many points
+    evaluate its formula_stem once, as rows."""
+    return formula_stem(r, s, check_compat).eval(target)
 
 
 def regular_ext(fI: HoloSliceFunction, domain: DomainSpec) -> StemPair:
@@ -194,7 +221,7 @@ def regular_ext(fI: HoloSliceFunction, domain: DomainSpec) -> StemPair:
         raise PreconditionError("regular extension needs a slice-attached input")
     _validate_symmetric(domain, unit)
     _validate_holomorphic(fI, domain, unit)
-    return StemPair(parts=_two_slice_parts(fI, unit, -unit))
+    return _two_slice_stem(fI, unit, fI, -unit)
 
 
 def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary):
@@ -609,7 +636,7 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
     chi = m_tube.epsilon / y_ref
     k0 = rotate_toward(j0, chi / 2.0)
     n_spec = completion_of_slice(m_tube.as_domain_spec(), k0)
-    stem = StemPair(parts=_two_slice_parts(f, j0, k0))
+    stem = _two_slice_stem(f, j0, f, k0)
 
     lam = build_tube(gamma, intersect_specs(n_spec, omega), shrink, carrier=j0)
     checks = _validate_local(f, stem, n_spec, lam, j0, k0, chi, seed)
@@ -628,7 +655,7 @@ def _local_extend_real(f, p0: SliceCoord, shrink: float):
         raise GeometryError("no interior ball around the real point")
     ball = ball_spec(p0.x, radius, h=omega.h)
     unit = UNIT_I
-    stem = StemPair(parts=_two_slice_parts(f, unit, -unit))
+    stem = _two_slice_stem(f, unit, f, -unit)
     tube = TubeDomain(unit=unit, polyline=np.array([[p0.x, 0.0]]),
                       epsilon=radius, y_ref=0.0, h=omega.h)
     checks = _validate_local(f, stem, ball, tube, unit, -unit, 1.0, 0)
@@ -642,14 +669,10 @@ def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
     rng = np.random.default_rng(seed)
     x_min, x_max, _ = n_spec.bbox
     xs = np.linspace(x_min, x_max, 61)
-    trace = np.asarray(n_spec.real_trace(xs), dtype=bool)
-    max_real = 0.0
-    for x in xs[trace]:
-        try:
-            d = (stem.parts(float(x), 0.0)[0] - f.eval(SliceCoord(float(x), 0.0, None))).norm()
-        except SliceRegError:
-            continue
-        max_real = max(max_real, d)
+    xs = xs[np.asarray(n_spec.real_trace(xs), dtype=bool)]
+    b, _, ok = stem.stems(xs, np.zeros_like(xs))
+    fx, f_ok = f.eval_rows(xs, 0.0, np.broadcast_to(j0.to_list(), (len(xs), 3)))
+    max_real = float(norm_rows(b - fx)[ok & f_ok].max(initial=0.0))
     if max_real > 1e-9:
         raise ConsistencyError(f"extension differs from f on the real trace "
                                f"by {max_real:.3e}")
@@ -716,16 +739,6 @@ class ConsistencyReport:
         }
 
 
-def _sphere_stems(f, omega: DomainSpec, sample: SphereSample,
-                  x: float, y: float, first_only: bool = False):
-    """_block_stems on the one sphere x + yS: (pairs (k, 2) unit indices of
-    the usable stems, b (k, 4), c (k, 4), skipped pairs, present mask)."""
-    from .consistency import _block_stems
-    pairs, b, c, use, tried, present = (a[0] for a in _block_stems(
-        f, omega, sample, np.array([float(x)]), np.array([float(y)]), first_only))
-    return pairs[use], b[use], c[use], pairs[tried & ~use], present
-
-
 def extend_to_completion(f, sample: SphereSample, xy_grid,
                          tol: float = 1e-8, force: bool = False):
     """Extend f to the symmetric completion of its domain, verifying that the
@@ -742,7 +755,7 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
             raise PreconditionError(
                 f"domain is not simple at this resolution: {verdict.witness}")
 
-    from .consistency import scan_entries
+    from .consistency import first_stems, scan_entries
     report = ConsistencyReport(threshold=tol,
                                entries=scan_entries(f, omega, sample, xy_grid))
     report.max_defect = max((e["defect"] for e in report.entries), default=0.0)
@@ -753,14 +766,4 @@ def extend_to_completion(f, sample: SphereSample, xy_grid,
             f"consistency defect {report.max_defect:.6g} exceeds {tol:g}: "
             "no single-valued extension on this domain", report)
 
-    def parts(x: float, y: float):
-        if y == 0.0:
-            return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
-        pairs, bq, cq, _, _ = _sphere_stems(f, omega, sample, x, y,
-                                            first_only=True)
-        if not len(pairs):
-            raise OutOfDomainError(f"no usable slice data on the sphere "
-                                   f"({x:g}, {y:g})")
-        return Quaternion.from_list(bq[0]), Quaternion.from_list(cq[0])
-
-    return StemPair(parts=parts), report
+    return StemPair(lambda x, y: first_stems(f, omega, sample, x, y)), report

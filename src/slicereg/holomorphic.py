@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -46,25 +45,6 @@ def integrate_reciprocal(z0: complex, z1: complex, pole: complex) -> complex:
     if _segment_point_distance(z0, z1, pole) < 1e-12:
         raise OutOfDomainError("integration segment passes through the pole")
     return cmath.log((z1 - pole) / (z0 - pole))
-
-
-def polyline_integral(points, pole: complex) -> complex:
-    """Integral of dz/(z - pole) along a polyline of (x, y) vertices."""
-    pts = np.asarray(points, dtype=float)
-    zs = pts[:, 0] + 1j * pts[:, 1]
-    total = 0.0 + 0.0j
-    for a, b in zip(zs[:-1], zs[1:]):
-        total += integrate_reciprocal(complex(a), complex(b), pole)
-    return total
-
-
-def winding_number(points, point) -> float:
-    """Winding of a polyline, closed if it is not, around a point."""
-    pts = np.asarray(points, dtype=float)
-    if np.hypot(*(pts[0] - pts[-1])) > 1e-12:
-        pts = np.vstack([pts, pts[:1]])
-    pole = point if isinstance(point, complex) else complex(point[0], point[1])
-    return polyline_integral(pts, pole).imag / (2.0 * math.pi)
 
 
 def segment_crossings(p, q, polyline) -> int:
@@ -131,7 +111,7 @@ class HoloSliceFunction:
         ok = np.zeros(n, dtype=bool)
         xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
         ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
-        for m, (px, py, v) in enumerate(zip(xs, ys, vectors)):
+        for m, (px, py, v) in enumerate(zip(xs, ys, vectors.tolist())):
             try:
                 values[m] = self.eval(SliceCoord.make(px, py, UnitImaginary(*v))).to_list()
             except SliceRegError:
@@ -332,10 +312,6 @@ class _PlaneContinuation:
         raise DisconnectedDomainError(
             f"no continuation anchor reaches ({px:g}, {py:g})")
 
-    def anchored_integrals(self, px: float, py: float, count: int = 2):
-        """Values via several distinct anchors; used by path-independence tests."""
-        return list(islice(self._anchored(px, py), count))
-
 
 @dataclass(frozen=True)
 class ContinuedLog(HoloSliceFunction):
@@ -392,14 +368,11 @@ class ContinuedLog(HoloSliceFunction):
         px, py = self._plane_point(coord)
         return self.eval_plane(px, py)
 
-    def loop_consistency(self, loop) -> float:
-        """|integral of dz/(z - pole)| around a closed polyline."""
-        return abs(polyline_integral(loop, self._table.pole))
 
-
-def dbar_residual(f: HoloSliceFunction, coord: SliceCoord, h: float) -> float:
-    """|0.5 (d/dx + J d/dy) f| by central differences of step h; f is
-    anything with eval(coord), a StemPair among them.
+def dbar_residual(f, coord: SliceCoord, h: float) -> float:
+    """|0.5 (d/dx + J d/dy) f| by central differences of step h, from one
+    f.eval_rows call on the four stencil points; f is anything with
+    eval_rows, a StemPair among them.
 
     For holomorphic f the value decays like h^2 times the local third
     derivative scale; an O(1) value flags non-holomorphy.
@@ -410,13 +383,17 @@ def dbar_residual(f: HoloSliceFunction, coord: SliceCoord, h: float) -> float:
     if unit is None:
         raise ValueError("dbar residual at a real point needs an explicit unit")
     x, y = coord.x, coord.y
-    try:
-        fxp = f.eval(SliceCoord.make(x + h, y, unit))
-        fxm = f.eval(SliceCoord.make(x - h, y, unit))
-        fyp = f.eval(SliceCoord.make(x, y + h, unit))
-        fym = f.eval(SliceCoord.make(x, y - h, unit))
-    except OutOfDomainError as exc:
-        raise StencilError(f"stencil exits the domain: {exc}") from exc
+    # stencil points x + h, x - h, y + h, y - h, canonical as SliceCoord.make
+    # writes them: a point below the axis is x + |y|(-J)
+    xs = np.array([x + h, x - h, x, x])
+    ys = np.array([y, y, y + h, y - h])
+    below = ys < 0.0
+    vectors = np.where(below[:, None], -np.array(unit.to_list()), unit.to_list())
+    values, ok = f.eval_rows(xs, np.abs(ys), vectors)
+    if not ok.all():
+        m = int(np.argmin(ok))
+        raise StencilError(f"stencil exits the domain at ({xs[m]:g}, {ys[m]:g})")
+    fxp, fxm, fyp, fym = (Quaternion.from_list(v) for v in values)
     dx = (fxp - fxm) / (2.0 * h)
     dy = (fyp - fym) / (2.0 * h)
     res = (dx + unit.as_quaternion() * dy) * 0.5

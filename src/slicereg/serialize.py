@@ -150,16 +150,32 @@ def _check_numbers(data, where: str) -> None:
         raise PreconditionError(f"{where} must be a finite number, got {data!r}")
 
 
-def load_domain_spec(data) -> DomainSpec:
-    """Domain spec from its JSON description (dict or path)."""
+def _object(data, where: str) -> dict:
+    """data, which must be a JSON object; where is its path in the input."""
+    if not isinstance(data, dict):
+        raise PreconditionError(f"{where} must be an object, got {type(data).__name__}")
+    return data
+
+
+def _required(data, key: str, where: str):
+    """data[key] of the JSON object data at the path where; a missing key
+    is a PreconditionError naming its path."""
+    if key not in _object(data, where):
+        raise PreconditionError(f"{where}.{key} is required")
+    return data[key]
+
+
+def load_domain_spec(data, where: str = "spec") -> DomainSpec:
+    """Domain spec from its JSON description (dict or path); where is its
+    path in the input, for messages."""
     if isinstance(data, (str, Path)):
         data = json.loads(Path(data).read_text())
-    _check_numbers(data, "spec")
+    _check_numbers(_object(data, where), where)
     kind = data.get("type")
     h = float(data.get("h", 0.01))
     if kind == "ball":
         center = Quaternion.from_list(data.get("center", [0, 0, 0, 0]))
-        spec = ball_spec(center, float(data["radius"]),
+        spec = ball_spec(center, float(_required(data, "radius", where)),
                          bbox=tuple(data["bbox"]) if "bbox" in data else None, h=h)
     elif kind == "halfspace-slicewise":
         spec = halfspace_spec(tuple(data.get("normal", [1.0, 0.0])),
@@ -173,7 +189,8 @@ def load_domain_spec(data) -> DomainSpec:
         bbox = tuple(data.get("bbox", (-5.0, 5.0, 5.0)))
         spec = omega_spec(CounterexampleConfig(axis=axis, h=h, bbox=bbox))
     elif kind == "boolean-op":
-        ops = [load_domain_spec(d) for d in data["operands"]]
+        ops = [load_domain_spec(d, f"{where}.operands[{i}]")
+               for i, d in enumerate(_required(data, "operands", where))]
         if data.get("op") == "union":
             spec = union_spec(ops)
         elif data.get("op") == "intersection":
@@ -185,11 +202,11 @@ def load_domain_spec(data) -> DomainSpec:
             raise UnsupportedError(f"unknown boolean op {data.get('op')!r}")
     elif kind == "tube":
         from .extension import TubeDomain
-        tube = TubeDomain(unit=UnitImaginary.from_vector(data["unit"]),
-                          polyline=np.asarray(data["polyline"], float),
-                          epsilon=float(data["epsilon"]),
-                          y_ref=float(data.get(
-                              "y_ref", np.asarray(data["polyline"])[:, 1].max())),
+        polyline = np.asarray(_required(data, "polyline", where), float)
+        tube = TubeDomain(unit=UnitImaginary.from_vector(_required(data, "unit", where)),
+                          polyline=polyline,
+                          epsilon=float(_required(data, "epsilon", where)),
+                          y_ref=float(data.get("y_ref", polyline[:, 1].max())),
                           h=h)
         spec = tube.as_domain_spec()
     else:
@@ -206,25 +223,27 @@ def load_domain_spec(data) -> DomainSpec:
     return spec
 
 
-def load_holo_function(data, default_unit=None):
-    """Holomorphic slice function from its JSON description."""
+def load_holo_function(data, default_unit=None, where: str = "function"):
+    """Holomorphic slice function from its JSON description; where is its
+    path in the input, for messages."""
     if isinstance(data, (str, Path)):
         data = json.loads(Path(data).read_text())
-    _check_numbers(data, "function")
+    _check_numbers(_object(data, where), where)
     variant = data.get("variant")
     unit = data.get("slice_unit", None)
     unit = UnitImaginary.from_vector(unit) if unit is not None else default_unit
     if variant == "power-series":
-        coeffs = tuple(Quaternion.from_list(c) for c in data["coeffs"])
+        coeffs = tuple(Quaternion.from_list(c) for c in _required(data, "coeffs", where))
         return PowerSeries(coeffs=coeffs, center=float(data.get("center", 0.0)),
                            radius=float(data.get("radius", math.inf)),
                            slice_unit=unit)
     if variant == "continued-log":
         return ContinuedLog(
-            pole=tuple(data["pole"]), base=tuple(data["base"]),
+            pole=tuple(_required(data, "pole", where)),
+            base=tuple(_required(data, "base", where)),
             base_value=Quaternion.from_list(data.get("base_value", [0, 0, 0, 0])),
             cuts=tuple(np.asarray(c, float) for c in data.get("cuts", [])),
-            carrier=UnitImaginary.from_vector(data["carrier"]),
+            carrier=UnitImaginary.from_vector(_required(data, "carrier", where)),
             slice_unit=unit,
             bbox=tuple(data.get("bbox", (-5.0, 5.0, -5.0, 5.0))),
             step=float(data.get("step", 0.05)))

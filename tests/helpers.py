@@ -1,14 +1,18 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and the few path
+integral and arc helpers that only tests use.
 
-These deliberately avoid the code paths they check: polynomial evaluation
-sums explicit powers instead of Horner, and the winding oracle tracks
-argument increments instead of integrating.
+The oracles deliberately avoid the code paths they check: polynomial
+evaluation sums explicit powers instead of Horner, and the winding oracle
+tracks argument increments instead of integrating.
 """
 import math
+from itertools import islice
 
 import numpy as np
 
-from slicereg import Quaternion
+from slicereg import Quaternion, SliceCoord, rep_coeffs
+from slicereg.counterexample import t_of
+from slicereg.holomorphic import integrate_reciprocal
 
 
 def poly_eval_direct(coeffs, q, center=0.0):
@@ -33,3 +37,85 @@ def winding_angle_sum(points, px, py):
     dturn = np.diff(ang)
     dturn = (dturn + math.pi) % (2.0 * math.pi) - math.pi
     return dturn.sum() / (2.0 * math.pi)
+
+
+def polyline_integral(points, pole: complex) -> complex:
+    """Integral of dz/(z - pole) along a polyline of (x, y) vertices, one
+    closed-form segment integral per leg."""
+    pts = np.asarray(points, dtype=float)
+    zs = pts[:, 0] + 1j * pts[:, 1]
+    total = 0.0 + 0.0j
+    for a, b in zip(zs[:-1], zs[1:]):
+        total += integrate_reciprocal(complex(a), complex(b), pole)
+    return total
+
+
+def winding_number(points, point) -> float:
+    """Winding of a polyline, closed if it is not, around a point."""
+    pts = np.asarray(points, dtype=float)
+    if np.hypot(*(pts[0] - pts[-1])) > 1e-12:
+        pts = np.vstack([pts, pts[:1]])
+    pole = point if isinstance(point, complex) else complex(point[0], point[1])
+    return polyline_integral(pts, pole).imag / (2.0 * math.pi)
+
+
+def loop_consistency(fn, loop) -> float:
+    """|integral of dz/(z - pole)| around a closed polyline, at the pole of
+    the continued logarithm fn."""
+    return abs(polyline_integral(loop, fn._table.pole))
+
+
+def anchored_integrals(table, px: float, py: float, count: int = 2) -> list:
+    """Path integrals to (px, py) of a continuation table via its first
+    count usable anchors, nearest first."""
+    return list(islice(table._anchored(px, py), count))
+
+
+def arc_point(J, t: float, cfg) -> Quaternion:
+    """Point -1 + 2J + (1-T) e^{2 pi J t} + T e^{-2 pi J t} of L_J, t in
+    [0, 1/2], T = t_of(J, cfg): the arc of the counterexample's slice J in
+    closed form.  The parameter endpoints land on {2J, -2+2J}; t = 0 sits
+    at 2J."""
+    if not 0.0 <= t <= 0.5:
+        raise ValueError("arc parameter must lie in [0, 1/2]")
+    T = t_of(J, cfg)
+    phi = 2.0 * math.pi * t
+    x = -1.0 + math.cos(phi)
+    y = 2.0 + (1.0 - 2.0 * T) * math.sin(phi)
+    return Quaternion(x, y * J.vx, y * J.vy, y * J.vz)
+
+
+def two_slice_parts(f, J, K):
+    """Scalar oracle of the two-slice stems of f: parts(x, y) is (f(x), 0)
+    on the real axis and rep_coeffs of the values of f at x + yJ and x + yK
+    elsewhere; f's errors propagate."""
+
+    def parts(x: float, y: float):
+        if y == 0.0:
+            return f.eval(SliceCoord(x, 0.0, None)), Quaternion(0.0)
+        vj = f.eval(SliceCoord.make(x, y, J))
+        vk = f.eval(SliceCoord.make(x, y, K))
+        return rep_coeffs(vj, vk, J, K)
+
+    return parts
+
+
+def stem_at(stem, x: float, y: float):
+    """(b, c) of a StemPair at the point (x, y), as quaternions."""
+    b, c, ok = stem.stems(np.array([float(x)]), np.array([float(y)]))
+    assert ok[0], f"no stem at ({x}, {y})"
+    return Quaternion.from_list(b[0]), Quaternion.from_list(c[0])
+
+
+def dbar_four_evals(f, coord, h: float) -> float:
+    """Oracle of dbar_residual: |0.5 (d/dx + J d/dy) f| by central
+    differences from four f.eval calls, one per stencil point; f's errors
+    propagate."""
+    unit, x, y = coord.unit, coord.x, coord.y
+    fxp = f.eval(SliceCoord.make(x + h, y, unit))
+    fxm = f.eval(SliceCoord.make(x - h, y, unit))
+    fyp = f.eval(SliceCoord.make(x, y + h, unit))
+    fym = f.eval(SliceCoord.make(x, y - h, unit))
+    dx = (fxp - fxm) / (2.0 * h)
+    dy = (fyp - fym) / (2.0 * h)
+    return ((dx + unit.as_quaternion() * dy) * 0.5).norm()

@@ -319,6 +319,59 @@ def test_global_extend_reports_are_deterministic(ball_json, tmp_path):
             (out2 / "consistency.json").read_bytes()
 
 
+_SQUARE = {"variant": "power-series", "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("command, argv, reports", [
+    ("extend", ["{pair}"], ["extension.csv"]),
+    ("ext-slice", ["{ball}", "--function", "{square}", "--unit", "[0, -0.6, 0.8]"],
+     ["stem.csv"]),
+    ("local-extend", ["{ball}", "--function", "square", "--point", "[0.1, 0.3, -0.2, 0.1]"],
+     ["stem.csv", "local_extend.json"]),
+    ("completion", ["{ball}", "--samples", "8"], ["coverage.csv", "completion.json"]),
+])
+def test_stem_and_coverage_reports_are_deterministic(command, argv, reports, ball_json,
+                                                     tmp_path):
+    """Two runs of each command write the same bytes (the extend grid has
+    a y = 0 row and rows below the axis)."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"r": {**_SQUARE, "slice_unit": [1, 0, 0]},
+                                "s": {**_SQUARE, "slice_unit": [0, 1, 0]},
+                                "grid": {"x": [-0.5, 0.5, 0.1], "y": [-0.2, 0.5, 0.1],
+                                         "unit": [0, -0.6, 0.8]}}))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(_SQUARE))
+    names = {"pair": pair, "ball": ball_json, "square": square}
+    argv = [command] + [a.format(**names) for a in argv]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(argv + ["--out", str(out)]) == 0
+    for name in reports:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("check-domain", "spec", '{"type": "ball"}', "spec.radius is required"),
+    ("check-domain", "spec", "[1]", "spec must be an object"),
+    ("extend", "pair", '{"r": {"variant": "power-series"}}', "pair.r.coeffs is required"),
+    ("tube", "path", '{"unit": [1, 0, 0]}', "path.points is required"),
+    ("ext-slice", "function", '{"variant": "continued-log"}', "function.pole is required"),
+])
+def test_missing_keys_and_non_objects_exit_one(command, name, text, message, ball_json,
+                                               tmp_path, capsys):
+    """A missing required key or a JSON value that is not an object exits 1
+    with a message naming its path, not a traceback."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    argv = {"check-domain": [str(path)],
+            "extend": [str(path)],
+            "tube": [str(ball_json), "--path", str(path)],
+            "ext-slice": [str(ball_json), "--function", str(path)]}[command]
+    assert main([command] + argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_scan_grid_matches_the_double_comprehension():
     """The global-extend sphere grid, built with repeat and tile, is the
     x-major double loop over the same two arange vectors, float for float."""

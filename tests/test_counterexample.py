@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary
 from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      CounterexampleConfig, arc_coords,
-                                     arc_point, demonstrate, intersection_grid,
+                                     demonstrate, intersection_grid,
                                      log_pair, omega_spec, pair_set_grid,
                                      plane_log, slice_cuts, t_of)
 from slicereg.domains import (_block_cut_cells, _mirror,
@@ -19,6 +20,7 @@ from slicereg.holomorphic import ContinuedLog, _PlaneContinuation, dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, rotate_toward, slice_decompose
 
 from conftest import random_unit
+from helpers import arc_point
 
 Q = Quaternion
 TWO_PI = 2.0 * math.pi
@@ -190,8 +192,8 @@ def test_family_slices_are_holomorphic(log_family, cfg):
             self.fam = fam
             self.slice_unit = unit
 
-        def eval(self, coord):
-            return self.fam.eval(coord)
+        def eval_rows(self, x, y, vectors):
+            return self.fam.eval_rows(x, y, vectors)
 
     rng = np.random.default_rng(107)
     for _ in range(6):
@@ -202,6 +204,22 @@ def test_family_slices_are_holomorphic(log_family, cfg):
                             SliceCoord(x, y, W), 1e-3)
         val = log_family.eval(SliceCoord(x, y, W)).norm()
         assert res <= 1e-6 * (1.0 + val)
+
+
+def test_family_real_values_are_the_principal_log_everywhere():
+    """On the real axis the family is Log(x - 2i) for every x, inside its
+    box and past it: eval and eval_rows equal the scalar sum
+    Log(x - 2i).real + axis * Log(x - 2i).imag bit for bit, zeros included."""
+    for axis in (UNIT_I, UnitImaginary(0.0, -0.6, 0.8), UnitImaginary(-0.48, 0.6, -0.64)):
+        family = BranchedLogFamily(CounterexampleConfig(axis=axis))
+        xs = np.array([-7.0, -5.0, -1.0, 0.0, 0.5, 4.9, 6.0])
+        values, ok = family.eval_rows(xs, 0.0, [[0.0, 0.0, -1.0]] * len(xs))
+        assert ok.all()
+        for x, row in zip(xs, values):
+            w = cmath.log(complex(x, -2.0))
+            want = np.array((Q(w.real) + axis.as_quaternion() * w.imag).to_list())
+            got = np.array(family.eval(SliceCoord(float(x), 0.0, None)).to_list())
+            assert got.tobytes() == want.tobytes() == row.tobytes()
 
 
 def test_component_grids(cfg):

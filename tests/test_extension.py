@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import weakref
@@ -18,12 +19,16 @@ from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
 from slicereg.domains import intersect_specs, resample_polyline
 from slicereg.errors import (ConsistencyError, DegeneratePairError,
                              GeometryError, IncompatiblePairError,
-                             PreconditionError, SliceRegError)
+                             OutOfDomainError, PreconditionError,
+                             SliceRegError)
 from slicereg import consistency
-from slicereg.extension import TubeDomain, _sphere_stems, extend_to_completion
+from slicereg.consistency import _block_stems
+from slicereg.extension import TubeDomain, extend_to_completion
+from slicereg.holomorphic import HoloSliceFunction
 from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K, norm_rows
 
 from conftest import random_polynomial, random_unit
+from helpers import stem_at, two_slice_parts
 
 Q = Quaternion
 
@@ -138,7 +143,7 @@ def test_extension_formula_keeps_no_reference_to_its_inputs():
 
 def test_regular_ext_identity(ball):
     stem = regular_ext(PowerSeries((Q(0), Q(1))).on_slice(UNIT_I), ball)
-    b, c = stem.parts(0.3, 0.4)
+    b, c = stem_at(stem, 0.3, 0.4)
     assert b.isclose(Q(0.3), atol=1e-14)
     assert c.isclose(Q(0.4), atol=1e-14)
 
@@ -147,7 +152,7 @@ def test_regular_ext_rejects_antiholomorphic(ball):
     # the conjugate map x - yI fails the slice holomorphy gate, but its raw
     # stem coefficients are still (x, -y) and reproduce the conjugate on
     # every slice
-    class Conj:
+    class Conj(HoloSliceFunction):
         slice_unit = UNIT_I
 
         def eval(self, coord):
@@ -280,7 +285,7 @@ def test_local_extend_ball_square(ball):
     rng = np.random.default_rng(61)
     for _ in range(50):
         x, y = rng.uniform(-0.3, 0.3), rng.uniform(0.0, 0.3)
-        b, c = result.stem.parts(x, y)
+        b, c = stem_at(result.stem, x, y)
         assert (b - Q(x * x - y * y)).norm() <= 1e-10
         assert (c - Q(2 * x * y)).norm() <= 1e-10
     # the path is trimmed at its first real hit
@@ -410,6 +415,14 @@ def test_clearance_radii_match_per_probe_loop(ball, star, omega):
         assert (got > 0.0).any()
 
 
+def _sphere_stems(f, omega, sample, x, y):
+    """_block_stems on the one sphere x + yS: (pairs (k, 2) unit indices of
+    the usable stems, b (k, 4), c (k, 4), skipped pairs, present mask)."""
+    pairs, b, c, use, tried, present = (a[0] for a in _block_stems(
+        f, omega, sample, np.array([float(x)]), np.array([float(y)])))
+    return pairs[use], b[use], c[use], pairs[tried & ~use], present
+
+
 def _scalar_sphere_stems(f, omega, sample, x, y):
     """Oracle: the sphere's stems from per-unit f.eval and scalar rep_coeffs,
     antipodal pairs first, else a fan from the first present unit."""
@@ -479,10 +492,9 @@ def _sphere_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_sphere_cases())
 def test_sphere_stems_match_per_unit_oracle(case):
-    """The batched sphere scan (one eval_rows call, array rep_coeffs)
-    gives the oracle's values, pairs, stem coefficients within 1e-12 and
-    skipped pairs."""
-    from slicereg.extension import _sphere_stems
+    """The batched sphere scan (_block_stems on one sphere: one eval_rows
+    call, array rep_coeffs) gives the oracle's values, pairs, stem
+    coefficients within 1e-12 and skipped pairs."""
     f, sample, x, y = case
     stems, skipped, present = _scalar_sphere_stems(f, f.domain, sample, x, y)
     pairs, bq, cq, got_skipped, got_present = _sphere_stems(f, f.domain, sample, x, y)
@@ -534,7 +546,7 @@ def test_consistency_report_matches_scalar_scan(omega):
 
 
 def _per_sphere_scan(f, sample, xy):
-    """Oracle: the consistency entries sphere by sphere, one _sphere_stems
+    """Oracle: the consistency entries sphere by sphere, one _block_stems
     call per sphere (the scan before it ran on blocks of spheres)."""
     omega, entries = f.domain, []
     for row in np.asarray(xy, dtype=float):
@@ -645,3 +657,91 @@ def test_scan_blocks_bound_the_rows_of_each_evaluation(monkeypatch):
     assert max(rows) <= consistency.SCAN_BLOCK_ROWS
     assert sum(rows) == len(xy) * len(_FAMILY_SAMPLE)
     assert report.n_spheres == len(xy)
+
+
+_STEM_SERIES = PowerSeries((Q(0.2, 0.1, 0, 0), Q(0, 1, 0.3, 0), Q(0.5, 0, 0, -0.4),
+                            Q(-0.1, 0.2, 0, 0.3)), radius=1.6)
+_STEM_UNITS = [UNIT_I, -UNIT_I, UNIT_K, _CFG.axis, UnitImaginary(0.36, -0.48, 0.8),
+               UnitImaginary(-0.6, 0.0, -0.8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _stem_case(kind):
+    """(stem, oracle): oracle(x, y) is the stem's (b, c) by scalar
+    evaluation, raising where the stem is undefined.  Two-slice stems have
+    two_slice_parts as their oracle; the completion's stem the first usable
+    stem of the scalar sphere oracle, and (f(x), 0) on the real axis."""
+    ball = ball_spec(0.0, 1.0, h=0.02)
+    if kind == "regular":
+        J = _STEM_UNITS[4]
+        fJ = _STEM_SERIES.on_slice(J)
+        return regular_ext(fJ, ball), two_slice_parts(fJ, J, -J)
+    if kind.startswith("local"):
+        f, p0 = {"local-series": (DomainFunction(_STEM_SERIES, ball),
+                                  SliceCoord(0.3, 0.4, _STEM_UNITS[5])),
+                 "local-family": (_FAMILY, SliceCoord(-1.0, 1.5, _CFG.axis))}[kind]
+        result = local_extend(f, p0)
+        return result.stem, two_slice_parts(f, result.j0, result.k0)
+    f, sample = {"completion-family": (_FAMILY, _FAMILY_SAMPLE),
+                 "completion-series": (DomainFunction(_STEM_SERIES, _TUBE),
+                                       SphereSample(16))}[kind]
+    stem, _ = extend_to_completion(f, sample, [[0.5, 0.5]], force=True)
+
+    def oracle(x, y):
+        if y == 0.0:
+            return f.eval(SliceCoord(x, 0.0, None)), Q(0.0)
+        stems, _, _ = _scalar_sphere_stems(f, f.domain, sample, x, y)
+        if not stems:
+            raise OutOfDomainError(f"no usable stem on the sphere ({x}, {y})")
+        return stems[0][2:]
+
+    return stem, oracle
+
+
+@st.composite
+def _stem_rows(draw):
+    """(kind, rows (x, y, J)): real rows and rows across the domain and past
+    it (the series' radius of convergence, the tube, whose slices depend on
+    the unit, the family's box), and family rows within 1e-4 of an arc and
+    of the half line at height 2."""
+    kind = draw(st.sampled_from(["regular", "local-series", "local-family",
+                                 "completion-family", "completion-series"]))
+    near = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-8.0, -4.0))
+    if kind.endswith("family"):
+        arc = arc_coords(draw(st.sampled_from(_FAMILY_SAMPLE.units)), _CFG)
+        px, py = arc[draw(st.integers(0, len(arc) - 1))]
+        span = 6.0
+        points = [st.tuples(st.floats(-5.0, -2.0), st.just(2.0 + near)),
+                  st.just((float(px + near), float(py + near)))]
+    else:
+        span = 0.5 if kind == "completion-series" else 2.0
+        points = []
+    point = st.one_of(st.tuples(st.floats(-span, span), st.just(0.0)),
+                      st.tuples(st.floats(-span, span), st.floats(1e-6, span)), *points)
+    rows = draw(st.lists(st.tuples(point, st.sampled_from(_STEM_UNITS)),
+                         min_size=1, max_size=10))
+    return kind, [(x, y, J) for (x, y), J in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stem_rows())
+def test_stem_rows_match_scalar_oracle(case):
+    """One stems call and one eval_rows call give the scalar oracle's b, c
+    and values b + J c (b on the real axis) exactly (==), and ok is False
+    exactly where the oracle raises."""
+    kind, rows = case
+    stem, oracle = _stem_case(kind)
+    x, y, vectors = (np.array(a) for a in zip(*((x, y, J.to_list()) for x, y, J in rows)))
+    b, c, ok = stem.stems(x, y)
+    values, values_ok = stem.eval_rows(x, y, vectors)
+    assert np.array_equal(ok, values_ok)
+    for i, (px, py, J) in enumerate(rows):
+        try:
+            want_b, want_c = oracle(px, py)
+        except SliceRegError:
+            assert not ok[i]
+            continue
+        assert ok[i]
+        assert b[i].tolist() == want_b.to_list() and c[i].tolist() == want_c.to_list()
+        want = want_b if py == 0.0 else rep_eval(want_b, want_c, J)
+        assert values[i].tolist() == want.to_list()

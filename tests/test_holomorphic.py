@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
-                      UnitImaginary, ball_spec, dbar_residual, regular_ext)
+                      SphereSample, UnitImaginary, ball_spec, dbar_residual,
+                      extend_to_completion, regular_ext)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords, plane_log)
 from slicereg.domains import resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
-                             StencilError)
+                             SliceRegError, StencilError)
 from slicereg.holomorphic import (HoloSliceFunction, integrate_reciprocal,
-                                  polyline_integral, segment_crossings,
-                                  winding_number)
+                                  segment_crossings)
 from slicereg.quaternions import UNIT_I, UNIT_J
 
 from conftest import random_polynomial, random_unit
-from helpers import poly_eval_direct, winding_angle_sum
+from helpers import (anchored_integrals, dbar_four_evals, loop_consistency,
+                     poly_eval_direct, polyline_integral, stem_at,
+                     winding_angle_sum, winding_number)
 
 Q = Quaternion
 
@@ -158,7 +160,7 @@ def test_continued_log_jump_across_cut():
 
 def test_continued_log_two_anchor_agreement():
     fn = _plain_log()
-    vals = fn._table.anchored_integrals(0.7, 1.3, count=3)
+    vals = anchored_integrals(fn._table, 0.7, 1.3, count=3)
     assert len(vals) >= 2
     for v in vals[1:]:
         assert abs(vals[0] - v) <= 1e-9
@@ -244,14 +246,14 @@ def test_no_cut_point_lies_within_half_a_step_of_a_free_centre(name):
 def test_loop_consistency_far_from_pole():
     fn = _plain_log()
     sq = np.array([[2.0, 0.5], [2.5, 0.5], [2.5, 1.0], [2.0, 1.0], [2.0, 0.5]])
-    assert fn.loop_consistency(sq) <= 1e-12
+    assert loop_consistency(fn, sq) <= 1e-12
 
 
 def test_loop_consistency_encircling_in_uncut_plane():
     fn = _plain_log()
     t = np.linspace(0.0, 2.0 * math.pi, 200)
     loop = np.column_stack([1.5 * np.cos(t), 1.5 * np.sin(t)])
-    assert abs(fn.loop_consistency(loop) - 2.0 * math.pi) <= 1e-9
+    assert abs(loop_consistency(fn, loop) - 2.0 * math.pi) <= 1e-9
     assert abs(winding_angle_sum(loop, 0.0, 0.0) - 1.0) <= 1e-9
 
 
@@ -262,7 +264,7 @@ def test_loop_consistency_in_cut_domain(logs):
         np.array([[-1.3, 1.9], [-0.7, 1.9], [-0.7, 2.1], [-1.3, 2.1], [-1.3, 1.9]]),
     ]
     for loop in loops:
-        assert direct.loop_consistency(loop) <= 1e-9
+        assert loop_consistency(direct, loop) <= 1e-9
         assert abs(winding_angle_sum(loop, 0.0, 2.0)) <= 1e-9
 
 
@@ -330,7 +332,7 @@ def test_slice_mismatch_raises(logs):
 def test_stem_restriction_roundtrip(ball):
     stem = regular_ext(PowerSeries((Q(0), Q(0), Q(1))).on_slice(UNIT_I), ball)
     c = SliceCoord(0.3, 0.4, UNIT_J)
-    bq, cq = stem.parts(0.3, 0.4)
+    bq, cq = stem_at(stem, 0.3, 0.4)
     expect = bq + UNIT_J.as_quaternion() * cq
     assert stem.eval(c).isclose(expect, atol=0.0)
 
@@ -396,3 +398,37 @@ def test_eval_rows_matches_eval_units_per_point(case):
     want = [f.eval_rows(float(px), float(py), v[None]) for px, py, v in zip(x, y, vectors)]
     assert np.array_equal(values, np.concatenate([w[0] for w in want]), equal_nan=True)
     assert np.array_equal(ok, np.concatenate([w[1] for w in want]))
+
+
+# stems of regular_ext and extend_to_completion; the completion's stem is
+# undefined below the axis, so a stencil that crosses it must be written
+# canonically
+_DBAR_FUNCTIONS = {
+    **_ROWS_FUNCTIONS,
+    "regular": regular_ext(_ROWS_FUNCTIONS["series"].on_slice(UNIT_I), ball_spec(0.0, 1.0)),
+    "completion": extend_to_completion(_ROWS_FUNCTIONS["family"], SphereSample(4),
+                                       [[0.5, 0.5]], force=True)[0],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_DBAR_FUNCTIONS)),
+       st.one_of(_row_points(), st.tuples(st.floats(-2.0, 2.0),
+                                          st.sampled_from([0.0, 5e-4, 1e-3, 2e-3]))),
+       st.one_of(st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]),
+                 st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                 .filter(lambda v: np.linalg.norm(v) > 0.1)),
+       st.sampled_from([1e-3, 1e-4]))
+def test_dbar_residual_matches_four_evals(name, point, v, h):
+    """dbar_residual's one eval_rows call on the stencil equals the oracle's
+    four eval calls exactly (==), stencils that cross or touch the real
+    axis included, and raises StencilError where the oracle raises."""
+    f = _DBAR_FUNCTIONS[name]
+    coord = SliceCoord(point[0], point[1], UnitImaginary(*v))
+    try:
+        want = dbar_four_evals(f, coord, h)
+    except SliceRegError:
+        with pytest.raises(StencilError):
+            dbar_residual(f, coord, h)
+        return
+    assert dbar_residual(f, coord, h) == want

@@ -18,13 +18,19 @@ def _targets() -> list:
 
 
 def test_every_trace_target_resolves_to_a_callable():
+    """Each target is a callable defined in its module: a name moved to
+    another module and imported back would resolve, but the benchmark's
+    wrapper would miss the calls made inside its new module."""
     targets = _targets()
     assert targets
-    missing = []
+    missing, moved = [], []
     for module, qualname in targets:
         obj = importlib.import_module(f"slicereg.{module}")
         for part in qualname.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{module}.{qualname}")
+        elif obj.__module__ != f"slicereg.{module}":
+            moved.append(f"{module}.{qualname} is defined in {obj.__module__}")
     assert not missing
+    assert not moved
