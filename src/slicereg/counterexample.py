@@ -267,8 +267,9 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
     verdict_slice = is_slice_domain(spec, sample)
     report["slice_domain"] = verdict_slice.summary()
 
+    # component ids are read from the runs, so no label image is painted
     tgrid = intersection_grid(cfg)
-    n_tu, _ = tgrid.label()
+    n_tu = tgrid.component_count()
     report["intersection_components"] = int(n_tu)
     report["intersection_component_ids"] = {
         "upper_disk": tgrid.component_at(-1.0, 2.0),
@@ -277,14 +278,14 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
     }
 
     pgrid = pair_set_grid(cfg)
-    n_pair, _ = pgrid.label()
+    n_pair = pgrid.component_count()
     report["pair_set_components"] = int(n_pair)
     report["pair_set_component_ids"] = {
         "disk": pgrid.component_at(-1.0, 2.0),
         "outer": pgrid.component_at(3.0, 1.0),
     }
-    # free the labelled grids before the continuation tables and the
-    # rasters of is_simple are built
+    # free the grids before the continuation tables and the rasters of
+    # is_simple are built
     del tgrid, pgrid
 
     direct, conj = log_pair(cfg)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -168,13 +169,14 @@ def intersect_specs(a: DomainSpec, b: DomainSpec) -> DomainSpec:
 
 @dataclass
 class PlanarRegionGrid:
-    """Occupancy bitmap over cell centers of one slice; 4-connectivity."""
+    """Occupancy bitmap over cell centers of one slice; 4-connectivity.
+    Once counted, runs keeps what _run_components returns."""
 
     xs: np.ndarray
     ys: np.ndarray
     occupied: np.ndarray
     labels: np.ndarray | None = None
-    n_components: int | None = None
+    runs: tuple | None = None
 
     @property
     def h(self) -> float:
@@ -182,27 +184,31 @@ class PlanarRegionGrid:
 
     def component_count(self) -> int:
         """Number of 4-connected components, without painting labels."""
-        if self.n_components is None:
-            self.n_components = _run_components(self.occupied)[3]
-        return self.n_components
+        if self.runs is None:
+            self.runs = _run_components(self.occupied)
+        return self.runs[3]
 
     def label(self):
         """(count, labels): labels is an int32 array, 0 off the region and
-        components numbered 1, 2, ... by their first cell in raster order."""
+        components numbered 1, 2, ... by their first cell in raster order,
+        painted from the runs by one in-place cumsum."""
         if self.labels is None:
             ny, nx = self.occupied.shape
-            starts, ends, comp, self.n_components = _run_components(self.occupied)
-            delta = np.zeros(ny * (nx + 1), dtype=np.int32)
-            delta[starts] = comp
-            delta[ends] = -comp
-            self.labels = np.cumsum(delta, dtype=np.int32).reshape(ny, nx + 1)[:, :nx]
-        return self.n_components, self.labels
+            self.component_count()
+            paint = np.zeros(ny * (nx + 1), dtype=np.int32)
+            paint[self.runs[0]] = self.runs[2]
+            paint[self.runs[1]] = -self.runs[2]
+            self.labels = np.cumsum(paint, out=paint).reshape(ny, nx + 1)[:, :nx]
+        return self.runs[3], self.labels
 
     def component_at(self, x: float, y: float) -> int:
-        self.label()
-        ix = int(np.argmin(np.abs(self.xs - x)))
-        iy = int(np.argmin(np.abs(self.ys - y)))
-        return int(self.labels[iy, ix])
+        """Component of the cell nearest (x, y), 0 off the region, read from
+        the run that may hold its key (one searchsorted); paints nothing."""
+        self.component_count()
+        starts, ends, comp, _ = self.runs
+        key = np.argmin(np.abs(self.ys - y)) * (self.xs.size + 1) + np.argmin(np.abs(self.xs - x))
+        k = np.searchsorted(starts, key, "right") - 1
+        return int(comp[k]) if k >= 0 and key < ends[k] else 0
 
     def occupancy_digest(self) -> str:
         return hashlib.sha1(np.packbits(self.occupied).tobytes()).hexdigest()
@@ -493,16 +499,6 @@ class Verdict:
         return self.value == "yes"
 
 
-def _counted_components(grid: PlanarRegionGrid, counts: dict[str, int]) -> int:
-    """Component count of grid, labelled once per distinct raster: counts
-    maps occupancy digests to counts and grows with each new one.  Keyed on
-    the observed raster, so it holds whatever the membership depends on."""
-    digest = grid.occupancy_digest()
-    if digest not in counts:
-        counts[digest] = grid.component_count()
-    return counts[digest]
-
-
 def is_slice_domain(spec: DomainSpec, sample: SphereSample,
                     h: float | None = None) -> Verdict:
     """Checks the real trace is nonempty and every sampled slice is a
@@ -517,14 +513,17 @@ def is_slice_domain(spec: DomainSpec, sample: SphereSample,
     if not trace.any():
         return Verdict("no", {"reason": "empty real trace"}, res)
     indeterminate = False
-    counts: dict[str, int] = {}
+    counts = {}
     # one raster per plane: the full slice of units[m + base_count] = -J is
     # the row flip of that of J, so it fails exactly when J's does
     for J in sample.units[:sample.base_count]:
         grid = rasterize(spec, J, full_slice=True, h=h)
         if not grid.occupied.any():
             return Verdict("no", {"reason": "empty slice", "unit": J.to_list()}, res)
-        n = _counted_components(grid, counts)
+        digest = grid.occupancy_digest()  # equal rasters are counted once
+        if digest not in counts:
+            counts[digest] = grid.component_count()
+        n = counts[digest]
         if n > 1:
             return Verdict("no", {"reason": "disconnected slice",
                                   "unit": J.to_list(), "components": int(n)}, res)
@@ -626,30 +625,35 @@ def omega_jk_plus(spec: DomainSpec, J: UnitImaginary, K: UnitImaginary,
 def is_simple(spec: DomainSpec, sample: SphereSample,
               h: float | None = None) -> Verdict:
     """Connectivity of every sampled pair set: the AND of the upper half
-    slice rasters of its two units (a unit paired with itself is its own
-    raster), each unit rasterized once, on first use.  Antipodal pairs are
-    scanned first so witnesses of the counterexample kind surface as
-    (J, -J), then each unit with itself, then the other pairs.
+    slice rasters of its two units.  Each unit is rasterized once, on first
+    use, and each distinct raster is kept once, by occupancy digest; each
+    unordered digest pair is counted once, and a pair of equal rasters is
+    that raster, with no AND.  Antipodal pairs are scanned first so
+    witnesses of the counterexample kind surface as (J, -J), then each
+    unit with itself, then the other pairs.
     A yes is only "simple at resolution (N, h)"."""
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
-    units = sample.units
-    pairs = sample.antipodal_pairs() + [(m, m) for m in range(len(units))]
-    pairs += [(a, b) for a in range(len(units)) for b in range(a + 1, len(units))
-              if b - a != sample.base_count]  # antipodal pairs are scanned
-    rasters: dict[int, PlanarRegionGrid] = {}
-    counts: dict[str, int] = {}
+    units, n = sample.units, len(sample.units)
+    pairs = chain(sample.antipodal_pairs(), zip(range(n), range(n)),
+                  ((a, b) for a, b in combinations(range(n), 2)
+                   if b - a != sample.base_count))  # antipodal pairs are scanned
+    grids, kept, counts = {}, {}, {}
     for mi, mk in pairs:
         for m in (mi, mk):
-            if m not in rasters:
-                rasters[m] = rasterize(spec, units[m], h=h)
-        grid = rasters[mi] if mi == mk else _and_grids(rasters[mi], rasters[mk])
-        n = _counted_components(grid, counts) if grid.occupied.any() else 0
-        if n > 1:
+            if m not in grids:
+                grid = rasterize(spec, units[m], h=h)
+                grids[m] = kept.setdefault(grid.occupancy_digest(), grid)
+        a, b = grids[mi], grids[mk]
+        key = frozenset((id(a), id(b)))  # one kept raster per digest
+        if key not in counts:
+            grid = a if a is b else _and_grids(a, b)
+            counts[key] = grid.component_count() if grid.occupied.any() else 0
+        if counts[key] > 1:
             return Verdict("no", {
                 "pair": [units[mi].to_list(), units[mk].to_list()],
                 "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
-                "components": n,
+                "components": counts[key],
             }, res)
     return Verdict("yes", None, res)
 

@@ -196,8 +196,7 @@ class _PlaneContinuation:
         ys = np.arange(ylo + h / 2.0, yhi, h)
         free = np.ones((ys.size, xs.size), dtype=bool)
         _block_cut_cells(free, xs, ys, self.cuts, h)
-        zz = xs[None, :] + 1j * ys[:, None]
-        free &= np.abs(zz - self.pole) > 1.5 * h
+        free &= np.abs(xs[None, :] + 1j * ys[:, None] - self.pole) > 1.5 * h
 
         bx, by = self.base
         ib = int(np.clip(round((by - ys[0]) / h), 0, ys.size - 1))
@@ -217,31 +216,33 @@ class _PlaneContinuation:
         self._x0, self._y0 = float(xs[0]), float(ys[0])
 
     def _accumulate(self, free, xs, ys, dist, pdir, start):
-        steps = np.array(_GRID_STEPS)
+        """Path integrals along the BFS tree: each reached cell gets its
+        parent's value plus the closed-form log of its edge.  Cells are flat
+        indices sorted by level, so a level is one slice whose parents are
+        already set.  The edge logs are computed in place in the buffer of
+        z1, and z0 is freed before the log."""
         ny, nx = free.shape
-        value = np.full((ny, nx), np.nan + 0j, dtype=complex)
-        value[start] = 0.0 + 0.0j
-
-        reached = dist > 0
-        iy, ix = np.nonzero(reached)
-        codes = pdir[iy, ix]
-        py = iy - steps[codes, 0]
-        px = ix - steps[codes, 1]
-        z1 = xs[ix] + 1j * ys[iy]
-        z0 = xs[px] + 1j * ys[py]
-        edge = np.log((z1 - self.pole) / (z0 - self.pole))
-
-        # accumulate level by level
-        order = np.argsort(dist[iy, ix], kind="stable")
-        levels = dist[iy, ix][order]
-        bounds = np.searchsorted(levels, np.arange(1, levels[-1] + 2)) if levels.size else []
+        value = np.full(ny * nx, np.nan + 0j, dtype=complex)
+        value[start[0] * nx + start[1]] = 0.0 + 0.0j
+        level = dist.ravel()
+        cells = np.flatnonzero(level > 0)
+        cells = cells[np.argsort(level[cells], kind="stable")]
+        level = level[cells]
+        offsets = np.array([dy * nx + dx for dy, dx in _GRID_STEPS])
+        parents = cells - offsets[pdir.ravel()[cells]]
+        edge = xs[cells % nx] + 1j * ys[cells // nx]  # z1
+        edge -= self.pole
+        z0 = xs[parents % nx] + 1j * ys[parents // nx]
+        z0 -= self.pole
+        edge /= z0
+        del z0
+        np.log(edge, out=edge)
         lo = 0
-        for hi in bounds:
-            sl = order[lo:hi]
-            if sl.size:
-                value[iy[sl], ix[sl]] = value[py[sl], px[sl]] + edge[sl]
+        # level k ends where level k + 1 starts; no level is empty
+        for hi in np.searchsorted(level, np.arange(2, level[-1] + 2)) if level.size else ():
+            value[cells[lo:hi]] = value[parents[lo:hi]] + edge[lo:hi]
             lo = hi
-        return value
+        return value.reshape(ny, nx)
 
     # -- evaluation --------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Independent oracles used to freeze expected values, and the few path
-integral and arc helpers that only tests use.
+"""Independent oracles used to freeze expected values, the grid kernels
+that faster paths replaced, and the few path integral and arc helpers that
+only tests use.
 
 The oracles deliberately avoid the code paths they check: polynomial
 evaluation sums explicit powers instead of Horner, and the winding oracle
@@ -12,6 +13,7 @@ import numpy as np
 
 from slicereg import Quaternion, SliceCoord, rep_coeffs
 from slicereg.counterexample import t_of
+from slicereg.domains import _GRID_STEPS, _run_components
 from slicereg.holomorphic import integrate_reciprocal
 
 
@@ -119,3 +121,42 @@ def dbar_four_evals(f, coord, h: float) -> float:
     dx = (fxp - fxm) / (2.0 * h)
     dy = (fyp - fym) / (2.0 * h)
     return ((dx + unit.as_quaternion() * dy) * 0.5).norm()
+
+
+def paint_labels(occupied):
+    """Oracle painter of PlanarRegionGrid.label: the int32 label image of
+    run-length labelling, painted by a delta image and a separate cumsum,
+    from a fresh _run_components call."""
+    ny, nx = occupied.shape
+    starts, ends, comp, _ = _run_components(occupied)
+    delta = np.zeros(ny * (nx + 1), dtype=np.int32)
+    delta[starts] = comp
+    delta[ends] = -comp
+    return np.cumsum(delta, dtype=np.int32).reshape(ny, nx + 1)[:, :nx]
+
+
+def level_loop_table(pole: complex, free, xs, ys, dist, pdir, start):
+    """Oracle of _PlaneContinuation._accumulate: the table of path
+    integrals filled on the 2-D grid, one level at a time, from row and
+    column arrays of every reached cell and its BFS parent."""
+    steps = np.array(_GRID_STEPS)
+    ny, nx = free.shape
+    value = np.full((ny, nx), np.nan + 0j, dtype=complex)
+    value[start] = 0.0 + 0.0j
+    iy, ix = np.nonzero(dist > 0)
+    codes = pdir[iy, ix]
+    py = iy - steps[codes, 0]
+    px = ix - steps[codes, 1]
+    z1 = xs[ix] + 1j * ys[iy]
+    z0 = xs[px] + 1j * ys[py]
+    edge = np.log((z1 - pole) / (z0 - pole))
+    order = np.argsort(dist[iy, ix], kind="stable")
+    levels = dist[iy, ix][order]
+    bounds = np.searchsorted(levels, np.arange(1, levels[-1] + 2)) if levels.size else []
+    lo = 0
+    for hi in bounds:
+        sl = order[lo:hi]
+        if sl.size:
+            value[iy[sl], ix[sl]] = value[py[sl], px[sl]] + edge[sl]
+        lo = hi
+    return value

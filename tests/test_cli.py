@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 from slicereg.cli import _scan_grid, main
+from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
+                                     pair_set_grid)
+from slicereg.serialize import write_pgm
+
+from helpers import paint_labels
 
 
 @pytest.fixture()
@@ -463,6 +468,12 @@ def test_counterexample_command(tmp_path):
     for name in ("omega_slice.pgm", "intersection_labels.pgm",
                  "pair_set_labels.pgm", "jump_heatmap.csv"):
         assert (out / name).exists()
+    # the label images equal those of the oracle painter, byte for byte
+    cfg = CounterexampleConfig(h=0.02)
+    for name, grid in (("intersection_labels.pgm", intersection_grid(cfg)),
+                       ("pair_set_labels.pgm", pair_set_grid(cfg))):
+        write_pgm(tmp_path / name, paint_labels(grid.occupied))
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_tube_command(ball_json, tmp_path):

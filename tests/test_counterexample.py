@@ -12,7 +12,7 @@ from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      demonstrate, intersection_grid,
                                      log_pair, omega_spec, pair_set_grid,
                                      plane_log, slice_cuts, t_of)
-from slicereg.domains import (_block_cut_cells, _mirror,
+from slicereg.domains import (PlanarRegionGrid, _block_cut_cells, _mirror,
                               _points_to_polyline_dist, rasterize)
 from slicereg.errors import OutOfDomainError, SliceRegError
 from slicereg.extension import extension_formula, rep_coeffs, rep_eval
@@ -20,7 +20,7 @@ from slicereg.holomorphic import ContinuedLog, _PlaneContinuation, dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, rotate_toward, slice_decompose
 
 from conftest import random_unit
-from helpers import arc_point
+from helpers import arc_point, paint_labels
 
 Q = Quaternion
 TWO_PI = 2.0 * math.pi
@@ -453,3 +453,28 @@ def test_demonstrate_queries_take_the_nearest_cell(cfg, monkeypatch):
     demonstrate(cfg, sample=SphereSample(4, extra=[cfg.axis]), seed=1)
     assert calls["integral_to"] > 1500
     assert calls["_anchored"] == 0
+
+
+def test_demonstrate_paints_no_label_image(monkeypatch):
+    """The evidence bundle reads its component counts and ids from the
+    runs: PlanarRegionGrid.label is never called, and each id is the
+    oracle-painted label of the nearest cell."""
+    cfg = CounterexampleConfig(h=0.05)
+    calls = []
+    real = PlanarRegionGrid.label
+    monkeypatch.setattr(PlanarRegionGrid, "label", lambda grid: calls.append(1) or real(grid))
+    report = demonstrate(cfg, sample=SphereSample(8, extra=[cfg.axis]), seed=0)
+    assert calls == []
+    assert report["intersection_components"] == 3 and report["pair_set_components"] == 2
+
+    def painted(grid, x, y):
+        labels = paint_labels(grid.occupied)
+        return int(labels[np.argmin(np.abs(grid.ys - y)), np.argmin(np.abs(grid.xs - x))])
+
+    tgrid, pgrid = intersection_grid(cfg), pair_set_grid(cfg)
+    assert report["intersection_component_ids"] == {
+        "upper_disk": painted(tgrid, -1.0, 2.0), "lower_disk": painted(tgrid, -1.0, -2.0),
+        "outside": painted(tgrid, 3.0, 0.0)}
+    assert report["pair_set_component_ids"] == {
+        "disk": painted(pgrid, -1.0, 2.0), "outer": painted(pgrid, 3.0, 1.0)}
+    assert len(set(report["intersection_component_ids"].values())) == 3

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
 from slicereg import counterexample, domains
 from slicereg.domains import (MAX_GRID_CELLS, DomainSpec, PlanarRegionGrid,
                               Verdict, _and_grids, _arange_len,
-                              _block_cut_cells, _core, _counted_components,
+                              _block_cut_cells, _core,
                               _core_hull, _first_cell_in_hull, _grid_bfs,
                               _grid_path, _half_step_rows, _nearest_index,
                               fibonacci_points, intersect_specs,
@@ -32,6 +33,7 @@ from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
                                      omega_spec, pair_set_grid)
 
 from conftest import random_unit
+from helpers import paint_labels
 
 Q = Quaternion
 
@@ -753,7 +755,10 @@ def _three_scan_is_simple(spec, sample, h=None):
             grid = omega_jk_plus(spec, units[mi], units[mk], h=h)
         if not grid.occupied.any():
             return 0
-        return _counted_components(grid, counts)
+        digest = grid.occupancy_digest()
+        if digest not in counts:
+            counts[digest] = grid.component_count()
+        return counts[digest]
 
     def scan(pairs, cache):
         for mi, mk in pairs:
@@ -799,6 +804,85 @@ def test_is_simple_rasterizes_each_unit_once(ball, sample16, monkeypatch):
     assert is_simple(ball, sample16, h=0.05).is_yes
     assert len(calls) <= len(sample16)
     assert sorted(map(sample16.units.index, calls)) == list(range(len(sample16)))
+
+
+def test_is_simple_counts_each_digest_pair_once(ball, sample16, monkeypatch):
+    """Every upper raster of the ball is the same disk: is_simple keeps one
+    raster, ANDs no pair and counts components once."""
+    ands = []
+    real = domains._and_grids
+    monkeypatch.setattr(domains, "_and_grids", lambda a, b: ands.append(1) or real(a, b))
+    calls = _count_component_counts(monkeypatch)
+    assert is_simple(ball, sample16, h=0.05).is_yes
+    assert ands == [] and len(calls) == 1
+
+
+def test_is_simple_memory_does_not_grow_with_the_sample(ball):
+    """is_simple holds one raster per distinct digest, so on the ball its
+    traced peak at N = 64 (128 units) stays within 1.5x of that at N = 8."""
+    peaks = []
+    for sample in (SphereSample(8), SphereSample(64)):
+        tracemalloc.start()
+        try:
+            assert is_simple(ball, sample, h=0.01).is_yes
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# component ids from the stored runs
+# ---------------------------------------------------------------------------
+
+def _assert_component_at_matches_painted(occ, probes=()):
+    """component_at at every cell centre, and at each probe point, is the
+    oracle-painted label of the nearest cell; no label image is painted."""
+    ny, nx = occ.shape
+    grid = PlanarRegionGrid(xs=0.5 * np.arange(nx) - 1.0,
+                            ys=0.25 + 0.5 * np.arange(ny), occupied=occ)
+    want = paint_labels(occ)
+    got = [[grid.component_at(x, y) for x in grid.xs.tolist()] for y in grid.ys.tolist()]
+    assert np.array_equal(np.array(got).reshape(ny, nx), want)
+    for x, y in probes:
+        iy, ix = np.argmin(np.abs(grid.ys - y)), np.argmin(np.abs(grid.xs - x))
+        assert grid.component_at(x, y) == want[iy, ix], (x, y)
+    assert grid.labels is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), st.data())
+def test_component_at_matches_the_painted_label(rows, cols, data):
+    probes = data.draw(st.lists(st.tuples(st.floats(-3.0, 12.0), st.floats(-2.0, 12.0)),
+                                max_size=8))
+    _assert_component_at_matches_painted(_random_mask(data, rows, cols), probes)
+
+
+@pytest.mark.parametrize("occ", [
+    np.zeros((6, 9), bool), np.ones((6, 9), bool),
+    np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], bool),
+    np.array([[1], [0], [1], [1], [0], [1]], bool)]
+    + [rasterize(spec, UNIT_I, h=h).occupied for spec, h in _PLANE_CORPUS.values()],
+    ids=["empty", "full", "one-row", "one-column", *_PLANE_CORPUS])
+def test_component_at_matches_the_painted_label_on_fixed_masks(occ):
+    _assert_component_at_matches_painted(occ, [(-5.0, -5.0), (50.0, 0.0), (0.0, 80.0)])
+
+
+def test_label_after_component_count_paints_from_the_stored_runs(cfg, monkeypatch):
+    """label() after component_count() and component_at() equals a fresh
+    grid's label() and the oracle painter, from one _run_components call."""
+    grid = intersection_grid(cfg, h=0.05)
+    calls = []
+    real = domains._run_components
+    monkeypatch.setattr(domains, "_run_components", lambda occ: calls.append(1) or real(occ))
+    n = grid.component_count()
+    assert grid.component_at(-1.0, 2.0) != grid.component_at(3.0, 0.0)
+    got_n, got = grid.label()
+    assert len(calls) == 1
+    fresh_n, fresh = PlanarRegionGrid(xs=grid.xs, ys=grid.ys, occupied=grid.occupied).label()
+    assert got_n == n == fresh_n == 3
+    assert got.dtype == fresh.dtype == np.int32
+    assert np.array_equal(got, fresh) and np.array_equal(got, paint_labels(grid.occupied))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
@@ -455,6 +455,16 @@ _FAMILY = BranchedLogFamily(_CFG)
 _FAMILY_SAMPLE = SphereSample(8, extra=[_CFG.axis])
 _TUBE = TubeDomain(unit=UNIT_I, polyline=np.array([[0.0, 0.6], [0.0, 0.0]]),
                    epsilon=0.3, y_ref=0.6).as_domain_spec()
+# at N = 8 no sphere over the tube has a usable fan; at N = 16 some do, and
+# the sphere (0, 0.35) has two fan stems and no antipodal one
+_TUBE_SAMPLE = SphereSample(16)
+_TUBE_SERIES = DomainFunction(PowerSeries((Q(0.5, 0.1, -0.2, 0.3), Q(0.0, 1.0, 0.0, 0.0))),
+                              _TUBE)
+
+
+def _fan_stems(pairs, sample) -> int:
+    """How many of the usable stem pairs are fan pairs, not antipodal."""
+    return sum(1 for a, b in np.asarray(pairs).tolist() if b - a != sample.base_count)
 
 
 @st.composite
@@ -472,9 +482,11 @@ def _sphere_cases(draw):
                                min_size=1, max_size=7))
         radius = draw(st.floats(0.3, 1.0)) if kind == "radius" else math.inf
         f = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
-        spec = _TUBE if kind == "tube" else ball_spec(0.0, 1.0)
-        x = draw(st.floats(-0.35, 0.35) if kind == "tube" else st.floats(-0.9, 0.9))
-        return DomainFunction(f, spec), SphereSample(8), x, draw(st.floats(1e-6, 0.9))
+        if kind == "tube":
+            return (DomainFunction(f, _TUBE), _TUBE_SAMPLE, draw(st.floats(-0.35, 0.35)),
+                    draw(st.floats(1e-6, 0.9)))
+        return (DomainFunction(f, ball_spec(0.0, 1.0)), SphereSample(8),
+                draw(st.floats(-0.9, 0.9)), draw(st.floats(1e-6, 0.9)))
     if kind == "box":
         x, y = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-6, 5.0))
     elif kind == "line":
@@ -489,29 +501,39 @@ def _sphere_cases(draw):
     return _FAMILY, _FAMILY_SAMPLE, x, y
 
 
-@settings(max_examples=300, deadline=None)
-@given(_sphere_cases())
-def test_sphere_stems_match_per_unit_oracle(case):
+def test_sphere_stems_match_per_unit_oracle():
     """The batched sphere scan (_block_stems on one sphere: one eval_rows
     call, array rep_coeffs) gives the oracle's values, pairs, stem
-    coefficients within 1e-12 and skipped pairs."""
-    f, sample, x, y = case
-    stems, skipped, present = _scalar_sphere_stems(f, f.domain, sample, x, y)
-    pairs, bq, cq, got_skipped, got_present = _sphere_stems(f, f.domain, sample, x, y)
-    assert np.array_equal(got_present, present)
-    assert [tuple(p) for p in pairs] == [s[:2] for s in stems]
-    assert [tuple(p) for p in got_skipped] == skipped
-    for row_b, row_c, (_, _, b, c) in zip(bq, cq, stems):
-        assert (Quaternion.from_list(row_b) - b).norm() <= 1e-12
-        assert (Quaternion.from_list(row_c) - c).norm() <= 1e-12
-    values, ok = f.eval_rows(x, y, sample.vectors)
-    for row, good, J in zip(values, ok, sample.units):
-        try:
-            want = f.eval(SliceCoord.make(x, y, J))
-        except SliceRegError:
-            assert not good and np.isnan(row).all()
-            continue
-        assert good and (Quaternion.from_list(row) - want).norm() <= 1e-12
+    coefficients within 1e-12 and skipped pairs.  Over its examples it
+    compares at least one fan stem of a power series."""
+    fans = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sphere_cases())
+    @example((_TUBE_SERIES, _TUBE_SAMPLE, 0.0, 0.35))
+    def check(case):
+        f, sample, x, y = case
+        stems, skipped, present = _scalar_sphere_stems(f, f.domain, sample, x, y)
+        pairs, bq, cq, got_skipped, got_present = _sphere_stems(f, f.domain, sample, x, y)
+        assert np.array_equal(got_present, present)
+        assert [tuple(p) for p in pairs] == [s[:2] for s in stems]
+        assert [tuple(p) for p in got_skipped] == skipped
+        for row_b, row_c, (_, _, b, c) in zip(bq, cq, stems):
+            assert (Quaternion.from_list(row_b) - b).norm() <= 1e-12
+            assert (Quaternion.from_list(row_c) - c).norm() <= 1e-12
+        values, ok = f.eval_rows(x, y, sample.vectors)
+        for row, good, J in zip(values, ok, sample.units):
+            try:
+                want = f.eval(SliceCoord.make(x, y, J))
+            except SliceRegError:
+                assert not good and np.isnan(row).all()
+                continue
+            assert good and (Quaternion.from_list(row) - want).norm() <= 1e-12
+        if isinstance(f, DomainFunction):
+            fans.append(_fan_stems(pairs, sample))
+
+    check()
+    assert sum(fans) > 0
 
 
 def test_consistency_report_matches_scalar_scan(omega):
@@ -545,9 +567,10 @@ def test_consistency_report_matches_scalar_scan(omega):
     assert any(e["defect"] > 6.0 for e in want) and any(e.get("skipped_pairs") for e in want)
 
 
-def _per_sphere_scan(f, sample, xy):
+def _per_sphere_scan(f, sample, xy, fans=None):
     """Oracle: the consistency entries sphere by sphere, one _block_stems
-    call per sphere (the scan before it ran on blocks of spheres)."""
+    call per sphere (the scan before it ran on blocks of spheres).  A fans
+    list gets the number of fan stems of each sphere."""
     omega, entries = f.domain, []
     for row in np.asarray(xy, dtype=float):
         x, y = float(row[0]), float(row[1])
@@ -556,6 +579,8 @@ def _per_sphere_scan(f, sample, xy):
                 entries.append({"sphere": [x, y], "defect": 0.0, "witnesses": None})
             continue
         pairs, bq, cq, skipped, present = _sphere_stems(f, omega, sample, x, y)
+        if fans is not None:
+            fans.append(_fan_stems(pairs, sample))
         if not present.any():
             continue
         if len(pairs) < 2:
@@ -613,29 +638,38 @@ def _scan_grids(draw):
         radius = draw(st.floats(0.3, 1.0)) if kind == "radius" else math.inf
         series = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
         f = DomainFunction(series, _TUBE if kind == "tube" else ball_spec(0.0, 1.0))
-        sample = SphereSample(8)
+        sample = _TUBE_SAMPLE if kind == "tube" else SphereSample(8)
         spheres = st.tuples(st.floats(-1.2, 1.2), st.floats(1e-6, 1.2))
     real = st.tuples(st.floats(-6.0, 6.0), st.just(0.0))
     xy = draw(st.lists(st.one_of(spheres, spheres, real), min_size=1, max_size=14))
     return f, sample, np.array(xy, dtype=float)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_scan_grids())
-def test_blocked_scan_matches_per_sphere_oracle(case):
+def test_blocked_scan_matches_per_sphere_oracle():
     """The blocked consistency scan gives the per-sphere scan's report
     exactly (entries, skipped and max_defect ==), at blocks of one sphere,
     of three spheres and at the default row bound, so grids cross block
-    boundaries."""
-    f, sample, xy = case
-    want = _per_sphere_scan(f, sample, xy)
-    for rows in (len(sample), 3 * len(sample), consistency.SCAN_BLOCK_ROWS):
-        with mock.patch.object(consistency, "SCAN_BLOCK_ROWS", rows):
-            _, report = extend_to_completion(f, sample, xy, force=True)
-        assert report.entries == want
-        assert report.skipped == []
-        assert report.max_defect == max([e["defect"] for e in want], default=0.0)
-        assert report.n_spheres == len(want)
+    boundaries.  Over its examples it compares at least one fan stem of a
+    power series."""
+    fans = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scan_grids())
+    @example((_TUBE_SERIES, _TUBE_SAMPLE, np.array([[0.0, 0.35], [0.3, 0.0], [0.1, 0.5]])))
+    def check(case):
+        f, sample, xy = case
+        want = _per_sphere_scan(f, sample, xy,
+                                fans if isinstance(f, DomainFunction) else None)
+        for rows in (len(sample), 3 * len(sample), consistency.SCAN_BLOCK_ROWS):
+            with mock.patch.object(consistency, "SCAN_BLOCK_ROWS", rows):
+                _, report = extend_to_completion(f, sample, xy, force=True)
+            assert report.entries == want
+            assert report.skipped == []
+            assert report.max_defect == max([e["defect"] for e in want], default=0.0)
+            assert report.n_spheres == len(want)
+
+    check()
+    assert sum(fans) > 0
 
 
 def test_scan_blocks_bound_the_rows_of_each_evaluation(monkeypatch):

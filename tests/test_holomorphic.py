@@ -14,14 +14,14 @@ from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
 from slicereg.domains import resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
                              SliceRegError, StencilError)
-from slicereg.holomorphic import (HoloSliceFunction, integrate_reciprocal,
-                                  segment_crossings)
+from slicereg.holomorphic import (HoloSliceFunction, _PlaneContinuation,
+                                  integrate_reciprocal, segment_crossings)
 from slicereg.quaternions import UNIT_I, UNIT_J
 
 from conftest import random_polynomial, random_unit
-from helpers import (anchored_integrals, dbar_four_evals, loop_consistency,
-                     poly_eval_direct, polyline_integral, stem_at,
-                     winding_angle_sum, winding_number)
+from helpers import (anchored_integrals, dbar_four_evals, level_loop_table,
+                     loop_consistency, poly_eval_direct, polyline_integral,
+                     stem_at, winding_angle_sum, winding_number)
 
 Q = Quaternion
 
@@ -321,6 +321,30 @@ def test_table_cells_exponentiate_to_the_ratio(which, logs):
     ratio = (z - table.pole) / (complex(*table.base) - table.pole)
     err = np.abs(np.exp(table._value[iy, ix]) - ratio) / np.abs(ratio)
     assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["plain", "direct", "conj"])
+def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch):
+    """_accumulate on flat cells sorted by level, with in-place edge logs,
+    gives the 2-D level loop's table bit for bit, on both counterexample
+    tables and on a cut-free one."""
+    fn = _plain_log() if which == "plain" else logs[which == "conj"]
+    seen = {}
+    real = _PlaneContinuation._accumulate
+
+    def spy(self, *args):
+        value = real(self, *args)
+        seen["args"], seen["value"] = args, value.copy()
+        return value
+
+    monkeypatch.setattr(_PlaneContinuation, "_accumulate", spy)
+    table = _PlaneContinuation(fn.pole, fn.base, fn.cuts, fn.bbox, fn.step)
+    table.integral_to(*table.base)  # builds the table
+    want = level_loop_table(table.pole, *seen["args"])
+    got = seen["value"]
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.isfinite(got).sum() > 1000
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_slice_mismatch_raises(logs):
