@@ -9,14 +9,15 @@ from .quaternions import (Quaternion, SliceCoord, UnitImaginary,
 from .holomorphic import (ContinuedLog, HoloSliceFunction, PowerSeries,
                           dbar_residual)
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, Verdict,
-                      ball_spec, halfspace_spec, is_simple, is_slice_convex,
-                      is_slice_domain, is_symmetric, omega_jk_plus, rasterize,
-                      starlike_spec, symmetric_completion)
-from .extension import (ConsistencyReport, DomainFunction, LocalExtension,
-                        StemPair, TubeDomain, build_tube, check_compatible,
-                        extend_to_completion, extension_formula,
-                        formula_stem, local_extend, regular_ext, rep_coeffs,
-                        rep_eval)
+                      is_simple, is_slice_convex, is_slice_domain,
+                      is_symmetric, omega_jk_plus, rasterize,
+                      symmetric_completion)
+from .specs import ball_spec, halfspace_spec, starlike_spec
+from .extension import (ConsistencyReport, DomainFunction, StemPair,
+                        check_compatible, extend_to_completion,
+                        extension_formula, formula_stem, regular_ext,
+                        rep_coeffs, rep_eval)
+from .local import LocalExtension, TubeDomain, build_tube, local_extend
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

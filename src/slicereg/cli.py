@@ -18,16 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .domains import (SphereSample, _arange_len, _check_cells, is_simple,
-                      is_slice_convex, is_slice_domain, is_symmetric,
-                      rasterize, symmetric_completion)
+from .domains import (SphereSample, is_simple, is_slice_convex,
+                      is_slice_domain, is_symmetric, rasterize,
+                      symmetric_completion)
 from .errors import ConsistencyError, PreconditionError, SliceRegError
-from .extension import (DomainFunction, build_tube, extend_to_completion,
-                        formula_stem, local_extend, regular_ext, rep_coeffs,
-                        rep_eval)
+from .extension import (DomainFunction, extend_to_completion, formula_stem,
+                        regular_ext, rep_coeffs, rep_eval)
 from .holomorphic import PowerSeries
+from .local import build_tube, local_extend
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
-from .serialize import (_check_numbers, _object, _required, dump_json,
+from .raster import _arange_len, _check_cells
+from .serialize import (_object, _required, _unit, _vector, dump_json,
                         grid_to_pgm, load_domain_spec, load_holo_function,
                         write_csv)
 
@@ -82,21 +83,6 @@ def _load_function(args, spec, spec_data):
         coeffs = tuple(Quaternion.from_list(c) for c in _BUILTIN_FUNCTIONS[name])
         return DomainFunction(PowerSeries(coeffs), spec)
     return DomainFunction(load_holo_function(name), spec)
-
-
-def _vector(value, size: int, what: str) -> list:
-    """value as a list of size finite numbers; PreconditionError otherwise."""
-    _check_numbers(value, what)
-    if not isinstance(value, list) or len(value) != size:
-        raise PreconditionError(f"{what} must be a list of {size} numbers, got {value!r}")
-    return value
-
-
-def _unit(value, what: str) -> UnitImaginary:
-    try:
-        return UnitImaginary.from_vector(_vector(value, 3, what))
-    except ValueError as exc:  # a vector too short to normalize
-        raise PreconditionError(f"{what}: {exc}") from None
 
 
 def _extend_grid(grid) -> tuple:

@@ -17,13 +17,14 @@ from itertools import groupby
 
 import numpy as np
 
-from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, _mirror,
+from .domains import (DomainSpec, PlanarRegionGrid, SphereSample,
                       is_simple, is_slice_domain, omega_jk_plus, rasterize)
 from .errors import OutOfDomainError, SliceRegError
 from .extension import formula_stem
 from .holomorphic import ContinuedLog, HoloSliceFunction
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
                           imaginary_rows, mul_rows, norm_rows)
+from .raster import _mirror
 
 # chord deviation bound for 256-point parametric sampling of the arcs;
 # scalar membership, and with it the closed-form log family, treats

@@ -8,23 +8,30 @@ even when the probed imaginary unit varies per point.
 Verdicts about connectivity are resolution-qualified: they are decided on
 occupancy grids of cell-center samples, with cut curves rasterized as
 8-connected dilated barriers so a one-cell-wide cut cannot leak diagonally.
+The array kernels behind the grids are in slicereg.raster, and the
+concrete specs (ball, half plane, starlike, union, intersection) in
+slicereg.specs.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedError
-from .quaternions import Quaternion, UnitImaginary
+from .errors import PreconditionError
+from .quaternions import UnitImaginary
+from .raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
+                     _check_cells, _core, _core_hull, _first_cell_in_hull,
+                     _half_step_rows, _mirror, _nearest_index,
+                     _points_to_polyline_dist, _run_components, _turn,
+                     resample_polyline)
 
-# the most cells one raster or continuation table may hold, and the most
-# entries of a sphere sample's pairwise dot matrix: 4x the 4.0e6 cells of
-# the counterexample's full slice at h = 0.005
-MAX_GRID_CELLS = 16_000_000
+# the interpreter's builtin blake2 (hashlib's blake2b is this one): importing
+# hashlib would load OpenSSL (_hashlib), about 3.7 MB of resident memory
+# that nothing else in slicereg needs
+from _blake2 import blake2b
 
 
 # ---------------------------------------------------------------------------
@@ -141,32 +148,6 @@ class DomainSpec:
         return True
 
 
-def intersect_specs(a: DomainSpec, b: DomainSpec) -> DomainSpec:
-    """Pointwise intersection; cut curves of both operands are kept."""
-
-    def membership(x, y, jx, jy, jz):
-        return np.asarray(a.membership(x, y, jx, jy, jz)) & \
-            np.asarray(b.membership(x, y, jx, jy, jz))
-
-    def real_trace(x):
-        return np.asarray(a.real_trace(x)) & np.asarray(b.real_trace(x))
-
-    def cuts(J):
-        out = []
-        for spec in (a, b):
-            if spec.cuts is not None:
-                out.extend(spec.cuts(J))
-        return out
-
-    bbox = (max(a.bbox[0], b.bbox[0]), min(a.bbox[1], b.bbox[1]),
-            min(a.bbox[2], b.bbox[2]))
-    has_cuts = a.cuts is not None or b.cuts is not None
-    return DomainSpec(membership, real_trace, bbox, min(a.h, b.h),
-                      cuts if has_cuts else None,
-                      max(a.cut_clearance, b.cut_clearance),
-                      name=f"({a.name} & {b.name})")
-
-
 @dataclass
 class PlanarRegionGrid:
     """Occupancy bitmap over cell centers of one slice; 4-connectivity.
@@ -211,229 +192,8 @@ class PlanarRegionGrid:
         return int(comp[k]) if k >= 0 and key < ends[k] else 0
 
     def occupancy_digest(self) -> str:
-        return hashlib.sha1(np.packbits(self.occupied).tobytes()).hexdigest()
+        return blake2b(np.packbits(self.occupied).tobytes(), digest_size=20).hexdigest()
 
-
-def _run_components(occupied: np.ndarray):
-    """Run-length labelling of the 4-connected components of a bool mask.
-
-    Returns (starts, ends, comp, count).  The k-th row run, in raster
-    order, covers the flat keys starts[k] <= row*(nx+1) + col < ends[k]
-    (the extra column is always empty, so a run never wraps), and comp[k]
-    is its component, numbered 1, 2, ... by first run in raster order.
-
-    Runs that share a column in consecutive rows are joined by rounds of
-    min-hooking on arrays: each root takes the smallest root of the runs
-    joined to it, then pointer jumping makes every parent a root.  A
-    parent only decreases and never exceeds its index, so there are no
-    cycles, and a component's smallest run index stays its root.  Each
-    round hooks every root that is not a local minimum among its
-    neighbours' roots; a local minimum that nothing hooks onto has only
-    neighbours that hooked onto smaller roots, so it hooks in the next
-    round.  Two rounds thus at least halve the roots of an unfinished
-    component, and the rounds are O(log runs).
-    """
-    ny, nx = occupied.shape
-    width = nx + 1
-    # each row behind one empty cell, with one more after the last row, so
-    # every row sits between two empty cells: transitions alternate start
-    # and end, and the transition after flat index e is the key e
-    flat = np.zeros(ny * width + 1, dtype=bool)
-    flat[:-1].reshape(ny, width)[:, 1:] = occupied
-    edge = np.flatnonzero(flat[1:] != flat[:-1])
-    starts, ends = edge[0::2], edge[1::2]
-    # the runs of the next row that share a column with run k are the
-    # slice lo[k]:hi[k]: they end after its start and start before its end
-    lo = np.searchsorted(ends, starts + width, side="right")
-    hi = np.searchsorted(starts, ends + width, side="left")
-    count = np.maximum(hi - lo, 0)
-    k = np.repeat(np.arange(starts.size), count)
-    j = np.arange(k.size) - np.repeat(np.cumsum(count) - count - lo, count)
-    parent = np.arange(starts.size)
-    while True:
-        rk, rj = parent[k], parent[j]
-        split = rk != rj
-        if not split.any():
-            break
-        k, j, rk, rj = k[split], j[split], rk[split], rj[split]
-        low = np.minimum(rk, rj)
-        np.minimum.at(parent, rk, low)
-        np.minimum.at(parent, rj, low)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-    # each root is its component's first run, so sorted roots number the
-    # components in raster order
-    roots, comp = np.unique(parent, return_inverse=True)
-    return starts, ends, comp.astype(np.int32) + 1, roots.size
-
-
-def resample_polyline(points, max_step: float) -> np.ndarray:
-    """Insert vertices so consecutive points are at most max_step apart."""
-    pts = np.asarray(points, dtype=float)
-    a = pts[:-1]
-    seg = pts[1:] - a
-    n = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / max_step).astype(int))
-    first = np.repeat(np.cumsum(n) - n, n)  # output index of each segment's k = 1
-    k = np.arange(1, first.size + 1) - first
-    frac = k / np.repeat(n, n)
-    return np.vstack([pts[:1], np.repeat(a, n, axis=0)
-                      + np.repeat(seg, n, axis=0) * frac[:, None]])
-
-
-def _mirror(polylines) -> list:
-    """The polylines reflected in the real axis, (x, y) -> (x, -y)."""
-    return [np.asarray(p, dtype=float) * (1.0, -1.0) for p in polylines]
-
-
-def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
-    """Distance from each point (px[k], py[k]) to the polyline."""
-    pts = np.asarray(poly, dtype=float)
-    a = pts[:-1]
-    d = pts[1:] - a
-    L2 = np.einsum("ij,ij->i", d, d)
-    L2[L2 == 0.0] = 1.0
-    px = np.asarray(px, dtype=float)[:, None]
-    py = np.asarray(py, dtype=float)[:, None]
-    t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
-    cx = a[:, 0] + t * d[:, 0]
-    cy = a[:, 1] + t * d[:, 1]
-    return np.sqrt(np.min((cx - px) ** 2 + (cy - py) ** 2, axis=1))
-
-
-def _nearest_index(centres: np.ndarray, values) -> np.ndarray:
-    """Index of the ascending cell centre nearest each value.
-
-    An exact tie goes to the centre farther from 0 (up for values >= 0,
-    down below 0).  The rule is symmetric under v -> -v, so on centres
-    symmetric about 0 the value -v gets the mirror index of v: a cut point
-    midway between two rows (the half line y = 2 when 2/h is an integer)
-    then blocks mirrored rows in the full slices of J and -J.
-    """
-    i = np.clip(np.searchsorted(centres, values), 1, centres.size - 1)
-    up, lo = np.abs(centres[i] - values), np.abs(centres[i - 1] - values)
-    return np.where((up < lo) | ((up == lo) & (values >= 0.0)), i, i - 1)
-
-
-def _block_cut_cells(occupied, xs, ys, polylines, h):
-    """Mark cells crossed by cut curves, dilated to their 8-neighborhood.
-
-    The one cut-barrier rule of every grid: each polyline is resampled at
-    h/2, each sample blocks its nearest cell center and that cell's eight
-    neighbors.  xs and ys are ascending cell centers at most h apart, so
-    no 4-connected step between free cells crosses a cut.
-
-    One blocked cell per sample would stop leaks; the dilation stays as it
-    puts cut points more than 1.25h (Chebyshev) from free centers (2h to the
-    sample's cell, less h/2 to the sample and h/4 to the cut), so a query's
-    straight leg to its nearest free center (<= h/2) never meets a cut.
-    At the grid's edge, where samples more than 3h/4 from every centre are
-    dropped, a cut point within h/2 of a centre still has a kept sample
-    within 3h/4 of it, which blocks that cell.
-
-    A sample midway between two centres blocks the one farther from the
-    real axis (see _nearest_index), so mirrored cuts block mirrored cells
-    and the full slice of -J is exactly the row flip of that of J.
-
-    The samples of all polylines are stacked and their 3x3 blocks, clamped
-    to the grid, written in one indexed assignment; writes of False do not
-    depend on order, so this blocks the cells a per-polyline loop would.
-    """
-    if not polylines:
-        return
-    ny, nx = occupied.shape
-    pts = np.vstack([resample_polyline(poly, h / 2.0) for poly in polylines])
-    ix = _nearest_index(xs, pts[:, 0])
-    iy = _nearest_index(ys, pts[:, 1])
-    near = (np.abs(xs[ix] - pts[:, 0]) <= 0.75 * h) & (np.abs(ys[iy] - pts[:, 1]) <= 0.75 * h)
-    off = np.arange(-1, 2)
-    yy = np.minimum(np.maximum(iy[near, None] + off, 0), ny - 1)
-    xx = np.minimum(np.maximum(ix[near, None] + off, 0), nx - 1)
-    occupied[yy[:, :, None], xx[:, None, :]] = False
-
-
-# (dy, dx) of the four grid steps; a cell's BFS parent sits at cell - step
-_GRID_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def _grid_bfs(free: np.ndarray, start, targets: np.ndarray | None = None):
-    """Breadth-first search over 4-connected free cells from start.
-
-    Returns (dist, step): dist counts the steps from start (-1 where not
-    reached) and step is the index into _GRID_STEPS of the step that first
-    reached each cell.  Steps are tried in _GRID_STEPS order, so ties go to
-    the earlier step.  With a targets mask the search stops after the first
-    level that holds a target cell.  The search runs on a copy of free
-    padded with a ring of blocked cells, so no step needs a bounds check.
-    """
-    ny, nx = free.shape
-    width = nx + 2
-
-    def ringed(mask):  # flat copy of mask inside a ring of False cells
-        out = np.zeros((ny + 2, width), dtype=bool)
-        out[1:-1, 1:-1] = mask
-        return out.ravel()
-
-    walkable = ringed(free)
-    goal = None if targets is None else ringed(targets)
-    dist = np.full(walkable.size, -1, dtype=np.int32)
-    step = np.full(walkable.size, -1, dtype=np.int8)
-    offsets = [dy * width + dx for dy, dx in _GRID_STEPS]
-    frontier = np.array([(start[0] + 1) * width + start[1] + 1])
-    dist[frontier] = 0
-    level = 0
-    # the frontier is a flat index array: each level visits only the
-    # neighbours of its cells, and each step claims the free unvisited ones
-    while frontier.size:
-        if goal is not None and goal[frontier].any():
-            break
-        level += 1
-        reached = []
-        for code, offset in enumerate(offsets):
-            cells = frontier + offset
-            cells = cells[walkable[cells] & (dist[cells] < 0)]
-            dist[cells] = level
-            step[cells] = code
-            reached.append(cells)
-        frontier = np.concatenate(reached)
-    return (dist.reshape(ny + 2, width)[1:-1, 1:-1],
-            step.reshape(ny + 2, width)[1:-1, 1:-1])
-
-
-def _grid_path(free: np.ndarray, start, targets: np.ndarray):
-    """Shortest 4-connected path of free cells from start to a target cell,
-    as a list of (row, col) cells; the first nearest target in row-major
-    order ends it.  None when no target is reachable."""
-    dist, step = _grid_bfs(free, start, targets)
-    hits = np.nonzero(targets & (dist >= 0))
-    if hits[0].size == 0:
-        return None
-    cell = (int(hits[0][0]), int(hits[1][0]))
-    path = [cell]
-    while cell != start:
-        dy, dx = _GRID_STEPS[step[cell]]
-        cell = (cell[0] - dy, cell[1] - dx)
-        path.append(cell)
-    path.reverse()
-    return path
-
-
-def _arange_len(lo: float, hi: float, h: float) -> float:
-    """len(np.arange(lo, hi, h)) for h > 0, computed without allocating;
-    inf when the count overflows."""
-    n = (hi - lo) / h
-    return float(max(math.ceil(n), 0)) if math.isfinite(n) else n
-
-
-def _check_cells(rows: float, cols: float, what: str) -> None:
-    """Raise PreconditionError, before anything is allocated, when a grid
-    of rows x cols cells exceeds MAX_GRID_CELLS."""
-    if not rows * cols <= MAX_GRID_CELLS:
-        raise PreconditionError(
-            f"{what} needs {rows:.4g} x {cols:.4g} cells, more than the "
-            f"budget of {MAX_GRID_CELLS:.4g}; use a coarser grid step")
 
 
 def _check_raster(spec: DomainSpec, h: float, full_slice: bool) -> None:
@@ -658,78 +418,6 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
     return Verdict("yes", None, res)
 
 
-def _core(occupied: np.ndarray) -> np.ndarray:
-    """Cells whose 3x3 neighbourhood is occupied; border cells never are."""
-    ny, nx = occupied.shape
-    core = np.zeros_like(occupied)
-    inner = core[1:-1, 1:-1]
-    inner[...] = True
-    for dy in range(3):
-        for dx in range(3):
-            inner &= occupied[dy:dy + ny - 2, dx:dx + nx - 2]
-    return core
-
-
-def _turn(o, a, b) -> int:
-    """Twice the signed area of (o, a, b); > 0 for a counter-clockwise turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _integer_hull(points) -> list:
-    """Vertices of the convex hull of integer points, counter-clockwise and
-    no three on one line (Andrew's monotone chain); fewer than three when
-    the points lie on one line."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-    chains = []
-    for seq in (pts, pts[::-1]):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        chains.append(chain[:-1])
-    return chains[0] + chains[1]
-
-
-def _half_step_rows(ys: np.ndarray, h: float) -> np.ndarray:
-    """Row coordinates in units of h/2: odd off the real axis and 0 on it,
-    as the full slice's axis row sits h/2 from its neighbours."""
-    return np.rint(ys / (h / 2.0)).astype(np.int64)
-
-
-def _core_hull(core: np.ndarray, Y: np.ndarray) -> list:
-    """_integer_hull of the core cell centres (2 ix, Y[iy]): the hull of
-    each row's outermost core cells is the hull of the core."""
-    rows = np.flatnonzero(core.any(axis=1))
-    left = core[rows].argmax(axis=1)
-    right = core.shape[1] - 1 - core[rows, ::-1].argmax(axis=1)
-    return _integer_hull(zip((2 * np.concatenate([left, right])).tolist(),
-                             np.tile(Y[rows], 2).tolist()))
-
-
-def _first_cell_in_hull(occupied: np.ndarray, hull: list, Y: np.ndarray):
-    """(iy, ix) of the first unoccupied cell, in row-major order, whose
-    centre (2 ix, Y[iy]) lies in the closed hull; None when there is none.
-
-    Each edge (A, B) of the counter-clockwise hull keeps the points with
-    ey (X - Ax) <= ex (Y - Ay); on one row that bounds X above (ey > 0),
-    below (ey < 0) or keeps the whole row or none of it (ey = 0), and
-    floor division turns the bounds into columns lo <= ix <= hi.
-    """
-    nx = occupied.shape[1]
-    A = np.asarray(hull, dtype=np.int64)
-    ex, ey = (np.roll(A, -1, axis=0) - A).T
-    bound = A[:, 0] * ey + ex * (Y[:, None] - A[:, 1])  # ey X <= bound
-    up, dn = ey > 0, ey < 0
-    hi = np.min(bound[:, up] // (2 * ey[up]), axis=1, initial=nx - 1)
-    lo = np.max(-(bound[:, dn] // (-2 * ey[dn])), axis=1, initial=0)
-    hi[~(bound[:, ey == 0] >= 0).all(axis=1)] = -1
-    cols = np.arange(nx)
-    hits = np.flatnonzero((cols >= lo[:, None]) & (cols <= hi[:, None]) & ~occupied)
-    return divmod(int(hits[0]), nx) if hits.size else None
-
 
 def is_slice_convex(spec: DomainSpec, sample: SphereSample,
                     h: float | None = None) -> Verdict:
@@ -778,85 +466,3 @@ def is_slice_convex(spec: DomainSpec, sample: SphereSample,
         return Verdict("no", {"unit": J.to_list(), **around,
                               "cell": [float(grid.xs[cx]), float(grid.ys[cy])]}, res)
     return Verdict("yes", None, res)
-
-
-# ---------------------------------------------------------------------------
-# spec constructors
-# ---------------------------------------------------------------------------
-
-def ball_spec(center: Quaternion | float, radius: float,
-              bbox: tuple | None = None, h: float = 0.01) -> DomainSpec:
-    """Euclidean ball B(center, radius)."""
-    if isinstance(center, (int, float)):
-        center = Quaternion(float(center))
-    cw = center.w
-    cim = np.array([center.x, center.y, center.z])
-    cn2 = float(cim @ cim)
-    r2 = radius * radius
-
-    def membership(x, y, jx, jy, jz):
-        dot = jx * cim[0] + jy * cim[1] + jz * cim[2]
-        return (np.asarray(x) - cw) ** 2 + np.asarray(y) ** 2 + cn2 \
-            - 2.0 * np.asarray(y) * dot < r2
-
-    def real_trace(x):
-        return (np.asarray(x) - cw) ** 2 + cn2 < r2
-
-    if bbox is None:
-        margin = max(0.15, 5 * h)
-        reach = radius + math.sqrt(cn2)
-        bbox = (cw - reach - margin, cw + reach + margin, reach + margin)
-    return DomainSpec(membership, real_trace, bbox, h, name="ball")
-
-
-def halfspace_spec(normal: tuple, offset: float,
-                   bbox: tuple = (-3.0, 3.0, 3.0), h: float = 0.01) -> DomainSpec:
-    """Slicewise half plane {a x + b y < c} (unit-independent)."""
-    a, b = float(normal[0]), float(normal[1])
-
-    def membership(x, y, jx, jy, jz):
-        return a * np.asarray(x) + b * np.asarray(y) < offset
-
-    def real_trace(x):
-        return a * np.asarray(x) < offset
-
-    return DomainSpec(membership, real_trace, bbox, h, name="halfspace")
-
-
-def starlike_spec(pull: float = 0.5, h: float = 0.01) -> DomainSpec:
-    """Starlike-about-0 slicewise domain {hypot(x, y) < 1 + pull * x}.
-
-    Every slice is starlike with respect to the real point 0, so the domain
-    is simple; used as the well-behaved partner of the counterexample.
-    """
-    if not 0.0 <= pull < 1.0:
-        raise PreconditionError("pull must lie in [0, 1)")
-
-    def membership(x, y, jx, jy, jz):
-        return np.hypot(np.asarray(x), np.asarray(y)) < 1.0 + pull * np.asarray(x)
-
-    def real_trace(x):
-        return np.abs(np.asarray(x)) < 1.0 + pull * np.asarray(x)
-
-    reach = 1.0 / (1.0 - pull)
-    bbox = (-1.0 / (1.0 + pull) - 0.2, reach + 0.2, reach + 0.2)
-    return DomainSpec(membership, real_trace, bbox, h, name="starlike")
-
-
-def union_spec(specs, name="union") -> DomainSpec:
-    """Pointwise union of cut-free specs."""
-    if any(s.cuts is not None for s in specs):
-        raise UnsupportedError("union of cut-bearing domains is not supported")
-
-    def membership(x, y, jx, jy, jz):
-        return np.logical_or.reduce(np.broadcast_arrays(
-            *(np.asarray(s.membership(x, y, jx, jy, jz), dtype=bool) for s in specs)))
-
-    def real_trace(x):
-        return np.logical_or.reduce(np.broadcast_arrays(
-            *(np.asarray(s.real_trace(x), dtype=bool) for s in specs)))
-
-    bbox = (min(s.bbox[0] for s in specs), max(s.bbox[1] for s in specs),
-            max(s.bbox[2] for s in specs))
-    return DomainSpec(membership, real_trace, bbox,
-                      min(s.h for s in specs), name=name)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domains import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
-                      _grid_bfs)
+from .raster import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
+                     _grid_bfs)
 from .errors import (DisconnectedDomainError, OutOfDomainError,
                      PreconditionError, SliceRegError, StencilError)
 from .quaternions import (Quaternion, SliceCoord, UnitImaginary, mul_rows,

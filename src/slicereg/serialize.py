@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import (DomainSpec, PlanarRegionGrid, ball_spec, halfspace_spec,
-                      starlike_spec, union_spec, intersect_specs)
+from .domains import DomainSpec, PlanarRegionGrid
 from .errors import PreconditionError, UnsupportedError
 from .holomorphic import ContinuedLog, PowerSeries
 from .quaternions import Quaternion, UnitImaginary
+from .specs import (ball_spec, halfspace_spec, intersect_specs, starlike_spec,
+                    union_spec)
 
 
 def _fmt(value) -> str:
@@ -165,6 +166,26 @@ def _required(data, key: str, where: str):
     return data[key]
 
 
+def _vector(value, size: int, what: str) -> list:
+    """value as a list of size finite numbers; PreconditionError otherwise."""
+    _check_numbers(value, what)
+    if not isinstance(value, list) or len(value) != size:
+        raise PreconditionError(f"{what} must be a list of {size} numbers, got {value!r}")
+    return value
+
+
+def _unit(value, what: str) -> UnitImaginary:
+    try:
+        return UnitImaginary.from_vector(_vector(value, 3, what))
+    except ValueError as exc:  # a vector too short to normalize
+        raise PreconditionError(f"{what}: {exc}") from None
+
+
+def _bbox(data, where: str, default):
+    """The spec's bbox [x_min, x_max, y_max] as a tuple; default when absent."""
+    return tuple(_vector(data["bbox"], 3, f"{where}.bbox")) if "bbox" in data else default
+
+
 def load_domain_spec(data, where: str = "spec") -> DomainSpec:
     """Domain spec from its JSON description (dict or path); where is its
     path in the input, for messages."""
@@ -176,21 +197,25 @@ def load_domain_spec(data, where: str = "spec") -> DomainSpec:
     if kind == "ball":
         center = Quaternion.from_list(data.get("center", [0, 0, 0, 0]))
         spec = ball_spec(center, float(_required(data, "radius", where)),
-                         bbox=tuple(data["bbox"]) if "bbox" in data else None, h=h)
+                         bbox=_bbox(data, where, None), h=h)
     elif kind == "halfspace-slicewise":
-        spec = halfspace_spec(tuple(data.get("normal", [1.0, 0.0])),
+        spec = halfspace_spec(_vector(data.get("normal", [1.0, 0.0]), 2, f"{where}.normal"),
                               float(data.get("offset", 1.0)),
-                              bbox=tuple(data.get("bbox", (-3.0, 3.0, 3.0))), h=h)
+                              bbox=_bbox(data, where, (-3.0, 3.0, 3.0)), h=h)
     elif kind == "starlike":
         spec = starlike_spec(float(data.get("pull", 0.5)), h=h)
     elif kind == "counterexample":
         from .counterexample import CounterexampleConfig, omega_spec
-        axis = UnitImaginary.from_vector(data.get("axis", [1.0, 0.0, 0.0]))
-        bbox = tuple(data.get("bbox", (-5.0, 5.0, 5.0)))
+        axis = _unit(data.get("axis", [1.0, 0.0, 0.0]), f"{where}.axis")
+        bbox = _bbox(data, where, (-5.0, 5.0, 5.0))
         spec = omega_spec(CounterexampleConfig(axis=axis, h=h, bbox=bbox))
     elif kind == "boolean-op":
+        operands = _required(data, "operands", where)
+        if not isinstance(operands, list) or not operands:
+            raise PreconditionError(f"{where}.operands must be a non-empty list, "
+                                    f"got {operands!r}")
         ops = [load_domain_spec(d, f"{where}.operands[{i}]")
-               for i, d in enumerate(_required(data, "operands", where))]
+               for i, d in enumerate(operands)]
         if data.get("op") == "union":
             spec = union_spec(ops)
         elif data.get("op") == "intersection":
@@ -201,9 +226,9 @@ def load_domain_spec(data, where: str = "spec") -> DomainSpec:
         else:
             raise UnsupportedError(f"unknown boolean op {data.get('op')!r}")
     elif kind == "tube":
-        from .extension import TubeDomain
+        from .local import TubeDomain
         polyline = np.asarray(_required(data, "polyline", where), float)
-        tube = TubeDomain(unit=UnitImaginary.from_vector(_required(data, "unit", where)),
+        tube = TubeDomain(unit=_unit(_required(data, "unit", where), f"{where}.unit"),
                           polyline=polyline,
                           epsilon=float(_required(data, "epsilon", where)),
                           y_ref=float(data.get("y_ref", polyline[:, 1].max())),

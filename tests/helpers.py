@@ -13,7 +13,7 @@ import numpy as np
 
 from slicereg import Quaternion, SliceCoord, rep_coeffs
 from slicereg.counterexample import t_of
-from slicereg.domains import _GRID_STEPS, _run_components
+from slicereg.raster import _GRID_STEPS, _run_components
 from slicereg.holomorphic import integrate_reciprocal
 
 

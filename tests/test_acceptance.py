@@ -8,12 +8,12 @@ import pytest
 
 from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, coefficient_identities,
-                      dbar_residual, extension_formula,
+                      dbar_residual, formula_stem,
                       is_simple, is_slice_domain, local_extend, omega_jk_plus,
                       regular_ext, rep_coeffs, rep_eval, starlike_spec)
 from slicereg.extension import StemPair, extend_to_completion
 from slicereg.counterexample import intersection_grid, log_pair, pair_set_grid
-from slicereg.quaternions import ONE, UNIT_I, UNIT_J
+from slicereg.quaternions import ONE, UNIT_I, UNIT_J, norm_rows
 
 from conftest import random_polynomial, random_unit
 
@@ -85,13 +85,16 @@ def test_criterion_3_extension_formula_restrictions():
                 continue
         r = poly.on_slice(J)
         s = poly.on_slice(K)
-        for _ in range(40):
-            x = float(rng.uniform(-0.9, 0.9))
-            y = float(rng.uniform(0.0, 0.9))
-            got_r = extension_formula(r, s, SliceCoord.make(x, y, J))
-            worst = max(worst, (got_r - r.eval(SliceCoord.make(x, y, J))).norm())
-            got_s = extension_formula(r, s, SliceCoord.make(x, y, K))
-            worst = max(worst, (got_s - s.eval(SliceCoord.make(x, y, K))).norm())
+        stem = formula_stem(r, s)
+        xy = [(float(rng.uniform(-0.9, 0.9)), float(rng.uniform(0.0, 0.9)))
+              for _ in range(40)]
+        x, y = np.array(xy).T
+        # the formula's rows on each slice against that slice's own values
+        for unit, g in ((J, r), (K, s)):
+            got, ok = stem.eval_rows(x, y, np.broadcast_to(unit.to_list(), (len(xy), 3)))
+            assert ok.all()
+            want = np.array([g.eval(SliceCoord.make(*p, unit)).to_list() for p in xy])
+            worst = max(worst, float(norm_rows(got - want).max()))
     assert worst <= 1e-12
     _report(3, "extension formula restrictions", t0, f"worst={worst:.2e}")
 
@@ -209,25 +212,28 @@ def test_criterion_6_jump_reproduction(cfg, logs):
             d = (direct.eval_plane(x, y) - conj.eval_plane(x, y)).norm()
             assert d <= 1e-8, f"jump {d:.2e} off the disk at ({x:.2f},{y:.2f})"
 
-    # the two orderings of the extension formula
-    swapped_d = direct.on_slice(-cfg.axis)
-    swapped_c = conj.on_slice(cfg.axis)
-    for x, y in sample_cells(lbl_disk, 80):
-        tgt = SliceCoord.make(x, y, cfg.axis)
-        diff = (extension_formula(direct, conj, tgt)
-                - extension_formula(swapped_d, swapped_c, tgt)).norm()
-        assert abs(diff - TWO_PI) <= 1e-6
-    agreed = 0
-    while agreed < 80:
+    # the two orderings of the extension formula, each evaluated as rows
+    orderings = (formula_stem(direct, conj),
+                 formula_stem(direct.on_slice(-cfg.axis), conj.on_slice(cfg.axis)))
+
+    def ordering_gaps(points, units):
+        x, y = np.array(points).T
+        (a, ok_a), (b, ok_b) = (stem.eval_rows(x, y, units) for stem in orderings)
+        assert (ok_a & ok_b).all()
+        return norm_rows(a - b)
+
+    disk = sample_cells(lbl_disk, 80)
+    gaps = ordering_gaps(disk, np.broadcast_to(cfg.axis.to_list(), (len(disk), 3)))
+    assert np.abs(gaps - TWO_PI).max() <= 1e-6
+    outside, units = [], []
+    while len(outside) < 80:
         x = float(rng.uniform(-4.5, 4.5))
         y = float(rng.uniform(0.05, 4.5))
         if math.hypot(x + 1.0, y - 2.0) < 1.1 or (abs(y - 2.0) < 0.1 and x < -1.8):
             continue
-        tgt = SliceCoord.make(x, y, random_unit(rng))
-        diff = (extension_formula(direct, conj, tgt)
-                - extension_formula(swapped_d, swapped_c, tgt)).norm()
-        assert diff <= 1e-8
-        agreed += 1
+        outside.append((x, y))
+        units.append(random_unit(rng).to_list())
+    assert ordering_gaps(outside, np.array(units)).max() <= 1e-8
     _report(6, "jump reproduction", t0, f"{hits}/{total} disk cells at 2pi")
 
 

@@ -172,6 +172,27 @@ def test_hostile_numbers_in_spec_exit_one(text, message, tmp_path, capsys):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"type": "halfspace-slicewise", "normal": [1]}',
+     "spec.normal must be a list of 2 numbers"),
+    ('{"type": "counterexample", "axis": [0, 0, 0]}', "spec.axis: cannot normalize"),
+    ('{"type": "boolean-op", "op": "union", "operands": []}',
+     "spec.operands must be a non-empty list"),
+    ('{"type": "boolean-op", "op": "intersection", "operands": []}',
+     "spec.operands must be a non-empty list"),
+    ('{"type": "ball", "radius": 1, "bbox": [1]}', "spec.bbox must be a list of 3 numbers"),
+    ('{"type": "tube", "polyline": [[0, 0.5], [0, 0]], "unit": [0, 0, 0], "epsilon": 0.1}',
+     "spec.unit: cannot normalize"),
+])
+def test_hostile_spec_shapes_exit_one(text, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["check-domain", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_hostile_numbers_in_function_exit_one(ball_json, tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text('{"variant": "power-series", "coeffs": [[0, 0, 0, 0], [NaN, 0, 0, 0]]}')

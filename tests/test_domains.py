@@ -18,14 +18,14 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       is_slice_convex, is_slice_domain, is_symmetric,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
-from slicereg import counterexample, domains
-from slicereg.domains import (MAX_GRID_CELLS, DomainSpec, PlanarRegionGrid,
-                              Verdict, _and_grids, _arange_len,
-                              _block_cut_cells, _core,
-                              _core_hull, _first_cell_in_hull, _grid_bfs,
-                              _grid_path, _half_step_rows, _nearest_index,
-                              fibonacci_points, intersect_specs,
-                              resample_polyline, union_spec)
+from slicereg import counterexample, domains, raster
+from slicereg.domains import (DomainSpec, PlanarRegionGrid, Verdict,
+                              _and_grids, fibonacci_points)
+from slicereg.raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
+                             _core, _core_hull, _first_cell_in_hull,
+                             _grid_bfs, _grid_path, _half_step_rows,
+                             _nearest_index, resample_polyline)
+from slicereg.specs import intersect_specs, union_spec
 from slicereg.errors import PreconditionError
 from slicereg.holomorphic import segment_crossings
 from slicereg.quaternions import UNIT_I, UNIT_J
@@ -456,7 +456,7 @@ def test_block_cut_cells_matches_per_polyline_oracle(polylines, rows, mirrored, 
     ys = _ROWS[rows]
     polys = [np.asarray(p, dtype=float) for p in polylines]
     if mirrored:
-        polys += domains._mirror(polys)
+        polys += raster._mirror(polys)
     start = np.ones((ys.size, _XS.size), dtype=bool)
     if not occupied:
         start[::3, ::2] = False
@@ -574,7 +574,7 @@ def _level_scan_bfs(free, start, targets=None):
         if targets is not None and (frontier & targets).any():
             break
         newly = np.zeros_like(free)
-        for code, (dy, dx) in enumerate(domains._GRID_STEPS):
+        for code, (dy, dx) in enumerate(raster._GRID_STEPS):
             cand = np.zeros_like(free)
             if dy == -1:
                 cand[:-1, :] = frontier[1:, :]
@@ -974,7 +974,7 @@ def _spiral(n):
 def test_run_labels_match_scipy_label_on_long_chains(occ, components):
     """Masks whose runs join only through long chains: the hooking rounds
     must carry each component down to its smallest run."""
-    starts = domains._run_components(occ)[0]
+    starts = raster._run_components(occ)[0]
     assert starts.size >= 500
     _assert_labels_match_scipy(occ)
     assert ndimage.label(occ, structure=_CROSS)[1] == components

@@ -16,16 +16,18 @@ from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
                       rep_coeffs, rep_eval)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords)
-from slicereg.domains import intersect_specs, resample_polyline
+from slicereg.specs import intersect_specs
 from slicereg.errors import (ConsistencyError, DegeneratePairError,
                              GeometryError, IncompatiblePairError,
                              OutOfDomainError, PreconditionError,
                              SliceRegError)
 from slicereg import consistency
 from slicereg.consistency import _block_stems
-from slicereg.extension import TubeDomain, extend_to_completion
+from slicereg.extension import _two_slice_stem, extend_to_completion
 from slicereg.holomorphic import HoloSliceFunction
+from slicereg.local import TubeDomain, _clearance_radii, _validate_local
 from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K, norm_rows
+from slicereg.raster import resample_polyline
 
 from conftest import random_polynomial, random_unit
 from helpers import stem_at, two_slice_parts
@@ -183,7 +185,6 @@ def test_regular_ext_matches_series_on_slices(ball):
 
 
 def test_regular_ext_requires_symmetric_domain(star, ball):
-    from slicereg.domains import intersect_specs, halfspace_spec
     wedge = intersect_specs(ball, TubeDomain(
         unit=UNIT_I, polyline=np.array([[0.0, 0.5], [0.0, 0.0]]),
         epsilon=0.3, y_ref=0.5).as_domain_spec())
@@ -300,6 +301,21 @@ def test_local_extend_real_point(ball):
     assert result.epsilon_m > 0.0
 
 
+@pytest.mark.parametrize("p0", [SliceCoord(0.3, 0.4, UNIT_I), SliceCoord(0.2, 0.0, None)])
+def test_real_trace_check_catches_a_stem_off_f_next_to_the_axis(ball, p0):
+    """A stem whose second slice carries f + 1 has b = f on the real axis,
+    where it is f's own value, but not next to it: the real-trace check
+    reads b in the limit y -> 0+ and refuses the stem before the tube
+    sampling runs."""
+    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    shifted = DomainFunction(PowerSeries((Q(1), Q(0), Q(1))), ball)
+    result = local_extend(f, p0)
+    assert 0.0 < result.checks["real_trace_max_err"] <= 1e-9
+    wrong = _two_slice_stem(f, result.j0, shifted, result.k0)
+    with pytest.raises(ConsistencyError, match="on the real trace"):
+        _validate_local(f, wrong, result.N, result.tube, result.j0, result.k0, 0.0, 0)
+
+
 def test_local_extend_tubes_are_slice_domains(ball):
     f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
     result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
@@ -399,7 +415,6 @@ def test_clearance_radii_match_per_probe_loop(ball, star, omega):
     """One membership call per bisection step gives the radii of one call
     per (probe unit, angle), bit for bit."""
     from slicereg.domains import completion_of_slice
-    from slicereg.extension import _clearance_radii
     tube = TubeDomain(unit=UNIT_I, polyline=np.array([[0.0, 0.6], [0.1, 0.3], [0.0, 0.0]]),
                       epsilon=0.2, y_ref=0.6).as_domain_spec()
     path = resample_polyline(np.array([[0.0, 0.6], [0.1, 0.3], [0.0, 0.0]]), 0.02)

@@ -11,7 +11,7 @@ from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
                       extend_to_completion, regular_ext)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords, plane_log)
-from slicereg.domains import resample_polyline
+from slicereg.raster import resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
                              SliceRegError, StencilError)
 from slicereg.holomorphic import (HoloSliceFunction, _PlaneContinuation,
