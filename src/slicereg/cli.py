@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,9 +27,8 @@ from .holomorphic import PowerSeries
 from .local import build_tube, local_extend
 from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
 from .raster import _arange_len, _check_cells
-from .serialize import (_object, _required, _unit, _vector, dump_json,
-                        grid_to_pgm, load_domain_spec, load_holo_function,
-                        write_csv)
+from .serialize import (dump_json, load_domain_spec, load_holo_function, walk,
+                        write_csv, write_pgm)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,21 +41,29 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _sample(args, extra=()) -> SphereSample:
-    return SphereSample(args.samples, extra=extra)
+def _sample(args, values) -> SphereSample:
+    """The sphere sample; a counterexample spec adds its axis."""
+    return SphereSample(args.samples, extra=[values["axis"]]
+                        if values["type"] == "counterexample" else [])
+
+
+def _read(path, kind: str):
+    """The JSON file at path, walked as the given kind of the input schema;
+    the kind names the file in messages."""
+    return walk(json.loads(Path(path).read_text()), kind, kind)
 
 
 def _load_spec(args):
-    data = _object(json.loads(Path(args.spec).read_text()), "spec")
-    if args.h is not None:
+    """(spec, data, values): the domain spec, the spec file's JSON with the
+    --h override, and its walked values."""
+    data = json.loads(Path(args.spec).read_text())
+    if args.h is not None and isinstance(data, dict):
         data["h"] = args.h
-    spec = load_domain_spec(data)
+    values = walk(data, "spec", "spec")
+    spec = load_domain_spec(values)
     if args.h is not None:  # a boolean-op spec takes h from its leaves
         spec = replace(spec, h=args.h)
-    extra = []
-    if data.get("type") == "counterexample":
-        extra = [UnitImaginary.from_vector(data.get("axis", [1.0, 0.0, 0.0]))]
-    return spec, data, extra
+    return spec, data, values
 
 
 _BUILTIN_FUNCTIONS = {
@@ -67,37 +73,20 @@ _BUILTIN_FUNCTIONS = {
 }
 
 
-def _load_function(args, spec, spec_data):
+def _load_function(args, spec, values):
     """--function is a builtin name, a JSON file, or 'log-family' (only on
-    the counterexample domain)."""
+    the counterexample domain, whose walked values configure it)."""
     name = args.function
     if name == "log-family":
-        if spec_data.get("type") != "counterexample":
+        if values["type"] != "counterexample":
             raise PreconditionError("log-family requires a counterexample domain")
         from .counterexample import BranchedLogFamily, CounterexampleConfig
-        axis = UnitImaginary.from_vector(spec_data.get("axis", [1.0, 0.0, 0.0]))
-        cfg = CounterexampleConfig(axis=axis, h=spec.h,
-                                   bbox=tuple(spec_data.get("bbox", (-5.0, 5.0, 5.0))))
-        return BranchedLogFamily(cfg)
+        return BranchedLogFamily(CounterexampleConfig(axis=values["axis"], h=spec.h,
+                                                      bbox=values["bbox"]))
     if name in _BUILTIN_FUNCTIONS:
         coeffs = tuple(Quaternion.from_list(c) for c in _BUILTIN_FUNCTIONS[name])
         return DomainFunction(PowerSeries(coeffs), spec)
-    return DomainFunction(load_holo_function(name), spec)
-
-
-def _extend_grid(grid) -> tuple:
-    """(xs, ys, unit) of the extend pair file's grid entry: x and y are
-    spans [start, stop, step] with step > 0, whose cells are checked
-    against MAX_GRID_CELLS before np.arange allocates them."""
-    if not isinstance(grid, dict):
-        raise PreconditionError("grid must be an object")
-    spans = [_vector(grid.get(key, default), 3, f"grid.{key}")
-             for key, default in (("x", [-1.0, 1.0, 0.1]), ("y", [0.0, 1.0, 0.1]))]
-    if not all(step > 0 for _, _, step in spans):
-        raise PreconditionError("grid steps must be positive")
-    _check_cells(_arange_len(*spans[1]), _arange_len(*spans[0]), "the extend grid")
-    xs, ys = (np.arange(*span) for span in spans)
-    return xs, ys, _unit(grid.get("unit", [0.0, 0.0, 1.0]), "grid.unit")
+    return DomainFunction(load_holo_function(_read(name, "function")), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +94,8 @@ def _extend_grid(grid) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_check_domain(args) -> int:
-    spec, data, extra = _load_spec(args)
-    sample = _sample(args, extra)
+    spec, data, values = _load_spec(args)
+    sample = _sample(args, values)
     out = _out_dir(args)
     sd = is_slice_domain(spec, sample)
     sym = is_symmetric(spec, sample)
@@ -128,17 +117,18 @@ def cmd_check_domain(args) -> int:
     dump_json(report, out / "verdicts.json")
     print(json.dumps({k: report[k] for k in
                       ("slice_domain", "symmetric", "slice_convex", "simple")}))
-    if args.emit_plots:
-        from .serialize import grid_components_csv
+    if args.emit_plots:  # the slice through i, and its components per occupied cell
         grid = rasterize(spec, UNIT_I, full_slice=True)
-        grid_to_pgm(grid, out / "slice_i.pgm")
-        grid_components_csv(grid, out / "slice_i_components.csv")
+        write_pgm(out / "slice_i.pgm", grid.occupied)
+        iy, ix = np.nonzero(grid.occupied)
+        write_csv(out / "slice_i_components.csv", ["x", "y", "component"],
+                  zip(grid.xs[ix], grid.ys[iy], grid.label()[1][iy, ix]))
     return EXIT_OK
 
 
 def cmd_completion(args) -> int:
-    spec, data, extra = _load_spec(args)
-    sample = _sample(args, extra)
+    spec, data, values = _load_spec(args)
+    sample = _sample(args, values)
     out = _out_dir(args)
     comp = symmetric_completion(spec, sample)
     x_min, x_max, y_max = spec.bbox
@@ -198,12 +188,15 @@ def cmd_repr(args) -> int:
 
 def cmd_extend(args) -> int:
     out = _out_dir(args)
-    data = json.loads(Path(args.pair).read_text())
-    r, s = (load_holo_function(_required(data, key, "pair"), where=f"pair.{key}")
-            for key in ("r", "s"))
+    pair = _read(args.pair, "pair")
+    r, s = (load_holo_function(pair[key]) for key in ("r", "s"))
     if r.slice_unit is None or s.slice_unit is None:
         raise PreconditionError("function pair must carry slice_unit entries")
-    xs, ys, unit = _extend_grid(data.get("grid", {}))
+    grid = pair["grid"]  # x and y are spans [start, stop, step], counted before np.arange
+    if min(grid["x"][2], grid["y"][2]) <= 0:
+        raise PreconditionError("grid steps must be positive")
+    _check_cells(_arange_len(*grid["y"]), _arange_len(*grid["x"]), "the extend grid")
+    xs, ys, unit = np.arange(*grid["x"]), np.arange(*grid["y"]), grid["unit"]
     # the grid x-major; a point below the axis is x + |y|(-unit)
     x, y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
     vectors = np.where((y < 0.0)[:, None], -np.array(unit.to_list()), unit.to_list())
@@ -215,12 +208,10 @@ def cmd_extend(args) -> int:
 
 
 def cmd_ext_slice(args) -> int:
-    spec, data, _ = _load_spec(args)
+    spec = _load_spec(args)[0]
     out = _out_dir(args)
-    unit = args.unit or UNIT_I
-    fn = load_holo_function(args.function, default_unit=unit)
-    if fn.slice_unit is None:
-        fn = fn.on_slice(unit)
+    fn = load_holo_function(_read(args.function, "function"),
+                            default_unit=args.unit or UNIT_I)
     stem = regular_ext(fn, spec)
     x_min, x_max, y_max = spec.bbox
     xy = [(x, y) for x in np.linspace(x_min, x_max, 41)
@@ -234,10 +225,10 @@ def cmd_ext_slice(args) -> int:
 
 
 def cmd_local_extend(args) -> int:
-    spec, data, _ = _load_spec(args)
+    spec, _, values = _load_spec(args)
     out = _out_dir(args)
-    f = _load_function(args, spec, data)
-    q = args.point
+    f = _load_function(args, spec, values)
+    q = Quaternion(*args.point)
     from .quaternions import slice_decompose
     p0 = slice_decompose(q)
     result = local_extend(f, p0, seed=args.seed)
@@ -264,16 +255,17 @@ def _scan_grid(spec) -> np.ndarray:
     grid over the spec's box, x-major, with at least 4 h between them."""
     x_min, x_max, y_max = spec.bbox
     step = max(4 * spec.h, min(x_max - x_min, y_max) / 40.0)
-    xs = np.arange(x_min + step / 2.0, x_max, step)
-    ys = np.arange(step / 2.0, y_max, step)
+    x0, y0 = x_min + step / 2.0, step / 2.0
+    _check_cells(_arange_len(y0, y_max, step), _arange_len(x0, x_max, step), "the scan grid")
+    xs, ys = np.arange(x0, x_max, step), np.arange(y0, y_max, step)
     return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
 
 
 def cmd_global_extend(args) -> int:
-    spec, data, extra = _load_spec(args)
-    sample = _sample(args, extra)
+    spec, _, values = _load_spec(args)
+    sample = _sample(args, values)
     out = _out_dir(args)
-    f = _load_function(args, spec, data)
+    f = _load_function(args, spec, values)
     tol = args.tol if args.tol is not None else 1e-8
     exit_code = EXIT_OK
     try:
@@ -306,11 +298,10 @@ def cmd_counterexample(args) -> int:
     report = demonstrate(cfg, sample=sample, seed=args.seed)
     dump_json(report, out / "report.json")
     if args.emit_plots:
-        grid_to_pgm(rasterize(omega_spec(cfg), axis, full_slice=True),
-                    out / "omega_slice.pgm")
-        grid_to_pgm(intersection_grid(cfg), out / "intersection_labels.pgm",
-                    labels=True)
-        grid_to_pgm(pair_set_grid(cfg), out / "pair_set_labels.pgm", labels=True)
+        write_pgm(out / "omega_slice.pgm",
+                  rasterize(omega_spec(cfg), axis, full_slice=True).occupied)
+        write_pgm(out / "intersection_labels.pgm", intersection_grid(cfg).label()[1])
+        write_pgm(out / "pair_set_labels.pgm", pair_set_grid(cfg).label()[1])
         write_csv(out / "jump_heatmap.csv", ["x", "y", "abs_jump"],
                   jump_heatmap(cfg))
     print(json.dumps(report["checks"]))
@@ -318,12 +309,10 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_tube(args) -> int:
-    spec, data, _ = _load_spec(args)
+    spec = _load_spec(args)[0]
     out = _out_dir(args)
-    cdata = _object(json.loads(Path(args.path).read_text()), "path")
-    carrier = UnitImaginary.from_vector(cdata.get("unit", [1.0, 0.0, 0.0]))
-    tube = build_tube(np.asarray(_required(cdata, "points", "path"), float), spec,
-                      args.shrink, carrier=carrier)
+    path = _read(args.path, "path")
+    tube = build_tube(path["points"], spec, args.shrink, carrier=path["unit"])
     report = {"type": "tube", "unit": tube.unit.to_list(),
               "polyline": tube.polyline.tolist(), "epsilon": tube.epsilon,
               "y_ref": tube.y_ref, "h": tube.h}
@@ -336,29 +325,17 @@ def cmd_tube(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _grid_step(text) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"grid step must be finite and > 0, got {text}")
-    return value
-
-
-def _json_arg(parse):
-    """argparse type: the JSON text, converted by parse(value, what), which
-    raises PreconditionError on a bad value."""
+def _kind(kind):
+    """argparse type: the option's text read as JSON and walked as the
+    given kind of the input schema (serialize.SCHEMA)."""
     def convert(text):
         try:
-            return parse(json.loads(text), "value")
-        except (json.JSONDecodeError, PreconditionError) as exc:
+            return walk(json.loads(text), kind, "value")
+        except json.JSONDecodeError as exc:
+            raise argparse.ArgumentTypeError(f"{exc.msg} in {text!r}") from None
+        except PreconditionError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
-
-
-def _sample_size(text) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"sphere sample size must be >= 2, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec=True):
         if spec:
             p.add_argument("spec", help="domain spec JSON file")
-        p.add_argument("--h", type=_grid_step, default=None, help="grid step")
-        p.add_argument("--samples", type=_sample_size, default=64,
+        p.add_argument("--h", type=_kind("positive"), default=None, help="grid step")
+        p.add_argument("--samples", type=_kind("an integer >= 2"), default=64,
                        help="sphere sample size N")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_kind("non-negative"), default=None,
                        help="tolerance override")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_kind("an integer >= 0"), default=0)
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--emit-plots", action="store_true")
 
@@ -404,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ext-slice", help="regular extension from one slice")
     common(p)
     p.add_argument("--function", required=True, help="holomorphic function JSON")
-    p.add_argument("--unit", type=_json_arg(_unit),
+    p.add_argument("--unit", type=_kind("unit"),
                    default=None, help="slice unit as JSON list")
     p.set_defaults(fn=cmd_ext_slice)
 
@@ -414,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True,
                    help="builtin name, JSON file, or log-family")
     p.add_argument("--point", required=True,
-                   type=_json_arg(lambda v, what: Quaternion.from_list(_vector(v, 4, what))),
+                   type=_kind(4),
                    help="quaternion as JSON list [w,x,y,z]")
     p.set_defaults(fn=cmd_local_extend)
 
@@ -430,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="evidence bundle for the non-simple domain")
     common(p, spec=False)
-    p.add_argument("--axis", type=_json_arg(_unit),
+    p.add_argument("--axis", type=_kind("unit"),
                    default=None, help="reference unit as JSON list")
     p.set_defaults(fn=cmd_counterexample)
 
@@ -438,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--path", required=True,
                    help="JSON file with unit and points entries")
-    p.add_argument("--shrink", type=float, default=0.5)
+    p.add_argument("--shrink", type=_kind("positive"), default=0.5)
     p.set_defaults(fn=cmd_tube)
     return parser
 
@@ -455,7 +432,7 @@ def main(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConsistencyError,) as exc:

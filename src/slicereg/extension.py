@@ -246,7 +246,7 @@ def _validate_holomorphic(fI: HoloSliceFunction, domain: DomainSpec,
         if checked >= 6:
             break
         x = rng.uniform(x_min, x_max)
-        y = rng.uniform(2 * h, y_max)
+        y = rng.uniform(2 * h, max(y_max, 2 * h))  # a box lower than 2h checks nothing
         if not all(domain.contains(xx, yy, unit)
                    for xx, yy in ((x - 2 * h, y), (x + 2 * h, y),
                                   (x, y - 2 * h), (x, y + 2 * h))):

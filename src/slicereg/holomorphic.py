@@ -28,7 +28,7 @@ from .quaternions import (Quaternion, SliceCoord, UnitImaginary, mul_rows,
 
 def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
     d = z1 - z0
-    L2 = abs(d) ** 2
+    L2 = d.real * d.real + d.imag * d.imag  # inf, not OverflowError, when huge
     if L2 == 0.0:
         return abs(z0 - p)
     t = ((p - z0).real * d.real + (p - z0).imag * d.imag) / L2

@@ -62,9 +62,10 @@ class TubeDomain:
         if self.real_interval is not None:
             rlo, rhi = self.real_interval
             gap = np.maximum(np.maximum(rlo - x, x - rhi), 0.0)
-            member |= gap * gap + y * y < self.epsilon ** 2
+            member |= gap * gap + y * y < self.epsilon * self.epsilon
         if self.y_ref > 0.0:
-            c2 = (self.epsilon / self.y_ref) ** 2
+            c = self.epsilon / self.y_ref
+            c2 = c * c  # inf, not OverflowError, when y_ref is tiny
             pts = self.polyline
             for p0, p1 in zip(pts[:-1], pts[1:]):
                 dx, dy = p1[0] - p0[0], p1[1] - p0[1]

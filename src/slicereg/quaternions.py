@@ -130,6 +130,8 @@ class UnitImaginary:
 
     def __post_init__(self):
         n = math.sqrt(self.vx * self.vx + self.vy * self.vy + self.vz * self.vz)
+        if n == math.inf:  # the squares overflow; hypot scales them
+            n = math.hypot(self.vx, self.vy, self.vz)
         if n < 1e-14:
             raise ValueError("cannot normalize a (near-)zero vector to a unit")
         if abs(n - 1.0) > _UNIT_TOL:

@@ -235,8 +235,12 @@ def _arange_len(lo: float, hi: float, h: float) -> float:
 
 def _check_cells(rows: float, cols: float, what: str) -> None:
     """Raise PreconditionError, before anything is allocated, when a grid
-    of rows x cols cells exceeds MAX_GRID_CELLS."""
-    if not rows * cols <= MAX_GRID_CELLS:
+    of rows x cols cells has no cell, or when it or one of its axes exceeds
+    MAX_GRID_CELLS."""
+    if not min(rows, cols) >= 1:
+        raise PreconditionError(f"{what} has {rows:.4g} x {cols:.4g} cells; it needs at "
+                                f"least one each way")
+    if not max(rows, cols, rows * cols) <= MAX_GRID_CELLS:
         raise PreconditionError(
             f"{what} needs {rows:.4g} x {cols:.4g} cells, more than the "
             f"budget of {MAX_GRID_CELLS:.4g}; use a coarser grid step")

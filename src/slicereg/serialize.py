@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .domains import DomainSpec, PlanarRegionGrid
+from .domains import DomainSpec
 from .errors import PreconditionError, UnsupportedError
 from .holomorphic import ContinuedLog, PowerSeries
 from .quaternions import Quaternion, UnitImaginary
@@ -24,30 +27,22 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, np.floating)):  # nan and inf as "nan", "inf", "-inf"
         v = float(value)
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return format(v, ".17g")
+        return format(v, ".17g") if math.isfinite(v) else json.dumps(str(v))
     raise TypeError(f"cannot format {type(value)!r}")
 
 
 def _render(o) -> str:
     """Deterministic JSON text of o: sorted keys, 17-significant-digit
     floats."""
-    if o is None:
-        return "null"
-    if isinstance(o, str):
+    if o is None or isinstance(o, str):
         return json.dumps(o)
     if isinstance(o, (bool, int, float, np.integer, np.floating)):
         return _fmt(o)
     if isinstance(o, np.ndarray):
         return _render(o.tolist())
-    if isinstance(o, Quaternion):
-        return _render(o.to_list())
-    if isinstance(o, UnitImaginary):
+    if isinstance(o, (Quaternion, UnitImaginary)):
         return _render(o.to_list())
     if isinstance(o, (list, tuple)):
         return "[" + ",".join(_render(v) for v in o) + "]"
@@ -88,20 +83,14 @@ def dump_json(obj, path) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_pgm(path, array) -> None:
     """ASCII PGM of a 2D integer array scaled into 0..255 (row 0 at top)."""
-    arr = np.asarray(array)
-    if arr.dtype == bool:
-        img = np.where(arr, 255, 0)
-    else:
-        top = max(int(arr.max()), 1)
-        img = (arr.astype(float) / top * 255.0).round().astype(int)
+    arr = np.asarray(array)  # a bool array scales to 0 and 255
+    img = (arr.astype(float) / max(int(arr.max()), 1) * 255.0).round().astype(int)
     img = img[::-1]  # put larger y at the top of the image
     lines = [f"P2", f"{img.shape[1]} {img.shape[0]}", "255"]
     for row in img:
@@ -109,167 +98,152 @@ def write_pgm(path, array) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def grid_to_pgm(grid: PlanarRegionGrid, path, labels=False) -> None:
-    if labels:
-        grid.label()
-        write_pgm(path, grid.labels)
-    else:
-        write_pgm(path, grid.occupied)
-
-
-def grid_components_csv(grid: PlanarRegionGrid, path) -> None:
-    """Rows (x, y, label) for every occupied cell."""
-    grid.label()
-    iy, ix = np.nonzero(grid.occupied)
-    rows = [[grid.xs[j], grid.ys[i], int(grid.labels[i, j])]
-            for i, j in zip(iy, ix)]
-    write_csv(path, ["x", "y", "component"], rows)
-
-
 # ---------------------------------------------------------------------------
-# loaders
+# input schema and loaders
 # ---------------------------------------------------------------------------
 
-def _check_numbers(data, where: str) -> None:
-    """Every value but the type, op and variant names must be finite numbers
-    (no strings, bools or nulls); h, radius and epsilon must be positive."""
-    if isinstance(data, dict):
-        for key, value in data.items():
-            at = f"{where}.{key}"
-            if key in ("type", "op", "variant"):
-                continue
-            _check_numbers(value, at)
-            if key in ("h", "radius", "epsilon") and isinstance(value, (int, float)) \
-                    and not value > 0:
-                raise PreconditionError(f"{at} must be positive, got {value!r}")
-    elif isinstance(data, list):
-        for i, value in enumerate(data):
-            _check_numbers(value, f"{where}[{i}]")
-    elif isinstance(data, bool) or not isinstance(data, (int, float)):
-        raise PreconditionError(f"{where} must be a number, got {data!r}")
-    elif not math.isfinite(data):
-        raise PreconditionError(f"{where} must be a finite number, got {data!r}")
+# The key table of every input: one entry per spec type, function variant
+# and input file, mapping each key to its kind, or to (kind, default) when
+# the key is optional; a default of None is left for the loader to fill in.
+# Kinds:
+#   an int n       n numbers, read as a tuple
+#   "box"          [x_min, x_max, y_max] with x_min < x_max and y_max > 0
+#   "plane box"    [x_min, x_max, y_min, y_max] of positive width and height
+#   "unit"         3 numbers not near zero, read as a UnitImaginary
+#   [kind, m]      a list of at least m values of that kind
+#   a set          the names allowed
+#   an entry name  an object of that entry; a spec's type and a function's
+#                  variant add the keys of the entry they name
+#   other names    a number kind of _NUMBERS
+# A key outside its entry is an error, so a misspelt optional key cannot
+# silently take its default.
+POLYLINE = [2, 1]  # at least one [x, y]
+SCHEMA = {
+    "spec": {"type": {"ball", "halfspace-slicewise", "starlike", "counterexample", "boolean-op",
+                      "tube"},
+             "h": ("positive", 0.01), "cuts": ([POLYLINE, 0], [])},
+    "ball": {"radius": "positive", "center": (4, [0, 0, 0, 0]), "bbox": ("box", None)},
+    "halfspace-slicewise": {"normal": (2, [1, 0]), "offset": ("number", 1),
+                            "bbox": ("box", [-3, 3, 3])},
+    "starlike": {"pull": ("number", 0.5)},
+    "counterexample": {"axis": ("unit", [1, 0, 0]), "bbox": ("box", [-5, 5, 5])},
+    "boolean-op": {"op": {"union", "intersection"}, "operands": ["spec", 1]},
+    "tube": {"polyline": POLYLINE, "unit": "unit", "epsilon": "positive",
+             "y_ref": ("number", None)},
+    "function": {"variant": {"power-series", "continued-log"}, "slice_unit": ("unit", None)},
+    "power-series": {"coeffs": [4, 0], "center": ("number", 0), "radius": ("positive", None)},
+    "continued-log": {"pole": 2, "base": 2, "carrier": "unit", "base_value": (4, [0, 0, 0, 0]),
+                      "cuts": ([POLYLINE, 0], []), "bbox": ("plane box", [-5, 5, -5, 5]),
+                      "step": ("positive", 0.05)},
+    "pair": {"r": "function", "s": "function", "grid": ("grid", {})},
+    "grid": {"x": (3, [-1, 1, 0.1]), "y": (3, [0, 1, 0.1]), "unit": ("unit", [0, 0, 1])},
+    "path": {"points": POLYLINE, "unit": ("unit", [1, 0, 0])},
+}
+_VECTORS = {"unit": 3, "box": 3, "plane box": 4}  # sizes of the named vector kinds
+# number kinds: the least finite number each allows ("positive" excludes
+# it); integer kinds read as int, the others as float
+_NUMBERS = {"number": -math.inf, "positive": 0, "non-negative": 0, "an integer >= 0": 0,
+            "an integer >= 2": 2}
 
 
-def _object(data, where: str) -> dict:
-    """data, which must be a JSON object; where is its path in the input."""
-    if not isinstance(data, dict):
-        raise PreconditionError(f"{where} must be an object, got {type(data).__name__}")
-    return data
+def _must(ok, where: str, what: str, value) -> None:
+    if not ok:
+        raise PreconditionError(f"{where} must be {what}, got {value!r:.80}")
 
 
-def _required(data, key: str, where: str):
-    """data[key] of the JSON object data at the path where; a missing key
-    is a PreconditionError naming its path."""
-    if key not in _object(data, where):
+def walk(value, kind, where: str):
+    """The parsed JSON value checked against kind (see SCHEMA) and read:
+    entries as dicts with their defaults filled in.  where is the value's
+    path in the input; the first bad path raises PreconditionError."""
+    if isinstance(kind, set):
+        _must(isinstance(value, str) and value in kind, where, f"one of {sorted(kind)}", value)
+        return value
+    if isinstance(kind, list):
+        _must(isinstance(value, list) and len(value) >= kind[1], where,
+              "a non-empty list" if kind[1] else "a list", value)
+        return [walk(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, int) or kind in _VECTORS:
+        size = _VECTORS.get(kind, kind)
+        items = tuple(walk(v, "number", f"{where}[{i}]") for i, v in enumerate(value)) \
+            if isinstance(value, list) else walk(value, "number", where)
+        _must(isinstance(value, list) and len(value) == size, where,
+              f"a list of {size} numbers", value)
+        if kind == "unit":
+            try:
+                return UnitImaginary.from_vector(items)
+            except ValueError as exc:  # a vector too short to normalize
+                raise PreconditionError(f"{where}: {exc}") from None
+        _must(size == kind or items[0] < items[1] and (items[2] if size == 4 else 0) < items[-1],
+              where, "a box of positive width and height", value)
+        return items
+    if kind in SCHEMA:
+        _must(isinstance(value, dict), where, "an object", value)
+        keys = dict(SCHEMA[kind])
+        for key, field in SCHEMA[kind].items():
+            if isinstance(field, set) and field <= SCHEMA.keys():
+                keys.update(SCHEMA[_field(value, key, field, where)])
+        for key in value:
+            if key not in keys:
+                raise PreconditionError(f"{where}.{key} is not a key here; the keys are "
+                                        f"{', '.join(keys)}")
+        return {key: _field(value, key, field, where) for key, field in keys.items()}
+    _must(type(value) in (int, float), where, "a number", value)  # not a bool
+    # nan, inf and ints past the float range fail
+    _must(abs(value) <= sys.float_info.max, where, "a finite number", value)
+    low = _NUMBERS[kind]
+    _must((value > low if kind == "positive" else value >= low)
+          and (type(value) is int or "integer" not in kind), where, kind, value)
+    return value if "integer" in kind else float(value)
+
+
+def _field(data: dict, key: str, field, where: str):
+    """data[key] walked as field's kind, or its walked default."""
+    kind, default = field if isinstance(field, tuple) else (field, ...)
+    if key not in data and default is ...:
         raise PreconditionError(f"{where}.{key} is required")
-    return data[key]
+    value = data.get(key, default)
+    return None if key not in data and value is None else walk(value, kind, f"{where}.{key}")
 
 
-def _vector(value, size: int, what: str) -> list:
-    """value as a list of size finite numbers; PreconditionError otherwise."""
-    _check_numbers(value, what)
-    if not isinstance(value, list) or len(value) != size:
-        raise PreconditionError(f"{what} must be a list of {size} numbers, got {value!r}")
-    return value
-
-
-def _unit(value, what: str) -> UnitImaginary:
-    try:
-        return UnitImaginary.from_vector(_vector(value, 3, what))
-    except ValueError as exc:  # a vector too short to normalize
-        raise PreconditionError(f"{what}: {exc}") from None
-
-
-def _bbox(data, where: str, default):
-    """The spec's bbox [x_min, x_max, y_max] as a tuple; default when absent."""
-    return tuple(_vector(data["bbox"], 3, f"{where}.bbox")) if "bbox" in data else default
-
-
-def load_domain_spec(data, where: str = "spec") -> DomainSpec:
-    """Domain spec from its JSON description (dict or path); where is its
-    path in the input, for messages."""
-    if isinstance(data, (str, Path)):
-        data = json.loads(Path(data).read_text())
-    _check_numbers(_object(data, where), where)
-    kind = data.get("type")
-    h = float(data.get("h", 0.01))
+def load_domain_spec(v: dict) -> DomainSpec:
+    """Domain spec from a spec's walked values, walk(data, "spec", ...)."""
+    kind, h, box = v["type"], v["h"], v.get("bbox")
     if kind == "ball":
-        center = Quaternion.from_list(data.get("center", [0, 0, 0, 0]))
-        spec = ball_spec(center, float(_required(data, "radius", where)),
-                         bbox=_bbox(data, where, None), h=h)
+        spec = ball_spec(Quaternion(*v["center"]), v["radius"], box, h)
     elif kind == "halfspace-slicewise":
-        spec = halfspace_spec(_vector(data.get("normal", [1.0, 0.0]), 2, f"{where}.normal"),
-                              float(data.get("offset", 1.0)),
-                              bbox=_bbox(data, where, (-3.0, 3.0, 3.0)), h=h)
+        spec = halfspace_spec(v["normal"], v["offset"], box, h)
     elif kind == "starlike":
-        spec = starlike_spec(float(data.get("pull", 0.5)), h=h)
+        spec = starlike_spec(v["pull"], h)
     elif kind == "counterexample":
         from .counterexample import CounterexampleConfig, omega_spec
-        axis = _unit(data.get("axis", [1.0, 0.0, 0.0]), f"{where}.axis")
-        bbox = _bbox(data, where, (-5.0, 5.0, 5.0))
-        spec = omega_spec(CounterexampleConfig(axis=axis, h=h, bbox=bbox))
+        spec = omega_spec(CounterexampleConfig(v["axis"], h, box))
     elif kind == "boolean-op":
-        operands = _required(data, "operands", where)
-        if not isinstance(operands, list) or not operands:
-            raise PreconditionError(f"{where}.operands must be a non-empty list, "
-                                    f"got {operands!r}")
-        ops = [load_domain_spec(d, f"{where}.operands[{i}]")
-               for i, d in enumerate(operands)]
-        if data.get("op") == "union":
-            spec = union_spec(ops)
-        elif data.get("op") == "intersection":
-            out = ops[0]
-            for other in ops[1:]:
-                out = intersect_specs(out, other)
-            spec = out
-        else:
-            raise UnsupportedError(f"unknown boolean op {data.get('op')!r}")
-    elif kind == "tube":
+        ops = [load_domain_spec(d) for d in v["operands"]]
+        spec = union_spec(ops) if v["op"] == "union" else reduce(intersect_specs, ops)
+    else:  # a tube; y_ref defaults to the polyline's greatest height
         from .local import TubeDomain
-        polyline = np.asarray(_required(data, "polyline", where), float)
-        tube = TubeDomain(unit=_unit(_required(data, "unit", where), f"{where}.unit"),
-                          polyline=polyline,
-                          epsilon=float(_required(data, "epsilon", where)),
-                          y_ref=float(data.get("y_ref", polyline[:, 1].max())),
-                          h=h)
-        spec = tube.as_domain_spec()
-    else:
-        raise UnsupportedError(f"unknown domain spec type {kind!r}")
-    if "cuts" in data and data["cuts"]:
-        polylines = [np.asarray(c, float) for c in data["cuts"]]
+        line = np.asarray(v["polyline"])
+        y_ref = float(line[:, 1].max() if v["y_ref"] is None else v["y_ref"])
+        spec = TubeDomain(v["unit"], line, v["epsilon"], y_ref, h).as_domain_spec()
+    if v["cuts"]:
+        polylines = [np.asarray(c) for c in v["cuts"]]
         if any((p[:, 1] < 0.0).any() for p in polylines):
             raise UnsupportedError("cut vertices must have y >= 0: cuts lie in "
                                    "the upper half slice")
         if spec.cuts is not None:
             raise UnsupportedError("cannot add cuts to a cut-bearing spec")
-        from dataclasses import replace
         spec = replace(spec, cuts=lambda J: polylines)
     return spec
 
 
-def load_holo_function(data, default_unit=None, where: str = "function"):
-    """Holomorphic slice function from its JSON description; where is its
-    path in the input, for messages."""
-    if isinstance(data, (str, Path)):
-        data = json.loads(Path(data).read_text())
-    _check_numbers(_object(data, where), where)
-    variant = data.get("variant")
-    unit = data.get("slice_unit", None)
-    unit = UnitImaginary.from_vector(unit) if unit is not None else default_unit
-    if variant == "power-series":
-        coeffs = tuple(Quaternion.from_list(c) for c in _required(data, "coeffs", where))
-        return PowerSeries(coeffs=coeffs, center=float(data.get("center", 0.0)),
-                           radius=float(data.get("radius", math.inf)),
+def load_holo_function(v: dict, default_unit=None):
+    """Holomorphic slice function from a function's walked values; its
+    slice unit is default_unit when the values give none."""
+    unit = v["slice_unit"] or default_unit
+    if v["variant"] == "power-series":
+        return PowerSeries(coeffs=tuple(Quaternion(*c) for c in v["coeffs"]),
+                           center=v["center"], radius=v["radius"] or math.inf,
                            slice_unit=unit)
-    if variant == "continued-log":
-        return ContinuedLog(
-            pole=tuple(_required(data, "pole", where)),
-            base=tuple(_required(data, "base", where)),
-            base_value=Quaternion.from_list(data.get("base_value", [0, 0, 0, 0])),
-            cuts=tuple(np.asarray(c, float) for c in data.get("cuts", [])),
-            carrier=UnitImaginary.from_vector(_required(data, "carrier", where)),
-            slice_unit=unit,
-            bbox=tuple(data.get("bbox", (-5.0, 5.0, -5.0, 5.0))),
-            step=float(data.get("step", 0.05)))
-    raise UnsupportedError(f"unknown function variant {variant!r}")
+    return ContinuedLog(pole=v["pole"], base=v["base"], base_value=Quaternion(*v["base_value"]),
+                        cuts=v["cuts"], carrier=v["carrier"], slice_unit=unit,
+                        bbox=v["bbox"], step=v["step"])
