@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -154,19 +155,21 @@ def cmd_completion(args) -> int:
 
 def cmd_repr(args) -> int:
     out = _out_dir(args)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     tol = args.tol if args.tol is not None else 1e-10
     max_rt = 0.0
     max_pair = 0.0
     n_funcs, n_pts = 12, 80
     for _ in range(n_funcs):
-        deg = int(rng.integers(1, 9))
-        coeffs = tuple(Quaternion(*rng.uniform(-1, 1, size=4)) for _ in range(deg + 1))
+        deg = rng.randrange(1, 9)
+        coeffs = tuple(Quaternion(*(rng.uniform(-1, 1) for _ in range(4)))
+                       for _ in range(deg + 1))
         f = PowerSeries(coeffs)
         for _ in range(n_pts):
-            x = float(rng.uniform(-0.8, 0.8))
-            y = float(rng.uniform(0.05, 0.8))
-            units = [UnitImaginary(*rng.normal(size=3)) for _ in range(5)]
+            x = rng.uniform(-0.8, 0.8)
+            y = rng.uniform(0.05, 0.8)
+            units = [UnitImaginary(*(rng.gauss(0.0, 1.0) for _ in range(3)))
+                     for _ in range(5)]
             I, J, K, J2, K2 = units
             if J.chord(K) < 1e-2 or J2.chord(K2) < 1e-2:
                 continue

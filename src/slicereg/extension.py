@@ -7,6 +7,7 @@ domains and the constructive local extension are in slicereg.local.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,7 +241,7 @@ def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary):
 def _validate_holomorphic(fI: HoloSliceFunction, domain: DomainSpec,
                           unit: UnitImaginary, h: float = 1e-3):
     x_min, x_max, y_max = domain.bbox
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     checked = 0
     for _ in range(200):
         if checked >= 6:
@@ -254,6 +255,8 @@ def _validate_holomorphic(fI: HoloSliceFunction, domain: DomainSpec,
         try:
             res = dbar_residual(fI, SliceCoord.make(x, y, unit), h)
             scale = 1.0 + fI.eval(SliceCoord.make(x, y, unit)).norm()
+        except PreconditionError:
+            raise  # fI cannot be evaluated anywhere, e.g. its table cannot be built
         except SliceRegError:
             continue
         if res > 1e-4 * scale:

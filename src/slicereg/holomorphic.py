@@ -192,17 +192,26 @@ class _PlaneContinuation:
             raise PreconditionError("continuation step must be positive")
         _check_cells(_arange_len(ylo + h / 2.0, yhi, h), _arange_len(xlo + h / 2.0, xhi, h),
                      f"a continuation table at step {h:g}")
+        bx, by = self.base
+        if not (xlo <= bx <= xhi and ylo <= by <= yhi):
+            raise PreconditionError(
+                f"continuation base ({bx:g}, {by:g}) lies outside the table box "
+                f"[{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}]")
         xs = np.arange(xlo + h / 2.0, xhi, h)
         ys = np.arange(ylo + h / 2.0, yhi, h)
         free = np.ones((ys.size, xs.size), dtype=bool)
         _block_cut_cells(free, xs, ys, self.cuts, h)
         free &= np.abs(xs[None, :] + 1j * ys[:, None] - self.pole) > 1.5 * h
 
-        bx, by = self.base
+        # the base's nearest cell centre, clipped for a base within h of the
+        # box's top or right edge, where _block_cut_cells may drop the
+        # samples of a cut between the base and the centre: the leg is tested
         ib = int(np.clip(round((by - ys[0]) / h), 0, ys.size - 1))
         jb = int(np.clip(round((bx - xs[0]) / h), 0, xs.size - 1))
         if not free[ib, jb]:
             raise DisconnectedDomainError("base point cell is blocked by a cut")
+        if any(segment_crossings((bx, by), (xs[jb], ys[ib]), poly) for poly in self.cuts):
+            raise DisconnectedDomainError("a cut separates the base point from its cell")
 
         dist, pdir = _grid_bfs(free, (ib, jb))
         value = self._accumulate(free, xs, ys, dist, pdir, (ib, jb))
@@ -219,8 +228,9 @@ class _PlaneContinuation:
         """Path integrals along the BFS tree: each reached cell gets its
         parent's value plus the closed-form log of its edge.  Cells are flat
         indices sorted by level, so a level is one slice whose parents are
-        already set.  The edge logs are computed in place in the buffer of
-        z1, and z0 is freed before the log."""
+        already set.  Each level's parents and edge logs are computed inside
+        the level loop, so the temporaries are bounded by the widest level;
+        the edge log is computed in place in the buffer of z1."""
         ny, nx = free.shape
         value = np.full(ny * nx, np.nan + 0j, dtype=complex)
         value[start[0] * nx + start[1]] = 0.0 + 0.0j
@@ -229,20 +239,27 @@ class _PlaneContinuation:
         cells = cells[np.argsort(level[cells], kind="stable")]
         level = level[cells]
         offsets = np.array([dy * nx + dx for dy, dx in _GRID_STEPS])
-        parents = cells - offsets[pdir.ravel()[cells]]
-        edge = xs[cells % nx] + 1j * ys[cells // nx]  # z1
-        edge -= self.pole
-        z0 = xs[parents % nx] + 1j * ys[parents // nx]
-        z0 -= self.pole
-        edge /= z0
-        del z0
-        np.log(edge, out=edge)
+        codes = pdir.ravel()
         lo = 0
         # level k ends where level k + 1 starts; no level is empty
         for hi in np.searchsorted(level, np.arange(2, level[-1] + 2)) if level.size else ():
-            value[cells[lo:hi]] = value[parents[lo:hi]] + edge[lo:hi]
+            cell = cells[lo:hi]
+            parent = cell - offsets[codes[cell]]
+            edge = xs[cell % nx] + 1j * ys[cell // nx]  # z1
+            edge -= self.pole
+            z0 = xs[parent % nx] + 1j * ys[parent // nx]
+            z0 -= self.pole
+            edge /= z0
+            np.log(edge, out=edge)
+            value[cell] = value[parent] + edge
             lo = hi
         return value.reshape(ny, nx)
+
+    def ensure_built(self):
+        """Build the table unless it is built; a table that cannot be built
+        raises its own error on every call."""
+        if self._xs is None:
+            self._build()
 
     # -- evaluation --------------------------------------------------------
 
@@ -252,8 +269,7 @@ class _PlaneContinuation:
         are not clamped: a point more than h/2 past the table's edge
         centres gets one off the table.  The origin is kept as Python
         floats, so round() takes no numpy path."""
-        if self._xs is None:
-            self._build()
+        self.ensure_built()
         h = self.step
         return round((py - self._y0) / h), round((px - self._x0) / h)
 
@@ -368,6 +384,13 @@ class ContinuedLog(HoloSliceFunction):
     def eval(self, coord: SliceCoord) -> Quaternion:
         px, py = self._plane_point(coord)
         return self.eval_plane(px, py)
+
+    def eval_rows(self, x, y, vectors):
+        """The default per-row loop, run once the table is built: a table
+        that cannot be built raises its own error here, once, rather than
+        leaving every row not ok."""
+        self._table.ensure_built()
+        return super().eval_rows(x, y, vectors)
 
 
 def dbar_residual(f, coord: SliceCoord, h: float) -> float:

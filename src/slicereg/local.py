@@ -9,6 +9,7 @@ slicereg.extension, checking the result on the real trace and the tube.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,19 +258,19 @@ def _validate_tube(tube: TubeDomain, Y: DomainSpec, n_points: int = 200):
     budget, that the slice-domain verdict holds on a grid.  Slice
     connectivity itself is structural: the balls shrink continuously along
     a connected path meeting the real axis."""
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     pts = tube.polyline
     pad = tube.epsilon * 1.05
-    lo_x, hi_x = pts[:, 0].min() - pad, pts[:, 0].max() + pad
-    hi_y = pts[:, 1].max() + pad
+    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
+    hi_y = float(pts[:, 1].max() + pad)
     units = _probe_units(tube.unit)
     checked = 0
     attempts = 0
     while checked < n_points and attempts < 400 * n_points:
         attempts += 1
-        x = float(rng.uniform(lo_x, hi_x))
-        y = float(rng.uniform(0.0, hi_y))
-        W = units[int(rng.integers(0, len(units)))]
+        x = rng.uniform(lo_x, hi_x)
+        y = rng.uniform(0.0, hi_y)
+        W = rng.choice(units)
         if not tube.contains(x, y, W):
             continue
         checked += 1
@@ -424,7 +425,7 @@ def _local_extend_real(f, p0: SliceCoord, shrink: float):
 
 def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
                     j0, k0, chi, seed, n_points: int = 100):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     x_min, x_max, _ = n_spec.bbox
     xs = np.linspace(x_min, x_max, 61)
     xs = xs[np.asarray(n_spec.real_trace(xs), dtype=bool)]
@@ -446,8 +447,8 @@ def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
                 pass
     pts = tube.polyline
     pad = tube.epsilon
-    lo_x, hi_x = pts[:, 0].min() - pad, pts[:, 0].max() + pad
-    hi_y = pts[:, 1].max() + pad
+    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
+    hi_y = float(pts[:, 1].max() + pad)
     max_err = 0.0
     collected = 0
     attempts = 0
@@ -455,7 +456,7 @@ def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
         attempts += 1
         x = rng.uniform(lo_x, hi_x)
         y = rng.uniform(0.0, hi_y)
-        W = palette[int(rng.integers(0, len(palette)))]
+        W = rng.choice(palette)
         if y <= 1e-9 or not tube.contains(x, y, W):
             continue
         coord = SliceCoord.make(x, y, W)

@@ -13,7 +13,7 @@ import numpy as np
 
 from slicereg import Quaternion, SliceCoord, rep_coeffs
 from slicereg.counterexample import t_of
-from slicereg.raster import _GRID_STEPS, _run_components
+from slicereg.raster import _GRID_STEPS, _grid_bfs, _run_components
 from slicereg.holomorphic import integrate_reciprocal
 
 
@@ -159,4 +159,40 @@ def level_loop_table(pole: complex, free, xs, ys, dist, pdir, start):
         if sl.size:
             value[iy[sl], ix[sl]] = value[py[sl], px[sl]] + edge[sl]
         lo = hi
+    return value
+
+
+def whole_array_table(table):
+    """Oracle of a built continuation table's values: the BFS tree from the
+    base's cell again, with the parents and edge logs of every reached cell
+    computed in one array each before the level loop (the build that kept
+    them all until the loop ended), then shifted to the exact base point."""
+    free, xs, ys, pole, h = table._free, table._xs, table._ys, table.pole, table.step
+    ny, nx = free.shape
+    bx, by = table.base
+    start = (min(max(round((by - ys[0]) / h), 0), ny - 1),
+             min(max(round((bx - xs[0]) / h), 0), nx - 1))
+    dist, pdir = _grid_bfs(free, start)
+    value = np.full(ny * nx, np.nan + 0j, dtype=complex)
+    value[start[0] * nx + start[1]] = 0.0 + 0.0j
+    level = dist.ravel()
+    cells = np.flatnonzero(level > 0)
+    cells = cells[np.argsort(level[cells], kind="stable")]
+    level = level[cells]
+    offsets = np.array([dy * nx + dx for dy, dx in _GRID_STEPS])
+    parents = cells - offsets[pdir.ravel()[cells]]
+    edge = xs[cells % nx] + 1j * ys[cells // nx]
+    edge -= pole
+    z0 = xs[parents % nx] + 1j * ys[parents // nx]
+    z0 -= pole
+    edge /= z0
+    np.log(edge, out=edge)
+    lo = 0
+    for hi in np.searchsorted(level, np.arange(2, level[-1] + 2)) if level.size else ():
+        value[cells[lo:hi]] = value[parents[lo:hi]] + edge[lo:hi]
+        lo = hi
+    value = value.reshape(ny, nx)
+    z_start = complex(xs[start[1]], ys[start[0]])
+    if abs(z_start - complex(bx, by)) > 1e-15:
+        value[np.isfinite(value)] += integrate_reciprocal(complex(bx, by), z_start, pole)
     return value

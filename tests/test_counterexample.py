@@ -435,6 +435,16 @@ def test_demonstrate_bundle(cfg):
     assert again == report
 
 
+def test_demonstrate_passes_all_checks_for_ten_seeds():
+    """The checks hold whichever points random.Random draws: at h = 0.02
+    every check passes for seeds 0 to 9."""
+    cfg = CounterexampleConfig(h=0.02)
+    for seed in range(10):
+        report = demonstrate(cfg, seed=seed)
+        failed = [name for name, ok in report["checks"].items() if not ok]
+        assert not failed, (seed, failed)
+
+
 def test_demonstrate_queries_take_the_nearest_cell(cfg, monkeypatch):
     """Every continuation query of the evidence bundle at seed 1 is
     answered by its nearest cell: the anchor search never runs.  The

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords, plane_log)
 from slicereg.raster import resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
-                             SliceRegError, StencilError)
+                             PreconditionError, SliceRegError, StencilError)
 from slicereg.holomorphic import (HoloSliceFunction, _PlaneContinuation,
                                   integrate_reciprocal, segment_crossings)
 from slicereg.quaternions import UNIT_I, UNIT_J
@@ -21,7 +23,7 @@ from slicereg.quaternions import UNIT_I, UNIT_J
 from conftest import random_polynomial, random_unit
 from helpers import (anchored_integrals, dbar_four_evals, level_loop_table,
                      loop_consistency, poly_eval_direct, polyline_integral,
-                     stem_at, winding_angle_sum, winding_number)
+                     stem_at, whole_array_table, winding_angle_sum, winding_number)
 
 Q = Quaternion
 
@@ -122,13 +124,49 @@ def test_continued_log_table_step_is_checked_before_building(step, message):
     """A table step that is not positive, or whose grid would exceed
     MAX_GRID_CELLS (8/1e-3 squared is 6.4e7 cells), fails with
     PreconditionError before the table is built."""
-    from dataclasses import replace
-    from slicereg.errors import PreconditionError
     fn = _plain_log()
     bad = replace(fn, step=step, _table=None)
     with pytest.raises(PreconditionError, match=message):
         bad.eval_plane(1.0, 1.0)
     assert replace(bad, step=0.05, _table=None).eval_plane(1.0, 0.0).isclose(Q(0.0))
+
+
+@pytest.mark.parametrize("base", [(1.0, 1e300), (4.5, 0.0), (-4.0 - 1e-9, 0.0)])
+def test_a_base_outside_the_box_fails_once_naming_base_and_box(base, ball, monkeypatch):
+    """A base outside the table's box is an error naming both, not a base
+    clipped to the nearest cell; eval_rows raises it once instead of
+    failing every row, and regular_ext's holomorphy check stops at it."""
+    bad = replace(_plain_log(), base=base, _table=None)
+    builds = []
+    real = _PlaneContinuation._build
+    monkeypatch.setattr(_PlaneContinuation, "_build",
+                        lambda table: builds.append(1) or real(table))
+    with pytest.raises(PreconditionError, match=r"continuation base \(.*\) lies outside "
+                       r"the table box \[-4, 4\] x \[-4, 4\]"):
+        bad.eval_rows([1.0, 2.0, 3.0], 1.0, [UNIT_I.to_list()] * 3)
+    assert builds == [1]
+    with pytest.raises(PreconditionError, match="lies outside the table box"):
+        regular_ext(bad, ball)
+    assert builds == [1, 1]
+    with pytest.raises(PreconditionError, match="lies outside the table box"):
+        bad.eval(SliceCoord(1.0, 1.0, UNIT_I))
+
+
+def test_a_cut_between_the_base_and_its_cell_is_an_error():
+    """The box's right edge lies 0.0499 past the last column of centres
+    (4.025); a cut at x = 4.07 is 0.045 from that column, more than the 3h/4
+    within which _block_cut_cells keeps a sample, so the base's cell stays
+    free and only the test of the leg from the base sees the cut."""
+    fn = ContinuedLog(pole=(0.0, 0.0), base=(4.0749, 0.5), base_value=Q(0.0),
+                      cuts=(np.array([[4.07, -1.0], [4.07, 1.0]]),), carrier=UNIT_I,
+                      bbox=(-4.0, 4.0749, -4.0, 4.0), step=0.05)
+    with pytest.raises(DisconnectedDomainError, match="separates the base point"):
+        fn.eval_plane(1.0, 1.0)
+    at_centre = replace(fn, base=(4.025, 0.5), _table=None)
+    at_centre.eval_plane(4.025, 0.5)
+    table = at_centre._table
+    assert table._xs[-1] == pytest.approx(4.025)
+    assert table._free[np.argmin(np.abs(table._ys - 0.5)), -1]
 
 
 def test_continued_log_principal_values():
@@ -325,9 +363,9 @@ def test_table_cells_exponentiate_to_the_ratio(which, logs):
 
 @pytest.mark.parametrize("which", ["plain", "direct", "conj"])
 def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch):
-    """_accumulate on flat cells sorted by level, with in-place edge logs,
-    gives the 2-D level loop's table bit for bit, on both counterexample
-    tables and on a cut-free one."""
+    """_accumulate on flat cells sorted by level, with each level's edge
+    logs computed in the level loop, gives the 2-D level loop's table bit
+    for bit, on both counterexample tables and on a cut-free one."""
     fn = _plain_log() if which == "plain" else logs[which == "conj"]
     seen = {}
     real = _PlaneContinuation._accumulate
@@ -345,6 +383,34 @@ def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.isfinite(got).sum() > 1000
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("which", ["direct", "conj"])
+def test_table_values_match_the_whole_array_build_bit_for_bit(which, logs):
+    """A built table's values, from edge logs computed one level at a time,
+    equal bit for bit those of the build that computed every edge log in
+    one array, on both counterexample tables."""
+    table = logs[which == "conj"]._table
+    table.ensure_built()
+    want = whole_array_table(table)
+    assert np.isfinite(want).sum() > 1000
+    assert table._value.tobytes() == want.tobytes()
+
+
+def test_a_counterexample_table_build_peaks_below_its_bound(cfg):
+    """Building plane_log(axis)'s 200 x 200 table at step 0.05 holds the
+    table (0.64 MB of values) and the BFS arrays, but only one level's
+    parents and edge logs at a time: the traced peak stays at or below
+    2.25 MB (3.5 MB when every edge was held at once)."""
+    table = plane_log(cfg.axis, cfg)._table
+    tracemalloc.start()
+    try:
+        table.ensure_built()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table._value.shape == (200, 200)
+    assert peak <= 2.25 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
 
 
 def test_slice_mismatch_raises(logs):

@@ -132,11 +132,14 @@ GLOBAL = ["global-extend", "{spec}", "--function", "{function}"]
               "epsilon": 0.2, "y_ref": 1e-300}, ["check-domain", "{spec}"], 0, ""),
     ("spec", {"type": "tube", "polyline": [[1e300, 0.6], [0.3, 0]], "unit": [1, 0, 0],
               "epsilon": 0.2}, GLOBAL, 2, ""),
+    # a base outside the table's box, and a table step that leaves no cell:
+    # the table's own error, once
     ("function", {"variant": "continued-log", "pole": [0, 2], "base": [1, 1e300],
-                  "carrier": [1, 0, 0]}, EXT_SLICE, 0, ""),
+                  "carrier": [1, 0, 0]}, EXT_SLICE,
+     1, "error: continuation base (1, 1e+300) lies outside the table box"),
     ("function", {"variant": "continued-log", "pole": [0, 2], "base": [1, 2],
                   "carrier": [1, 0, 0], "cuts": [[[-3, 2], [-2, 2]]], "step": 1e300},
-     EXT_SLICE, 1, "error: no stem at"),
+     EXT_SLICE, 1, "error: a continuation table at step 1e+300 has 0 x 0 cells"),
     ("pair", {**VALID["pair"][0], "grid": {"x": [0, -1, 0.25], "y": [0, 1e300, 0.25]}},
      ["extend", "{pair}"], 1, "the extend grid has 4e+300 x 0 cells"),
 ])
