@@ -4,8 +4,7 @@ constructive local and global extension, and the non-simple domain where
 global extension fails."""
 
 from .quaternions import (Quaternion, SliceCoord, UnitImaginary,
-                          coefficient_identities, inverse, mul,
-                          slice_decompose)
+                          coefficient_identities, slice_decompose)
 from .holomorphic import (ContinuedLog, HoloSliceFunction, PowerSeries,
                           dbar_residual)
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, Verdict,
@@ -13,10 +12,9 @@ from .domains import (DomainSpec, PlanarRegionGrid, SphereSample, Verdict,
                       is_symmetric, omega_jk_plus, rasterize,
                       symmetric_completion)
 from .specs import ball_spec, halfspace_spec, starlike_spec
-from .extension import (ConsistencyReport, DomainFunction, StemPair,
-                        check_compatible, extend_to_completion,
-                        extension_formula, formula_stem, regular_ext,
-                        rep_coeffs, rep_eval)
+from .extension import (ConsistencyReport, StemPair, check_compatible,
+                        extend_to_completion, extension_formula, formula_stem,
+                        regular_ext, rep_coeffs)
 from .local import LocalExtension, TubeDomain, build_tube, local_extend
 from . import errors
 

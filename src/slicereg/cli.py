@@ -22,11 +22,12 @@ from .domains import (SphereSample, is_simple, is_slice_convex,
                       is_slice_domain, is_symmetric, rasterize,
                       symmetric_completion)
 from .errors import ConsistencyError, PreconditionError, SliceRegError
-from .extension import (DomainFunction, extend_to_completion, formula_stem,
-                        regular_ext, rep_coeffs, rep_eval)
+from .extension import (extend_to_completion, formula_stem, regular_ext,
+                        rep_coeffs_rows)
 from .holomorphic import PowerSeries
 from .local import build_tube, local_extend
-from .quaternions import Quaternion, SliceCoord, UNIT_I, UnitImaginary
+from .quaternions import (Quaternion, UNIT_I, UnitImaginary, imaginary_rows,
+                          mul_rows, norm_rows)
 from .raster import _arange_len, _check_cells
 from .serialize import (dump_json, load_domain_spec, load_holo_function, walk,
                         write_csv, write_pgm)
@@ -76,7 +77,8 @@ _BUILTIN_FUNCTIONS = {
 
 def _load_function(args, spec, values):
     """--function is a builtin name, a JSON file, or 'log-family' (only on
-    the counterexample domain, whose walked values configure it)."""
+    the counterexample domain, whose walked values configure it).  Callers
+    extend it from spec, which for log-family is the family's own domain."""
     name = args.function
     if name == "log-family":
         if values["type"] != "counterexample":
@@ -86,8 +88,8 @@ def _load_function(args, spec, values):
                                                       bbox=values["bbox"]))
     if name in _BUILTIN_FUNCTIONS:
         coeffs = tuple(Quaternion.from_list(c) for c in _BUILTIN_FUNCTIONS[name])
-        return DomainFunction(PowerSeries(coeffs), spec)
-    return DomainFunction(load_holo_function(_read(name, "function")), spec)
+        return PowerSeries(coeffs)
+    return load_holo_function(_read(name, "function"))
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +166,25 @@ def cmd_repr(args) -> int:
         deg = rng.randrange(1, 9)
         coeffs = tuple(Quaternion(*(rng.uniform(-1, 1) for _ in range(4)))
                        for _ in range(deg + 1))
-        f = PowerSeries(coeffs)
+        rows = []  # (x, y, units I, J, K, J2, K2) of the kept points
         for _ in range(n_pts):
             x = rng.uniform(-0.8, 0.8)
             y = rng.uniform(0.05, 0.8)
             units = [UnitImaginary(*(rng.gauss(0.0, 1.0) for _ in range(3)))
                      for _ in range(5)]
-            I, J, K, J2, K2 = units
-            if J.chord(K) < 1e-2 or J2.chord(K2) < 1e-2:
-                continue
-            fI = f.eval(SliceCoord(x, y, I))
-            b, c = rep_coeffs(f.eval(SliceCoord(x, y, J)),
-                              f.eval(SliceCoord(x, y, K)), J, K)
-            b2, c2 = rep_coeffs(f.eval(SliceCoord(x, y, J2)),
-                                f.eval(SliceCoord(x, y, K2)), J2, K2)
-            max_rt = max(max_rt, (rep_eval(b, c, I) - fI).norm())
-            max_pair = max(max_pair, (b - b2).norm() + (c - c2).norm())
+            if units[1].chord(units[2]) >= 1e-2 and units[3].chord(units[4]) >= 1e-2:
+                rows.append((x, y, [u.to_list() for u in units]))
+        # one eval_rows call on the five units of every point, as (unit, point) rows
+        x, y, vec = (np.array(a) for a in zip(*rows))
+        vec = vec.transpose(1, 0, 2)
+        values, _ = PowerSeries(coeffs).eval_rows(np.tile(x, 5), np.tile(y, 5),
+                                                  vec.reshape(-1, 3))
+        fI, fJ, fK, fJ2, fK2 = values.reshape(5, len(rows), 4)
+        b, c, _ = rep_coeffs_rows(fJ, fK, vec[1], vec[2])
+        b2, c2, _ = rep_coeffs_rows(fJ2, fK2, vec[3], vec[4])
+        max_rt = max(max_rt, float(norm_rows(b + mul_rows(imaginary_rows(vec[0]), c)
+                                             - fI).max()))
+        max_pair = max(max_pair, float((norm_rows(b - b2) + norm_rows(c - c2)).max()))
     report = {"max_roundtrip_err": max_rt, "max_pair_dependence": max_pair,
               "tolerance": tol, "functions": n_funcs, "points": n_pts,
               "seed": args.seed}
@@ -234,7 +239,7 @@ def cmd_local_extend(args) -> int:
     q = Quaternion(*args.point)
     from .quaternions import slice_decompose
     p0 = slice_decompose(q)
-    result = local_extend(f, p0, seed=args.seed)
+    result = local_extend(f, spec, p0, seed=args.seed)
     report = {
         "point": q.to_list(),
         "j0": result.j0.to_list(),
@@ -272,7 +277,7 @@ def cmd_global_extend(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
     exit_code = EXIT_OK
     try:
-        stem, report = extend_to_completion(f, sample, _scan_grid(spec), tol=tol,
+        stem, report = extend_to_completion(f, spec, sample, _scan_grid(spec), tol=tol,
                                             force=args.force)
         if report.max_defect > tol:
             exit_code = EXIT_CHECK_FAILED

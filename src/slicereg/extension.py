@@ -2,8 +2,10 @@
 
 Covers the stem coefficient maps, the two-slice extension formula, regular
 extension from one slice of a symmetric domain, and global extension to
-the symmetric completion with per-sphere consistency verification.  Tube
-domains and the constructive local extension are in slicereg.local.
+the symmetric completion with per-sphere consistency verification.  An
+extension is a StemPair, itself a slice function, and each construction
+takes the domain it extends from as an argument.  Tube domains and the
+constructive local extension are in slicereg.local.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .errors import (ConsistencyError, DegeneratePairError,
                      PreconditionError, SliceRegError)
 from .holomorphic import HoloSliceFunction, dbar_residual
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
-                          imaginary_rows, mul_rows)
+                          imaginary_rows, mul_rows, norm_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +63,8 @@ def rep_coeffs_rows(fJ, fK, J, K):
     return b, c, ok
 
 
-def rep_eval(b: Quaternion, c: Quaternion,
-             I: UnitImaginary | None) -> Quaternion:
-    """Value b + I c of the function the stem pair represents."""
-    if I is None:
-        return b
-    return b + I.as_quaternion() * c
-
-
 @dataclass(frozen=True)
-class StemPair:
+class StemPair(HoloSliceFunction):
     """Stem functions of a slice regular function on a symmetric domain,
     f(x + yJ) = b(x, y) + J c(x, y).  stems(x, y) maps points, arrays (n,),
     to (b (n, 4), c (n, 4), ok (n,)) as quaternion rows; rows where the stem
@@ -90,12 +84,6 @@ class StemPair:
         real = y == 0.0
         values[real] = b[real]
         return values, ok
-
-    def eval(self, coord: SliceCoord) -> Quaternion:
-        values, ok = self.eval_rows(coord.x, coord.y, (coord.unit or UNIT_I).to_list())
-        if not ok[0]:
-            raise OutOfDomainError(f"no stem at ({coord.x:g}, {coord.y:g})")
-        return Quaternion.from_list(values[0])
 
     def export_rows(self, xy):
         """CSV rows (x, y, b components, c components) over sample points."""
@@ -129,21 +117,6 @@ def _two_slice_stem(r, J: UnitImaginary, s, K: UnitImaginary,
     return StemPair(stems)
 
 
-@dataclass(frozen=True)
-class DomainFunction(HoloSliceFunction):
-    """A slice function paired with the domain it is extended from; fn must
-    evaluate wherever the extension queries it."""
-
-    fn: HoloSliceFunction
-    domain: DomainSpec
-
-    def eval(self, coord: SliceCoord) -> Quaternion:
-        return self.fn.eval(coord)
-
-    def eval_rows(self, x, y, vectors):
-        return self.fn.eval_rows(x, y, vectors)
-
-
 def _real_samples(fn: HoloSliceFunction, count: int = 9):
     """Real evaluation points where the function is defined."""
     from .holomorphic import ContinuedLog, PowerSeries
@@ -159,22 +132,21 @@ def _real_samples(fn: HoloSliceFunction, count: int = 9):
 def check_compatible(r: HoloSliceFunction, s: HoloSliceFunction,
                      tol: float = 1e-9):
     """Raise IncompatiblePairError unless r and s agree, within tol, on at
-    least three shared real points (their common real trace)."""
+    least three shared real points (their common real trace), from one
+    eval_rows call per function; an error of either call propagates."""
     xs = set(np.round(_real_samples(r), 12)) & set(np.round(_real_samples(s), 12))
     if len(xs) < 3:
         xs = set(np.round(_real_samples(r), 12))
-    good = 0
-    for x in sorted(xs):
-        try:
-            rv = r.eval(SliceCoord(float(x), 0.0, None))
-            sv = s.eval(SliceCoord(float(x), 0.0, None))
-        except SliceRegError:
-            continue
-        if (rv - sv).norm() > tol:
-            raise IncompatiblePairError(
-                f"slice functions disagree at x={x:g} by {(rv - sv).norm():.3e}")
-        good += 1
-    if good < 3:
+    x = np.array(sorted(xs))
+    units = np.tile(UNIT_I.to_list(), (len(x), 1))
+    (rv, r_ok), (sv, s_ok) = (f.eval_rows(x, 0.0, units) for f in (r, s))
+    good = r_ok & s_ok
+    dist = norm_rows(rv - sv)
+    bad = (good & (dist > tol)).nonzero()[0]
+    if bad.size:
+        raise IncompatiblePairError(
+            f"slice functions disagree at x={x[bad[0]]:g} by {dist[bad[0]]:.3e}")
+    if good.sum() < 3:
         raise IncompatiblePairError("no shared real trace to compare on")
 
 
@@ -291,15 +263,16 @@ class ConsistencyReport:
         }
 
 
-def extend_to_completion(f, sample: SphereSample, xy_grid,
-                         tol: float = 1e-8, force: bool = False):
-    """Extend f to the symmetric completion of its domain, verifying that the
-    stem coefficients computed from different unit pairs agree sphere by
-    sphere.  The maximal disagreement per sphere is the consistency defect;
-    it exceeds the threshold exactly where no single-valued extension exists.
-    The spheres are scanned in blocks (slicereg.consistency).
+def extend_to_completion(f: HoloSliceFunction, omega: DomainSpec,
+                         sample: SphereSample, xy_grid, tol: float = 1e-8,
+                         force: bool = False):
+    """Extend f from its domain omega to the symmetric completion of omega,
+    verifying that the stem coefficients computed from different unit pairs
+    agree sphere by sphere.  The maximal disagreement per sphere is the
+    consistency defect; it exceeds the threshold exactly where no
+    single-valued extension exists.  The spheres are scanned in blocks
+    (slicereg.consistency).
     """
-    omega: DomainSpec = f.domain
     if not force:
         from .domains import is_simple
         verdict = is_simple(omega, sample)

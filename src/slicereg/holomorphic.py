@@ -1,8 +1,10 @@
 """Quaternion-valued holomorphic functions on a planar slice.
 
-Two families are provided: power series with real center (slice regular on
-their ball, powers act on the left of the coefficients) and path-continued
-logarithms on a cut plane.
+HoloSliceFunction is the one slice-function interface: a type implements
+eval_rows, batched over arrays, and eval is its one-row case.  Two families
+are provided: power series with real center (slice regular on their ball,
+powers act on the left of the coefficients) and path-continued logarithms
+on a cut plane.
 The continued logarithm carries its own raster table of path integrals so
 that repeated evaluations share one breadth-first continuation tree.
 """
@@ -18,8 +20,8 @@ from .raster import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
                      _grid_bfs)
 from .errors import (DisconnectedDomainError, OutOfDomainError,
                      PreconditionError, SliceRegError, StencilError)
-from .quaternions import (Quaternion, SliceCoord, UnitImaginary, mul_rows,
-                          norm_rows)
+from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
+                          mul_rows, norm_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -92,32 +94,30 @@ class HoloSliceFunction:
     slice_unit is the unit J such that the function is considered a map on
     a domain of L_J.  PowerSeries leaves it None (defined on every slice)
     until restricted with on_slice().
+
+    A function type implements eval_rows, its one evaluator: values at the
+    points x + yJ, one per row, where x and y broadcast to (n,) and the
+    units J are the rows of vectors (n, 3).  It returns (values (n, 4) as
+    quaternion rows, ok (n,)); rows where the function is undefined have ok
+    False and NaN values.  eval is its one-row case.
     """
 
     slice_unit: UnitImaginary | None = None
 
-    def eval(self, coord: SliceCoord) -> Quaternion:  # pragma: no cover
+    def eval_rows(self, x, y, vectors):  # pragma: no cover
         raise NotImplementedError
 
-    def eval_rows(self, x, y, vectors):
-        """Values at the points x + yJ, one per row: x and y broadcast to
-        (n,) and the units J are the rows of vectors (n, 3).  Returns
-        (values (n, 4) as quaternion rows, ok (n,)); rows where eval raises
-        a package error have ok False and NaN values.  This default calls
-        eval once per row."""
-        vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
-        n = len(vectors)
-        values = np.full((n, 4), np.nan)
-        ok = np.zeros(n, dtype=bool)
-        xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
-        ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
-        for m, (px, py, v) in enumerate(zip(xs, ys, vectors.tolist())):
-            try:
-                values[m] = self.eval(SliceCoord.make(px, py, UnitImaginary(*v))).to_list()
-            except SliceRegError:
-                continue
-            ok[m] = True
-        return values, ok
+    def eval(self, coord: SliceCoord) -> Quaternion:
+        """The value at one point, from one eval_rows row; a real point is
+        taken with unit i.  Raises OutOfDomainError where the row is not
+        ok."""
+        real = coord.is_real
+        values, ok = self.eval_rows(coord.x, 0.0 if real else coord.y,
+                                    [(UNIT_I if real else coord.unit).to_list()])
+        if not ok[0]:
+            raise OutOfDomainError(
+                f"point ({coord.x:g}, {coord.y:g}) lies outside the function's domain")
+        return Quaternion.from_list(values[0])
 
 
 @dataclass(frozen=True)
@@ -137,18 +137,9 @@ class PowerSeries(HoloSliceFunction):
     def on_slice(self, unit: UnitImaginary) -> "PowerSeries":
         return replace(self, slice_unit=unit)
 
-    def eval(self, coord: SliceCoord) -> Quaternion:
-        q = coord.to_quaternion() - self.center
-        if q.norm() >= self.radius:
-            raise OutOfDomainError("point outside the series' ball of convergence")
-        acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
-            acc = q * acc + a
-        return acc
-
     def eval_rows(self, x, y, vectors):
-        """Horner's scheme of eval on quaternion rows q = [x - center, y v],
-        one row per point."""
+        """Horner's scheme on quaternion rows q = [x - center, y v], one row
+        per point; rows with |q| >= radius are not ok."""
         v = np.asarray(vectors, dtype=float).reshape(-1, 3)
         q = np.empty((len(v), 4))
         q[:, 0] = np.asarray(x, dtype=float) - self.center
@@ -381,22 +372,33 @@ class ContinuedLog(HoloSliceFunction):
         c = self.carrier.as_quaternion()
         return self.base_value + Quaternion(w.real) + c * w.imag
 
-    def eval(self, coord: SliceCoord) -> Quaternion:
-        px, py = self._plane_point(coord)
-        return self.eval_plane(px, py)
-
     def eval_rows(self, x, y, vectors):
-        """The default per-row loop, run once the table is built: a table
-        that cannot be built raises its own error here, once, rather than
-        leaving every row not ok."""
+        """Values at the points x + yJ, as HoloSliceFunction.eval_rows, one
+        table query per row once the table is built: a table that cannot be
+        built raises its own error here, once, rather than leaving every row
+        not ok.  Rows that no query answers (off the carrier's plane, out of
+        the box, or beyond every anchor) are not ok."""
         self._table.ensure_built()
-        return super().eval_rows(x, y, vectors)
+        vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        n = len(vectors)
+        values = np.full((n, 4), np.nan)
+        ok = np.zeros(n, dtype=bool)
+        xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
+        ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
+        for m, (px, py, v) in enumerate(zip(xs, ys, vectors.tolist())):
+            coord = SliceCoord.make(px, py, UnitImaginary(*v))
+            try:
+                values[m] = self.eval_plane(*self._plane_point(coord)).to_list()
+            except SliceRegError:
+                continue
+            ok[m] = True
+        return values, ok
 
 
 def dbar_residual(f, coord: SliceCoord, h: float) -> float:
     """|0.5 (d/dx + J d/dy) f| by central differences of step h, from one
-    f.eval_rows call on the four stencil points; f is anything with
-    eval_rows, a StemPair among them.
+    f.eval_rows call on the four stencil points; f is any HoloSliceFunction,
+    the StemPair of an extension among them.
 
     For holomorphic f the value decays like h^2 times the local third
     derivative scale; an O(1) value flags non-holomorphy.

@@ -68,16 +68,26 @@ class TubeDomain:
             c = self.epsilon / self.y_ref
             c2 = c * c  # inf, not OverflowError, when y_ref is tiny
             pts = self.polyline
+
+            def level(p):
+                """The segment's quadratic at its vertex p: negative inside
+                the ball around p."""
+                return (x - p[0]) ** 2 + (1.0 - c2) * p[1] ** 2 - 2.0 * y * d * p[1] + y * y
+
             for p0, p1 in zip(pts[:-1], pts[1:]):
+                if p0[1] == p1[1] == 0.0:
+                    continue  # radius 0 on the axis: the real interval's balls cover it
+                if c2 == math.inf:  # a non-real point's ball is all of H
+                    member[...] = True
+                    break
                 dx, dy = p1[0] - p0[0], p1[1] - p0[1]
                 A = dx * dx + (1.0 - c2) * dy * dy
+                C0 = level(p0)
+                if A < 1e-30:  # concave or linear in t: least at an end
+                    member |= np.minimum(C0, level(p1)) < 0.0
+                    continue
                 B = -2.0 * dx * (x - p0[0]) + 2.0 * (1.0 - c2) * p0[1] * dy \
                     - 2.0 * y * d * dy
-                C0 = (x - p0[0]) ** 2 + (1.0 - c2) * p0[1] ** 2 \
-                    - 2.0 * y * d * p0[1] + y * y
-                if A < 1e-30:
-                    member |= np.minimum(C0, B + C0) < 0.0
-                    continue
                 t = np.clip(-B / (2.0 * A), 0.0, 1.0)
                 member |= A * t * t + B * t + C0 < 0.0
         return member
@@ -345,9 +355,9 @@ def _shortcut(spec: DomainSpec, J: UnitImaginary, pts: np.ndarray,
     return np.asarray(out)
 
 
-def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
+def local_extend(f, omega: DomainSpec, p0: SliceCoord, shrink: float = 0.5,
                  seed: int = 0) -> LocalExtension:
-    """Constructive local extension around p0 in a slice domain.
+    """Constructive local extension of f around p0 in the slice domain omega.
 
     Finds a grid path from p0 down to the real axis in its slice, thickens
     it to a tube M, picks a nearby unit K0 within the tube's angular reach,
@@ -356,9 +366,8 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
     and the original domain, and the extension agrees with f there: the
     checks sample the real trace and the tube (_validate_local).
     """
-    omega: DomainSpec = f.domain
     if p0.is_real:
-        return _local_extend_real(f, p0, shrink)
+        return _local_extend_real(f, omega, p0, shrink)
 
     j0 = p0.unit
     grid = rasterize(omega, j0)
@@ -404,8 +413,7 @@ def local_extend(f, p0: SliceCoord, shrink: float = 0.5,
                           epsilon_tube=lam.epsilon, checks=checks)
 
 
-def _local_extend_real(f, p0: SliceCoord, shrink: float):
-    omega: DomainSpec = f.domain
+def _local_extend_real(f, omega: DomainSpec, p0: SliceCoord, shrink: float):
     sample = np.array([[p0.x, 0.0]])
     radius = float(_clearance_radii(sample, UNIT_I, omega, 2.0)[0])
     radius = min(radius, _cut_clearance(sample, UNIT_I, omega))

@@ -209,11 +209,6 @@ class SliceCoord:
         return Quaternion(self.x, self.y * u.vx, self.y * u.vy, self.y * u.vz)
 
 
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product, explicit function form of Quaternion.__mul__."""
-    return p * q
-
-
 # the terms (sign, i, j) of sign * p_i * q_j that Quaternion.__mul__ sums,
 # per output component [w, x, y, z] and in the order it sums them
 _MUL_TERMS = (((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
@@ -246,11 +241,6 @@ def imaginary_rows(vectors) -> np.ndarray:
     rows = np.zeros(v.shape[:-1] + (4,))
     rows[..., 1:] = v
     return rows
-
-
-def inverse(q: Quaternion) -> Quaternion:
-    """conj(q) / |q|^2; raises NonInvertibleError on zero input."""
-    return q.inverse()
 
 
 def slice_decompose(q: Quaternion, tol: float = 1e-13) -> SliceCoord:

@@ -1,6 +1,6 @@
 """Independent oracles used to freeze expected values, the grid kernels
-that faster paths replaced, and the few path integral and arc helpers that
-only tests use.
+and scalar evaluators that faster paths replaced, and the few path
+integral and arc helpers that only tests use.
 
 The oracles deliberately avoid the code paths they check: polynomial
 evaluation sums explicit powers instead of Horner, and the winding oracle
@@ -12,6 +12,7 @@ from itertools import islice
 import numpy as np
 
 from slicereg import Quaternion, SliceCoord, rep_coeffs
+from slicereg.errors import OutOfDomainError
 from slicereg.counterexample import t_of
 from slicereg.raster import _GRID_STEPS, _grid_bfs, _run_components
 from slicereg.holomorphic import integrate_reciprocal
@@ -26,6 +27,27 @@ def poly_eval_direct(coeffs, q, center=0.0):
         total = total + power * a
         power = shifted * power
     return total
+
+
+def horner_eval(series, coord):
+    """Scalar oracle of PowerSeries.eval_rows: Horner's scheme on one
+    quaternion q = coord - center, raising OutOfDomainError where |q| >=
+    radius."""
+    q = coord.to_quaternion() - series.center
+    if q.norm() >= series.radius:
+        raise OutOfDomainError("point outside the series' ball of convergence")
+    acc = series.coeffs[-1]
+    for a in reversed(series.coeffs[:-1]):
+        acc = q * acc + a
+    return acc
+
+
+def rep_eval(b, c, I):
+    """Value b + I c of the function the stem pair (b, c) represents; b
+    where I is None (a real point)."""
+    if I is None:
+        return b
+    return b + I.as_quaternion() * c
 
 
 def winding_angle_sum(points, px, py):

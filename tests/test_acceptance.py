@@ -6,16 +6,17 @@ import time
 import numpy as np
 import pytest
 
-from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
+from slicereg import (PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, coefficient_identities,
                       dbar_residual, formula_stem,
                       is_simple, is_slice_domain, local_extend, omega_jk_plus,
-                      regular_ext, rep_coeffs, rep_eval, starlike_spec)
+                      regular_ext, rep_coeffs, starlike_spec)
 from slicereg.extension import StemPair, extend_to_completion
 from slicereg.counterexample import intersection_grid, log_pair, pair_set_grid
 from slicereg.quaternions import ONE, UNIT_I, UNIT_J, norm_rows
 
 from conftest import random_polynomial, random_unit
+from helpers import rep_eval
 
 Q = Quaternion
 TWO_PI = 2.0 * math.pi
@@ -133,13 +134,14 @@ def test_criterion_4_dbar_verification(ball, star, cfg, log_family, sample16):
     w1, rat1 = _dbar_scan(stem_ball, units, pts, "regular_ext")
 
     # stem from local extension in the ball
-    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(0.4, 0.2, 0, 0), Q(1))), ball)
-    le_ball = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
+    f = PowerSeries((Q(0), Q(0), Q(0.4, 0.2, 0, 0), Q(1)))
+    le_ball = local_extend(f, ball, SliceCoord(0.3, 0.4, UNIT_I))
     pts = [(rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.3)) for _ in range(100)]
     w2, rat2 = _dbar_scan(le_ball.stem, units, pts, "local_extend(ball)")
 
     # stem from local extension of the branched log on the counterexample
-    le_log = local_extend(log_family, SliceCoord(-1.0, 1.5, cfg.axis))
+    le_log = local_extend(log_family, log_family.domain,
+                          SliceCoord(-1.0, 1.5, cfg.axis))
     pts = []
     while len(pts) < 100:
         x = rng.uniform(-1.4, -0.6)
@@ -149,10 +151,10 @@ def test_criterion_4_dbar_verification(ball, star, cfg, log_family, sample16):
     w3, rat3 = _dbar_scan(le_log.stem, units, pts, "local_extend(log)")
 
     # stem from global extension on the starlike domain
-    fstar = DomainFunction(PowerSeries((Q(0.1), Q(0, 1, 0, 0), Q(0), Q(0.7))), star)
+    fstar = PowerSeries((Q(0.1), Q(0, 1, 0, 0), Q(0), Q(0.7)))
     xy = np.array([[x, y] for x in np.arange(-0.5, 1.5, 0.2)
                    for y in np.arange(0.0, 1.0, 0.2)])
-    stem_star, _ = extend_to_completion(fstar, sample16, xy)
+    stem_star, _ = extend_to_completion(fstar, star, sample16, xy)
     pts = [(rng.uniform(-0.3, 0.8), rng.uniform(0.05, 0.5)) for _ in range(100)]
     w4, rat4 = _dbar_scan(stem_star, units, pts, "extend_to_completion")
 
@@ -240,7 +242,7 @@ def test_criterion_6_jump_reproduction(cfg, logs):
 def test_criterion_7_local_extension_end_to_end(ball, omega, cfg, log_family):
     t0 = time.time()
     rng = np.random.default_rng(1007)
-    fball = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
+    fball = PowerSeries((Q(0), Q(0), Q(1)))
 
     def tube_passes_slice_domain(tube):
         # grid verdict at a step fine enough to resolve the tube's waist
@@ -262,7 +264,7 @@ def test_criterion_7_local_extension_end_to_end(ball, omega, cfg, log_family):
             if not all(spec.contains(x + dx, max(y + dy, 0.0), J)
                        for dx, dy in offsets):
                 continue
-            result = local_extend(f, SliceCoord.make(x, y, J))
+            result = local_extend(f, spec, SliceCoord.make(x, y, J))
             # validation inside local_extend enforces the 1e-9 / 1e-8 bounds
             assert result.checks["real_trace_max_err"] <= 1e-9
             assert result.checks["tube_max_err"] <= 1e-8
@@ -278,17 +280,17 @@ def test_criterion_7_local_extension_end_to_end(ball, omega, cfg, log_family):
 def test_criterion_8_global_extension_dichotomy(star, cfg, log_family, sample64):
     t0 = time.time()
     poly = PowerSeries((Q(0.3, 0.1, 0, 0), Q(0, 1, 0.5, 0), Q(1, 0, 0, 0.2)))
-    fstar = DomainFunction(poly, star)
     xs = np.arange(star.bbox[0] + 0.05, star.bbox[1], 0.1)
     ys = np.arange(0.05, star.bbox[2], 0.1)
     grid = np.array([[x, y] for x in xs for y in ys])
-    stem, report = extend_to_completion(fstar, sample64, grid)
+    stem, report = extend_to_completion(poly, star, sample64, grid)
     assert report.max_defect <= 1e-8, f"star defect {report.max_defect:.2e}"
 
     xs = np.arange(-4.875, 5.0, 0.25)
     ys = np.arange(0.125, 5.0, 0.25)
     grid = np.array([[x, y] for x in xs for y in ys])
-    stem2, report2 = extend_to_completion(log_family, sample64, grid, force=True)
+    stem2, report2 = extend_to_completion(log_family, log_family.domain, sample64, grid,
+                                          force=True)
     in_band = [e for e in report2.entries
                if math.hypot(e["sphere"][0] + 1.0, e["sphere"][1] - 2.0) < 0.9
                and abs(e["defect"] - TWO_PI) <= 1e-3]

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,22 @@ def test_hostile_point_unit_and_axis_exit_one(flag, value, message, ball_json, t
     assert not (tmp_path / "out").exists()
 
 
+def test_tube_with_a_tiny_y_ref_checks_without_warnings(tmp_path):
+    """A tube whose y_ref is so small that (epsilon / y_ref)^2 overflows
+    has balls that cover H around every non-real point of its path; its
+    membership computes no inf - inf, so check-domain runs with warnings
+    turned into errors."""
+    spec = tmp_path / "tube.json"
+    spec.write_text(json.dumps({"type": "tube", "polyline": [[0.3, 0.6], [0.3, 0]],
+                                "unit": [1, 0, 0], "epsilon": 0.2, "y_ref": 1e-300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-domain", str(spec), "--h", "0.25", "--samples", "4",
+                     "--out", str(tmp_path / "out")]) == 0
+    verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+    assert verdicts["slice_domain"].startswith("yes")
+
+
 def test_completion_command(ball_json, tmp_path):
     out = tmp_path / "out"
     assert main(["completion", str(ball_json), "--samples", "8",
@@ -302,6 +319,22 @@ def test_extend_command(tmp_path):
     rows = (out / "extension.csv").read_text().strip().splitlines()
     assert rows[0] == "x,y,f_w,f_x,f_y,f_z"
     assert len(rows) > 4
+
+
+def test_extend_reports_the_table_error_of_a_continued_log(tmp_path, capsys):
+    """check_compatible evaluates each function once on the shared real
+    points, so a continued log whose table cannot be built exits 1 with the
+    table's own error, not as a pair with no shared real trace."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "r": {"variant": "continued-log", "pole": [0, 2], "base": [1, 2],
+              "carrier": [1, 0, 0], "step": 1e300, "slice_unit": [1, 0, 0]},
+        "s": {"variant": "power-series", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]],
+              "slice_unit": [0, 1, 0]}}))
+    assert main(["extend", str(pair), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "a continuation table at step 1e+300 has 0 x 0 cells" in err
+    assert "no shared real trace" not in err and "Traceback" not in err
 
 
 def test_ext_slice_command(ball_json, tmp_path):

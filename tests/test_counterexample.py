@@ -15,12 +15,12 @@ from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
 from slicereg.domains import PlanarRegionGrid, rasterize
 from slicereg.raster import _block_cut_cells, _mirror, _points_to_polyline_dist
 from slicereg.errors import OutOfDomainError, SliceRegError
-from slicereg.extension import extension_formula, formula_stem, rep_coeffs, rep_eval
+from slicereg.extension import extension_formula, formula_stem, rep_coeffs
 from slicereg.holomorphic import ContinuedLog, _PlaneContinuation, dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, norm_rows, rotate_toward, slice_decompose
 
 from conftest import random_unit
-from helpers import arc_point, paint_labels
+from helpers import arc_point, paint_labels, rep_eval
 
 Q = Quaternion
 TWO_PI = 2.0 * math.pi

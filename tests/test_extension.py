@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slicereg import (DomainFunction, PowerSeries, Quaternion, SliceCoord,
-                      SphereSample, UnitImaginary, ball_spec, build_tube,
-                      extension_formula,
+from slicereg import (PowerSeries, Quaternion, SliceCoord, SphereSample,
+                      UnitImaginary, ball_spec, build_tube, extension_formula,
                       is_slice_domain, local_extend, rasterize, regular_ext,
-                      rep_coeffs, rep_eval)
+                      rep_coeffs)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords)
 from slicereg.specs import intersect_specs
@@ -30,7 +29,7 @@ from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K, norm_rows
 from slicereg.raster import resample_polyline
 
 from conftest import random_polynomial, random_unit
-from helpers import stem_at, two_slice_parts
+from helpers import rep_eval, stem_at, two_slice_parts
 
 Q = Quaternion
 
@@ -157,9 +156,12 @@ def test_regular_ext_rejects_antiholomorphic(ball):
     class Conj(HoloSliceFunction):
         slice_unit = UNIT_I
 
-        def eval(self, coord):
-            q = coord.to_quaternion()
-            return Q(q.w, -q.x, -q.y, -q.z)
+        def eval_rows(self, x, y, vectors):
+            v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+            values = np.empty((len(v), 4))
+            values[:, 0] = x
+            values[:, 1:] = -np.asarray(y, dtype=float).reshape(-1, 1) * v
+            return values, np.ones(len(v), dtype=bool)
 
     with pytest.raises(PreconditionError):
         regular_ext(Conj(), ball)
@@ -275,13 +277,75 @@ def test_tube_slices_connected_with_real_trace(ball):
             assert grid.occupied[axis_row].any()
 
 
+def _ball_union_margin(tube, x, y, J, step=2e-3):
+    """Oracle of TubeDomain.membership: (margin, slack) for the point
+    x + yJ, where margin is the least of |q - p| - r(p) over points p of the
+    path C spaced at most step apart, r(p) the scaled radius
+    (|im p| / y_ref) epsilon of a non-real point and epsilon of a real one.
+    margin < 0 puts q in a ball of the union; as |q - p| - r(p) changes by at
+    most (1 + epsilon / y_ref) per unit of arc length, margin > slack puts q
+    outside every ball."""
+    pts = tube.polyline
+    c = tube.epsilon / tube.y_ref if tube.y_ref > 0.0 else 0.0
+    samples = [pts[:1]]
+    for p0, p1 in zip(pts[:-1], pts[1:]):
+        n = int(math.ceil(np.hypot(*(p1 - p0)) / step)) + 1
+        samples.append(p0 + np.linspace(0.0, 1.0, n)[:, None] * (p1 - p0))
+    px, py = np.vstack(samples).T
+    d = J.dot(tube.unit)
+    dist = np.sqrt(np.maximum((x - px) ** 2 + y * y + py * py - 2.0 * y * py * d, 0.0))
+    radius = np.where(py > 0.0, c * py, tube.epsilon)
+    return float((dist - radius).min()), (1.0 + c) * step / 2.0
+
+
+@st.composite
+def _tube_queries(draw):
+    """(tube, x, y, J): a path with heights >= 0 whose real vertices form
+    one run, as build_tube takes, epsilon up to 1.5 (often above y_ref) and
+    y_ref from 0.3 to 1.5 times the greatest height; points anywhere near."""
+    xs = st.floats(-1.0, 1.0)
+    above = draw(st.lists(st.tuples(xs, st.floats(0.05, 1.0)), max_size=3))
+    real = draw(st.lists(st.tuples(xs, st.just(0.0)), min_size=1, max_size=2))
+    after = draw(st.lists(st.tuples(xs, st.floats(0.05, 1.0)), max_size=2))
+    pts = np.array(above + real + after, dtype=float)
+    top = float(pts[:, 1].max())
+    unit = UnitImaginary(*draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 0.6, 0.8)])))
+    tube = TubeDomain(unit=unit, polyline=pts, epsilon=draw(st.floats(0.05, 1.5)),
+                      y_ref=top * draw(st.floats(0.3, 1.5)))
+    J = draw(st.one_of(st.sampled_from([unit, -unit]),
+                       st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                       .filter(lambda v: np.linalg.norm(v) > 0.1)
+                       .map(lambda v: UnitImaginary(*v))))
+    return tube, draw(st.floats(-2.5, 2.5)), draw(st.floats(0.0, 2.5)), J
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tube_queries())
+@example((TubeDomain(unit=UNIT_I, polyline=np.array([[0.3, 0.0], [0.3, 0.6]]),
+                     epsilon=1.0, y_ref=0.6), 0.3, 1.2, UNIT_I))
+def test_tube_membership_is_the_ball_union_either_way_along_the_path(case):
+    """Membership does not depend on the direction of the path and matches
+    a sampled union of the tube's balls wherever the sampling decides,
+    epsilon > y_ref included: there a segment's quadratic is concave and the
+    ball of its last vertex must still count."""
+    tube, x, y, J = case
+    reverse = TubeDomain(unit=tube.unit, polyline=tube.polyline[::-1],
+                         epsilon=tube.epsilon, y_ref=tube.y_ref)
+    margin, slack = _ball_union_margin(tube, x, y, J)
+    got = (tube.contains(x, y, J), reverse.contains(x, y, J))
+    if margin < -1e-9:
+        assert got == (True, True)
+    elif margin > slack + 1e-9:
+        assert got == (False, False)
+
+
 # ---------------------------------------------------------------------------
 # local extension
 # ---------------------------------------------------------------------------
 
 def test_local_extend_ball_square(ball):
-    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
-    result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
+    f = PowerSeries((Q(0), Q(0), Q(1)))
+    result = local_extend(f, ball, SliceCoord(0.3, 0.4, UNIT_I))
     assert result.checks["tube_max_err"] <= 1e-8
     rng = np.random.default_rng(61)
     for _ in range(50):
@@ -295,8 +359,8 @@ def test_local_extend_ball_square(ball):
 
 
 def test_local_extend_real_point(ball):
-    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
-    result = local_extend(f, SliceCoord(0.2, 0.0, None))
+    f = PowerSeries((Q(0), Q(0), Q(1)))
+    result = local_extend(f, ball, SliceCoord(0.2, 0.0, None))
     assert result.checks["tube_max_err"] <= 1e-8
     assert result.epsilon_m > 0.0
 
@@ -307,9 +371,9 @@ def test_real_trace_check_catches_a_stem_off_f_next_to_the_axis(ball, p0):
     where it is f's own value, but not next to it: the real-trace check
     reads b in the limit y -> 0+ and refuses the stem before the tube
     sampling runs."""
-    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
-    shifted = DomainFunction(PowerSeries((Q(1), Q(0), Q(1))), ball)
-    result = local_extend(f, p0)
+    f = PowerSeries((Q(0), Q(0), Q(1)))
+    shifted = PowerSeries((Q(1), Q(0), Q(1)))
+    result = local_extend(f, ball, p0)
     assert 0.0 < result.checks["real_trace_max_err"] <= 1e-9
     wrong = _two_slice_stem(f, result.j0, shifted, result.k0)
     with pytest.raises(ConsistencyError, match="on the real trace"):
@@ -317,15 +381,15 @@ def test_real_trace_check_catches_a_stem_off_f_next_to_the_axis(ball, p0):
 
 
 def test_local_extend_tubes_are_slice_domains(ball):
-    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
-    result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
+    f = PowerSeries((Q(0), Q(0), Q(1)))
+    result = local_extend(f, ball, SliceCoord(0.3, 0.4, UNIT_I))
     assert is_slice_domain(result.tube.as_domain_spec(), SphereSample(16)).is_yes
     assert is_slice_domain(result.N, SphereSample(16)).is_yes
 
 
 def test_local_extend_k0_within_angular_bound(ball):
-    f = DomainFunction(PowerSeries((Q(0), Q(0), Q(1))), ball)
-    result = local_extend(f, SliceCoord(0.3, 0.4, UNIT_I))
+    f = PowerSeries((Q(0), Q(0), Q(1)))
+    result = local_extend(f, ball, SliceCoord(0.3, 0.4, UNIT_I))
     chord = result.j0.chord(result.k0)
     y_ref = float(result.path[:, 1].max())
     assert 0.0 < chord < result.epsilon_m / y_ref
@@ -338,12 +402,11 @@ def test_local_extend_k0_within_angular_bound(ball):
 def test_extend_to_completion_polynomial(star):
     rng = np.random.default_rng(67)
     poly = PowerSeries((Q(0.3, 0.1, 0, 0), Q(0, 1, 0.5, 0), Q(1, 0, 0, 0.2)))
-    f = DomainFunction(poly, star)
     sample = SphereSample(32)
     xs = np.arange(star.bbox[0], star.bbox[1], 0.15)
     ys = np.arange(0.0, star.bbox[2], 0.15)
     grid = np.array([[x, y] for x in xs for y in ys])
-    stem, report = extend_to_completion(f, sample, grid)
+    stem, report = extend_to_completion(poly, star, sample, grid)
     assert report.max_defect <= 1e-10
     for _ in range(50):
         t = SliceCoord.make(float(rng.uniform(-0.4, 0.8)),
@@ -355,11 +418,10 @@ def test_extend_to_completion_polynomial(star):
 
 def test_extend_to_completion_constant(ball):
     a = Q(0.2, -0.4, 0.6, 0.1)
-    f = DomainFunction(PowerSeries((a,)), ball)
     sample = SphereSample(16)
     grid = np.array([[x, y] for x in np.linspace(-0.9, 0.9, 12)
                      for y in np.linspace(0.0, 0.9, 8)])
-    stem, report = extend_to_completion(f, sample, grid)
+    stem, report = extend_to_completion(PowerSeries((a,)), ball, sample, grid)
     assert report.max_defect <= 1e-14
     t = SliceCoord(0.1, 0.5, UNIT_K)
     assert stem.eval(t).isclose(a, atol=1e-14)
@@ -369,7 +431,7 @@ def test_extend_to_completion_requires_simple(omega, cfg, log_family):
     sample = SphereSample(16, extra=[cfg.axis])
     grid = np.array([[3.0, 1.0]])
     with pytest.raises(PreconditionError):
-        extend_to_completion(log_family, sample, grid, force=False)
+        extend_to_completion(log_family, omega, sample, grid, force=False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +535,7 @@ _TUBE = TubeDomain(unit=UNIT_I, polyline=np.array([[0.0, 0.6], [0.0, 0.0]]),
 # at N = 8 no sphere over the tube has a usable fan; at N = 16 some do, and
 # the sphere (0, 0.35) has two fan stems and no antipodal one
 _TUBE_SAMPLE = SphereSample(16)
-_TUBE_SERIES = DomainFunction(PowerSeries((Q(0.5, 0.1, -0.2, 0.3), Q(0.0, 1.0, 0.0, 0.0))),
-                              _TUBE)
+_TUBE_SERIES = PowerSeries((Q(0.5, 0.1, -0.2, 0.3), Q(0.0, 1.0, 0.0, 0.0)))
 
 
 def _fan_stems(pairs, sample) -> int:
@@ -484,7 +545,7 @@ def _fan_stems(pairs, sample) -> int:
 
 @st.composite
 def _sphere_cases(draw):
-    """(f, sample, x, y): family spheres anywhere in the box and within
+    """(f, omega, sample, x, y): family spheres anywhere in the box and within
     1e-4 of an arc, the half line at height 2 and its chord [-2, 0] + 2i;
     random power series on the ball, on a tube whose slices depend on the
     unit (so antipodes are missing and the fan is used) and, with a finite
@@ -498,9 +559,9 @@ def _sphere_cases(draw):
         radius = draw(st.floats(0.3, 1.0)) if kind == "radius" else math.inf
         f = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
         if kind == "tube":
-            return (DomainFunction(f, _TUBE), _TUBE_SAMPLE, draw(st.floats(-0.35, 0.35)),
+            return (f, _TUBE, _TUBE_SAMPLE, draw(st.floats(-0.35, 0.35)),
                     draw(st.floats(1e-6, 0.9)))
-        return (DomainFunction(f, ball_spec(0.0, 1.0)), SphereSample(8),
+        return (f, ball_spec(0.0, 1.0), SphereSample(8),
                 draw(st.floats(-0.9, 0.9)), draw(st.floats(1e-6, 0.9)))
     if kind == "box":
         x, y = draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-6, 5.0))
@@ -513,7 +574,7 @@ def _sphere_cases(draw):
         px, py = arc[draw(st.integers(0, len(arc) - 1))]
         angle = draw(st.floats(0.0, 2.0 * math.pi))
         x, y = float(px + near * math.cos(angle)), abs(float(py + near * math.sin(angle)))
-    return _FAMILY, _FAMILY_SAMPLE, x, y
+    return _FAMILY, _FAMILY.domain, _FAMILY_SAMPLE, x, y
 
 
 def test_sphere_stems_match_per_unit_oracle():
@@ -525,11 +586,11 @@ def test_sphere_stems_match_per_unit_oracle():
 
     @settings(max_examples=300, deadline=None)
     @given(_sphere_cases())
-    @example((_TUBE_SERIES, _TUBE_SAMPLE, 0.0, 0.35))
+    @example((_TUBE_SERIES, _TUBE, _TUBE_SAMPLE, 0.0, 0.35))
     def check(case):
-        f, sample, x, y = case
-        stems, skipped, present = _scalar_sphere_stems(f, f.domain, sample, x, y)
-        pairs, bq, cq, got_skipped, got_present = _sphere_stems(f, f.domain, sample, x, y)
+        f, omega, sample, x, y = case
+        stems, skipped, present = _scalar_sphere_stems(f, omega, sample, x, y)
+        pairs, bq, cq, got_skipped, got_present = _sphere_stems(f, omega, sample, x, y)
         assert np.array_equal(got_present, present)
         assert [tuple(p) for p in pairs] == [s[:2] for s in stems]
         assert [tuple(p) for p in got_skipped] == skipped
@@ -544,7 +605,7 @@ def test_sphere_stems_match_per_unit_oracle():
                 assert not good and np.isnan(row).all()
                 continue
             assert good and (Quaternion.from_list(row) - want).norm() <= 1e-12
-        if isinstance(f, DomainFunction):
+        if isinstance(f, PowerSeries):
             fans.append(_fan_stems(pairs, sample))
 
     check()
@@ -558,7 +619,7 @@ def test_consistency_report_matches_scalar_scan(omega):
     xy = np.array([[x, y] for x in np.arange(-4.875, 5.0, 0.75)
                    for y in np.arange(0.125, 5.0, 0.75)]
                   + [[-1.0, 3.0 + 1e-6], [-1.0, 2.0 + 1e-6], [-3.0, 2.0 + 1e-6], [0.0, 2.0]])
-    _, report = extend_to_completion(_FAMILY, _FAMILY_SAMPLE, xy, force=True)
+    _, report = extend_to_completion(_FAMILY, omega, _FAMILY_SAMPLE, xy, force=True)
     want = []
     for x, y in xy:
         stems, skipped, present = _scalar_sphere_stems(_FAMILY, omega, _FAMILY_SAMPLE, x, y)
@@ -582,11 +643,11 @@ def test_consistency_report_matches_scalar_scan(omega):
     assert any(e["defect"] > 6.0 for e in want) and any(e.get("skipped_pairs") for e in want)
 
 
-def _per_sphere_scan(f, sample, xy, fans=None):
+def _per_sphere_scan(f, omega, sample, xy, fans=None):
     """Oracle: the consistency entries sphere by sphere, one _block_stems
     call per sphere (the scan before it ran on blocks of spheres).  A fans
     list gets the number of fan stems of each sphere."""
-    omega, entries = f.domain, []
+    entries = []
     for row in np.asarray(xy, dtype=float):
         x, y = float(row[0]), float(row[1])
         if y == 0.0:
@@ -617,7 +678,7 @@ def _per_sphere_scan(f, sample, xy, fans=None):
 
 @st.composite
 def _scan_grids(draw):
-    """(f, sample, xy): a grid of spheres for one function, in any order and
+    """(f, omega, sample, xy): a grid of spheres for one function, in any order and
     with repeats: family spheres in and out of the box, near the arcs, the
     half line at height 2, its chord [-2, 0] + 2i and the pole; power series
     on the ball, on the tube (missing antipodes, so fans) and with a finite
@@ -627,7 +688,7 @@ def _scan_grids(draw):
     near = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([1.0, -1.0]),
                      st.floats(-8.0, -4.0))
     if kind == "family":
-        f, sample = _FAMILY, _FAMILY_SAMPLE
+        f, omega, sample = _FAMILY, _FAMILY.domain, _FAMILY_SAMPLE
 
         @st.composite
         def sphere(draw):
@@ -651,13 +712,13 @@ def _scan_grids(draw):
         coeffs = draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4),
                                min_size=1, max_size=7))
         radius = draw(st.floats(0.3, 1.0)) if kind == "radius" else math.inf
-        series = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
-        f = DomainFunction(series, _TUBE if kind == "tube" else ball_spec(0.0, 1.0))
+        f = PowerSeries(tuple(Quaternion(*c) for c in coeffs), radius=radius)
+        omega = _TUBE if kind == "tube" else ball_spec(0.0, 1.0)
         sample = _TUBE_SAMPLE if kind == "tube" else SphereSample(8)
         spheres = st.tuples(st.floats(-1.2, 1.2), st.floats(1e-6, 1.2))
     real = st.tuples(st.floats(-6.0, 6.0), st.just(0.0))
     xy = draw(st.lists(st.one_of(spheres, spheres, real), min_size=1, max_size=14))
-    return f, sample, np.array(xy, dtype=float)
+    return f, omega, sample, np.array(xy, dtype=float)
 
 
 def test_blocked_scan_matches_per_sphere_oracle():
@@ -670,14 +731,15 @@ def test_blocked_scan_matches_per_sphere_oracle():
 
     @settings(max_examples=200, deadline=None)
     @given(_scan_grids())
-    @example((_TUBE_SERIES, _TUBE_SAMPLE, np.array([[0.0, 0.35], [0.3, 0.0], [0.1, 0.5]])))
+    @example((_TUBE_SERIES, _TUBE, _TUBE_SAMPLE,
+              np.array([[0.0, 0.35], [0.3, 0.0], [0.1, 0.5]])))
     def check(case):
-        f, sample, xy = case
-        want = _per_sphere_scan(f, sample, xy,
-                                fans if isinstance(f, DomainFunction) else None)
+        f, omega, sample, xy = case
+        want = _per_sphere_scan(f, omega, sample, xy,
+                                fans if isinstance(f, PowerSeries) else None)
         for rows in (len(sample), 3 * len(sample), consistency.SCAN_BLOCK_ROWS):
             with mock.patch.object(consistency, "SCAN_BLOCK_ROWS", rows):
-                _, report = extend_to_completion(f, sample, xy, force=True)
+                _, report = extend_to_completion(f, omega, sample, xy, force=True)
             assert report.entries == want
             assert report.skipped == []
             assert report.max_defect == max([e["defect"] for e in want], default=0.0)
@@ -700,7 +762,7 @@ def test_scan_blocks_bound_the_rows_of_each_evaluation(monkeypatch):
     monkeypatch.setattr(BranchedLogFamily, "eval_rows", spy)
     xs, ys = np.arange(-4.9, 5.0, 0.25), np.arange(0.05, 5.0, 0.25)
     xy = np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
-    _, report = extend_to_completion(_FAMILY, _FAMILY_SAMPLE, xy, force=True)
+    _, report = extend_to_completion(_FAMILY, _FAMILY.domain, _FAMILY_SAMPLE, xy, force=True)
     per_block = consistency.SCAN_BLOCK_ROWS // len(_FAMILY_SAMPLE)
     assert len(xy) > 2 * per_block and len(rows) >= 3
     assert max(rows) <= consistency.SCAN_BLOCK_ROWS
@@ -726,20 +788,20 @@ def _stem_case(kind):
         fJ = _STEM_SERIES.on_slice(J)
         return regular_ext(fJ, ball), two_slice_parts(fJ, J, -J)
     if kind.startswith("local"):
-        f, p0 = {"local-series": (DomainFunction(_STEM_SERIES, ball),
-                                  SliceCoord(0.3, 0.4, _STEM_UNITS[5])),
-                 "local-family": (_FAMILY, SliceCoord(-1.0, 1.5, _CFG.axis))}[kind]
-        result = local_extend(f, p0)
+        f, omega, p0 = {"local-series": (_STEM_SERIES, ball,
+                                         SliceCoord(0.3, 0.4, _STEM_UNITS[5])),
+                        "local-family": (_FAMILY, _FAMILY.domain,
+                                         SliceCoord(-1.0, 1.5, _CFG.axis))}[kind]
+        result = local_extend(f, omega, p0)
         return result.stem, two_slice_parts(f, result.j0, result.k0)
-    f, sample = {"completion-family": (_FAMILY, _FAMILY_SAMPLE),
-                 "completion-series": (DomainFunction(_STEM_SERIES, _TUBE),
-                                       SphereSample(16))}[kind]
-    stem, _ = extend_to_completion(f, sample, [[0.5, 0.5]], force=True)
+    f, omega, sample = {"completion-family": (_FAMILY, _FAMILY.domain, _FAMILY_SAMPLE),
+                        "completion-series": (_STEM_SERIES, _TUBE, SphereSample(16))}[kind]
+    stem, _ = extend_to_completion(f, omega, sample, [[0.5, 0.5]], force=True)
 
     def oracle(x, y):
         if y == 0.0:
             return f.eval(SliceCoord(x, 0.0, None)), Q(0.0)
-        stems, _, _ = _scalar_sphere_stems(f, f.domain, sample, x, y)
+        stems, _, _ = _scalar_sphere_stems(f, omega, sample, x, y)
         if not stems:
             raise OutOfDomainError(f"no usable stem on the sphere ({x}, {y})")
         return stems[0][2:]

@@ -74,9 +74,12 @@ class _Conjugate(HoloSliceFunction):
 
     slice_unit = None
 
-    def eval(self, coord):
-        return SliceCoord.make(coord.x, coord.y, coord.unit).to_quaternion().conjugate() \
-            if not coord.is_real else Q(coord.x)
+    def eval_rows(self, x, y, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        values = np.empty((len(v), 4))
+        values[:, 0] = x
+        values[:, 1:] = -np.asarray(y, dtype=float).reshape(-1, 1) * v
+        return values, np.ones(len(v), dtype=bool)
 
 
 def test_dbar_detects_antiholomorphic():
@@ -482,7 +485,7 @@ def test_eval_rows_matches_eval_units_per_point(case):
     """eval_rows on rows of mixed (x, y) equals eval_rows at one point per
     call, NaN positions and ok included: PowerSeries (Horner on rows),
     BranchedLogFamily (per-point terms once per run of rows) and a
-    ContinuedLog (the base class loop over eval)."""
+    ContinuedLog (one table query per row)."""
     f, x, y, vectors = case
     values, ok = f.eval_rows(x, y, vectors)
     want = [f.eval_rows(float(px), float(py), v[None]) for px, py, v in zip(x, y, vectors)]
@@ -496,8 +499,9 @@ def test_eval_rows_matches_eval_units_per_point(case):
 _DBAR_FUNCTIONS = {
     **_ROWS_FUNCTIONS,
     "regular": regular_ext(_ROWS_FUNCTIONS["series"].on_slice(UNIT_I), ball_spec(0.0, 1.0)),
-    "completion": extend_to_completion(_ROWS_FUNCTIONS["family"], SphereSample(4),
-                                       [[0.5, 0.5]], force=True)[0],
+    "completion": extend_to_completion(
+        _ROWS_FUNCTIONS["family"], _ROWS_FUNCTIONS["family"].domain, SphereSample(4),
+        [[0.5, 0.5]], force=True)[0],
 }
 
 
