@@ -21,7 +21,8 @@ from . import __version__
 from .domains import (SphereSample, is_simple, is_slice_convex,
                       is_slice_domain, is_symmetric, rasterize,
                       symmetric_completion)
-from .errors import ConsistencyError, PreconditionError, SliceRegError
+from .errors import (ConsistencyError, GridStepError, PreconditionError,
+                     SliceRegError)
 from .extension import (extend_to_completion, formula_stem, regular_ext,
                         rep_coeffs_rows)
 from .holomorphic import PowerSeries
@@ -55,17 +56,34 @@ def _read(path, kind: str):
     return walk(json.loads(Path(path).read_text()), kind, kind)
 
 
+def _step_key(values, where="spec") -> tuple:
+    """(h, path) of the spec key that sets a loaded spec's grid step: a
+    boolean-op takes the least h of its operands, the first on a tie."""
+    if values["type"] != "boolean-op":
+        return values["h"], f"{where}.h"
+    return min((_step_key(v, f"{where}.operands[{i}]")
+                for i, v in enumerate(values["operands"])), key=lambda hw: hw[0])
+
+
 def _load_spec(args):
     """(spec, data, values): the domain spec, the spec file's JSON with the
-    --h override, and its walked values."""
+    --h override, and its walked values.  args.step_from names what set
+    the grid step, --h or a spec key."""
     data = json.loads(Path(args.spec).read_text())
     if args.h is not None and isinstance(data, dict):
         data["h"] = args.h
     values = walk(data, "spec", "spec")
     spec = load_domain_spec(values)
+    args.step_from = "--h" if args.h is not None else _step_key(values)[1]
     if args.h is not None:  # a boolean-op spec takes h from its leaves
         spec = replace(spec, h=args.h)
     return spec, data, values
+
+
+def _message(args, exc) -> str:
+    """The text of exc; a GridStepError's names what set the grid step."""
+    where = getattr(args, "step_from", None)
+    return f"{where}: {exc}" if where and isinstance(exc, GridStepError) else str(exc)
 
 
 _BUILTIN_FUNCTIONS = {
@@ -282,11 +300,11 @@ def cmd_global_extend(args) -> int:
         if report.max_defect > tol:
             exit_code = EXIT_CHECK_FAILED
     except (ConsistencyError, PreconditionError) as exc:
-        payload = {"error": str(exc)}
+        payload = {"error": _message(args, exc)}
         if isinstance(exc, ConsistencyError) and exc.report is not None:
             payload["report"] = exc.report.to_json_dict()
         dump_json(payload, out / "consistency.json")
-        print(json.dumps({"error": str(exc)}))
+        print(json.dumps({"error": payload["error"]}))
         return EXIT_CHECK_FAILED
     dump_json(report.to_json_dict(), out / "consistency.json")
     worst = report.worst()
@@ -301,6 +319,7 @@ def cmd_counterexample(args) -> int:
                                  omega_spec, pair_set_grid)
     out = _out_dir(args)
     axis = args.axis or UNIT_I
+    args.step_from = "--h" if args.h else None
     cfg = CounterexampleConfig(axis=axis, h=args.h if args.h else 0.01)
     sample = SphereSample(args.samples, extra=[axis])
     report = demonstrate(cfg, sample=sample, seed=args.seed)
@@ -447,7 +466,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except SliceRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(args, exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,6 +14,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -34,6 +35,18 @@ ARC_SAMPLES = 256
 ARC_CLEARANCE = 3e-5
 
 
+@cache
+def _arc_basis():
+    """The arc's x coordinates and sin(phi) on its parameter grid, the
+    parts of arc_coords that T does not scale.  Computed on first use: the
+    first linspace and cos calls of a process add about 0.25 MB of
+    resident memory, which commands without an arc need not pay."""
+    phi = np.linspace(0.0, math.pi, ARC_SAMPLES)
+    x, s = -1.0 + np.cos(phi), np.sin(phi)
+    x.flags.writeable = s.flags.writeable = False
+    return x, s
+
+
 @dataclass(frozen=True)
 class CounterexampleConfig:
     """Reference unit and raster metadata for the construction."""
@@ -51,9 +64,8 @@ def t_of(J: UnitImaginary, cfg: CounterexampleConfig) -> float:
 def arc_coords(J: UnitImaginary, cfg: CounterexampleConfig) -> np.ndarray:
     """The arc of slice J as (x, y) coordinates in the J plane."""
     T = t_of(J, cfg)
-    phi = np.linspace(0.0, math.pi, ARC_SAMPLES)
-    return np.column_stack([-1.0 + np.cos(phi),
-                            2.0 + (1.0 - 2.0 * T) * np.sin(phi)])
+    x, s = _arc_basis()
+    return np.column_stack([x, 2.0 + (1.0 - 2.0 * T) * s])
 
 
 def upper_cuts(J: UnitImaginary, cfg: CounterexampleConfig) -> list:
@@ -71,7 +83,8 @@ def slice_cuts(J: UnitImaginary, cfg: CounterexampleConfig) -> list:
 
 
 def omega_spec(cfg: CounterexampleConfig) -> DomainSpec:
-    """Membership oracle plus per-slice cut curves for the domain."""
+    """Membership oracle plus per-slice cut curves for the domain; the
+    membership ignores the unit, which steers only the arc of cuts(J)."""
 
     def membership(x, y, jx, jy, jz):
         x = np.asarray(x, dtype=float)
@@ -86,7 +99,7 @@ def omega_spec(cfg: CounterexampleConfig) -> DomainSpec:
     return DomainSpec(membership, real_trace, cfg.bbox, cfg.h,
                       cuts=lambda J: upper_cuts(J, cfg),
                       cut_clearance=ARC_CLEARANCE,
-                      name="counterexample")
+                      name="counterexample", slicewise=True)
 
 
 def plane_log(J: UnitImaginary, cfg: CounterexampleConfig) -> ContinuedLog:

@@ -20,7 +20,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import GridStepError, PreconditionError
 from .quaternions import UnitImaginary
 from .raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
                      _check_cells, _core, _core_hull, _first_cell_in_hull,
@@ -118,6 +118,9 @@ class DomainSpec:
     lower half of the full slice through J is the upper half slice of -J,
     so its barriers are the mirror image of cuts(-J).
     bbox is (x_min, x_max, y_max); grids cover [x_min, x_max] x [0, y_max].
+    slicewise declares that membership ignores the unit (cuts(J) may
+    not); the constructor sets it, nothing probes for it.  A slicewise
+    spec's raster is then determined by its cut geometry (_raster_key).
     """
 
     membership: callable
@@ -127,6 +130,7 @@ class DomainSpec:
     cuts: callable = None
     cut_clearance: float = 0.0
     name: str = ""
+    slicewise: bool = False
 
     def contains(self, x: float, y: float, J: UnitImaginary | None) -> bool:
         """Scalar membership, excluding points within cut_clearance of a cut."""
@@ -197,15 +201,15 @@ class PlanarRegionGrid:
 
 
 def _check_raster(spec: DomainSpec, h: float, full_slice: bool) -> None:
-    """Raise PreconditionError unless h > 0 and the grid of
+    """Raise GridStepError unless h > 0 and the grid of
     rasterize(spec, ., full_slice=full_slice, h=h) fits MAX_GRID_CELLS."""
     if not h > 0.0:
-        raise PreconditionError("grid step must be positive")
+        raise GridStepError("grid step must be positive")
     x_min, x_max, y_max = spec.bbox
     rows = _arange_len(h / 2.0, y_max, h)
     _check_cells(2.0 * rows + 1.0 if full_slice else rows,
                  _arange_len(x_min + h / 2.0, x_max, h),
-                 f"a raster at h = {h:g}")
+                 f"a raster at h = {h:g}", GridStepError)
 
 
 def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
@@ -222,19 +226,38 @@ def rasterize(spec: DomainSpec, J: UnitImaginary, *, full_slice: bool = False,
         mem = spec.membership(xs[None, :], ys_up[:, None], K.vx, K.vy, K.vz)
         return np.broadcast_to(np.asarray(mem, dtype=bool), (ys_up.size, xs.size))
 
+    up = half(J)
     if not full_slice:
         ys = ys_up
-        occ = half(J).copy()
+        occ = up.copy()
     else:
         ys = np.concatenate([-ys_up[::-1], [0.0], ys_up])
         axis = np.asarray(spec.real_trace(xs), dtype=bool)
-        occ = np.vstack([half(-J)[::-1, :], axis[None, :], half(J)])
+        # a slicewise spec's lower half, that of -J, is its upper half
+        down = up if spec.slicewise else half(-J)
+        occ = np.vstack([down[::-1, :], axis[None, :], up])
     if spec.cuts is not None:
         polylines = list(spec.cuts(J))
         if full_slice:
             polylines += _mirror(spec.cuts(-J))
         _block_cut_cells(occ, xs, ys, polylines, h)
     return PlanarRegionGrid(xs=xs, ys=ys, occupied=occ)
+
+
+def _raster_key(spec: DomainSpec, J: UnitImaginary, full_slice: bool):
+    """What rasterize(spec, J, full_slice=full_slice) depends on besides
+    spec and h: the unit J itself, or, for a slicewise spec, its cut
+    geometry, the bytes of each polyline of cuts(J) and, for a full
+    slice, of cuts(-J).  Units with equal keys have equal rasters."""
+    if not spec.slicewise:
+        return J
+    if spec.cuts is None:
+        return ()
+
+    def geometry(K):
+        return tuple(np.asarray(p, dtype=float).tobytes() for p in spec.cuts(K))
+
+    return (geometry(J), geometry(-J)) if full_slice else geometry(J)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +296,21 @@ def is_slice_domain(spec: DomainSpec, sample: SphereSample,
     if not trace.any():
         return Verdict("no", {"reason": "empty real trace"}, res)
     indeterminate = False
-    counts = {}
+    seen, counts = set(), {}
     # one raster per plane: the full slice of units[m + base_count] = -J is
-    # the row flip of that of J, so it fails exactly when J's does
+    # the row flip of that of J, so it fails exactly when J's does; and one
+    # per raster key: a unit whose key an earlier unit had shares its raster
     for J in sample.units[:sample.base_count]:
+        key = _raster_key(spec, J, full_slice=True)
+        if key in seen:
+            continue
+        seen.add(key)
         grid = rasterize(spec, J, full_slice=True, h=h)
         if not grid.occupied.any():
             return Verdict("no", {"reason": "empty slice", "unit": J.to_list()}, res)
-        digest = grid.occupancy_digest()  # equal rasters are counted once
+        # a slicewise spec's key identifies its raster; the equal rasters
+        # of other specs are counted once, by digest
+        digest = key if spec.slicewise else grid.occupancy_digest()
         if digest not in counts:
             counts[digest] = grid.component_count()
         n = counts[digest]
@@ -354,7 +384,7 @@ def symmetric_completion(spec: DomainSpec, sample: SphereSample) -> DomainSpec:
         return out
 
     return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
-                      cuts=None, name=f"completion({spec.name})")
+                      cuts=None, name=f"completion({spec.name})", slicewise=True)
 
 
 def completion_of_slice(spec: DomainSpec, K0: UnitImaginary) -> DomainSpec:
@@ -365,7 +395,8 @@ def completion_of_slice(spec: DomainSpec, K0: UnitImaginary) -> DomainSpec:
         return up | dn
 
     return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
-                      cuts=None, name=f"slice-completion({spec.name})")
+                      cuts=None, name=f"slice-completion({spec.name})",
+                      slicewise=True)
 
 
 def _and_grids(a: PlanarRegionGrid, b: PlanarRegionGrid) -> PlanarRegionGrid:
@@ -382,15 +413,21 @@ def omega_jk_plus(spec: DomainSpec, J: UnitImaginary, K: UnitImaginary,
     return grid if K.approx(J) else _and_grids(grid, rasterize(spec, K, h=h))
 
 
+# the most bytes of distinct upper half rasters is_simple keeps at once:
+# four rasters of MAX_GRID_CELLS cells
+MAX_KEPT_BYTES = 4 * MAX_GRID_CELLS
+
+
 def is_simple(spec: DomainSpec, sample: SphereSample,
               h: float | None = None) -> Verdict:
     """Connectivity of every sampled pair set: the AND of the upper half
-    slice rasters of its two units.  Each unit is rasterized once, on first
-    use, and each distinct raster is kept once, by occupancy digest; each
-    unordered digest pair is counted once, and a pair of equal rasters is
-    that raster, with no AND.  Antipodal pairs are scanned first so
-    witnesses of the counterexample kind surface as (J, -J), then each
-    unit with itself, then the other pairs.
+    slice rasters of its two units.  Each raster key (_raster_key) is
+    rasterized once, on first use, and each distinct raster is kept once,
+    by occupancy digest, up to MAX_KEPT_BYTES; each unordered digest pair
+    is counted once, and a pair of equal rasters is that raster, with no
+    AND.  Antipodal pairs are scanned first so witnesses of the
+    counterexample kind surface as (J, -J), then each unit with itself,
+    then the other pairs.
     A yes is only "simple at resolution (N, h)"."""
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
@@ -398,25 +435,73 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
     pairs = chain(sample.antipodal_pairs(), zip(range(n), range(n)),
                   ((a, b) for a, b in combinations(range(n), 2)
                    if b - a != sample.base_count))  # antipodal pairs are scanned
-    grids, kept, counts = {}, {}, {}
+    grids, by_key, kept, counts = {}, {}, {}, {}
+    kept_bytes = 0
     for mi, mk in pairs:
         for m in (mi, mk):
-            if m not in grids:
+            if m in grids:
+                continue
+            key = _raster_key(spec, units[m], full_slice=False)
+            if key not in by_key:
                 grid = rasterize(spec, units[m], h=h)
-                grids[m] = kept.setdefault(grid.occupancy_digest(), grid)
+                digest = grid.occupancy_digest()
+                if digest not in kept:
+                    kept_bytes += grid.occupied.nbytes
+                    if kept_bytes > MAX_KEPT_BYTES:
+                        raise PreconditionError(
+                            f"is_simple would keep {len(kept) + 1} distinct rasters of "
+                            f"{kept_bytes:.4g} bytes in all, more than the budget of "
+                            f"{MAX_KEPT_BYTES:.4g}; use fewer samples or a coarser grid step")
+                    kept[digest] = grid
+                by_key[key] = kept[digest]
+            grids[m] = by_key[key]
         a, b = grids[mi], grids[mk]
-        key = frozenset((id(a), id(b)))  # one kept raster per digest
-        if key not in counts:
+        pair = frozenset((id(a), id(b)))  # one kept raster per digest
+        if pair not in counts:
             grid = a if a is b else _and_grids(a, b)
-            counts[key] = grid.component_count() if grid.occupied.any() else 0
-        if counts[key] > 1:
+            counts[pair] = grid.component_count() if grid.occupied.any() else 0
+        if counts[pair] > 1:
             return Verdict("no", {
                 "pair": [units[mi].to_list(), units[mk].to_list()],
                 "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
-                "components": counts[key],
+                "components": counts[pair],
             }, res)
     return Verdict("yes", None, res)
 
+
+def _hull_witness(grid: PlanarRegionGrid, h: float) -> dict | None:
+    """None when the full slice grid passes the hull test of
+    is_slice_convex, else the witness of its "no" without the unit."""
+    occ = grid.occupied
+    core = _core(occ)
+    Y = _half_step_rows(grid.ys, h)
+    hull = _core_hull(core, Y)
+    if not hull:
+        return None
+    if len(hull) < 3:  # fewer than three core points, or all on one line
+        iy, ix = np.nonzero(core)
+        pts = np.column_stack([grid.xs[ix], grid.ys[iy]])
+        ends = pts[np.lexsort((pts[:, 1], pts[:, 0]))[[0, -1]]]
+        probe = resample_polyline(ends, h / 2.0)
+        cx = _nearest_index(grid.xs, probe[:, 0])
+        cy = _nearest_index(grid.ys, probe[:, 1])
+        hits = np.nonzero(~occ[cy, cx])[0]
+        if not hits.size:
+            return None
+        cy, cx = int(cy[hits[0]]), int(cx[hits[0]])
+        around = {"segment": ends.tolist()}
+    else:
+        hit = _first_cell_in_hull(occ, hull, Y)
+        if hit is None:
+            return None
+        cy, cx = hit
+        # the fan triangle (v0, vi, vi+1) of the hull that holds the cell
+        v0, cell = hull[0], (2 * cx, int(Y[cy]))
+        i = next(i for i in range(1, len(hull) - 1)
+                 if _turn(v0, hull[i], cell) >= 0 >= _turn(v0, hull[i + 1], cell))
+        around = {"triangle": [[float(grid.xs[X // 2]), float(grid.ys[np.searchsorted(Y, y)])]
+                               for X, y in (v0, hull[i], hull[i + 1])]}
+    return {**around, "cell": [float(grid.xs[cx]), float(grid.ys[cy])]}
 
 
 def is_slice_convex(spec: DomainSpec, sample: SphereSample,
@@ -427,42 +512,19 @@ def is_slice_convex(spec: DomainSpec, sample: SphereSample,
     Occupancy is membership at the cell centre, so a convex slice always
     passes.  A core on one line has no 2D hull; it is probed along the
     segment between its extreme points, sampled at h/2 (nearest cell).
+    Each plane is tested once, and each raster key (_raster_key) once.
 
     The hull is exact: cell centres are integer points in units of h/2,
     column 2 ix and row _half_step_rows."""
     h = float(h if h is not None else spec.h)
     res = {"N": sample.n_requested, "h": h}
+    passed = set()
     for J in sample.units[:sample.base_count]:  # -J's slice is the row flip
-        grid = rasterize(spec, J, full_slice=True, h=h)
-        occ = grid.occupied
-        core = _core(occ)
-        Y = _half_step_rows(grid.ys, h)
-        hull = _core_hull(core, Y)
-        if not hull:
+        key = _raster_key(spec, J, full_slice=True)
+        if key in passed:
             continue
-        if len(hull) < 3:  # fewer than three core points, or all on one line
-            iy, ix = np.nonzero(core)
-            pts = np.column_stack([grid.xs[ix], grid.ys[iy]])
-            ends = pts[np.lexsort((pts[:, 1], pts[:, 0]))[[0, -1]]]
-            probe = resample_polyline(ends, h / 2.0)
-            cx = _nearest_index(grid.xs, probe[:, 0])
-            cy = _nearest_index(grid.ys, probe[:, 1])
-            hits = np.nonzero(~occ[cy, cx])[0]
-            if not hits.size:
-                continue
-            cy, cx = int(cy[hits[0]]), int(cx[hits[0]])
-            around = {"segment": ends.tolist()}
-        else:
-            hit = _first_cell_in_hull(occ, hull, Y)
-            if hit is None:
-                continue
-            cy, cx = hit
-            # the fan triangle (v0, vi, vi+1) of the hull that holds the cell
-            v0, cell = hull[0], (2 * cx, int(Y[cy]))
-            i = next(i for i in range(1, len(hull) - 1)
-                     if _turn(v0, hull[i], cell) >= 0 >= _turn(v0, hull[i + 1], cell))
-            around = {"triangle": [[float(grid.xs[X // 2]), float(grid.ys[np.searchsorted(Y, y)])]
-                                   for X, y in (v0, hull[i], hull[i + 1])]}
-        return Verdict("no", {"unit": J.to_list(), **around,
-                              "cell": [float(grid.xs[cx]), float(grid.ys[cy])]}, res)
+        witness = _hull_witness(rasterize(spec, J, full_slice=True, h=h), h)
+        if witness is not None:
+            return Verdict("no", {"unit": J.to_list(), **witness}, res)
+        passed.add(key)
     return Verdict("yes", None, res)

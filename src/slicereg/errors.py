@@ -33,6 +33,11 @@ class PreconditionError(SliceRegError):
     """An operation's documented precondition does not hold."""
 
 
+class GridStepError(PreconditionError):
+    """A raster's grid step is not positive, or leaves it no cell or more
+    cells than the budget; the CLI names the option or key that set it."""
+
+
 class GeometryError(SliceRegError):
     """A geometric construction degenerates (e.g. tube radius underflow)."""
 

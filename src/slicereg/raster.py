@@ -18,6 +18,9 @@ from .errors import PreconditionError
 # entries of a sphere sample's pairwise dot matrix: 4x the 4.0e6 cells of
 # the counterexample's full slice at h = 0.005
 MAX_GRID_CELLS = 16_000_000
+# cells of the row blocks _run_components scans a mask in: small enough to
+# be reused from the heap, so a large mask adds no page faults
+_SCAN_CELLS = 1 << 16
 
 
 def _run_components(occupied: np.ndarray):
@@ -43,10 +46,18 @@ def _run_components(occupied: np.ndarray):
     width = nx + 1
     # each row behind one empty cell, with one more after the last row, so
     # every row sits between two empty cells: transitions alternate start
-    # and end, and the transition after flat index e is the key e
-    flat = np.zeros(ny * width + 1, dtype=bool)
-    flat[:-1].reshape(ny, width)[:, 1:] = occupied
-    edge = np.flatnonzero(flat[1:] != flat[:-1])
+    # and end, and the transition after flat index e is the key e.  Blocks
+    # of rows are laid out this way in one reused buffer whose empty cells
+    # are never written, so no temporary grows with the mask
+    rows = max(1, min(ny, _SCAN_CELLS // width))
+    buf = np.zeros(rows * width + 1, dtype=bool)
+    edges = [np.empty(0, dtype=np.intp)]
+    for r0 in range(0, ny, rows):
+        block = occupied[r0:r0 + rows]
+        flat = buf[:block.shape[0] * width + 1]
+        flat[:-1].reshape(-1, width)[:, 1:] = block
+        edges.append(np.flatnonzero(flat[1:] != flat[:-1]) + r0 * width)
+    edge = np.concatenate(edges)
     starts, ends = edge[0::2], edge[1::2]
     # the runs of the next row that share a column with run k are the
     # slice lo[k]:hi[k]: they end after its start and start before its end
@@ -70,18 +81,28 @@ def _run_components(occupied: np.ndarray):
             if np.array_equal(grand, parent):
                 break
             parent = grand
-    # each root is its component's first run, so sorted roots number the
-    # components in raster order
-    roots, comp = np.unique(parent, return_inverse=True)
-    return starts, ends, comp.astype(np.int32) + 1, roots.size
+    # every parent is now a root, and each root is its component's first
+    # run, so counting the roots up to each run's root numbers the
+    # components in raster order, with no sort
+    number = np.cumsum(parent == np.arange(parent.size), dtype=np.int32)
+    return starts, ends, number[parent], int(number[-1]) if number.size else 0
 
 
 def resample_polyline(points, max_step: float) -> np.ndarray:
-    """Insert vertices so consecutive points are at most max_step apart."""
+    """Insert vertices so consecutive points are at most max_step apart.
+    Raises PreconditionError when that needs more than MAX_GRID_CELLS
+    points or a segment's length is not finite, before allocating them."""
     pts = np.asarray(points, dtype=float)
     a = pts[:-1]
-    seg = pts[1:] - a
-    n = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / max_step).astype(int))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused
+        seg = pts[1:] - a
+        n = np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / max_step)
+    total = float(np.sum(n))
+    if not total <= MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"a polyline resampled at step {max_step:g} needs {total:.4g} points, more than "
+            f"the budget of {MAX_GRID_CELLS:.4g}; its vertices are too far apart or not finite")
+    n = np.maximum(1, n.astype(int))
     first = np.repeat(np.cumsum(n) - n, n)  # output index of each segment's k = 1
     k = np.arange(1, first.size + 1) - first
     frac = k / np.repeat(n, n)
@@ -233,15 +254,16 @@ def _arange_len(lo: float, hi: float, h: float) -> float:
     return float(max(math.ceil(n), 0)) if math.isfinite(n) else n
 
 
-def _check_cells(rows: float, cols: float, what: str) -> None:
-    """Raise PreconditionError, before anything is allocated, when a grid
-    of rows x cols cells has no cell, or when it or one of its axes exceeds
-    MAX_GRID_CELLS."""
+def _check_cells(rows: float, cols: float, what: str,
+                 error: type = PreconditionError) -> None:
+    """Raise error, a PreconditionError, before anything is allocated, when
+    a grid of rows x cols cells has no cell, or when it or one of its axes
+    exceeds MAX_GRID_CELLS."""
     if not min(rows, cols) >= 1:
-        raise PreconditionError(f"{what} has {rows:.4g} x {cols:.4g} cells; it needs at "
-                                f"least one each way")
+        raise error(f"{what} has {rows:.4g} x {cols:.4g} cells; it needs at least one "
+                    f"each way")
     if not max(rows, cols, rows * cols) <= MAX_GRID_CELLS:
-        raise PreconditionError(
+        raise error(
             f"{what} needs {rows:.4g} x {cols:.4g} cells, more than the "
             f"budget of {MAX_GRID_CELLS:.4g}; use a coarser grid step")
 

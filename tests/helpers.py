@@ -7,6 +7,7 @@ evaluation sums explicit powers instead of Horner, and the winding oracle
 tracks argument increments instead of integrating.
 """
 import math
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -14,6 +15,8 @@ import numpy as np
 from slicereg import Quaternion, SliceCoord, rep_coeffs
 from slicereg.errors import OutOfDomainError
 from slicereg.counterexample import t_of
+from slicereg.domains import (Verdict, _and_grids, _hull_witness, omega_jk_plus,
+                              rasterize)
 from slicereg.raster import _GRID_STEPS, _grid_bfs, _run_components
 from slicereg.holomorphic import integrate_reciprocal
 
@@ -218,3 +221,91 @@ def whole_array_table(table):
     if abs(z_start - complex(bx, by)) > 1e-15:
         value[np.isfinite(value)] += integrate_reciprocal(complex(bx, by), z_start, pole)
     return value
+
+
+# ---------------------------------------------------------------------------
+# per-unit verdict oracles
+# ---------------------------------------------------------------------------
+# The verdicts as they were before units shared rasters by raster key: every
+# unit's raster is built from a copy of the spec that is not slicewise, so
+# it evaluates the membership of both half slices and shares nothing.
+
+def per_unit_is_slice_domain(spec, sample, h):
+    """Oracle of is_slice_domain: each base unit's full slice rasterized
+    and its components counted."""
+    spec = replace(spec, slicewise=False)
+    res = {"N": sample.n_requested, "h": h}
+    x_min, x_max, _ = spec.bbox
+    if not np.asarray(spec.real_trace(np.arange(x_min + h / 2.0, x_max, h))).any():
+        return Verdict("no", {"reason": "empty real trace"}, res)
+    indeterminate = False
+    for J in sample.units[:sample.base_count]:
+        grid = rasterize(spec, J, full_slice=True, h=h)
+        if not grid.occupied.any():
+            return Verdict("no", {"reason": "empty slice", "unit": J.to_list()}, res)
+        n = grid.component_count()
+        if n > 1:
+            return Verdict("no", {"reason": "disconnected slice",
+                                  "unit": J.to_list(), "components": int(n)}, res)
+        indeterminate |= not grid.occupied[grid.ys == 0.0].any()
+    if indeterminate:
+        return Verdict("indeterminate",
+                       {"reason": "connected slices do not reach the real axis"}, res)
+    return Verdict("yes", None, res)
+
+
+def per_unit_is_slice_convex(spec, sample, h):
+    """Oracle of is_slice_convex: the hull test on each base unit's full
+    slice."""
+    spec = replace(spec, slicewise=False)
+    for J in sample.units[:sample.base_count]:
+        witness = _hull_witness(rasterize(spec, J, full_slice=True, h=h), h)
+        if witness is not None:
+            return Verdict("no", {"unit": J.to_list(), **witness},
+                           {"N": sample.n_requested, "h": h})
+    return Verdict("yes", None, {"N": sample.n_requested, "h": h})
+
+
+def per_unit_is_simple(spec, sample, h=None):
+    """Oracle of is_simple as three scans, the antipodal pairs and the
+    pairs (m, m) through one omega_jk_plus call each (two fresh rasters),
+    and the other pairs through a cache of per-unit rasters."""
+    h = float(h if h is not None else spec.h)
+    spec = replace(spec, slicewise=False)
+    res = {"N": sample.n_requested, "h": h}
+    units = sample.units
+    counts = {}
+    grid_cache = {}
+
+    def components_for(mi, mk, cache):
+        if cache:
+            for m in (mi, mk):
+                if m not in grid_cache:
+                    grid_cache[m] = rasterize(spec, units[m], h=h)
+            grid = _and_grids(grid_cache[mi], grid_cache[mk])
+        else:
+            grid = omega_jk_plus(spec, units[mi], units[mk], h=h)
+        if not grid.occupied.any():
+            return 0
+        digest = grid.occupancy_digest()
+        if digest not in counts:
+            counts[digest] = grid.component_count()
+        return counts[digest]
+
+    def scan(pairs, cache):
+        for mi, mk in pairs:
+            n = components_for(mi, mk, cache)
+            if n > 1:
+                return Verdict("no", {
+                    "pair": [units[mi].to_list(), units[mk].to_list()],
+                    "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
+                    "components": n,
+                }, res)
+        return None
+
+    anti = set(sample.antipodal_pairs())
+    rest = [(a, b) for a in range(len(units)) for b in range(a + 1, len(units))
+            if (a, b) not in anti]
+    return (scan(sample.antipodal_pairs(), cache=False)
+            or scan([(m, m) for m in range(len(units))], cache=False)
+            or scan(rest, cache=True) or Verdict("yes", None, res))

@@ -133,6 +133,66 @@ def test_grid_over_the_cell_budget_exits_one_before_allocating(argv, ball_json,
     assert peak < 4e6
 
 
+@pytest.mark.parametrize("argv, data, where", [
+    (["check-domain", "{spec}", "--h", "1e-5"], {"type": "ball", "radius": 1}, "--h"),
+    (["check-domain", "{spec}"], {"type": "ball", "radius": 1, "h": 1e-5}, "spec.h"),
+    (["check-domain", "{spec}"],
+     {"type": "boolean-op", "op": "union", "operands": [
+         {"type": "ball", "radius": 1}, {"type": "starlike", "h": 1e-5}]},
+     "spec.operands[1].h"),
+    (["global-extend", "{spec}", "--function", "square"],
+     {"type": "ball", "radius": 1, "h": 1e-5}, "spec.h"),
+    (["counterexample", "--h", "1e-5"], None, "--h"),
+])
+def test_grid_over_the_cell_budget_names_what_set_the_step(argv, data, where, tmp_path,
+                                                           capsys):
+    """The cell-budget error starts with the option or spec key that set
+    the grid step; global-extend writes it to consistency.json too."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = main([str(path) if a == "{spec}" else a for a in argv]
+                + ["--samples", "4", "--out", str(out)])
+    message = f"{where}: a raster at h = 1e-05 needs"
+    if argv[0] == "global-extend":
+        assert code == 2
+        assert json.loads((out / "consistency.json").read_text())["error"].startswith(message)
+    else:
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cut_with_a_far_vertex_exits_one_without_warnings(tmp_path, capsys):
+    """A spec cut whose h/2 samples would exceed the budget exits 1 naming
+    the polyline; it used to keep one sample per segment, with a numpy
+    cast warning."""
+    path = tmp_path / "far_cut.json"
+    path.write_text(json.dumps({"type": "ball", "radius": 1.0, "h": 0.05,
+                                "cuts": [[[0.0, 0.0], [1e300, 1e300]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-domain", str(path), "--samples", "2",
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a polyline resampled at step 0.025 needs 5.657e+301 points")
+    assert err.count("\n") == 1
+
+
+def test_is_simple_past_its_kept_raster_budget_exits_one(tmp_path, capsys, monkeypatch):
+    """check-domain on a spec that is not slicewise, whose units have
+    distinct rasters, exits 1 once is_simple would keep more raster bytes
+    than MAX_KEPT_BYTES."""
+    from slicereg import domains
+    monkeypatch.setattr(domains, "MAX_KEPT_BYTES", 20_000)
+    path = tmp_path / "off_axis.json"
+    path.write_text(json.dumps({"type": "ball", "radius": 0.8, "center": [0, 0.4, 0, 0],
+                                "h": 0.02}))
+    assert main(["check-domain", str(path), "--samples", "8",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: is_simple would keep ") and "more than the budget of 2e+04" in err
+
+
 def test_sample_size_over_the_budget_exits_one_before_allocating(ball_json, tmp_path,
                                                                 capsys):
     """A --samples whose (2N)^2 min-angle dot matrix would exceed

@@ -1,9 +1,12 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
+import warnings
+from collections import Counter, deque
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,8 +22,9 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       omega_jk_plus, rasterize, starlike_spec,
                       symmetric_completion)
 from slicereg import counterexample, domains, raster
-from slicereg.domains import (DomainSpec, PlanarRegionGrid, Verdict,
-                              _and_grids, fibonacci_points)
+from slicereg.cli import main
+from slicereg.domains import (DomainSpec, PlanarRegionGrid, completion_of_slice,
+                              fibonacci_points)
 from slicereg.raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
                              _core, _core_hull, _first_cell_in_hull,
                              _grid_bfs, _grid_path, _half_step_rows,
@@ -28,12 +32,14 @@ from slicereg.raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
 from slicereg.specs import intersect_specs, union_spec
 from slicereg.errors import PreconditionError
 from slicereg.holomorphic import segment_crossings
+from slicereg.local import TubeDomain
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
                                      omega_spec, pair_set_grid)
 
 from conftest import random_unit
-from helpers import paint_labels
+from helpers import (paint_labels, per_unit_is_simple, per_unit_is_slice_convex,
+                     per_unit_is_slice_domain)
 
 Q = Quaternion
 
@@ -407,6 +413,19 @@ _coord = st.floats(-1.3, 1.3, allow_nan=False)
 _polyline = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6)
 
 
+@pytest.mark.parametrize("points", [[[0, 0], [1e300, 1e300]], [[0, 0], [math.inf, 0]],
+                                    [[0, 0], [1, 1], [math.nan, 0]],
+                                    [[-1.7e308, 0], [1.7e308, 0]], [[0, 0], [1e7, 0]]])
+def test_resample_polyline_refuses_far_or_non_finite_vertices(points):
+    """A segment whose h/2 samples would number more than MAX_GRID_CELLS,
+    or whose length is not finite, raises before anything is allocated
+    and without numpy warnings; such a segment used to keep one sample."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="needs .* points, more than the budget"):
+            resample_polyline(points, 0.1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_polyline, min_size=1, max_size=2), st.sampled_from(sorted(_ROWS)))
 def test_cut_barrier_never_leaks(polylines, rows):
@@ -675,6 +694,8 @@ def test_plane_loops_match_all_units_loops(name):
 
 
 def test_verdicts_rasterize_each_plane_once(ball, sample16, cfg, monkeypatch):
+    """Each plane is rasterized once; a slicewise spec without cuts, the
+    ball, has one raster key, so its first plane stands for all."""
     calls = []
     real = domains.rasterize
 
@@ -684,10 +705,12 @@ def test_verdicts_rasterize_each_plane_once(ball, sample16, cfg, monkeypatch):
 
     monkeypatch.setattr(domains, "rasterize", counting)
     monkeypatch.setattr(counterexample, "rasterize", counting)
+    base = sample16.units[:sample16.base_count]
     for verdict in (is_slice_domain, is_slice_convex):
-        calls.clear()
-        assert verdict(ball, sample16, h=0.05).is_yes
-        assert calls == sample16.units[:sample16.base_count]
+        for spec, planes in ((replace(ball, slicewise=False), base), (ball, base[:1])):
+            calls.clear()
+            assert verdict(spec, sample16, h=0.05).is_yes
+            assert calls == planes
     calls.clear()
     intersection_grid(cfg, h=0.05)
     assert calls == [cfg.axis]
@@ -735,64 +758,22 @@ def test_verdicts_do_not_depend_on_the_digest_cache(name, monkeypatch):
             for verdict in (is_slice_domain, is_simple)] == cached
 
 
-def _three_scan_is_simple(spec, sample, h=None):
-    """Oracle: is_simple as three scans, the antipodal pairs and the pairs
-    (m, m) through one omega_jk_plus call each (two fresh rasters), and
-    the other pairs through a cache of per-unit rasters."""
-    h = float(h if h is not None else spec.h)
-    res = {"N": sample.n_requested, "h": h}
-    units = sample.units
-    counts = {}
-    grid_cache = {}
-
-    def components_for(mi, mk, cache):
-        if cache:
-            for m in (mi, mk):
-                if m not in grid_cache:
-                    grid_cache[m] = rasterize(spec, units[m], h=h)
-            grid = _and_grids(grid_cache[mi], grid_cache[mk])
-        else:
-            grid = omega_jk_plus(spec, units[mi], units[mk], h=h)
-        if not grid.occupied.any():
-            return 0
-        digest = grid.occupancy_digest()
-        if digest not in counts:
-            counts[digest] = grid.component_count()
-        return counts[digest]
-
-    def scan(pairs, cache):
-        for mi, mk in pairs:
-            n = components_for(mi, mk, cache)
-            if n > 1:
-                return Verdict("no", {
-                    "pair": [units[mi].to_list(), units[mk].to_list()],
-                    "antipodal": bool(units[mk].approx(-units[mi], 1e-6)),
-                    "components": n,
-                }, res)
-        return None
-
-    anti = set(sample.antipodal_pairs())
-    rest = [(a, b) for a in range(len(units)) for b in range(a + 1, len(units))
-            if (a, b) not in anti]
-    return (scan(sample.antipodal_pairs(), cache=False)
-            or scan([(m, m) for m in range(len(units))], cache=False)
-            or scan(rest, cache=True) or Verdict("yes", None, res))
-
-
 @pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
 def test_is_simple_matches_the_three_scan_oracle(name):
     spec, h = _PLANE_CORPUS[name]
     for step in (h, h / 2.0):
         assert is_simple(spec, _SAMPLE16_I, h=step) == \
-            _three_scan_is_simple(spec, _SAMPLE16_I, h=step), step
+            per_unit_is_simple(spec, _SAMPLE16_I, h=step), step
 
 
 def test_is_simple_matches_the_three_scan_oracle_on_the_counterexample(omega, sample64):
     got = is_simple(omega, sample64, h=0.05)
-    assert got.value == "no" and got == _three_scan_is_simple(omega, sample64, h=0.05)
+    assert got.value == "no" and got == per_unit_is_simple(omega, sample64, h=0.05)
 
 
 def test_is_simple_rasterizes_each_unit_once(ball, sample16, monkeypatch):
+    """Each unit is rasterized once, and the ball, a slicewise spec
+    without cuts, once in all."""
     calls = []
     real = domains.rasterize
 
@@ -801,9 +782,12 @@ def test_is_simple_rasterizes_each_unit_once(ball, sample16, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(domains, "rasterize", counting)
-    assert is_simple(ball, sample16, h=0.05).is_yes
+    assert is_simple(replace(ball, slicewise=False), sample16, h=0.05).is_yes
     assert len(calls) <= len(sample16)
     assert sorted(map(sample16.units.index, calls)) == list(range(len(sample16)))
+    calls.clear()
+    assert is_simple(ball, sample16, h=0.05).is_yes
+    assert calls == sample16.units[:1]
 
 
 def test_is_simple_counts_each_digest_pair_once(ball, sample16, monkeypatch):
@@ -829,6 +813,204 @@ def test_is_simple_memory_does_not_grow_with_the_sample(ball):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# slicewise specs: one raster per raster key
+# ---------------------------------------------------------------------------
+
+_OFF_AXIS_BALL = ball_spec(Q(0, 0.4, 0, 0), 0.8)
+_TUBE = TubeDomain(UNIT_J, np.array([[0.0, 0.6], [0.4, 0.2], [0.4, 0.0]]), 0.3, 0.6, 0.05)
+_UNITS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 0.1).map(lambda v: UnitImaginary(*v))
+# every constructor that declares its spec slicewise, with drawn parameters
+_SLICEWISE = {
+    "ball": lambda d: ball_spec(d.draw(st.floats(-2.0, 2.0)), d.draw(st.floats(0.1, 2.0))),
+    "halfspace": lambda d: halfspace_spec(
+        (d.draw(st.floats(-1.0, 1.0)), d.draw(st.floats(-1.0, 1.0))), d.draw(st.floats(-1.0, 1.0))),
+    "starlike": lambda d: starlike_spec(d.draw(st.floats(0.0, 0.9))),
+    "counterexample": lambda d: omega_spec(CounterexampleConfig(axis=d.draw(_UNITS))),
+    "union": lambda d: union_spec([ball_spec(d.draw(st.floats(-1.0, 1.0)), 0.5),
+                                   starlike_spec(d.draw(st.floats(0.0, 0.9)))]),
+    "intersection": lambda d: intersect_specs(
+        omega_spec(CounterexampleConfig(axis=d.draw(_UNITS))),
+        halfspace_spec((1.0, d.draw(st.floats(-1.0, 1.0))), d.draw(st.floats(-1.0, 1.0)))),
+    "completion": lambda d: symmetric_completion(
+        d.draw(st.sampled_from([_OFF_AXIS_BALL, _TUBE.as_domain_spec()])), SphereSample(4)),
+    "slice completion": lambda d: completion_of_slice(
+        d.draw(st.sampled_from([_OFF_AXIS_BALL, _TUBE.as_domain_spec()])), d.draw(_UNITS)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_SLICEWISE)), data=st.data(),
+       points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.0, 6.0)),
+                       min_size=1, max_size=30),
+       J=_UNITS, K=_UNITS)
+def test_slicewise_membership_ignores_the_unit(name, data, points, J, K):
+    """Every constructor that declares a spec slicewise builds one whose
+    membership is bit-identical at any two units."""
+    spec = _SLICEWISE[name](data)
+    assert spec.slicewise
+    x, y = np.array(points).T
+    at = [np.asarray(spec.membership(x, y, U.vx, U.vy, U.vz)) for U in (J, K)]
+    assert at[0].dtype == at[1].dtype == bool and np.array_equal(*at)
+
+
+def test_off_axis_ball_and_tube_are_not_slicewise():
+    """Their membership depends on the unit, so they must not declare
+    otherwise; a union or intersection with one of them is not slicewise."""
+    tube = _TUBE.as_domain_spec()
+    for spec, J, (x, y) in ((_OFF_AXIS_BALL, UNIT_I, (0.0, 1.1)), (tube, UNIT_J, (0.2, 0.4))):
+        assert not spec.slicewise
+        assert spec.contains(x, y, J) and not spec.contains(x, y, -J)
+    assert not union_spec([ball_spec(0.0, 1.0), _OFF_AXIS_BALL]).slicewise
+    assert not intersect_specs(ball_spec(0.0, 1.0), tube).slicewise
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_slicewise_raster_is_the_per_unit_raster(name):
+    """A slicewise spec's full slice reads its upper half membership once;
+    it equals the raster that evaluates both halves."""
+    spec, h = _PLANE_CORPUS[name]
+    for J in _SAMPLE16_I.units[::5]:
+        for full in (False, True):
+            assert np.array_equal(
+                rasterize(spec, J, full_slice=full, h=h).occupied,
+                rasterize(replace(spec, slicewise=False), J, full_slice=full, h=h).occupied)
+
+
+_VERDICT_ORACLES = ((is_slice_domain, per_unit_is_slice_domain),
+                    (is_slice_convex, per_unit_is_slice_convex),
+                    (is_simple, per_unit_is_simple))
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_CORPUS))
+def test_verdicts_equal_the_per_unit_oracle(name):
+    """is_simple's oracle on the corpus is test_is_simple_matches_the_three_scan_oracle."""
+    spec, h = _PLANE_CORPUS[name]
+    for step in (h, h / 2.0):
+        for verdict, oracle in _VERDICT_ORACLES[:2]:
+            assert verdict(spec, _SAMPLE16_I, h=step) == oracle(spec, _SAMPLE16_I, step), \
+                (verdict.__name__, step)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+def test_verdicts_equal_the_per_unit_oracle_on_the_counterexample(omega, sample64, h):
+    for verdict, oracle in _VERDICT_ORACLES:
+        assert verdict(omega, sample64, h=h) == oracle(omega, sample64, h), verdict.__name__
+
+
+class _WorkSpy:
+    """Counts, per verdict, its rasterize calls and the membership calls
+    of a spied spec made inside and outside them."""
+
+    def __init__(self, monkeypatch, module, verdicts):
+        self.verdict, self.inside = None, False
+        self.counts = {}
+        for name in verdicts:
+            monkeypatch.setattr(module, name, self._scoped(name, getattr(module, name)))
+        real = domains.rasterize
+
+        def rasterize(*args, **kwargs):
+            self._count("rasterize")
+            self.inside = True
+            try:
+                return real(*args, **kwargs)
+            finally:
+                self.inside = False
+
+        monkeypatch.setattr(domains, "rasterize", rasterize)
+        monkeypatch.setattr(counterexample, "rasterize", rasterize)
+
+    def _count(self, what):
+        self.counts.setdefault(self.verdict, Counter())[what] += 1
+
+    def _scoped(self, name, fn):
+        def scoped(*args, **kwargs):
+            self.verdict = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.verdict = None
+        return scoped
+
+    def spied(self, spec):
+        """spec with its membership calls counted."""
+        def membership(*args):
+            self._count("inside" if self.inside else "outside")
+            return spec.membership(*args)
+        return replace(spec, membership=membership)
+
+
+_CHECKED = ("is_slice_domain", "is_symmetric", "is_slice_convex", "is_simple")
+
+
+@pytest.mark.parametrize("data, slicewise", [
+    ({"type": "ball", "radius": 1}, True),
+    ({"type": "starlike"}, True),
+    ({"type": "counterexample"}, True),
+    ({"type": "ball", "radius": 0.8, "center": [0, 0, 0.4, 0]}, False),
+    ({"type": "tube", "polyline": [[0, 0.6], [0.4, 0.2], [0.4, 0]], "unit": [0, 1, 0],
+      "epsilon": 0.3}, False),
+])
+def test_check_domain_work_per_verdict(data, slicewise, tmp_path, monkeypatch):
+    """In one check-domain, a slicewise spec's membership is evaluated
+    once per rasterize call; any other spec's at most once per unit and
+    verdict."""
+    from slicereg import cli
+    spy = _WorkSpy(monkeypatch, cli, _CHECKED)
+    load = cli.load_domain_spec
+    monkeypatch.setattr(cli, "load_domain_spec", lambda values: spy.spied(load(values)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-domain", str(path), "--h", "0.05", "--samples", "8",
+                 "--out", str(tmp_path / "out")]) == 0
+    units = 2 * (8 + (data["type"] == "counterexample"))
+    for name in ("is_slice_domain", "is_slice_convex", "is_simple"):
+        work = spy.counts[name]
+        assert work["outside"] == 0 and work["rasterize"] >= 1, name
+        if slicewise:
+            assert work["inside"] == work["rasterize"], name
+        else:
+            assert work["inside"] <= units, name
+    if not slicewise:
+        assert sum(spy.counts["is_symmetric"].values()) <= units
+
+
+def test_demonstrate_cuts_one_raster_per_cut_geometry(monkeypatch):
+    """The default sample's 65 base units have 32 distinct pairs of arcs
+    (t_of(J), t_of(-J)), so is_slice_domain blocks the cuts of 32 full
+    slices; the counterexample is slicewise, so every raster of
+    demonstrate evaluates its membership once."""
+    spy = _WorkSpy(monkeypatch, counterexample, ("is_slice_domain", "is_simple"))
+    real_spec = counterexample.omega_spec
+    monkeypatch.setattr(counterexample, "omega_spec", lambda cfg: spy.spied(real_spec(cfg)))
+    blocked = Counter()
+    block = raster._block_cut_cells
+    monkeypatch.setattr(domains, "_block_cut_cells",
+                        lambda *args: blocked.update([spy.verdict]) or block(*args))
+    cfg = CounterexampleConfig(h=0.05)
+    sample = SphereSample(64, extra=[cfg.axis])
+    base = sample.units[:sample.base_count]
+    assert len(base) == 65
+    assert len({(counterexample.t_of(J, cfg), counterexample.t_of(-J, cfg)) for J in base}) == 32
+    assert counterexample.demonstrate(cfg, sample)["all_checks_pass"]
+    assert blocked["is_slice_domain"] == spy.counts["is_slice_domain"]["rasterize"] == 32
+    work = sum(spy.counts.values(), Counter())
+    assert work["inside"] == work["rasterize"] and work["outside"] == 0
+
+
+def test_is_simple_refuses_to_keep_rasters_past_the_budget(sample16, monkeypatch):
+    """is_simple keeps one raster per distinct digest; past MAX_KEPT_BYTES
+    it raises.  The off-axis ball's units have distinct rasters, the ball's
+    one."""
+    one = rasterize(_OFF_AXIS_BALL, UNIT_I, h=0.05).occupied.nbytes
+    monkeypatch.setattr(domains, "MAX_KEPT_BYTES", 3 * one)
+    with pytest.raises(PreconditionError, match="is_simple would keep 4 distinct rasters "
+                                                f"of {4 * one} bytes in all, more than"):
+        is_simple(_OFF_AXIS_BALL, sample16, h=0.05)
+    assert is_simple(ball_spec(0.0, 1.0, bbox=_OFF_AXIS_BALL.bbox), sample16, h=0.05).is_yes
 
 
 # ---------------------------------------------------------------------------
