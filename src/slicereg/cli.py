@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# Set before numpy loads: slicereg's one BLAS product is a 3-vector dot
+# (specs.ball_spec), so a second OpenBLAS thread never works for it and only
+# spins.  A thread count the user set, in any of the three, is left alone.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
+import numpy as np  # noqa: E402  (after the thread default)
 
 from . import __version__
 from .domains import (SphereSample, is_simple, is_slice_convex,
@@ -68,15 +76,18 @@ def _step_key(values, where="spec") -> tuple:
 def _load_spec(args):
     """(spec, data, values): the domain spec, the spec file's JSON with the
     --h override, and its walked values.  args.step_from names what set
-    the grid step, --h or a spec key."""
+    the grid step, --h or a spec key.  --h replaces a leaf spec's own h
+    before the walk; a boolean-op has no h key and takes --h after
+    loading."""
     data = json.loads(Path(args.spec).read_text())
-    if args.h is not None and isinstance(data, dict):
+    if args.h is not None and isinstance(data, dict) and data.get("type") != "boolean-op":
         data["h"] = args.h
     values = walk(data, "spec", "spec")
     spec = load_domain_spec(values)
     args.step_from = "--h" if args.h is not None else _step_key(values)[1]
-    if args.h is not None:  # a boolean-op spec takes h from its leaves
+    if args.h is not None:  # the report's spec shows the step used
         spec = replace(spec, h=args.h)
+        data["h"] = args.h
     return spec, data, values
 
 

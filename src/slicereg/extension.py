@@ -129,14 +129,23 @@ def _real_samples(fn: HoloSliceFunction, count: int = 9):
     return np.linspace(-1.0, 1.0, count)
 
 
+def _real_keys(fn: HoloSliceFunction) -> set:
+    """fn's real samples rounded to 12 decimals; past 1e15 in magnitude,
+    where that rounding would overflow, as they are."""
+    x = _real_samples(fn)
+    small = np.abs(x) < 1e15
+    x[small] = np.round(x[small], 12)
+    return set(x)
+
+
 def check_compatible(r: HoloSliceFunction, s: HoloSliceFunction,
                      tol: float = 1e-9):
     """Raise IncompatiblePairError unless r and s agree, within tol, on at
     least three shared real points (their common real trace), from one
     eval_rows call per function; an error of either call propagates."""
-    xs = set(np.round(_real_samples(r), 12)) & set(np.round(_real_samples(s), 12))
+    xs = _real_keys(r) & _real_keys(s)
     if len(xs) < 3:
-        xs = set(np.round(_real_samples(r), 12))
+        xs = _real_keys(r)
     x = np.array(sorted(xs))
     units = np.tile(UNIT_I.to_list(), (len(x), 1))
     (rv, r_ok), (sv, s_ok) = (f.eval_rows(x, 0.0, units) for f in (r, s))

@@ -38,6 +38,20 @@ def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
     return abs(z0 + t * d - p)
 
 
+def _segment_point_distances(x0, y0, x1, y1, p: complex) -> np.ndarray:
+    """_segment_point_distance per row, from the segments' end coordinates
+    (float arrays): the same sums and products, so each row's value is the
+    scalar's (a zero may differ in sign inside, which hypot drops).  A
+    point segment's t is 0/0 and an overflowing one's inf/inf, each NaN
+    clamped to 0 as max(0.0, nan) is."""
+    dx, dy = x1 - x0, y1 - y0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = ((p.real - x0) * dx + (p.imag - y0) * dy) / (dx * dx + dy * dy)
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    return np.hypot(x0 + t * dx - p.real, y0 + t * dy - p.imag)
+
+
 def integrate_reciprocal(z0: complex, z1: complex, pole: complex) -> complex:
     """Integral of dz/(z - pole) over the segment z0-z1.
 
@@ -320,6 +334,43 @@ class _PlaneContinuation:
         raise DisconnectedDomainError(
             f"no continuation anchor reaches ({px:g}, {py:g})")
 
+    def integral_rows(self, px, py):
+        """integral_to at the points (px, py), float arrays (n,), as (w (n,)
+        complex, ok (n,)); ok is False where integral_to raises.
+
+        Each point's nearest cell is found at once, with round()'s
+        half-to-even index (np.rint) and _usable's test; a usable cell gives
+        its value plus the straight leg, whose log is taken by cmath over a
+        list, as integral_to takes it (np.log need not match it in the last
+        bit).  Only the other points in the box run integral_to itself."""
+        self.ensure_built()
+        xlo, xhi, ylo, yhi = self.bbox
+        h, pole = self.step, self.pole
+        ny, nx = self._free.shape
+        w = np.full(len(px), np.nan + 0j)
+        ok = (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
+        rows = np.flatnonzero(ok)
+        qx, qy = px[rows], py[rows]
+        iy = np.rint((qy - self._y0) / h).astype(np.intp)
+        ix = np.rint((qx - self._x0) / h).astype(np.intp)
+        near = (0 <= iy) & (iy < ny) & (0 <= ix) & (ix < nx)
+        iy, ix = np.where(near, iy, 0), np.where(near, ix, 0)
+        value = self._value[iy, ix]
+        x0, y0 = self._xs[ix], self._ys[iy]
+        near &= self._free[iy, ix] & np.isfinite(value) \
+            & (_segment_point_distances(x0, y0, qx, qy, pole) >= 1e-9)
+        fast = near.nonzero()[0]
+        legs = [cmath.log(complex(a, b) / complex(c, d)) for a, b, c, d in zip(
+            *(v[fast].tolist() for v in (qx - pole.real, qy - pole.imag,
+                                          x0 - pole.real, y0 - pole.imag)))]
+        w[rows[fast]] = value[fast] + np.array(legs, dtype=complex)
+        for m in rows[~near].tolist():
+            try:
+                w[m] = self.integral_to(float(px[m]), float(py[m]))
+            except SliceRegError:
+                ok[m] = False
+        return w, ok
+
 
 @dataclass(frozen=True)
 class ContinuedLog(HoloSliceFunction):
@@ -357,42 +408,55 @@ class ContinuedLog(HoloSliceFunction):
             raise OutOfDomainError("function lives on the carrier's plane only")
         return replace(self, slice_unit=unit, _table=self._table)
 
-    def _plane_point(self, coord: SliceCoord):
-        if coord.is_real:
-            return coord.x, 0.0
-        u = coord.unit
-        if u.approx(self.carrier):
-            return coord.x, coord.y
-        if u.approx(-self.carrier):
-            return coord.x, -coord.y
-        raise OutOfDomainError("point lies outside the function's slice plane")
-
     def eval_plane(self, px: float, py: float) -> Quaternion:
         w = self._table.integral_to(px, py)
         c = self.carrier.as_quaternion()
         return self.base_value + Quaternion(w.real) + c * w.imag
 
-    def eval_rows(self, x, y, vectors):
-        """Values at the points x + yJ, as HoloSliceFunction.eval_rows, one
-        table query per row once the table is built: a table that cannot be
-        built raises its own error here, once, rather than leaving every row
-        not ok.  Rows that no query answers (off the carrier's plane, out of
-        the box, or beyond every anchor) are not ok."""
-        self._table.ensure_built()
-        vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
-        n = len(vectors)
-        values = np.full((n, 4), np.nan)
-        ok = np.zeros(n, dtype=bool)
-        xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
-        ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
-        for m, (px, py, v) in enumerate(zip(xs, ys, vectors.tolist())):
-            coord = SliceCoord.make(px, py, UnitImaginary(*v))
-            try:
-                values[m] = self.eval_plane(*self._plane_point(coord)).to_list()
-            except SliceRegError:
-                continue
-            ok[m] = True
+    def plane_rows(self, px, py):
+        """eval_plane at the plane points (px, py), float arrays (n,), as
+        eval_rows rows: (values (n, 4), ok (n,)), from one integral_rows
+        call; each row sums as eval_plane's quaternions do, bit for bit."""
+        w, ok = self._table.integral_rows(np.asarray(px, dtype=float),
+                                          np.asarray(py, dtype=float))
+        b, c, wr, wi = self.base_value, self.carrier, w.real, w.imag
+        values = np.column_stack([(b.w + wr) + 0.0 * wi, (b.x + 0.0) + c.vx * wi,
+                                  (b.y + 0.0) + c.vy * wi, (b.z + 0.0) + c.vz * wi])
+        values[~ok] = np.nan
         return values, ok
+
+    def eval_rows(self, x, y, vectors):
+        """Values at the points x + yJ, as HoloSliceFunction.eval_rows, from
+        one plane_rows call: a table that cannot be built raises its own
+        error here, once, rather than leaving every row not ok.
+
+        Each row is mapped to its plane point as SliceCoord.make(x, y,
+        UnitImaginary(*v)) and the carrier's plane would map it: a real
+        point to (x, 0), a unit within a 1e-9 chord of the carrier to (x,
+        y) and of its antipode to (x, -y), where a point below the axis is
+        x + |y|(-J).  Rows off the plane, out of the box or beyond every
+        anchor are not ok."""
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
+        # UnitImaginary's normalization; a norm that overflows or is too
+        # small to divide by takes the scalar constructor (hypot, or its error)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+        odd = (norm == math.inf) | (norm < 1e-14)
+        scale = (np.abs(norm - 1.0) > 1e-12) & ~odd
+        u = v.copy()
+        u[scale] = v[scale] / norm[scale, None]
+        for m in odd.nonzero()[0].tolist():
+            u[m] = UnitImaginary(*v[m].tolist()).to_list()
+        c = self.carrier
+        dot = u[:, 0] * c.vx + u[:, 1] * c.vy + u[:, 2] * c.vz
+        below = y < 0.0
+        dot, y = np.where(below, -dot, dot), np.where(below, -y, y)
+        near = np.sqrt(np.maximum(2.0 - 2.0 * dot, 0.0)) <= 1e-9
+        far = np.sqrt(np.maximum(2.0 - 2.0 * -dot, 0.0)) <= 1e-9
+        real = y == 0.0
+        return self.plane_rows(np.where(real | near | far, x, np.nan),
+                               np.where(real, 0.0, np.where(near, y, -y)))
 
 
 def dbar_residual(f, coord: SliceCoord, h: float) -> float:

@@ -21,7 +21,8 @@ from .errors import (ConsistencyError, GeometryError, PathError,
 from .extension import StemPair, _two_slice_stem
 from .quaternions import (SliceCoord, UNIT_I, UnitImaginary, norm_rows,
                           rotate_toward)
-from .raster import _grid_path, _points_to_polyline_dist, resample_polyline
+from .raster import (_fit_scale, _grid_path, _points_to_polyline_dist,
+                     resample_polyline)
 from .specs import ball_spec, intersect_specs
 
 
@@ -55,19 +56,22 @@ class TubeDomain:
                            if real.size else None)
 
     def membership(self, x, y, jx, jy, jz):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        # lengths at their _fit_scale, so huge coordinates do not overflow
+        s = _fit_scale(x, y, self.polyline, self.epsilon)
+        x = np.asarray(x, dtype=float) * s
+        y = np.asarray(y, dtype=float) * s
+        eps = self.epsilon * s
         d = jx * self.unit.vx + jy * self.unit.vy + jz * self.unit.vz
         shape = np.broadcast(x, y, np.asarray(d)).shape
         member = np.zeros(shape, dtype=bool)
         if self.real_interval is not None:
-            rlo, rhi = self.real_interval
+            rlo, rhi = (v * s for v in self.real_interval)
             gap = np.maximum(np.maximum(rlo - x, x - rhi), 0.0)
-            member |= gap * gap + y * y < self.epsilon * self.epsilon
+            member |= gap * gap + y * y < eps * eps
         if self.y_ref > 0.0:
             c = self.epsilon / self.y_ref
             c2 = c * c  # inf, not OverflowError, when y_ref is tiny
-            pts = self.polyline
+            pts = self.polyline * s
 
             def level(p):
                 """The segment's quadratic at its vertex p: negative inside

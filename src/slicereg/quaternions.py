@@ -229,10 +229,16 @@ def mul_rows(p, q) -> np.ndarray:
 
 
 def norm_rows(q) -> np.ndarray:
-    """Norms of quaternion rows (..., 4), summed as Quaternion.norm sums."""
+    """Norms of quaternion rows (..., 4), summed as Quaternion.norm sums;
+    a row whose sum of squares overflows takes hypot's norm instead."""
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.sqrt(w * w + x * x + y * y + z * z)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(w * w + x * x + y * y + z * z)
+    if norms.size and not np.isfinite(norms.max()):  # inf, or a NaN row
+        big = np.isinf(norms)
+        norms = np.where(big, np.hypot(np.hypot(w, x), np.hypot(y, z)), norms)
+    return norms
 
 
 def imaginary_rows(vectors) -> np.ndarray:

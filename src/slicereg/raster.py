@@ -115,19 +115,36 @@ def _mirror(polylines) -> list:
     return [np.asarray(p, dtype=float) * (1.0, -1.0) for p in polylines]
 
 
+def _fit_scale(*values) -> float:
+    """A power of two that brings the largest finite magnitude among the
+    values (arrays or numbers) to at most 2**500, so that sums of their
+    squares and pairwise products, times factors up to 2**20, stay finite;
+    1.0 when it already is.  Scaling by a power of two is exact, so inputs
+    of ordinary size are computed as written; the target keeps the squares
+    of values 2**1000 below the largest (0.05 beside 1e300) normal."""
+    big = max(float(np.max(np.abs(v), initial=0.0)) for v in values)
+    return 2.0 ** (500 - math.frexp(big)[1]) if 2.0 ** 500 < big < math.inf else 1.0
+
+
 def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
-    """Distance from each point (px[k], py[k]) to the polyline."""
-    pts = np.asarray(poly, dtype=float)
+    """Distance from each point (px[k], py[k]) to the polyline, computed
+    at the _fit_scale of the coordinates, so huge ones do not overflow."""
+    s = _fit_scale(px, py, poly)
+    pts = np.asarray(poly, dtype=float) * s
     a = pts[:-1]
     d = pts[1:] - a
     L2 = np.einsum("ij,ij->i", d, d)
     L2[L2 == 0.0] = 1.0
-    px = np.asarray(px, dtype=float)[:, None]
-    py = np.asarray(py, dtype=float)[:, None]
+    px = np.asarray(px, dtype=float)[:, None] * s
+    py = np.asarray(py, dtype=float)[:, None] * s
     t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
     cx = a[:, 0] + t * d[:, 0]
     cy = a[:, 1] + t * d[:, 1]
-    return np.sqrt(np.min((cx - px) ** 2 + (cy - py) ** 2, axis=1))
+    dist = np.sqrt(np.min((cx - px) ** 2 + (cy - py) ** 2, axis=1))
+    if s == 1.0:
+        return dist
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        return dist / s
 
 
 def _nearest_index(centres: np.ndarray, values) -> np.ndarray:

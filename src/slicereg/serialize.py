@@ -186,6 +186,9 @@ def walk(value, kind, where: str):
             if key not in keys:
                 raise PreconditionError(f"{where}.{key} is not a key here; the keys are "
                                         f"{', '.join(keys)}")
+        if kind == "spec" and value["type"] == "boolean-op" and "h" in value:
+            raise PreconditionError(f"{where}.h is not a key of a boolean-op spec: its grid "
+                                    "step comes from its operands or --h")
         return {key: _field(value, key, field, where) for key, field in keys.items()}
     _must(type(value) in (int, float), where, "a number", value)  # not a bool
     # nan, inf and ints past the float range fail
@@ -205,10 +208,21 @@ def _field(data: dict, key: str, field, where: str):
     return None if key not in data and value is None else walk(value, kind, f"{where}.{key}")
 
 
-def load_domain_spec(v: dict) -> DomainSpec:
-    """Domain spec from a spec's walked values, walk(data, "spec", ...)."""
+def _moderate(value, where: str) -> None:
+    """Refuse a value past 1e150 in magnitude: a ball's membership squares
+    its centre and radius, and a counterexample's half line runs from its
+    box's left edge, where a point's distance to it would lose the point's
+    place along the line."""
+    _must(np.max(np.abs(value)) <= 1e150, where, "at most 1e+150 in magnitude", value)
+
+
+def load_domain_spec(v: dict, where: str = "spec") -> DomainSpec:
+    """Domain spec from a spec's walked values, walk(data, "spec", where);
+    where names the spec in messages."""
     kind, h, box = v["type"], v["h"], v.get("bbox")
     if kind == "ball":
+        _moderate(v["center"], f"{where}.center")
+        _moderate(v["radius"], f"{where}.radius")
         spec = ball_spec(Quaternion(*v["center"]), v["radius"], box, h)
     elif kind == "halfspace-slicewise":
         spec = halfspace_spec(v["normal"], v["offset"], box, h)
@@ -216,9 +230,10 @@ def load_domain_spec(v: dict) -> DomainSpec:
         spec = starlike_spec(v["pull"], h)
     elif kind == "counterexample":
         from .counterexample import CounterexampleConfig, omega_spec
+        _moderate(box, f"{where}.bbox")
         spec = omega_spec(CounterexampleConfig(v["axis"], h, box))
     elif kind == "boolean-op":
-        ops = [load_domain_spec(d) for d in v["operands"]]
+        ops = [load_domain_spec(d, f"{where}.operands[{i}]") for i, d in enumerate(v["operands"])]
         spec = union_spec(ops) if v["op"] == "union" else reduce(intersect_specs, ops)
     else:  # a tube; y_ref defaults to the polyline's greatest height
         from .local import TubeDomain

@@ -57,13 +57,18 @@ def ball_spec(center: Quaternion | float, radius: float,
     cn2 = 0.0 if slicewise else float(cim @ cim)
     r2 = radius * radius
 
+    # with the centre and radius at most 1e150 in magnitude (serialize
+    # refuses larger ones), a sum that overflows to inf, or to inf - inf,
+    # belongs to a point beyond 1e153, outside the ball, and compares False
     def membership(x, y, jx, jy, jz):
         dot = jx * cim[0] + jy * cim[1] + jz * cim[2]
-        return (np.asarray(x) - cw) ** 2 + np.asarray(y) ** 2 + cn2 \
-            - 2.0 * np.asarray(y) * dot < r2
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.asarray(x) - cw) ** 2 + np.asarray(y) ** 2 + cn2 \
+                - 2.0 * np.asarray(y) * dot < r2
 
     def real_trace(x):
-        return (np.asarray(x) - cw) ** 2 + cn2 < r2
+        with np.errstate(over="ignore"):
+            return (np.asarray(x) - cw) ** 2 + cn2 < r2
 
     if bbox is None:
         margin = max(0.15, 5 * h)

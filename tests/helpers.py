@@ -12,8 +12,8 @@ from itertools import islice
 
 import numpy as np
 
-from slicereg import Quaternion, SliceCoord, rep_coeffs
-from slicereg.errors import OutOfDomainError
+from slicereg import Quaternion, SliceCoord, UnitImaginary, rep_coeffs
+from slicereg.errors import OutOfDomainError, SliceRegError
 from slicereg.counterexample import t_of
 from slicereg.domains import (Verdict, _and_grids, _hull_witness, omega_jk_plus,
                               rasterize)
@@ -309,3 +309,31 @@ def per_unit_is_simple(spec, sample, h=None):
     return (scan(sample.antipodal_pairs(), cache=False)
             or scan([(m, m) for m in range(len(units))], cache=False)
             or scan(rest, cache=True) or Verdict("yes", None, res))
+
+
+def continued_log_rows(fn, x, y, vectors):
+    """Scalar oracle of ContinuedLog.eval_rows: one eval_plane query per
+    row at the point's plane coordinates, mapped from SliceCoord.make(x, y,
+    UnitImaginary(*v)); rows that raise SliceRegError are not ok."""
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    n = len(vectors)
+    values = np.full((n, 4), np.nan)
+    ok = np.zeros(n, dtype=bool)
+    xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
+    ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
+    for m, (px, py, v) in enumerate(zip(xs, ys, vectors.tolist())):
+        coord = SliceCoord.make(px, py, UnitImaginary(*v))
+        if coord.is_real:
+            point = (coord.x, 0.0)
+        elif coord.unit.approx(fn.carrier):
+            point = (coord.x, coord.y)
+        elif coord.unit.approx(-fn.carrier):
+            point = (coord.x, -coord.y)
+        else:
+            continue
+        try:
+            values[m] = fn.eval_plane(*point).to_list()
+        except SliceRegError:
+            continue
+        ok[m] = True
+    return values, ok

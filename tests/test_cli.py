@@ -254,6 +254,42 @@ def test_hostile_spec_shapes_exit_one(text, message, tmp_path, capsys):
     assert message in err and "Traceback" not in err
 
 
+_UNION = {"type": "boolean-op", "op": "union", "operands": [
+    {"type": "ball", "radius": 1, "h": 0.25}, {"type": "starlike", "h": 0.5}]}
+
+
+@pytest.mark.parametrize("data, where", [
+    ({**_UNION, "h": 0.1}, "spec.h"),
+    ({"type": "boolean-op", "op": "intersection", "operands": [{**_UNION, "h": 0.1}]},
+     "spec.operands[0].h"),
+])
+@pytest.mark.parametrize("step", [[], ["--h", "0.25"]])
+def test_a_boolean_op_spec_refuses_its_own_h(data, where, step, tmp_path, capsys):
+    """A boolean-op's grid step is its operands' least h, or --h; an h key
+    of its own used to walk cleanly and then be ignored."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-domain", str(path), *step, "--samples", "2",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {where} is not a key of a boolean-op spec: its grid step "
+                   "comes from its operands or --h\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("step, h", [([], 0.25), (["--h", "0.5"], 0.5)])
+def test_a_boolean_op_spec_without_h_loads_as_before(step, h, tmp_path):
+    """Without the key a boolean-op takes its operands' least h, or --h,
+    which the report's spec shows as before."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_UNION))
+    out = tmp_path / "out"
+    assert main(["check-domain", str(path), *step, "--samples", "2", "--out", str(out)]) == 0
+    report = json.loads((out / "verdicts.json").read_text())
+    assert report["spec"] == ({**_UNION, "h": h} if step else _UNION)
+    assert report["slice_domain"].startswith("yes") and f"h={h:g}" in report["slice_domain"]
+
+
 def test_hostile_numbers_in_function_exit_one(ball_json, tmp_path, capsys):
     fn = tmp_path / "fn.json"
     fn.write_text('{"variant": "power-series", "coeffs": [[0, 0, 0, 0], [NaN, 0, 0, 0]]}')

@@ -447,24 +447,26 @@ def test_demonstrate_passes_all_checks_for_ten_seeds():
 
 def test_demonstrate_queries_take_the_nearest_cell(cfg, monkeypatch):
     """Every continuation query of the evidence bundle at seed 1 is
-    answered by its nearest cell: the anchor search never runs.  The
-    query points depend on the seed only, so a small sample keeps the
-    run short."""
-    calls = {"integral_to": 0, "_anchored": 0}
+    answered by its nearest cell, as arrays: the rows calls take more than
+    1500 points, and neither a per-point eval_plane, the scalar
+    integral_to nor the anchor search runs.  The query points depend on
+    the seed only, so a small sample keeps the run short."""
+    calls = {"integral_rows": 0, "integral_to": 0, "_anchored": 0, "eval_plane": 0}
 
-    def counting(name):
-        real = getattr(_PlaneContinuation, name)
+    def counting(cls, name):
+        real = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[1]) if name == "integral_rows" else 1
             return real(*args, **kwargs)
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(_PlaneContinuation, name, counting(name))
+        cls = ContinuedLog if name == "eval_plane" else _PlaneContinuation
+        monkeypatch.setattr(cls, name, counting(cls, name))
     demonstrate(cfg, sample=SphereSample(4, extra=[cfg.axis]), seed=1)
-    assert calls["integral_to"] > 1500
-    assert calls["_anchored"] == 0
+    assert calls["integral_rows"] > 1500
+    assert calls["integral_to"] == calls["_anchored"] == calls["eval_plane"] == 0
 
 
 def test_demonstrate_paints_no_label_image(monkeypatch):

@@ -1,5 +1,6 @@
-"""What every slicereg process loads: no OpenSSL, no numpy.random, and no
-module whose compile sets the import-time memory peak."""
+"""What every slicereg process loads: no OpenSSL, no numpy.random, no
+numpy at package import, one BLAS thread under the CLI, and no module
+whose compile sets the import-time memory peak."""
 import json
 import os
 import subprocess
@@ -21,12 +22,61 @@ MAX_MODULE_TOKENS = 4800
 SKIPPED = {tokenize.COMMENT, tokenize.NL}
 
 
-def _fresh_run(code: str) -> str:
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_run(code: str, threads: dict | None = None) -> str:
     """Standard output of a fresh interpreter running code with slicereg on
-    its path."""
+    its path; given threads, the BLAS thread variables set are exactly
+    those."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    if threads is not None:
+        env = {k: v for k, v in env.items() if k not in BLAS_THREADS} | threads
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+needs_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="no /proc/self/task to count threads in")
+SHOW_THREADS = ("import os, json\n"
+                "print(json.dumps([len(os.listdir('/proc/self/task'))]\n"
+                f"                 + [os.environ.get(k) for k in {BLAS_THREADS!r}]))")
+
+
+@needs_tasks
+def test_the_cli_runs_blas_on_one_thread_by_default():
+    """With no thread variable set, importing the CLI sets all three to 1
+    before numpy loads, so no idle OpenBLAS thread spins beside the main
+    one (a 2-vCPU machine had 2 threads)."""
+    out = _fresh_run("import slicereg.cli\n" + SHOW_THREADS, threads={})
+    assert json.loads(out) == [1, "1", "1", "1"]
+
+
+@needs_tasks
+def test_a_thread_count_the_user_set_is_kept():
+    """A user's OPENBLAS_NUM_THREADS is kept, and the other two stay
+    unset: the CLI adds no thread setting of its own."""
+    out = _fresh_run("import slicereg.cli\n" + SHOW_THREADS,
+                     threads={"OPENBLAS_NUM_THREADS": "2"})
+    assert json.loads(out)[1:] == ["2", None, None]
+
+
+def test_importing_the_package_loads_no_numpy_and_sets_nothing():
+    """import slicereg is lazy (PEP 562): it loads no numpy and leaves the
+    environment as it was, and every name of __all__, slicereg.errors
+    among them, resolves on first use."""
+    code = ("import os, sys\n"
+            "env = dict(os.environ)\n"
+            "import slicereg\n"
+            "print('numpy' in sys.modules, dict(os.environ) == env)\n"
+            "missing = [n for n in slicereg.__all__ if getattr(slicereg, n, None) is None]\n"
+            "print(missing, slicereg.errors.SliceRegError.__name__, 'numpy' in sys.modules)")
+    assert _fresh_run(code, threads={}).splitlines() == [
+        "False True", "[] SliceRegError True"]
+    assert {"Quaternion", "ContinuedLog", "is_simple", "ball_spec", "formula_stem",
+            "TubeDomain", "errors", "raster"} <= set(slicereg.__all__)
+    with pytest.raises(AttributeError):
+        slicereg.no_such_name
 
 
 def test_a_check_domain_run_loads_no_openssl(tmp_path):

@@ -19,9 +19,10 @@ from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
 from slicereg.holomorphic import (HoloSliceFunction, _PlaneContinuation,
                                   integrate_reciprocal, segment_crossings)
 from slicereg.quaternions import UNIT_I, UNIT_J
+from slicereg.serialize import load_holo_function, walk
 
 from conftest import random_polynomial, random_unit
-from helpers import (anchored_integrals, dbar_four_evals, level_loop_table,
+from helpers import (anchored_integrals, continued_log_rows, dbar_four_evals, level_loop_table,
                      loop_consistency, poly_eval_direct, polyline_integral,
                      stem_at, whole_array_table, winding_angle_sum, winding_number)
 
@@ -526,3 +527,71 @@ def test_dbar_residual_matches_four_evals(name, point, v, h):
             dbar_residual(f, coord, h)
         return
     assert dbar_residual(f, coord, h) == want
+
+
+_JSON_LOG = load_holo_function(walk(
+    {"variant": "continued-log", "pole": [0.5, -1.0], "base": [2.0, 1.0],
+     "carrier": [0.0, 1.0, 1.0], "base_value": [0.5, -1.0, 0.25, 2.0],
+     "cuts": [[[0.5, -1.0], [-1.0, -2.0], [-3.0, -2.5]], [[1.0, 3.0], [1.0, 0.5]]],
+     "bbox": [-3.0, 3.0, -3.0, 3.0], "step": 0.1}, "function", "function"))
+_QUERY_LOGS = {
+    "axis": plane_log(UNIT_I, _ROWS_CFG),
+    "axis-view": plane_log(UNIT_I, _ROWS_CFG).on_slice(-UNIT_I),
+    "antipode": plane_log(-UNIT_I, _ROWS_CFG).on_slice(-UNIT_I),
+    "json": _JSON_LOG,
+}
+
+
+@st.composite
+def _query_rows(draw, fn):
+    """One row (x, y, vector) for fn: a plane point within 1.25 h of a cut
+    vertex or segment, near the pole, outside the box, on the real axis or
+    anywhere, written with the carrier or its antipode (the point mirrored,
+    as SliceCoord.make reads it), a unit within a 1e-9 chord of them, a
+    multiple of the carrier or a unit off the plane."""
+    h, pole = fn.step, fn._table.pole
+    xlo, xhi, ylo, yhi = fn.bbox
+    near = st.floats(-1.25 * h, 1.25 * h)
+    where = draw(st.sampled_from(["cut", "pole", "outside", "real", "any"]))
+    if where == "cut":
+        cut = draw(st.sampled_from(fn.cuts))
+        k = draw(st.integers(0, len(cut) - 2))
+        a, b = cut[k], cut[k + 1]
+        px, py = a + draw(st.floats(0.0, 1.0)) * (b - a) + (draw(near), draw(near))
+    elif where == "pole":
+        px, py = pole.real + draw(near) * 1e-3, pole.imag + draw(near) * 1e-3
+    elif where == "outside":
+        px, py = draw(st.sampled_from([(xlo - 0.5, 0.0), (xhi + 1e-9, 1.0), (0.0, yhi + h)]))
+    elif where == "real":
+        px, py = draw(st.floats(xlo, xhi)), draw(st.sampled_from([0.0, -0.0]))
+    else:
+        px, py = draw(st.floats(xlo, xhi)), draw(st.floats(ylo, yhi))
+    c = np.array(fn.carrier.to_list())
+    kind = draw(st.sampled_from(["carrier", "antipode", "close", "scaled", "off"]))
+    if kind == "off":
+        v = UnitImaginary(*draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+                                .filter(lambda v: np.linalg.norm(v) > 0.1))).to_list()
+    elif kind == "close":
+        v = (c + draw(st.tuples(*[st.floats(-1e-10, 1e-10)] * 3))).tolist()
+    else:
+        v = (c * {"carrier": 1.0, "antipode": -1.0, "scaled": 3.0}[kind]).tolist()
+    flip = -1.0 if kind == "antipode" else 1.0
+    return float(px), flip * float(py), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_continued_log_rows_equal_the_per_row_scalar_queries(data):
+    """ContinuedLog.eval_rows, whose rows are answered as arrays (nearest
+    cells at once, the legs' logs by cmath over a list, and only rows
+    whose nearest cell is unusable through integral_to), equals the
+    per-row eval_plane loop it replaced bit for bit, values and ok."""
+    name = data.draw(st.sampled_from(sorted(_QUERY_LOGS)))
+    fn = _QUERY_LOGS[name]
+    rows = data.draw(st.lists(_query_rows(fn), min_size=1, max_size=12))
+    x, y, vectors = (np.array(a) for a in zip(*rows))
+    values, ok = fn.eval_rows(x, y, vectors)
+    want, want_ok = continued_log_rows(fn, x, y, vectors)
+    assert ok.tolist() == want_ok.tolist()
+    assert values.tobytes() == want.tobytes()
+    event(f"{name}: {'no' if not ok.any() else 'all' if ok.all() else 'some'} rows ok")

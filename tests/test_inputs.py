@@ -4,12 +4,17 @@ import contextlib
 import copy
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicereg import PowerSeries, Quaternion as Q, TubeDomain
 from slicereg.cli import build_parser, main
+from slicereg.quaternions import UNIT_I, norm_rows
+from slicereg.raster import _points_to_polyline_dist
 from slicereg.errors import PreconditionError
 from slicereg.serialize import walk
 
@@ -142,12 +147,36 @@ GLOBAL = ["global-extend", "{spec}", "--function", "{function}"]
      EXT_SLICE, 1, "error: a continuation table at step 1e+300 has 0 x 0 cells"),
     ("pair", {**VALID["pair"][0], "grid": {"x": [0, -1, 0.25], "y": [0, 1e300, 0.25]}},
      ["extend", "{pair}"], 1, "the extend grid has 4e+300 x 0 cells"),
+    # a ball squares its centre and radius; the counterexample's half line
+    # starts at its box's left edge
+    ("spec", {"type": "ball", "radius": 1, "center": [0, 1e300, 0, 0]},
+     ["check-domain", "{spec}"], 1, "error: spec.center must be at most 1e+150 in magnitude"),
+    ("spec", {"type": "boolean-op", "op": "union", "operands": [
+        BALL, {"type": "ball", "radius": 1e300}]}, ["completion", "{spec}"],
+     1, "error: spec.operands[1].radius must be at most 1e+150 in magnitude"),
+    ("spec", {"type": "counterexample", "bbox": [-1e300, 5, 5]}, EXT_SLICE,
+     1, "error: spec.bbox must be at most 1e+150 in magnitude"),
 ])
 def test_huge_and_degenerate_values_exit_cleanly(name, data, argv, code, message, tmp_path):
     """Values that walk cleanly but overflow or leave a grid empty: each
     raised an OverflowError, ValueError or IndexError before."""
     got, err = _run(tmp_path, argv, {name: data})
     assert got == code and message in err and (got == 1) == bool(err), err
+
+
+def test_huge_coordinates_are_computed_at_a_scale_that_does_not_overflow(recwarn):
+    """A tube vertex, a point or a quaternion near 1e300 is computed at a
+    power-of-two scale: no overflow warning, and no verdict turned by an
+    inf or NaN (these gave both before)."""
+    tube = TubeDomain(UNIT_I, np.array([[0.3, 0.0], [1e300, 0.6]]), 0.2, 0.6)
+    assert tube.contains(0.3, 0.05, UNIT_I) and not tube.contains(0.9, 0.05, UNIT_I)
+    assert tube.membership(np.array([0.3, 1e300]), 0.05, 1.0, 0.0, 0.0).tolist() == [True, False]
+    dist = _points_to_polyline_dist([-1e300, 1e300, -3.0], [2.0, 1e300, 2.5],
+                                    [[-5.0, 2.0], [-2.0, 2.0]])
+    assert dist.tolist() == [1e300, math.hypot(1e300, 1e300), 0.5]
+    assert norm_rows([[1e300, 1e300, 0, 0], [3, 4, 0, 0]]).tolist() == [math.hypot(1e300, 1e300), 5.0]
+    assert PowerSeries((Q(0.0), Q(1.0))).eval_rows(-1e300, 0.0, [[1, 0, 0]])[1].tolist() == [True]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _nodes(value, path=()):
@@ -193,22 +222,25 @@ CASES = [(name, i, j) for name, docs in VALID.items() for i in range(len(docs))
          if docs[i].get("type") != "tube" or COMMANDS[name][j][0] != "ext-slice"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, database=None)
 @given(case=st.sampled_from(CASES), mutation=st.sampled_from(sorted(MUTATIONS)),
        node=st.integers(0, 10 ** 6), pick=st.integers(0, 10 ** 6))
 def test_mutated_inputs_exit_cleanly(case, mutation, node, pick, tmp_path_factory):
     """A valid file with one mutation (a key dropped, a type changed, a
     number written as a string, a value nested in a list, a huge value, an
-    unknown key added) runs to an exit code in {0, 1, 2} without raising.
-    A file the schema rejects exits 1 with the walker's message, which
-    names the bad path; any other exit 1 is one error line."""
+    unknown key added) runs to an exit code in {0, 1, 2} without raising
+    or warning: a huge value is refused at load or computed at a scale
+    that does not overflow.  A file the schema rejects exits 1 with the
+    walker's message, which names the bad path; any other exit 1 is one
+    error line."""
     name, i, j = case
     doc = VALID[name][i]
     paths = list(_nodes(doc))
     mutated = _swap(doc, paths[node % len(paths)], lambda n: MUTATIONS[mutation](n, pick))
-    try:  # as the CLI reads it: --h replaces a spec's own h
-        walk({**mutated, "h": 0.25} if name == "spec" and isinstance(mutated, dict) else mutated,
-             name, name)
+    try:  # as the CLI reads it: --h replaces a leaf spec's own h
+        walk({**mutated, "h": 0.25} if name == "spec" and isinstance(mutated, dict)
+             and mutated.get("type") != "boolean-op" else mutated, name, name)
         rejection = None
     except PreconditionError as exc:
         rejection = str(exc)
