@@ -16,10 +16,10 @@ _PUBLIC = {
     "domains": ("DomainSpec", "PlanarRegionGrid", "SphereSample", "Verdict", "is_simple",
                 "is_slice_convex", "is_slice_domain", "is_symmetric", "omega_jk_plus",
                 "rasterize", "symmetric_completion"),
-    "specs": ("ball_spec", "halfspace_spec", "starlike_spec"),
+    "specs": ("TubeDomain", "ball_spec", "halfspace_spec", "starlike_spec"),
     "extension": ("ConsistencyReport", "StemPair", "check_compatible", "extend_to_completion",
                   "extension_formula", "formula_stem", "regular_ext", "rep_coeffs"),
-    "local": ("LocalExtension", "TubeDomain", "build_tube", "local_extend"),
+    "local": ("LocalExtension", "build_tube", "local_extend"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = ("domains", "errors", "extension", "holomorphic", "local", "quaternions",

@@ -34,7 +34,6 @@ from .errors import (ConsistencyError, GridStepError, PreconditionError,
 from .extension import (extend_to_completion, formula_stem, regular_ext,
                         rep_coeffs_rows)
 from .holomorphic import PowerSeries
-from .local import build_tube, local_extend
 from .quaternions import (Quaternion, UNIT_I, UnitImaginary, imaginary_rows,
                           mul_rows, norm_rows)
 from .raster import _arange_len, _check_cells
@@ -237,7 +236,7 @@ def cmd_extend(args) -> int:
     # the grid x-major; a point below the axis is x + |y|(-unit)
     x, y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
     vectors = np.where((y < 0.0)[:, None], -np.array(unit.to_list()), unit.to_list())
-    values, ok = formula_stem(r, s).eval_rows(x, np.abs(y), vectors)
+    values, ok = formula_stem(r, s, where="pair").eval_rows(x, np.abs(y), vectors)
     write_csv(out / "extension.csv", ["x", "y", "f_w", "f_x", "f_y", "f_z"],
               np.column_stack([x, y, values])[ok].tolist())
     print(json.dumps({"rows": int(ok.sum())}))
@@ -249,11 +248,13 @@ def cmd_ext_slice(args) -> int:
     out = _out_dir(args)
     fn = load_holo_function(_read(args.function, "function"),
                             default_unit=args.unit or UNIT_I)
-    stem = regular_ext(fn, spec)
+    stem = regular_ext(fn, spec, where="spec")
     x_min, x_max, y_max = spec.bbox
-    xy = [(x, y) for x in np.linspace(x_min, x_max, 41)
-          for y in np.linspace(0.0, y_max, 21)
-          if spec.contains(float(x), float(y), fn.slice_unit)]
+    # the points of the grid x-major in the slice of fn, in one call
+    xs, ys = np.linspace(x_min, x_max, 41), np.linspace(0.0, y_max, 21)
+    x, y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    inside = spec.contains_rows(x, y, np.broadcast_to(fn.slice_unit.to_list(), (x.size, 3)))
+    xy = np.column_stack([x, y])[inside]
     write_csv(out / "stem.csv",
               ["x", "y", "b_w", "b_x", "b_y", "b_z", "c_w", "c_x", "c_y", "c_z"],
               stem.export_rows(xy))
@@ -262,6 +263,7 @@ def cmd_ext_slice(args) -> int:
 
 
 def cmd_local_extend(args) -> int:
+    from .local import local_extend
     spec, _, values = _load_spec(args)
     out = _out_dir(args)
     f = _load_function(args, spec, values)
@@ -347,10 +349,12 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_tube(args) -> int:
+    from .local import build_tube
     spec = _load_spec(args)[0]
     out = _out_dir(args)
     path = _read(args.path, "path")
-    tube = build_tube(path["points"], spec, args.shrink, carrier=path["unit"])
+    tube = build_tube(path["points"], spec, args.shrink, carrier=path["unit"],
+                      where="path.points")
     report = {"type": "tube", "unit": tube.unit.to_list(),
               "polyline": tube.polyline.tolist(), "epsilon": tube.epsilon,
               "y_ref": tube.y_ref, "h": tube.h}

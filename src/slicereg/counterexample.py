@@ -29,7 +29,7 @@ from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
 from .raster import _mirror
 
 # chord deviation bound for 256-point parametric sampling of the arcs;
-# scalar membership, and with it the closed-form log family, treats
+# DomainSpec.contains_rows, and with it the closed-form log family, treats
 # anything this close to the sampled polyline as lying on the cut
 ARC_SAMPLES = 256
 ARC_CLEARANCE = 3e-5
@@ -202,15 +202,17 @@ class BranchedLogFamily(HoloSliceFunction):
             # the sampled arc lies within c (its sagitta bound) of its ellipse,
             # which is at least |hypot(a (x + 1), v) - |a|| away: only points
             # within c of the half line or 2c of the ellipse, the pole among
-            # them, can be on a cut, and only those get the scalar membership
+            # them, can be on a cut, and only those get contains_rows
             c = ARC_CLEARANCE
             near = (np.abs(v) <= c) \
                 | (np.abs(np.hypot(arcs * (xr + 1.0), v) - np.abs(arcs)) <= 2.0 * c)
-            near &= left > 0.0
-            for sign, near_side in zip((1.0, -1.0), near):
-                for m in (near_side & ok).nonzero()[0].tolist():
-                    ok[m] = self.domain.contains(*points[run[m]],
-                                                 UnitImaginary(*(sign * v3[m])))
+            near &= (left > 0.0) & ok
+            # the rows near a cut of J, then those near a cut of -J, in one
+            # membership call
+            rows = np.concatenate([near[0].nonzero()[0], near[1].nonzero()[0]])
+            side = np.repeat([1.0, -1.0], [near[0].sum(), near[1].sum()])
+            px, py = np.asarray(points, dtype=float)[run[rows]].T
+            ok[rows[~self.domain.contains_rows(px, py, side[:, None] * v3[rows])]] = False
         if any_disk:
             # the lens between the arc and the chord [-2, 0] + 2i, where
             # (x + 1)^2 + (v / a)^2 < 1 with v on the side of the arc; |a| <= 1

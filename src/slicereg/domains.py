@@ -15,7 +15,7 @@ slicereg.specs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -32,6 +32,10 @@ from .raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
 # hashlib would load OpenSSL (_hashlib), about 3.7 MB of resident memory
 # that nothing else in slicereg needs
 from _blake2 import blake2b
+
+# the most rows times polyline segments of one distance evaluation in
+# DomainSpec.contains_rows, so its temporaries stay within a few hundred kB
+_CUT_BLOCK = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +136,45 @@ class DomainSpec:
     name: str = ""
     slicewise: bool = False
 
-    def contains(self, x: float, y: float, J: UnitImaginary | None) -> bool:
-        """Scalar membership, excluding points within cut_clearance of a cut."""
-        if y < 0.0:
-            if J is None:
-                raise ValueError("negative height requires a unit")
-            return self.contains(x, -y, -J)
-        jx, jy, jz = (J.vx, J.vy, J.vz) if J is not None else (1.0, 0.0, 0.0)
-        if y == 0.0:
-            ok = bool(np.asarray(self.real_trace(np.asarray(x))).reshape(-1)[0])
-        else:
-            ok = bool(np.asarray(self.membership(x, y, jx, jy, jz)).reshape(-1)[0])
-        if not ok or self.cuts is None or J is None:
+    def contains_rows(self, x, y, vectors) -> np.ndarray:
+        """Membership of the points x + yJ, one per row, as bools (n,): x
+        and y broadcast to the rows J of vectors (n, 3), unit vectors, as
+        in HoloSliceFunction.eval_rows.  A row with y < 0 is the point
+        x + |y|(-J), a row with y == 0 reads real_trace, and a point within
+        cut_clearance of a cut of its unit is outside; the cuts are read
+        once per distinct unit, and distances are taken in blocks of at
+        most _CUT_BLOCK rows times segments."""
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
+        below = y < 0.0
+        v, y = np.where(below[:, None], -v, v), np.where(below, -y, y)
+        ok = np.zeros(len(v), dtype=bool)
+        real = y == 0.0
+        if real.any():
+            ok[real] = self.real_trace(x[real])
+        if not real.all():
+            ok[~real] = self.membership(x[~real], y[~real], *v[~real].T)
+        if self.cuts is None or not ok.any():
             return ok
         tol = max(self.cut_clearance, 0.0)
-        for poly in self.cuts(J):
-            if _points_to_polyline_dist([x], [y], poly)[0] <= tol:
-                return False
-        return True
+        inside = np.flatnonzero(ok)
+        units, unit_of = np.unique(v[inside], axis=0, return_inverse=True)
+        for k, u in enumerate(units.tolist()):
+            rows = inside[unit_of.reshape(-1) == k]
+            for poly in self.cuts(UnitImaginary(*u)):
+                block = max(1, _CUT_BLOCK // max(1, len(poly) - 1))
+                for r in np.array_split(rows, range(block, len(rows), block)):
+                    ok[r] &= ~(_points_to_polyline_dist(x[r], y[r], poly) <= tol)
+        return ok
+
+    def contains(self, x: float, y: float, J: UnitImaginary | None) -> bool:
+        """The one-row case of contains_rows.  Without J the point is taken
+        with the unit i and no cut test, and y < 0 raises ValueError."""
+        if J is None:
+            if y < 0.0:
+                raise ValueError("negative height requires a unit")
+            return bool(replace(self, cuts=None).contains_rows(x, y, [1.0, 0.0, 0.0])[0])
+        return bool(self.contains_rows(x, y, J.to_list())[0])
 
 
 @dataclass
@@ -353,17 +378,21 @@ def is_symmetric(spec: DomainSpec, sample: SphereSample,
     if spec.cuts is not None:
         probe_units = sample.units[:: max(1, len(sample.units) // 16)]
         for J in probe_units:
+            others = [K for K in probe_units if not K.approx(J)]
+            # each cut point on J and then on every other probe unit, in one
+            # call per polyline; the witness is the first mismatch
+            units = np.array([J.to_list()] + [K.to_list() for K in others])
             for poly in spec.cuts(J):
                 pts = np.asarray(poly, float)
                 sub = pts[:: max(1, len(pts) // 16)]
-                for px, py in sub[sub[:, 1] > 0]:
-                    on_J = spec.contains(px, py, J)
-                    for K in probe_units:
-                        if K.approx(J):
-                            continue
-                        if spec.contains(px, py, K) != on_J:
-                            return Verdict("no", {"x": float(px), "y": float(py),
-                                                  "units": [J.to_list(), K.to_list()]}, res)
+                sub = sub[sub[:, 1] > 0]
+                on = spec.contains_rows(*np.repeat(sub, len(units), axis=0).T,
+                                        np.tile(units, (len(sub), 1))).reshape(-1, len(units))
+                diff = np.argwhere(on[:, 1:] != on[:, :1])
+                if diff.size:
+                    (px, py), K = sub[diff[0, 0]], others[diff[0, 1]]
+                    return Verdict("no", {"x": float(px), "y": float(py),
+                                          "units": [J.to_list(), K.to_list()]}, res)
     return Verdict("yes", None, res)
 
 

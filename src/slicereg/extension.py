@@ -18,9 +18,12 @@ from .domains import DomainSpec, SphereSample
 from .errors import (ConsistencyError, DegeneratePairError,
                      IncompatiblePairError, OutOfDomainError,
                      PreconditionError, SliceRegError)
-from .holomorphic import HoloSliceFunction, dbar_residual
+from .holomorphic import HoloSliceFunction, dbar_residual_rows
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
                           imaginary_rows, mul_rows, norm_rows)
+
+# the random points a validator draws and tests at once
+_DRAW_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +61,10 @@ def rep_coeffs_rows(fJ, fK, J, K):
     n2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] + d[:, 3] * d[:, 3]
     ok = np.sqrt(n2) >= 1e-12
     dinv = d * (1.0, -1.0, -1.0, -1.0) / np.where(ok, n2, np.nan)[:, None]
-    jf, kf = mul_rows(jk, np.array([fJ, fK]))
-    b, c = mul_rows(dinv, np.array([jf - kf, fJ - fK]))
+    # values past the float range give inf and NaN rows, which callers test
+    with np.errstate(over="ignore", invalid="ignore"):
+        jf, kf = mul_rows(jk, np.array([fJ, fK]))
+        b, c = mul_rows(dinv, np.array([jf - kf, fJ - fK]))
     return b, c, ok
 
 
@@ -86,11 +91,14 @@ class StemPair(HoloSliceFunction):
         return values, ok
 
     def export_rows(self, xy):
-        """CSV rows (x, y, b components, c components) over sample points."""
+        """CSV rows (x, y, b components, c components) over sample points;
+        the first point where the stem is undefined or not finite raises
+        OutOfDomainError."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         b, c, ok = self.stems(xy[:, 0], xy[:, 1])
+        ok &= np.isfinite(b).all(axis=1) & np.isfinite(c).all(axis=1)
         if not ok.all():
-            raise OutOfDomainError("no stem at ({:g}, {:g})".format(*xy[~ok][0]))
+            raise OutOfDomainError("no finite stem at ({:g}, {:g})".format(*xy[~ok][0]))
         return np.hstack([xy, b, c]).tolist()
 
 
@@ -139,10 +147,11 @@ def _real_keys(fn: HoloSliceFunction) -> set:
 
 
 def check_compatible(r: HoloSliceFunction, s: HoloSliceFunction,
-                     tol: float = 1e-9):
+                     tol: float = 1e-9, where: str | None = None):
     """Raise IncompatiblePairError unless r and s agree, within tol, on at
     least three shared real points (their common real trace), from one
-    eval_rows call per function; an error of either call propagates."""
+    eval_rows call per function; an error of either call propagates.
+    where, when given, names the pair in the disagreement's message."""
     xs = _real_keys(r) & _real_keys(s)
     if len(xs) < 3:
         xs = _real_keys(r)
@@ -154,13 +163,14 @@ def check_compatible(r: HoloSliceFunction, s: HoloSliceFunction,
     bad = (good & (dist > tol)).nonzero()[0]
     if bad.size:
         raise IncompatiblePairError(
-            f"slice functions disagree at x={x[bad[0]]:g} by {dist[bad[0]]:.3e}")
+            f"{where + ': ' if where else ''}slice functions disagree at "
+            f"x={x[bad[0]]:g} by {dist[bad[0]]:.3e}")
     if good.sum() < 3:
         raise IncompatiblePairError("no shared real trace to compare on")
 
 
 def formula_stem(r: HoloSliceFunction, s: HoloSliceFunction,
-                 check_compat: bool = True) -> StemPair:
+                 check_compat: bool = True, where: str | None = None) -> StemPair:
     """Stems of the extension formula of r and s, attached to the slices J
     and K: its value at x + yI is
 
@@ -168,7 +178,8 @@ def formula_stem(r: HoloSliceFunction, s: HoloSliceFunction,
 
     Targets carry y >= 0, which is the corrected hypothesis making the
     formula single-valued; on the real axis the value is the first term.
-    check_compat runs check_compatible on the pair first.
+    check_compat runs check_compatible on the pair first, where naming
+    the pair in its message.
     """
     J = r.slice_unit
     K = s.slice_unit
@@ -178,7 +189,7 @@ def formula_stem(r: HoloSliceFunction, s: HoloSliceFunction,
     if J.chord(K) < 1e-12:
         raise DegeneratePairError("extension formula needs J != K")
     if check_compat:
-        check_compatible(r, s)
+        check_compatible(r, s, where=where)
     return _two_slice_stem(r, J, s, K, axis=False)
 
 
@@ -190,19 +201,21 @@ def extension_formula(r: HoloSliceFunction, s: HoloSliceFunction,
     return formula_stem(r, s, check_compat).eval(target)
 
 
-def regular_ext(fI: HoloSliceFunction, domain: DomainSpec) -> StemPair:
+def regular_ext(fI: HoloSliceFunction, domain: DomainSpec,
+                where: str | None = None) -> StemPair:
     """Regular extension of a holomorphic function on one slice of a
     symmetric slice domain; the result restricts back to the input.  The
-    domain's symmetry and fI's holomorphy are checked first."""
+    domain's symmetry and fI's holomorphy are checked first; where, when
+    given, names the domain in the symmetry check's message."""
     unit = fI.slice_unit
     if unit is None:
         raise PreconditionError("regular extension needs a slice-attached input")
-    _validate_symmetric(domain, unit)
+    _validate_symmetric(domain, unit, where)
     _validate_holomorphic(fI, domain, unit)
     return _two_slice_stem(fI, unit, fI, -unit)
 
 
-def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary):
+def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary, where=None):
     from .quaternions import orthonormal_to
     x_min, x_max, y_max = domain.bbox
     gx = np.linspace(x_min + 1e-3, x_max - 1e-3, 12)
@@ -216,35 +229,52 @@ def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary):
         if ref is None:
             ref = mem
         elif (mem != ref).any():
-            raise PreconditionError("domain is not symmetric")
+            raise PreconditionError(f"{where + ': ' if where else ''}domain is not symmetric")
+
+
+def _draws(draw, attempts: int):
+    """The values of draw() for attempts calls, in draw order, as arrays
+    of at most _DRAW_BLOCK rows, a block drawn only when the one before it
+    has been used."""
+    for lo in range(0, attempts, _DRAW_BLOCK):
+        yield np.array([draw() for _ in range(min(_DRAW_BLOCK, attempts - lo))])
 
 
 def _validate_holomorphic(fI: HoloSliceFunction, domain: DomainSpec,
                           unit: UnitImaginary, h: float = 1e-3):
+    """The dbar residual of fI at step h, at most 1e-4 (1 + |fI|), on the
+    first 6 of 200 random points whose 2h cross lies in the domain."""
     x_min, x_max, y_max = domain.bbox
     rng = random.Random(7)
     checked = 0
-    for _ in range(200):
-        if checked >= 6:
-            break
-        x = rng.uniform(x_min, x_max)
-        y = rng.uniform(2 * h, max(y_max, 2 * h))  # a box lower than 2h checks nothing
-        if not all(domain.contains(xx, yy, unit)
-                   for xx, yy in ((x - 2 * h, y), (x + 2 * h, y),
-                                  (x, y - 2 * h), (x, y + 2 * h))):
+    # a box lower than 2h checks nothing
+    for x, y in (block.T for block in _draws(lambda: (
+            rng.uniform(x_min, x_max), rng.uniform(2 * h, max(y_max, 2 * h))), 200)):
+        cx = np.stack([x - 2 * h, x + 2 * h, x, x], axis=1).ravel()
+        cy = np.stack([y, y, y - 2 * h, y + 2 * h], axis=1).ravel()
+        inside = domain.contains_rows(cx, cy, np.broadcast_to(unit.to_list(), (cx.size, 3)))
+        inside = inside.reshape(-1, 4).all(axis=1)
+        x, y = x[inside], y[inside]
+        if not x.size:  # no point passed: fI is not evaluated, nor its table built
             continue
+        units = np.broadcast_to(unit.to_list(), (len(x), 3))
         try:
-            res = dbar_residual(fI, SliceCoord.make(x, y, unit), h)
-            scale = 1.0 + fI.eval(SliceCoord.make(x, y, unit)).norm()
+            res, stencil_ok = dbar_residual_rows(fI, x, y, units, h)
+            values, ok = fI.eval_rows(x, y, units)
         except PreconditionError:
             raise  # fI cannot be evaluated anywhere, e.g. its table cannot be built
         except SliceRegError:
             continue
-        if res > 1e-4 * scale:
+        keep = np.flatnonzero(stencil_ok.all(axis=1) & ok)[:6 - checked]
+        bad = keep[res[keep] > 1e-4 * (1.0 + norm_rows(values[keep]))]
+        if bad.size:
+            k = bad[0]
             raise PreconditionError(
-                f"slice restriction is not holomorphic (dbar {res:.2e} at "
-                f"({x:.3f}, {y:.3f}))")
-        checked += 1
+                f"slice restriction is not holomorphic (dbar {res[k]:.2e} at "
+                f"({x[k]:.3f}, {y[k]:.3f}))")
+        checked += keep.size
+        if checked >= 6:
+            break
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .raster import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
 from .errors import (DisconnectedDomainError, OutOfDomainError,
                      PreconditionError, SliceRegError, StencilError)
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
-                          mul_rows, norm_rows)
+                          imaginary_rows, mul_rows, norm_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,10 @@ class PowerSeries(HoloSliceFunction):
         q[:, 1:] = np.asarray(y, dtype=float).reshape(-1, 1) * v
         ok = norm_rows(q) < self.radius
         acc = np.asarray(self.coeffs[-1].to_list())
-        for a in reversed(self.coeffs[:-1]):
-            acc = mul_rows(q, acc) + a.to_list()
+        # values past the float range are inf or NaN, and callers test them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in reversed(self.coeffs[:-1]):
+                acc = mul_rows(q, acc) + a.to_list()
         values = np.broadcast_to(acc, q.shape).copy()
         values[~ok] = np.nan
         return values, ok
@@ -459,32 +461,49 @@ class ContinuedLog(HoloSliceFunction):
                                np.where(real, 0.0, np.where(near, y, -y)))
 
 
-def dbar_residual(f, coord: SliceCoord, h: float) -> float:
-    """|0.5 (d/dx + J d/dy) f| by central differences of step h, from one
-    f.eval_rows call on the four stencil points; f is any HoloSliceFunction,
-    the StemPair of an extension among them.
+def dbar_residual_rows(f, x, y, vectors, h: float):
+    """|0.5 (d/dx + J d/dy) f| at the points x + yJ, one per row (x and y
+    broadcast to the rows J of vectors (n, 3)), by central differences of
+    step h, from one f.eval_rows call on the 4n stencil points x + h,
+    x - h, y + h, y - h.  Returns (residuals (n,), ok (n, 4)): ok tells
+    which stencil points f is defined at, and a row without all four has
+    a NaN residual.  Each residual sums as Quaternion arithmetic does, so
+    it equals the one-point computation bit for bit.
 
     For holomorphic f the value decays like h^2 times the local third
     derivative scale; an O(1) value flags non-holomorphy.
     """
     if h <= 0.0:
         raise ValueError("step must be positive")
-    unit = coord.unit
-    if unit is None:
-        raise ValueError("dbar residual at a real point needs an explicit unit")
-    x, y = coord.x, coord.y
-    # stencil points x + h, x - h, y + h, y - h, canonical as SliceCoord.make
-    # writes them: a point below the axis is x + |y|(-J)
-    xs = np.array([x + h, x - h, x, x])
-    ys = np.array([y, y, y + h, y - h])
+    v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
+    # stencil rows (point, x + h / x - h / y + h / y - h), canonical as
+    # SliceCoord.make writes them: a point below the axis is x + |y|(-J)
+    xs = np.stack([x + h, x - h, x, x], axis=1)
+    ys = np.stack([y, y, y + h, y - h], axis=1)
     below = ys < 0.0
-    vectors = np.where(below[:, None], -np.array(unit.to_list()), unit.to_list())
-    values, ok = f.eval_rows(xs, np.abs(ys), vectors)
+    units = np.where(below[..., None], -v[:, None], v[:, None])
+    values, ok = f.eval_rows(xs.ravel(), np.abs(ys).ravel(), units.reshape(-1, 3))
+    fxp, fxm, fyp, fym = values.reshape(-1, 4, 4).transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = (fxp - fxm) / (2.0 * h)
+        dy = (fyp - fym) / (2.0 * h)
+        res = (dx + mul_rows(imaginary_rows(v), dy)) * 0.5
+        norms = np.sqrt(res[:, 0] * res[:, 0] + res[:, 1] * res[:, 1]
+                        + res[:, 2] * res[:, 2] + res[:, 3] * res[:, 3])
+    ok = ok.reshape(-1, 4)
+    return np.where(ok.all(axis=1), norms, np.nan), ok
+
+
+def dbar_residual(f, coord: SliceCoord, h: float) -> float:
+    """The one-row case of dbar_residual_rows: f is any HoloSliceFunction,
+    the StemPair of an extension among them.  Raises StencilError naming
+    the first stencil point outside f's domain."""
+    if coord.unit is None:
+        raise ValueError("dbar residual at a real point needs an explicit unit")
+    res, ok = dbar_residual_rows(f, coord.x, coord.y, [coord.unit.to_list()], h)
     if not ok.all():
-        m = int(np.argmin(ok))
-        raise StencilError(f"stencil exits the domain at ({xs[m]:g}, {ys[m]:g})")
-    fxp, fxm, fyp, fym = (Quaternion.from_list(v) for v in values)
-    dx = (fxp - fxm) / (2.0 * h)
-    dy = (fyp - fym) / (2.0 * h)
-    res = (dx + unit.as_quaternion() * dy) * 0.5
-    return res.norm()
+        m = int(np.argmin(ok[0]))
+        raise StencilError(f"stencil exits the domain at ({coord.x + (h, -h, 0.0, 0.0)[m]:g}, "
+                           f"{coord.y + (0.0, 0.0, h, -h)[m]:g})")
+    return float(res[0])

@@ -1,6 +1,7 @@
-"""Tube domains and the constructive local extension.
+"""Tubes along a path and the constructive local extension.
 
-A tube is a union of balls along a compact path in one slice plane.
+A tube (slicereg.specs.TubeDomain) is a union of balls along a compact
+path in one slice plane; build_tube fits one inside a domain.
 local_extend finds a grid path from a point down to the real axis,
 thickens it to a tube, completes a nearby slice of the tube to a symmetric
 slice domain, and extends the function there by the two-slice formula of
@@ -18,122 +19,11 @@ from .domains import (DomainSpec, SphereSample, completion_of_slice,
                       is_slice_domain, rasterize)
 from .errors import (ConsistencyError, GeometryError, PathError,
                      PreconditionError, SliceRegError)
-from .extension import StemPair, _two_slice_stem
+from .extension import StemPair, _draws, _two_slice_stem
 from .quaternions import (SliceCoord, UNIT_I, UnitImaginary, norm_rows,
                           rotate_toward)
-from .raster import (_fit_scale, _grid_path, _points_to_polyline_dist,
-                     resample_polyline)
-from .specs import ball_spec, intersect_specs
-
-
-# ---------------------------------------------------------------------------
-# tube domains
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TubeDomain:
-    """Union of balls along a compact path C in one slice plane.
-
-    Non-real points p of C carry the scaled radius (|im p| / y_ref) * epsilon
-    and real points the full epsilon, so the tube thins out linearly toward
-    the real axis and stays a slice domain.
-    """
-
-    unit: UnitImaginary
-    polyline: np.ndarray
-    epsilon: float
-    y_ref: float
-    h: float = 0.01
-
-    # (min, max) of the real points of C, or None when C has none
-    real_interval: tuple | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.polyline, dtype=float)
-        real = pts[pts[:, 1] == 0.0, 0]
-        object.__setattr__(self, "polyline", pts)
-        object.__setattr__(self, "real_interval", (float(real.min()), float(real.max()))
-                           if real.size else None)
-
-    def membership(self, x, y, jx, jy, jz):
-        # lengths at their _fit_scale, so huge coordinates do not overflow
-        s = _fit_scale(x, y, self.polyline, self.epsilon)
-        x = np.asarray(x, dtype=float) * s
-        y = np.asarray(y, dtype=float) * s
-        eps = self.epsilon * s
-        d = jx * self.unit.vx + jy * self.unit.vy + jz * self.unit.vz
-        shape = np.broadcast(x, y, np.asarray(d)).shape
-        member = np.zeros(shape, dtype=bool)
-        if self.real_interval is not None:
-            rlo, rhi = (v * s for v in self.real_interval)
-            gap = np.maximum(np.maximum(rlo - x, x - rhi), 0.0)
-            member |= gap * gap + y * y < eps * eps
-        if self.y_ref > 0.0:
-            c = self.epsilon / self.y_ref
-            c2 = c * c  # inf, not OverflowError, when y_ref is tiny
-            pts = self.polyline * s
-
-            def level(p):
-                """The segment's quadratic at its vertex p: negative inside
-                the ball around p."""
-                return (x - p[0]) ** 2 + (1.0 - c2) * p[1] ** 2 - 2.0 * y * d * p[1] + y * y
-
-            for p0, p1 in zip(pts[:-1], pts[1:]):
-                if p0[1] == p1[1] == 0.0:
-                    continue  # radius 0 on the axis: the real interval's balls cover it
-                if c2 == math.inf:  # a non-real point's ball is all of H
-                    member[...] = True
-                    break
-                dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-                A = dx * dx + (1.0 - c2) * dy * dy
-                C0 = level(p0)
-                if A < 1e-30:  # concave or linear in t: least at an end
-                    member |= np.minimum(C0, level(p1)) < 0.0
-                    continue
-                B = -2.0 * dx * (x - p0[0]) + 2.0 * (1.0 - c2) * p0[1] * dy \
-                    - 2.0 * y * d * dy
-                t = np.clip(-B / (2.0 * A), 0.0, 1.0)
-                member |= A * t * t + B * t + C0 < 0.0
-        return member
-
-    def as_domain_spec(self, h: float | None = None) -> DomainSpec:
-        pts = self.polyline
-        pad = self.epsilon * 1.25
-        bbox = (float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad),
-                float(pts[:, 1].max() + pad))
-        interval = self.real_interval
-
-        def real_trace(x):
-            if interval is None:
-                return np.zeros_like(np.asarray(x, dtype=float), dtype=bool)
-            rlo, rhi = interval
-            gap = np.maximum(np.maximum(rlo - np.asarray(x, dtype=float),
-                                        np.asarray(x, dtype=float) - rhi), 0.0)
-            return gap < self.epsilon
-
-        return DomainSpec(self.membership, real_trace, bbox,
-                          h if h is not None else self.h, name="tube")
-
-    def contains(self, x: float, y: float, J: UnitImaginary) -> bool:
-        return bool(np.asarray(self.membership(x, y, J.vx, J.vy, J.vz)).reshape(-1)[0])
-
-    @property
-    def waist(self) -> float:
-        """Narrowest section of the carrier slice, where the shrinking chain
-        of balls meets the full-radius ball around the real endpoint."""
-        if self.y_ref == 0.0:
-            return 2.0 * self.epsilon
-        c = self.epsilon / self.y_ref
-        return 2.0 * c * self.epsilon / math.sqrt(1.0 + c * c)
-
-    def raster_budget_step(self, cells: float = 1.5e6) -> float:
-        """Grid step resolving the waist, or as fine as the cell budget
-        allows; rasters coarser than waist/5 cannot certify connectivity."""
-        pts = self.polyline
-        span_x = float(pts[:, 0].max() - pts[:, 0].min()) + 2.5 * self.epsilon
-        span_y = float(pts[:, 1].max()) + 1.25 * self.epsilon
-        h_budget = math.sqrt(span_x * span_y / cells)
-        return max(min(self.epsilon / 6.0, self.waist / 5.0), h_budget)
+from .raster import _grid_path, _points_to_polyline_dist, resample_polyline
+from .specs import TubeDomain, ball_spec, intersect_specs
 
 
 def _probe_units(J0: UnitImaginary):
@@ -200,7 +90,8 @@ def _cut_clearance(samples: np.ndarray, J0: UnitImaginary, Y: DomainSpec) -> np.
 
 
 def build_tube(C, Y: DomainSpec, shrink: float,
-               carrier: UnitImaginary | None = None) -> TubeDomain:
+               carrier: UnitImaginary | None = None,
+               where: str | None = None) -> TubeDomain:
     """Tube around the compact path C inside Y.
 
     The radius scale is epsilon = shrink * min over C of the boundary
@@ -213,7 +104,9 @@ def build_tube(C, Y: DomainSpec, shrink: float,
     C is a polyline in the carrier's slice plane with heights >= 0 whose
     zero-height vertices form one contiguous run (a closed real interval,
     possibly a single point); its non-real part must lie in the open upper
-    half slice of Y.  The tube is validated against Y (_validate_tube).
+    half slice of Y, which one contains_rows call checks on a resampling
+    of C; where, when given, names C in that check's message.  The tube
+    is validated against Y (_validate_tube).
     """
     if not 0.0 < shrink < 1.0:
         raise PreconditionError("shrink must lie in (0, 1)")
@@ -239,10 +132,12 @@ def build_tube(C, Y: DomainSpec, shrink: float,
         span = max(np.ptp(dense[:, 0]), np.ptp(dense[:, 1]), 1e-6)
         dense = resample_polyline(dense, max(span / 64.0, 1e-4))
 
-    for px, py in dense:
-        if py > 0.0 and not Y.contains(float(px), float(py), carrier):
-            raise PreconditionError(
-                f"C leaves the upper half slice of Y at ({px:g}, {py:g})")
+    up = dense[dense[:, 1] > 0.0]
+    out = ~Y.contains_rows(up[:, 0], up[:, 1], np.broadcast_to(carrier.to_list(), (len(up), 3)))
+    if out.any():
+        px, py = up[out][0]
+        raise PreconditionError(f"{where + ': ' if where else ''}C leaves the upper half "
+                                f"slice of Y at ({px:g}, {py:g})")
     rt = np.asarray(Y.real_trace(dense[dense[:, 1] == 0.0][:, 0]), dtype=bool)
     if rt.size and not rt.all():
         raise PreconditionError("the real part of C leaves Y")
@@ -266,35 +161,42 @@ def build_tube(C, Y: DomainSpec, shrink: float,
     return tube
 
 
+def _tube_points(tube: TubeDomain, units, pad: float, seed: int, attempts: int):
+    """The points of the tube among attempts random draws from
+    random.Random(seed), each a point of the box of the tube's path padded
+    by pad * epsilon and one of the units, as blocks of (x, y, unit
+    vectors) in draw order (extension._draws)."""
+    rng = random.Random(seed)
+    pts = tube.polyline
+    pad *= tube.epsilon
+    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
+    hi_y = float(pts[:, 1].max() + pad)
+    vectors = np.array([W.to_list() for W in units])
+    for block in _draws(lambda: (rng.uniform(lo_x, hi_x), rng.uniform(0.0, hi_y),
+                                 rng.choice(range(len(vectors)))), attempts):
+        x, y, v = block[:, 0], block[:, 1], vectors[block[:, 2].astype(int)]
+        inside = tube.membership(x, y, *v.T)
+        yield x[inside], y[inside], v[inside]
+
+
 def _validate_tube(tube: TubeDomain, Y: DomainSpec, n_points: int = 200):
     """Checks the tube stays inside Y (the falsifiable part of the
-    construction) and, when the waist is resolvable within the raster
+    construction) on the first n_points random points of the tube, drawn a
+    block at a time, and, when the waist is resolvable within the raster
     budget, that the slice-domain verdict holds on a grid.  Slice
     connectivity itself is structural: the balls shrink continuously along
     a connected path meeting the real axis."""
-    rng = random.Random(2)
-    pts = tube.polyline
-    pad = tube.epsilon * 1.05
-    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
-    hi_y = float(pts[:, 1].max() + pad)
-    units = _probe_units(tube.unit)
     checked = 0
-    attempts = 0
-    while checked < n_points and attempts < 400 * n_points:
-        attempts += 1
-        x = rng.uniform(lo_x, hi_x)
-        y = rng.uniform(0.0, hi_y)
-        W = rng.choice(units)
-        if not tube.contains(x, y, W):
-            continue
-        checked += 1
-        if y == 0.0:
-            ok = bool(np.asarray(Y.real_trace(np.asarray(x))).reshape(-1)[0])
-        else:
-            ok = Y.contains(x, y, W)
-        if not ok:
+    for x, y, v in _tube_points(tube, _probe_units(tube.unit), 1.05, 2, 400 * n_points):
+        x, y, v = (a[:n_points - checked] for a in (x, y, v))
+        ok = Y.contains_rows(x, y, v)
+        if not ok.all():
+            k = np.argmin(ok)
             raise GeometryError(
-                f"tube leaves the carrier domain at ({x:g}, {y:g})")
+                f"tube leaves the carrier domain at ({x[k]:g}, {y[k]:g})")
+        checked += x.size
+        if checked >= n_points:
+            break
     h = tube.raster_budget_step()
     if h <= tube.waist / 5.0:
         verdict = is_slice_domain(tube.as_domain_spec(h=h), SphereSample(4),
@@ -437,7 +339,6 @@ def _local_extend_real(f, omega: DomainSpec, p0: SliceCoord, shrink: float):
 
 def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
                     j0, k0, chi, seed, n_points: int = 100):
-    rng = random.Random(seed)
     x_min, x_max, _ = n_spec.bbox
     xs = np.linspace(x_min, x_max, 61)
     xs = xs[np.asarray(n_spec.real_trace(xs), dtype=bool)]
@@ -457,27 +358,22 @@ def _validate_local(f, stem: StemPair, n_spec: DomainSpec, tube: TubeDomain,
                 palette.append(rotate_toward(j0, chi * frac))
             except ValueError:
                 pass
-    pts = tube.polyline
-    pad = tube.epsilon
-    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
-    hi_y = float(pts[:, 1].max() + pad)
     max_err = 0.0
     collected = 0
-    attempts = 0
-    while collected < n_points and attempts < 200 * n_points:
-        attempts += 1
-        x = rng.uniform(lo_x, hi_x)
-        y = rng.uniform(0.0, hi_y)
-        W = rng.choice(palette)
-        if y <= 1e-9 or not tube.contains(x, y, W):
-            continue
-        coord = SliceCoord.make(x, y, W)
+    # the first n_points tube points off the axis where both stem and f are
+    # defined
+    for x, y, v in _tube_points(tube, palette, 1.0, seed, 200 * n_points):
+        off = y > 1e-9
+        x, y, v = x[off], y[off], v[off]
         try:
-            err = (stem.eval(coord) - f.eval(coord)).norm()
+            (sv, s_ok), (fv, f_ok) = (g.eval_rows(x, y, v) for g in (stem, f))
         except SliceRegError:
             continue
-        max_err = max(max_err, err)
-        collected += 1
+        err = norm_rows(sv - fv)[s_ok & f_ok][:n_points - collected]
+        max_err = max(max_err, float(err.max(initial=0.0)))
+        collected += err.size
+        if collected >= n_points:
+            break
     if collected < n_points:
         raise ConsistencyError("could not collect enough tube sample points")
     if max_err > 1e-8:

@@ -9,6 +9,7 @@ and the continuation tables in slicereg.holomorphic.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -115,36 +116,42 @@ def _mirror(polylines) -> list:
     return [np.asarray(p, dtype=float) * (1.0, -1.0) for p in polylines]
 
 
-def _fit_scale(*values) -> float:
-    """A power of two that brings the largest finite magnitude among the
-    values (arrays or numbers) to at most 2**500, so that sums of their
-    squares and pairwise products, times factors up to 2**20, stay finite;
-    1.0 when it already is.  Scaling by a power of two is exact, so inputs
-    of ordinary size are computed as written; the target keeps the squares
-    of values 2**1000 below the largest (0.05 beside 1e300) normal."""
-    big = max(float(np.max(np.abs(v), initial=0.0)) for v in values)
-    return 2.0 ** (500 - math.frexp(big)[1]) if 2.0 ** 500 < big < math.inf else 1.0
+def _fit_scale(*values) -> np.ndarray:
+    """For each element of the broadcast of the values (arrays or
+    numbers), a power of two that brings the largest magnitude among them
+    to at most 2**500, so that sums of their squares and pairwise
+    products, times factors up to 2**20, stay finite; 1.0 where it already
+    is, or where one of them is not finite.  Scaling by a power of two is
+    exact, so inputs of ordinary size are computed as written; the target
+    keeps the squares of values 2**1000 below the largest (0.05 beside
+    1e300) normal."""
+    big = reduce(np.maximum, [np.abs(np.asarray(v, dtype=float)) for v in values])
+    return np.ldexp(1.0, np.where((2.0 ** 500 < big) & (big < math.inf),
+                                  500 - np.frexp(big)[1], 0))
 
 
 def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
-    """Distance from each point (px[k], py[k]) to the polyline, computed
-    at the _fit_scale of the coordinates, so huge ones do not overflow."""
-    s = _fit_scale(px, py, poly)
-    pts = np.asarray(poly, dtype=float) * s
-    a = pts[:-1]
-    d = pts[1:] - a
-    L2 = np.einsum("ij,ij->i", d, d)
+    """Distance from each point (px[k], py[k]) to the polyline.  Each
+    segment is parametrized from its vertex nearer the point, so the point
+    keeps its place along a segment whose far vertex is many orders
+    larger.  Each point is computed at the _fit_scale of its own
+    coordinates and the polyline's, so huge ones do not overflow and no
+    point's distance depends on the others."""
+    pts = np.asarray(poly, dtype=float)
+    px = np.asarray(px, dtype=float)[:, None]
+    py = np.asarray(py, dtype=float)[:, None]
+    s = _fit_scale(px, py, np.max(np.abs(pts), initial=0.0))
+    x, y = px * s, py * s
+    ax, ay, bx, by = (c * s for c in (pts[:-1, 0], pts[:-1, 1], pts[1:, 0], pts[1:, 1]))
+    b_nearer = (x - bx) ** 2 + (y - by) ** 2 < (x - ax) ** 2 + (y - ay) ** 2
+    ox, oy = np.where(b_nearer, bx, ax), np.where(b_nearer, by, ay)
+    dx, dy = np.where(b_nearer, ax - bx, bx - ax), np.where(b_nearer, ay - by, by - ay)
+    L2 = dx * dx + dy * dy
     L2[L2 == 0.0] = 1.0
-    px = np.asarray(px, dtype=float)[:, None] * s
-    py = np.asarray(py, dtype=float)[:, None] * s
-    t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
-    cx = a[:, 0] + t * d[:, 0]
-    cy = a[:, 1] + t * d[:, 1]
-    dist = np.sqrt(np.min((cx - px) ** 2 + (cy - py) ** 2, axis=1))
-    if s == 1.0:
-        return dist
+    t = np.clip(((x - ox) * dx + (y - oy) * dy) / L2, 0.0, 1.0)
+    dist = np.sqrt(np.min((ox + t * dx - x) ** 2 + (oy + t * dy - y) ** 2, axis=1))
     with np.errstate(over="ignore"):  # a distance past the float range is inf
-        return dist / s
+        return dist / s[:, 0]
 
 
 def _nearest_index(centres: np.ndarray, values) -> np.ndarray:

@@ -18,8 +18,8 @@ from .domains import DomainSpec
 from .errors import PreconditionError, UnsupportedError
 from .holomorphic import ContinuedLog, PowerSeries
 from .quaternions import Quaternion, UnitImaginary
-from .specs import (ball_spec, halfspace_spec, intersect_specs, starlike_spec,
-                    union_spec)
+from .specs import (TubeDomain, ball_spec, halfspace_spec, intersect_specs,
+                    starlike_spec, union_spec)
 
 
 def _fmt(value) -> str:
@@ -227,7 +227,10 @@ def load_domain_spec(v: dict, where: str = "spec") -> DomainSpec:
     elif kind == "halfspace-slicewise":
         spec = halfspace_spec(v["normal"], v["offset"], box, h)
     elif kind == "starlike":
-        spec = starlike_spec(v["pull"], h)
+        try:
+            spec = starlike_spec(v["pull"], h)
+        except PreconditionError as exc:
+            raise PreconditionError(f"{where}.pull: {exc}") from None
     elif kind == "counterexample":
         from .counterexample import CounterexampleConfig, omega_spec
         _moderate(box, f"{where}.bbox")
@@ -236,7 +239,6 @@ def load_domain_spec(v: dict, where: str = "spec") -> DomainSpec:
         ops = [load_domain_spec(d, f"{where}.operands[{i}]") for i, d in enumerate(v["operands"])]
         spec = union_spec(ops) if v["op"] == "union" else reduce(intersect_specs, ops)
     else:  # a tube; y_ref defaults to the polyline's greatest height
-        from .local import TubeDomain
         line = np.asarray(v["polyline"])
         y_ref = float(line[:, 1].max() if v["y_ref"] is None else v["y_ref"])
         spec = TubeDomain(v["unit"], line, v["epsilon"], y_ref, h).as_domain_spec()

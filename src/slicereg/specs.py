@@ -1,18 +1,20 @@
 """Concrete domain specs: the ball, the slicewise half plane, the
-starlike domain, and the pointwise union and intersection of specs.  Each
-returns a slicereg.domains.DomainSpec; the counterexample's spec is
-slicereg.counterexample.omega_spec, and a tube's is
-slicereg.local.TubeDomain.as_domain_spec.
+starlike domain, the pointwise union and intersection of specs, and the
+tube around a path in one slice plane.  Each gives a
+slicereg.domains.DomainSpec (a tube through TubeDomain.as_domain_spec);
+the counterexample's spec is slicereg.counterexample.omega_spec.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import DomainSpec
 from .errors import PreconditionError, UnsupportedError
-from .quaternions import Quaternion
+from .quaternions import Quaternion, UnitImaginary
+from .raster import _fit_scale
 
 
 def intersect_specs(a: DomainSpec, b: DomainSpec) -> DomainSpec:
@@ -132,3 +134,107 @@ def union_spec(specs, name="union") -> DomainSpec:
     return DomainSpec(membership, real_trace, bbox,
                       min(s.h for s in specs), name=name,
                       slicewise=all(s.slicewise for s in specs))
+
+
+@dataclass(frozen=True)
+class TubeDomain:
+    """Union of balls along a compact path C in one slice plane.
+
+    Non-real points p of C carry the scaled radius (|im p| / y_ref) * epsilon
+    and real points the full epsilon, so the tube thins out linearly toward
+    the real axis and stays a slice domain.
+    """
+
+    unit: UnitImaginary
+    polyline: np.ndarray
+    epsilon: float
+    y_ref: float
+    h: float = 0.01
+
+    # (min, max) of the real points of C, or None when C has none
+    real_interval: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = np.asarray(self.polyline, dtype=float)
+        real = pts[pts[:, 1] == 0.0, 0]
+        object.__setattr__(self, "polyline", pts)
+        object.__setattr__(self, "real_interval", (float(real.min()), float(real.max()))
+                           if real.size else None)
+
+    def membership(self, x, y, jx, jy, jz):
+        # lengths at one _fit_scale of the batch, so huge coordinates do not overflow
+        s = float(_fit_scale(*(np.max(np.abs(v), initial=0.0)
+                               for v in (x, y, self.polyline, self.epsilon))))
+        x = np.asarray(x, dtype=float) * s
+        y = np.asarray(y, dtype=float) * s
+        eps = self.epsilon * s
+        d = jx * self.unit.vx + jy * self.unit.vy + jz * self.unit.vz
+        shape = np.broadcast(x, y, np.asarray(d)).shape
+        member = np.zeros(shape, dtype=bool)
+        if self.real_interval is not None:
+            rlo, rhi = (v * s for v in self.real_interval)
+            gap = np.maximum(np.maximum(rlo - x, x - rhi), 0.0)
+            member |= gap * gap + y * y < eps * eps
+        if self.y_ref > 0.0:
+            c = self.epsilon / self.y_ref
+            c2 = c * c  # inf, not OverflowError, when y_ref is tiny
+            pts = self.polyline * s
+
+            def level(p):
+                """The segment's quadratic at its vertex p: negative inside
+                the ball around p."""
+                return (x - p[0]) ** 2 + (1.0 - c2) * p[1] ** 2 - 2.0 * y * d * p[1] + y * y
+
+            for p0, p1 in zip(pts[:-1], pts[1:]):
+                if p0[1] == p1[1] == 0.0:
+                    continue  # radius 0 on the axis: the real interval's balls cover it
+                if c2 == math.inf:  # a non-real point's ball is all of H
+                    member[...] = True
+                    break
+                dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+                A = dx * dx + (1.0 - c2) * dy * dy
+                C0 = level(p0)
+                if A < 1e-30:  # concave or linear in t: least at an end
+                    member |= np.minimum(C0, level(p1)) < 0.0
+                    continue
+                B = -2.0 * dx * (x - p0[0]) + 2.0 * (1.0 - c2) * p0[1] * dy \
+                    - 2.0 * y * d * dy
+                t = np.clip(-B / (2.0 * A), 0.0, 1.0)
+                member |= A * t * t + B * t + C0 < 0.0
+        return member
+
+    def as_domain_spec(self, h: float | None = None) -> DomainSpec:
+        pts = self.polyline
+        pad = self.epsilon * 1.25
+        bbox = (float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad),
+                float(pts[:, 1].max() + pad))
+        interval = self.real_interval
+
+        def real_trace(x):
+            if interval is None:
+                return np.zeros_like(np.asarray(x, dtype=float), dtype=bool)
+            rlo, rhi = interval
+            gap = np.maximum(np.maximum(rlo - np.asarray(x, dtype=float),
+                                        np.asarray(x, dtype=float) - rhi), 0.0)
+            return gap < self.epsilon
+
+        return DomainSpec(self.membership, real_trace, bbox,
+                          h if h is not None else self.h, name="tube")
+
+    @property
+    def waist(self) -> float:
+        """Narrowest section of the carrier slice, where the shrinking chain
+        of balls meets the full-radius ball around the real endpoint."""
+        if self.y_ref == 0.0:
+            return 2.0 * self.epsilon
+        c = self.epsilon / self.y_ref
+        return 2.0 * c * self.epsilon / math.sqrt(1.0 + c * c)
+
+    def raster_budget_step(self, cells: float = 1.5e6) -> float:
+        """Grid step resolving the waist, or as fine as the cell budget
+        allows; rasters coarser than waist/5 cannot certify connectivity."""
+        pts = self.polyline
+        span_x = float(pts[:, 0].max() - pts[:, 0].min()) + 2.5 * self.epsilon
+        span_y = float(pts[:, 1].max()) + 1.25 * self.epsilon
+        h_budget = math.sqrt(span_x * span_y / cells)
+        return max(min(self.epsilon / 6.0, self.waist / 5.0), h_budget)

@@ -7,18 +7,23 @@ evaluation sums explicit powers instead of Horner, and the winding oracle
 tracks argument increments instead of integrating.
 """
 import math
+import random
 from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 
 from slicereg import Quaternion, SliceCoord, UnitImaginary, rep_coeffs
-from slicereg.errors import OutOfDomainError, SliceRegError
+from slicereg.errors import (ConsistencyError, GeometryError, OutOfDomainError,
+                             PreconditionError, SliceRegError)
 from slicereg.counterexample import t_of
-from slicereg.domains import (Verdict, _and_grids, _hull_witness, omega_jk_plus,
-                              rasterize)
-from slicereg.raster import _GRID_STEPS, _grid_bfs, _run_components
+from slicereg.domains import (SphereSample, Verdict, _and_grids, _hull_witness,
+                              is_slice_domain, omega_jk_plus, rasterize)
+from slicereg.raster import (_GRID_STEPS, _grid_bfs, _points_to_polyline_dist,
+                             _run_components)
 from slicereg.holomorphic import integrate_reciprocal
+from slicereg.local import _probe_units
+from slicereg.quaternions import rotate_toward
 
 
 def poly_eval_direct(coeffs, q, center=0.0):
@@ -337,3 +342,153 @@ def continued_log_rows(fn, x, y, vectors):
             continue
         ok[m] = True
     return values, ok
+
+
+# ---------------------------------------------------------------------------
+# per-point membership oracles
+# ---------------------------------------------------------------------------
+# The loops that tested one point at a time before DomainSpec.contains_rows
+# and the validators' blocks of draws.
+
+def scalar_contains(spec, x, y, J):
+    """Oracle of DomainSpec.contains_rows at one point: a negative height
+    flips the unit, the real axis reads real_trace and other points the
+    membership, and then each cut of J is tested one polyline at a time."""
+    if y < 0.0:
+        if J is None:
+            raise ValueError("negative height requires a unit")
+        return scalar_contains(spec, x, -y, -J)
+    jx, jy, jz = (J.vx, J.vy, J.vz) if J is not None else (1.0, 0.0, 0.0)
+    if y == 0.0:
+        ok = bool(np.asarray(spec.real_trace(np.asarray(x))).reshape(-1)[0])
+    else:
+        ok = bool(np.asarray(spec.membership(x, y, jx, jy, jz)).reshape(-1)[0])
+    if not ok or spec.cuts is None or J is None:
+        return ok
+    tol = max(spec.cut_clearance, 0.0)
+    for poly in spec.cuts(J):
+        if _points_to_polyline_dist([x], [y], poly)[0] <= tol:
+            return False
+    return True
+
+
+def tube_contains(tube, x, y, J):
+    """Membership of one point x + yJ, y >= 0, in a TubeDomain."""
+    return bool(np.asarray(tube.membership(x, y, J.vx, J.vy, J.vz)).reshape(-1)[0])
+
+
+def cut_probe_loop(spec, sample):
+    """Oracle of is_symmetric's cut probe: (x, y, J, K) of the first cut
+    point whose membership on a probe unit K differs from that on the unit
+    J whose cut it is, or None; one scalar_contains call per point and
+    unit."""
+    probe_units = sample.units[:: max(1, len(sample.units) // 16)]
+    for J in probe_units:
+        for poly in spec.cuts(J):
+            pts = np.asarray(poly, float)
+            sub = pts[:: max(1, len(pts) // 16)]
+            for px, py in sub[sub[:, 1] > 0]:
+                on_J = scalar_contains(spec, px, py, J)
+                for K in probe_units:
+                    if not K.approx(J) and scalar_contains(spec, px, py, K) != on_J:
+                        return float(px), float(py), J, K
+    return None
+
+
+def validate_holomorphic_loop(fI, domain, unit, h=1e-3):
+    """Oracle of extension._validate_holomorphic: one draw, one cross of
+    four scalar_contains calls and one dbar_four_evals per attempt."""
+    x_min, x_max, y_max = domain.bbox
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        if checked >= 6:
+            break
+        x = rng.uniform(x_min, x_max)
+        y = rng.uniform(2 * h, max(y_max, 2 * h))
+        if not all(scalar_contains(domain, xx, yy, unit)
+                   for xx, yy in ((x - 2 * h, y), (x + 2 * h, y),
+                                  (x, y - 2 * h), (x, y + 2 * h))):
+            continue
+        try:
+            res = dbar_four_evals(fI, SliceCoord.make(x, y, unit), h)
+            scale = 1.0 + fI.eval(SliceCoord.make(x, y, unit)).norm()
+        except PreconditionError:
+            raise
+        except SliceRegError:
+            continue
+        if res > 1e-4 * scale:
+            raise PreconditionError(
+                f"slice restriction is not holomorphic (dbar {res:.2e} at "
+                f"({x:.3f}, {y:.3f}))")
+        checked += 1
+
+
+def validate_tube_loop(tube, Y, n_points=200):
+    """Oracle of local._validate_tube: one draw and one membership test of
+    the tube and of Y per attempt, then the same raster check."""
+    rng = random.Random(2)
+    pts = tube.polyline
+    pad = tube.epsilon * 1.05
+    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
+    hi_y = float(pts[:, 1].max() + pad)
+    units = _probe_units(tube.unit)
+    checked = attempts = 0
+    while checked < n_points and attempts < 400 * n_points:
+        attempts += 1
+        x = rng.uniform(lo_x, hi_x)
+        y = rng.uniform(0.0, hi_y)
+        W = rng.choice(units)
+        if not tube_contains(tube, x, y, W):
+            continue
+        checked += 1
+        if y == 0.0:
+            ok = bool(np.asarray(Y.real_trace(np.asarray(x))).reshape(-1)[0])
+        else:
+            ok = scalar_contains(Y, x, y, W)
+        if not ok:
+            raise GeometryError(f"tube leaves the carrier domain at ({x:g}, {y:g})")
+    h = tube.raster_budget_step()
+    if h <= tube.waist / 5.0:
+        verdict = is_slice_domain(tube.as_domain_spec(h=h), SphereSample(4), h=h)
+        if not verdict.is_yes:
+            raise GeometryError(f"tube failed the slice-domain raster check: {verdict}")
+
+
+def validate_local_loop(f, stem, n_spec, tube, j0, k0, chi, seed, n_points=100):
+    """Oracle of local._validate_local's tube sampling: one draw, one tube
+    test and one stem and one f evaluation per attempt.  Returns the
+    (tube_max_err, tube_points) of its checks, or raises its error."""
+    rng = random.Random(seed)
+    palette = [j0, k0]
+    if 0.0 < chi < 2.0:
+        for frac in (0.25, 0.375):
+            try:
+                palette.append(rotate_toward(j0, chi * frac))
+            except ValueError:
+                pass
+    pts = tube.polyline
+    pad = tube.epsilon
+    lo_x, hi_x = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
+    hi_y = float(pts[:, 1].max() + pad)
+    max_err = 0.0
+    collected = attempts = 0
+    while collected < n_points and attempts < 200 * n_points:
+        attempts += 1
+        x = rng.uniform(lo_x, hi_x)
+        y = rng.uniform(0.0, hi_y)
+        W = rng.choice(palette)
+        if y <= 1e-9 or not tube_contains(tube, x, y, W):
+            continue
+        coord = SliceCoord.make(x, y, W)
+        try:
+            err = (stem.eval(coord) - f.eval(coord)).norm()
+        except SliceRegError:
+            continue
+        max_err = max(max_err, err)
+        collected += 1
+    if collected < n_points:
+        raise ConsistencyError("could not collect enough tube sample points")
+    if max_err > 1e-8:
+        raise ConsistencyError(f"extension differs from f on the tube by {max_err:.3e}")
+    return max_err, collected

@@ -16,7 +16,7 @@ from slicereg.counterexample import intersection_grid, log_pair, pair_set_grid
 from slicereg.quaternions import ONE, UNIT_I, UNIT_J, norm_rows
 
 from conftest import random_polynomial, random_unit
-from helpers import rep_eval
+from helpers import rep_eval, tube_contains
 
 Q = Quaternion
 TWO_PI = 2.0 * math.pi
@@ -146,7 +146,7 @@ def test_criterion_4_dbar_verification(ball, star, cfg, log_family, sample16):
     while len(pts) < 100:
         x = rng.uniform(-1.4, -0.6)
         y = rng.uniform(0.05, 1.4)
-        if le_log.tube.contains(x, y, le_log.j0):
+        if tube_contains(le_log.tube, x, y, le_log.j0):
             pts.append((x, y))
     w3, rat3 = _dbar_scan(le_log.stem, units, pts, "local_extend(log)")
 

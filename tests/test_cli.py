@@ -657,3 +657,82 @@ def test_unknown_spec_type_exits_one(tmp_path):
 def test_missing_file_exits_one(tmp_path):
     assert main(["check-domain", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+# errors raised after the schema walk name the input they came from
+_CUBE_SERIES = {"variant": "power-series",
+                "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+_NAMED_ERRORS = {
+    "starlike-pull": ({"spec": {"type": "starlike", "pull": 1.5}},
+                      ["check-domain", "{spec}"],
+                      "error: spec.pull: pull must lie in [0, 1)\n"),
+    "asymmetric-spec": ({"spec": {"type": "ball", "radius": 0.8, "center": [0, 0.4, 0, 0]},
+                         "function": _CUBE_SERIES},
+                        ["ext-slice", "{spec}", "--function", "{function}"],
+                        "error: spec: domain is not symmetric\n"),
+    "path-leaves-spec": ({"spec": {"type": "ball", "center": [0, 0, 0, 0], "radius": 1.0},
+                          "path": {"unit": [1, 0, 0], "points": [[0.9, 0.5], [0.0, 0.0]]}},
+                         ["tube", "{spec}", "--path", "{path}"],
+                         "error: path.points: C leaves the upper half slice of Y at "
+                         "(0.9, 0.5)\n"),
+    "pair-disagrees": ({"pair": {
+        "r": {"variant": "power-series", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]],
+              "slice_unit": [1, 0, 0]},
+        "s": {"variant": "power-series", "coeffs": [[1, 0, 0, 0], [1, 0, 0, 0]],
+              "slice_unit": [0, 1, 0]},
+        "grid": {"x": [-0.5, 0.5, 0.25], "y": [0.0, 0.5, 0.25], "unit": [0, 0, 1]}}},
+        ["extend", "{pair}"],
+        "error: pair: slice functions disagree at x=-1.4 by 1.000e+00\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_ERRORS))
+def test_errors_after_the_walk_name_their_input(name, tmp_path, capsys):
+    files, argv, message = _NAMED_ERRORS[name]
+    paths = {}
+    for key, data in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(data))
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_ext_slice_refuses_a_stem_that_is_not_finite(tmp_path, capsys):
+    """On a ball of radius 1e110 the cube's values pass the float range, so
+    the stem is not finite: ext-slice exits 1 naming the first such point,
+    writes no stem.csv and lets no RuntimeWarning out."""
+    spec, function = tmp_path / "spec.json", tmp_path / "cube.json"
+    spec.write_text(json.dumps({"type": "ball", "radius": 1e110}))
+    function.write_text(json.dumps(_CUBE_SERIES))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ext-slice", str(spec), "--function", str(function),
+                     "--h", "1e108", "--samples", "4", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no finite stem at (-9.975e+109, 0)\n"
+    assert not (out / "stem.csv").exists()
+
+
+def test_ext_slice_filters_its_grid_in_one_membership_call(ball_json, tmp_path,
+                                                          monkeypatch):
+    """ext-slice tests the 41 x 21 points of its grid in one contains_rows
+    call, and exports the stem at those inside."""
+    from slicereg.domains import DomainSpec
+    sizes = []
+    real = DomainSpec.contains_rows
+
+    def spy(self, x, y, vectors):
+        sizes.append(len(vectors))
+        return real(self, x, y, vectors)
+
+    monkeypatch.setattr(DomainSpec, "contains_rows", spy)
+    function = tmp_path / "cube.json"
+    function.write_text(json.dumps(_CUBE_SERIES))
+    out = tmp_path / "out"
+    assert main(["ext-slice", str(ball_json), "--function", str(function),
+                 "--out", str(out)]) == 0
+    assert sizes.count(41 * 21) == 1
+    rows = (out / "stem.csv").read_text().splitlines()[1:]
+    assert 0 < len(rows) < 41 * 21

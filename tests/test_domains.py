@@ -28,18 +28,20 @@ from slicereg.domains import (DomainSpec, PlanarRegionGrid, completion_of_slice,
 from slicereg.raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
                              _core, _core_hull, _first_cell_in_hull,
                              _grid_bfs, _grid_path, _half_step_rows,
-                             _nearest_index, resample_polyline)
+                             _nearest_index, _points_to_polyline_dist,
+                             resample_polyline)
 from slicereg.specs import intersect_specs, union_spec
 from slicereg.errors import PreconditionError
 from slicereg.holomorphic import segment_crossings
-from slicereg.local import TubeDomain
+from slicereg.specs import TubeDomain
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
                                      omega_spec, pair_set_grid)
 
 from conftest import random_unit
-from helpers import (paint_labels, per_unit_is_simple, per_unit_is_slice_convex,
-                     per_unit_is_slice_domain)
+from helpers import (cut_probe_loop, paint_labels, per_unit_is_simple,
+                     per_unit_is_slice_convex, per_unit_is_slice_domain,
+                     scalar_contains)
 
 Q = Quaternion
 
@@ -1246,3 +1248,145 @@ def test_sphere_sample_over_the_budget_raises_before_allocating():
     for n, extra in ((side + 1, ()), (side - 1, [UNIT_I, UNIT_J]), (10 ** 12, ())):
         with pytest.raises(PreconditionError, match="exceed the budget"):
             SphereSample(n, extra=extra)
+
+
+# ---------------------------------------------------------------------------
+# the one membership test: contains_rows against the per-point oracle
+# ---------------------------------------------------------------------------
+
+def _cut_ball():
+    """The unit ball with a user cut that moves with the unit."""
+    return replace(ball_spec(0.0, 1.0), cuts=lambda J: [
+        np.array([[0.5 * J.vx, 0.1], [0.2, 0.4 + 0.2 * J.vy], [-0.3, 0.6]])])
+
+
+_MEMBERSHIP_SPECS = {
+    **{name: spec for name, (spec, _) in _PLANE_CORPUS.items()},
+    "cut-ball": _cut_ball(),
+    "tube": TubeDomain(UNIT_J, np.array([[0.3, 0.6], [0.1, 0.2], [0.1, 0.0]]),
+                       0.1, 0.6).as_domain_spec(),
+    "ball-and-counterexample": intersect_specs(ball_spec(-1.0, 2.5),
+                                               omega_spec(CounterexampleConfig())),
+}
+_ROW_UNITS = [UNIT_I, -UNIT_I, UNIT_J, -UNIT_J, UnitImaginary(0.3, -0.5, 0.8),
+              UnitImaginary(-0.3, 0.5, -0.8), UnitImaginary(1.0, 1e-3, 0.0)]
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBERSHIP_SPECS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_contains_rows_equals_the_scalar_oracle(name, data):
+    """contains_rows equals scalar_contains row by row: rows below the axis
+    (the unit flipped), on it (the real trace, then the cuts), with units
+    J and -J in one call, and points within twice the cut clearance (the
+    counterexample's ARC_CLEARANCE) of a cut of their unit."""
+    spec = _MEMBERSHIP_SPECS[name]
+    x_min, x_max, y_max = spec.bbox
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        J = data.draw(st.sampled_from(_ROW_UNITS))
+        if spec.cuts is not None and data.draw(st.booleans()):
+            poly = np.asarray(data.draw(st.sampled_from(list(spec.cuts(J)))), dtype=float)
+            k = data.draw(st.integers(0, len(poly) - 2))
+            x, y = poly[k] + data.draw(st.floats(0.0, 1.0)) * (poly[k + 1] - poly[k])
+            d = 2.0 * max(spec.cut_clearance, 1e-12)
+            x, y = x + data.draw(st.floats(-d, d)), y + data.draw(st.floats(-d, d))
+        else:
+            x = data.draw(st.floats(x_min, x_max))
+            y = data.draw(st.one_of(st.just(0.0), st.floats(-y_max, y_max)))
+        rows.append((float(x), float(y), J))
+    x, y, units = zip(*rows)
+    got = spec.contains_rows(x, y, [J.to_list() for J in units])
+    assert got.tolist() == [scalar_contains(spec, *row) for row in rows]
+    # the one-row case, and the unit i without cuts when no unit is given
+    assert spec.contains(*rows[0]) == got[0]
+    assert spec.contains(x[0], abs(y[0]), None) == scalar_contains(spec, x[0], abs(y[0]), None)
+
+
+def test_contains_without_a_unit_refuses_a_negative_height(ball):
+    with pytest.raises(ValueError, match="requires a unit"):
+        ball.contains(0.1, -0.2, None)
+
+
+def test_contains_rows_blocks_its_distance_temporaries(omega, cfg, monkeypatch):
+    """Rows near the counterexample's arcs, a polyline of 255 segments, are
+    measured in blocks of at most _CUT_BLOCK rows times segments, with the
+    result of one unblocked call."""
+    J = UnitImaginary(0.3, -0.5, 0.8)
+    arc = counterexample.arc_coords(J, cfg)
+    k = np.arange(2000)
+    pts = arc[k % len(arc)] + np.column_stack([np.zeros(len(k)), (k % 7) * 1e-5])
+    want = omega.contains_rows(pts[:, 0], pts[:, 1], np.tile(J.to_list(), (len(pts), 1)))
+    sizes = []
+    real = raster._points_to_polyline_dist
+
+    def spy(px, py, poly):
+        sizes.append(len(px) * (len(poly) - 1))
+        return real(px, py, poly)
+
+    monkeypatch.setattr(domains, "_points_to_polyline_dist", spy)
+    got = omega.contains_rows(pts[:, 0], pts[:, 1], np.tile(J.to_list(), (len(pts), 1)))
+    assert np.array_equal(got, want) and not got.all() and got.any()
+    assert len(sizes) > 2 and max(sizes) <= domains._CUT_BLOCK
+
+
+@pytest.mark.parametrize("name", ["cut-ball", "counterexample-h0.25", "ball-and-counterexample"])
+def test_is_symmetric_probes_each_cut_in_one_call(name, monkeypatch):
+    """is_symmetric's cut probe makes at most one contains_rows call per
+    (unit, polyline), and its witness is the per-point oracle's: the first
+    mismatch in (point, probe unit) order."""
+    spec = _MEMBERSHIP_SPECS[name]
+    sample = SphereSample(16, extra=[UNIT_I])
+    want = cut_probe_loop(spec, sample)
+    calls = []
+    real = DomainSpec.contains_rows
+
+    def spy(self, x, y, vectors):
+        calls.append(len(vectors))
+        return real(self, x, y, vectors)
+
+    monkeypatch.setattr(DomainSpec, "contains_rows", spy)
+    verdict = is_symmetric(spec, sample)
+    probe_units = sample.units[:: max(1, len(sample.units) // 16)]
+    assert len(calls) <= len(probe_units) * max(len(spec.cuts(J)) for J in probe_units)
+    if want is None:
+        assert verdict.is_yes
+    else:
+        x, y, J, K = want
+        assert verdict.witness == {"x": x, "y": y, "units": [J.to_list(), K.to_list()]}
+
+
+def test_polyline_distance_keeps_the_place_along_a_huge_segment():
+    """A segment whose far vertex is 1e150 away is parametrized from the
+    vertex nearer the point, so the point keeps its place along it."""
+    dist = _points_to_polyline_dist([-3.0, -2.0], [2.5, 2.0], [[-1e150, 2.0], [-2.0, 2.0]])
+    assert dist.tolist() == [0.5, 0.0]
+
+
+def _first_vertex_dist(px, py, poly):
+    """The distance parametrized from each segment's first vertex."""
+    pts = np.asarray(poly, dtype=float)
+    a, d = pts[:-1], pts[1:] - pts[:-1]
+    L2 = np.einsum("ij,ij->i", d, d)
+    L2[L2 == 0.0] = 1.0
+    px, py = np.asarray(px, dtype=float)[:, None], np.asarray(py, dtype=float)[:, None]
+    t = np.clip(((px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
+    return np.sqrt(np.min((a[:, 0] + t * d[:, 0] - px) ** 2
+                          + (a[:, 1] + t * d[:, 1] - py) ** 2, axis=1))
+
+
+_COORD = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=6),
+       st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6))
+def test_polyline_distance_agrees_with_the_first_vertex_formula(poly, points):
+    """On coordinates within 1e6 the nearer-vertex distance agrees with the
+    first-vertex one to 4 ulp of the coordinate differences, whose bound
+    is twice the largest magnitude among the point and the polyline."""
+    px, py = np.array(points).T
+    got = _points_to_polyline_dist(px, py, poly)
+    want = _first_vertex_dist(px, py, poly)
+    scale = 2.0 * np.maximum(np.abs(np.array(points)).max(axis=1), np.abs(poly).max())
+    assert (np.abs(got - want) <= 4.0 * np.spacing(scale)).all()

@@ -24,12 +24,17 @@ from slicereg import consistency
 from slicereg.consistency import _block_stems
 from slicereg.extension import _two_slice_stem, extend_to_completion
 from slicereg.holomorphic import HoloSliceFunction
-from slicereg.local import TubeDomain, _clearance_radii, _validate_local
+from slicereg import extension, local
+from slicereg.domains import DomainSpec
+from slicereg.extension import _validate_holomorphic
+from slicereg.local import TubeDomain, _clearance_radii, _validate_local, _validate_tube
 from slicereg.quaternions import UNIT_I, UNIT_J, UNIT_K, norm_rows
 from slicereg.raster import resample_polyline
 
 from conftest import random_polynomial, random_unit
-from helpers import rep_eval, stem_at, two_slice_parts
+from helpers import (rep_eval, stem_at, tube_contains, two_slice_parts,
+                     validate_holomorphic_loop, validate_local_loop,
+                     validate_tube_loop)
 
 Q = Quaternion
 
@@ -221,12 +226,12 @@ def test_build_tube_vertical_segment(ball):
     tube = build_tube(C, ball, 0.5, carrier=UNIT_I)
     assert 0.0 < tube.epsilon < 0.6
     # radii shrink linearly toward the real axis
-    assert tube.contains(0.0, 0.55, UNIT_I)
+    assert tube_contains(tube, 0.0, 0.55, UNIT_I)
     near_axis_reach = tube.epsilon * (0.1 / 0.6)
-    assert tube.contains(near_axis_reach * 0.8, 0.1, UNIT_I)
+    assert tube_contains(tube, near_axis_reach * 0.8, 0.1, UNIT_I)
     # orthogonal slice only sees the disks around the real interval
-    assert tube.contains(0.05, 0.05, UNIT_J)
-    assert not tube.contains(0.0, 0.55, UNIT_J)
+    assert tube_contains(tube, 0.05, 0.05, UNIT_J)
+    assert not tube_contains(tube, 0.0, 0.55, UNIT_J)
 
 
 def test_build_tube_small_angle_slice_connected(ball):
@@ -238,7 +243,7 @@ def test_build_tube_small_angle_slice_connected(ball):
     grid = rasterize(tube.as_domain_spec(), K)
     n, _ = grid.label()
     assert n == 1
-    assert tube.contains(0.0, 0.5 * math.cos(theta0 / 2.0), K)
+    assert tube_contains(tube, 0.0, 0.5 * math.cos(theta0 / 2.0), K)
 
 
 def test_build_tube_all_real(ball):
@@ -248,8 +253,8 @@ def test_build_tube_all_real(ball):
     for _ in range(50):
         x = rng.uniform(-0.5, 0.6)
         y = rng.uniform(0.0, 0.5)
-        inside = tube.contains(x, y, random_unit(rng))
-        assert inside == tube.contains(x, y, random_unit(rng))
+        inside = tube_contains(tube, x, y, random_unit(rng))
+        assert inside == tube_contains(tube, x, y, random_unit(rng))
 
 
 def test_build_tube_precondition_failures(ball):
@@ -332,7 +337,7 @@ def test_tube_membership_is_the_ball_union_either_way_along_the_path(case):
     reverse = TubeDomain(unit=tube.unit, polyline=tube.polyline[::-1],
                          epsilon=tube.epsilon, y_ref=tube.y_ref)
     margin, slack = _ball_union_margin(tube, x, y, J)
-    got = (tube.contains(x, y, J), reverse.contains(x, y, J))
+    got = (tube_contains(tube, x, y, J), tube_contains(reverse, x, y, J))
     if margin < -1e-9:
         assert got == (True, True)
     elif margin > slack + 1e-9:
@@ -856,3 +861,183 @@ def test_stem_rows_match_scalar_oracle(case):
         assert b[i].tolist() == want_b.to_list() and c[i].tolist() == want_c.to_list()
         want = want_b if py == 0.0 else rep_eval(want_b, want_c, J)
         assert values[i].tolist() == want.to_list()
+
+
+# ---------------------------------------------------------------------------
+# the validators draw in blocks: each equals its per-point oracle
+# ---------------------------------------------------------------------------
+
+class _Conjugate(HoloSliceFunction):
+    """x - yJ: defined everywhere, and not holomorphic."""
+
+    slice_unit = UNIT_I
+
+    def eval_rows(self, x, y, vectors):
+        v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+        values = np.empty((len(v), 4))
+        values[:, 0] = x
+        values[:, 1:] = -np.asarray(y, dtype=float).reshape(-1, 1) * v
+        return values, np.ones(len(v), dtype=bool)
+
+
+class _PlusHeight(HoloSliceFunction):
+    """f + y: f on the real axis, off it by the height."""
+
+    def __init__(self, f):
+        self.f, self.slice_unit = f, f.slice_unit
+
+    def eval_rows(self, x, y, vectors):
+        values, ok = self.f.eval_rows(x, y, vectors)
+        values = values.copy()
+        values[:, 0] += np.broadcast_to(np.asarray(y, dtype=float), ok.shape)
+        return values, ok
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the type and message of the
+    SliceRegError it raises."""
+    try:
+        return "returned", call(*args)
+    except SliceRegError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _cut_ball():
+    from dataclasses import replace
+    return replace(ball_spec(0.0, 1.0), cuts=lambda J: [np.array([[-0.2, 0.1], [0.4, 0.6]])])
+
+
+_CUBE = PowerSeries((Q(0), Q(0), Q(0), Q(1)))
+
+
+def _holomorphic_cases():
+    cfg = CounterexampleConfig()
+    family = BranchedLogFamily(cfg)
+    from slicereg.counterexample import plane_log
+    from dataclasses import replace
+    huge_table = replace(plane_log(UNIT_I, cfg), step=1e-5, _table=None)
+    return {
+        "ball": (_CUBE.on_slice(UNIT_I), ball_spec(0.0, 1.0), UNIT_I),
+        "cut-ball": (_CUBE.on_slice(UNIT_J), _cut_ball(), UNIT_J),
+        "conjugate": (_Conjugate(), ball_spec(0.0, 1.0), UNIT_I),
+        "family": (family, family.domain, cfg.axis),
+        "family-off-axis": (family, family.domain, UnitImaginary(0.3, -0.5, 0.8)),
+        "table-over-budget": (huge_table, family.domain, UNIT_I),
+        # no cross fits the tiny ball, so fI is never evaluated
+        "no-points": (huge_table, ball_spec(0.0, 1e-4), UNIT_I),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_holomorphic_cases()))
+def test_validate_holomorphic_equals_its_per_point_oracle(name):
+    fI, domain, unit = _holomorphic_cases()[name]
+    want = _outcome(validate_holomorphic_loop, fI, domain, unit)
+    assert _outcome(_validate_holomorphic, fI, domain, unit) == want
+    if name == "conjugate":
+        assert want[1].startswith("slice restriction is not holomorphic")
+    if name == "table-over-budget":
+        assert want[0] == "PreconditionError"
+
+
+def _tube_cases(ball):
+    cfg = CounterexampleConfig()
+    omega = BranchedLogFamily(cfg).domain
+    return {
+        "ball": (build_tube([[0.0, 0.6], [0.0, 0.0]], ball, 0.5), ball),
+        "ball-bent": (build_tube([[0.2, 0.5], [-0.1, 0.3], [0.0, 0.0]], ball, 0.5,
+                                 carrier=UNIT_J), ball),
+        "counterexample": (build_tube([[-1.0, 1.5], [0.5, 1.0], [0.5, 0.0]], omega, 0.5,
+                                      carrier=cfg.axis), omega),
+        "too-wide": (TubeDomain(UNIT_I, np.array([[0.0, 0.6], [0.0, 0.0]]), 0.5, 0.6), ball),
+        "few-points": (TubeDomain(UNIT_I, np.array([[0.0, 0.6], [0.0, 0.0]]), 1e-3, 0.6), ball),
+    }
+
+
+@pytest.mark.parametrize("name", ["ball", "ball-bent", "counterexample", "too-wide",
+                                  "few-points"])
+def test_validate_tube_equals_its_per_point_oracle(name, ball):
+    tube, Y = _tube_cases(ball)[name]
+    want = _outcome(validate_tube_loop, tube, Y)
+    assert _outcome(_validate_tube, tube, Y) == want
+    if name == "too-wide":
+        assert want[1].startswith("tube leaves the carrier domain at")
+
+
+def _local_cases(ball):
+    cfg = CounterexampleConfig()
+    family = BranchedLogFamily(cfg)
+    square = PowerSeries((Q(0), Q(0), Q(1)))
+    return {
+        "ball": (square, local_extend(square, ball, SliceCoord(0.3, 0.4, UNIT_I), seed=1)),
+        "ball-real": (square, local_extend(square, ball, SliceCoord(0.2, 0.0, None))),
+        "family": (family, local_extend(family, family.domain,
+                                        SliceCoord(-1.0, 1.5, cfg.axis))),
+    }
+
+
+@pytest.mark.parametrize("name", ["ball", "ball-real", "family"])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_validate_local_equals_its_per_point_oracle(name, shifted, ball):
+    """The tube sampling of _validate_local returns the oracle's maximum and
+    count, and a function that leaves f off the axis fails both with the
+    same message."""
+    f, le = _local_cases(ball)[name]
+    g = _PlusHeight(f) if shifted else f
+    chi = le.epsilon_m / le.tube.y_ref if le.tube.y_ref > 0.0 else 1.0
+    seed = 1 if name == "ball" else 0
+    args = (le.stem, le.N, le.tube, le.j0, le.k0, chi, seed)
+    want = _outcome(validate_local_loop, g, *args)
+    got = _outcome(_validate_local, g, *args)
+    if want[0] == "returned":
+        assert got[0] == "returned"
+        assert (got[1]["tube_max_err"], got[1]["tube_points"]) == want[1]
+    else:
+        assert got == want and "on the tube" in want[1]
+    assert want[0] == ("ConsistencyError" if shifted else "returned")
+
+
+def _spy_blocks(monkeypatch):
+    """Counts of the blocks the validators draw and of the contains_rows
+    and TubeDomain.membership calls made while they run."""
+    counts = {"blocks": 0, "contains_rows": 0, "membership": 0}
+    draws, contains_rows, membership = (extension._draws, DomainSpec.contains_rows,
+                                        TubeDomain.membership)
+
+    def spy_draws(draw, attempts):
+        for block in draws(draw, attempts):
+            counts["blocks"] += 1
+            yield block
+
+    def spy_contains(self, x, y, vectors):
+        counts["contains_rows"] += 1
+        return contains_rows(self, x, y, vectors)
+
+    def spy_membership(self, *args):
+        counts["membership"] += 1
+        return membership(self, *args)
+
+    monkeypatch.setattr(extension, "_draws", spy_draws)
+    monkeypatch.setattr(local, "_draws", spy_draws)
+    monkeypatch.setattr(DomainSpec, "contains_rows", spy_contains)
+    monkeypatch.setattr(TubeDomain, "membership", spy_membership)
+    return counts
+
+
+def test_validators_make_one_membership_call_per_block(ball, monkeypatch):
+    """Each block of draws makes one contains_rows call (the holomorphy and
+    tube checks) or one tube membership call (the local tube sampling),
+    not one per point."""
+    tube = build_tube([[0.0, 0.6], [0.0, 0.0]], ball, 0.5)
+    square = PowerSeries((Q(0), Q(0), Q(1)))
+    le = local_extend(square, ball, SliceCoord(0.3, 0.4, UNIT_I))
+    counts = _spy_blocks(monkeypatch)
+    _validate_holomorphic(_CUBE.on_slice(UNIT_I), ball, UNIT_I)
+    assert counts["contains_rows"] == counts["blocks"] == 1
+    counts.update(blocks=0, contains_rows=0)
+    _validate_tube(tube, ball)
+    assert counts["contains_rows"] == counts["blocks"] < 200
+    counts.update(blocks=0, contains_rows=0, membership=0)
+    checks = _validate_local(square, le.stem, le.N, le.tube, le.j0, le.k0,
+                             le.epsilon_m / le.tube.y_ref, 0)
+    assert counts["membership"] == counts["blocks"] < checks["tube_points"]
+    assert counts["contains_rows"] == 0

@@ -123,6 +123,20 @@ def test_commands_that_draw_random_numbers_load_no_numpy_random(tmp_path):
     assert report["all_checks_pass"]
 
 
+def test_the_cli_and_the_counterexample_load_no_local_extension():
+    """A fresh import of slicereg.cli and slicereg.counterexample (what the
+    benchmark's launcher loads before main) leaves slicereg.local out: only
+    the tube and local-extend commands import it, when they run.  The tube
+    spec type lives in slicereg.specs, and every public path to it names
+    the one class."""
+    code = ("import sys, slicereg.cli, slicereg.counterexample\n"
+            "print('slicereg.local' in sys.modules)")
+    assert _fresh_run(code) == "False"
+    import slicereg.local
+    import slicereg.specs
+    assert slicereg.TubeDomain is slicereg.local.TubeDomain is slicereg.specs.TubeDomain
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_exceeds_the_token_bound(path):
     with open(path, encoding="utf-8") as source:

@@ -17,7 +17,8 @@ from slicereg.raster import resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
                              PreconditionError, SliceRegError, StencilError)
 from slicereg.holomorphic import (HoloSliceFunction, _PlaneContinuation,
-                                  integrate_reciprocal, segment_crossings)
+                                  dbar_residual_rows, integrate_reciprocal,
+                                  segment_crossings)
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.serialize import load_holo_function, walk
 
@@ -527,6 +528,38 @@ def test_dbar_residual_matches_four_evals(name, point, v, h):
             dbar_residual(f, coord, h)
         return
     assert dbar_residual(f, coord, h) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_DBAR_FUNCTIONS)),
+       st.lists(st.tuples(st.one_of(_row_points(), st.tuples(
+           st.floats(-2.0, 2.0), st.sampled_from([0.0, 5e-4, 1e-3, 2e-3]))),
+           st.sampled_from([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.3, -0.5, 0.8)])),
+           min_size=1, max_size=8),
+       st.sampled_from([1e-3, 1e-4]))
+def test_dbar_residual_rows_are_the_one_row_cases(name, rows, h):
+    """dbar_residual_rows over many points, in one eval_rows call, equals
+    dbar_residual at each point bit for bit; a point whose stencil leaves
+    the domain has a NaN residual and the stencil point dbar_residual
+    names is its first one that is not ok."""
+    f = _DBAR_FUNCTIONS[name]
+    points, units = zip(*rows)
+    x, y = np.array(points).T
+    v = np.array([UnitImaginary(*u).to_list() for u in units])
+    res, ok = dbar_residual_rows(f, x, y, v, h)
+    assert ok.shape == (len(x), 4)
+    for k in range(len(x)):
+        if y[k] == 0.0:
+            continue  # dbar_residual takes a real point without its unit
+        coord = SliceCoord(x[k], y[k], UnitImaginary(*v[k]))
+        if ok[k].all():
+            assert res[k] == dbar_residual(f, coord, h)
+        else:
+            assert math.isnan(res[k])
+            m = int(np.argmin(ok[k]))
+            sx, sy = (x[k] + h, x[k] - h, x[k], x[k])[m], (y[k], y[k], y[k] + h, y[k] - h)[m]
+            with pytest.raises(StencilError, match=f"at \\({sx:g}, {sy:g}\\)"):
+                dbar_residual(f, coord, h)
 
 
 _JSON_LOG = load_holo_function(walk(
