@@ -353,6 +353,8 @@ def cmd_tube(args) -> int:
     spec = _load_spec(args)[0]
     out = _out_dir(args)
     path = _read(args.path, "path")
+    if not 0.0 < args.shrink < 1.0:
+        raise PreconditionError("--shrink: shrink must lie in (0, 1)")
     tube = build_tube(path["points"], spec, args.shrink, carrier=path["unit"],
                       where="path.points")
     report = {"type": "tube", "unit": tube.unit.to_list(),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridStepError, PreconditionError
 from .quaternions import UnitImaginary
-from .raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
+from .raster import (MAX_GRID_CELLS, _CUT_BLOCK, _arange_len, _block_cut_cells,
                      _check_cells, _core, _core_hull, _first_cell_in_hull,
                      _half_step_rows, _mirror, _nearest_index,
                      _points_to_polyline_dist, _run_components, _turn,
@@ -32,11 +32,6 @@ from .raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
 # hashlib would load OpenSSL (_hashlib), about 3.7 MB of resident memory
 # that nothing else in slicereg needs
 from _blake2 import blake2b
-
-# the most rows times polyline segments of one distance evaluation in
-# DomainSpec.contains_rows, so its temporaries stay within a few hundred kB
-_CUT_BLOCK = 1 << 12
-
 
 # ---------------------------------------------------------------------------
 # sphere sampling

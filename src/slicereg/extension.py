@@ -266,12 +266,13 @@ def _validate_holomorphic(fI: HoloSliceFunction, domain: DomainSpec,
         except SliceRegError:
             continue
         keep = np.flatnonzero(stencil_ok.all(axis=1) & ok)[:6 - checked]
-        bad = keep[res[keep] > 1e-4 * (1.0 + norm_rows(values[keep]))]
+        # a NaN residual, of values past the float range, is not small
+        bad = keep[~(res[keep] <= 1e-4 * (1.0 + norm_rows(values[keep])))]
         if bad.size:
             k = bad[0]
             raise PreconditionError(
                 f"slice restriction is not holomorphic (dbar {res[k]:.2e} at "
-                f"({x[k]:.3f}, {y[k]:.3f}))")
+                f"({x[k]:.4g}, {y[k]:.4g}))")
         checked += keep.size
         if checked >= 6:
             break

@@ -6,7 +6,11 @@ are provided: power series with real center (slice regular on their ball,
 powers act on the left of the coefficients) and path-continued logarithms
 on a cut plane.
 The continued logarithm carries its own raster table of path integrals so
-that repeated evaluations share one breadth-first continuation tree.
+that repeated evaluations share one breadth-first continuation tree.  Its
+one query, integral_rows, is batched: every point takes its nearest cell
+at once, and the points left walk the anchor cells around it, one array
+pass per anchor offset.  The pole tests measure a leg with raster's one
+segment-distance kernel.
 """
 from __future__ import annotations
 
@@ -16,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
-                     _grid_bfs)
+from .raster import (_CUT_BLOCK, _GRID_STEPS, _arange_len, _block_cut_cells,
+                     _check_cells, _grid_bfs, _points_to_polyline_dist)
 from .errors import (DisconnectedDomainError, OutOfDomainError,
-                     PreconditionError, SliceRegError, StencilError)
+                     PreconditionError, StencilError)
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
                           imaginary_rows, mul_rows, norm_rows)
 
@@ -28,74 +32,52 @@ from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
 # plane geometry helpers (complex coordinates)
 # ---------------------------------------------------------------------------
 
-def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
-    d = z1 - z0
-    L2 = d.real * d.real + d.imag * d.imag  # inf, not OverflowError, when huge
-    if L2 == 0.0:
-        return abs(z0 - p)
-    t = ((p - z0).real * d.real + (p - z0).imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(z0 + t * d - p)
-
-
-def _segment_point_distances(x0, y0, x1, y1, p: complex) -> np.ndarray:
-    """_segment_point_distance per row, from the segments' end coordinates
-    (float arrays): the same sums and products, so each row's value is the
-    scalar's (a zero may differ in sign inside, which hypot drops).  A
-    point segment's t is 0/0 and an overflowing one's inf/inf, each NaN
-    clamped to 0 as max(0.0, nan) is."""
-    dx, dy = x1 - x0, y1 - y0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = ((p.real - x0) * dx + (p.imag - y0) * dy) / (dx * dx + dy * dy)
-    t = np.where(t > 0.0, t, 0.0)
-    t = np.where(t < 1.0, t, 1.0)
-    return np.hypot(x0 + t * dx - p.real, y0 + t * dy - p.imag)
-
-
 def integrate_reciprocal(z0: complex, z1: complex, pole: complex) -> complex:
     """Integral of dz/(z - pole) over the segment z0-z1.
 
     A segment that misses the pole turns by less than pi around it, so the
     integral is exactly the principal log((z1 - pole) / (z0 - pole)).
     """
-    if _segment_point_distance(z0, z1, pole) < 1e-12:
+    leg = [[z0.real, z0.imag], [z1.real, z1.imag]]
+    if _points_to_polyline_dist([pole.real], [pole.imag], leg)[0] < 1e-12:
         raise OutOfDomainError("integration segment passes through the pole")
     return cmath.log((z1 - pole) / (z0 - pole))
 
 
-def segment_crossings(p, q, polyline) -> int:
-    """Count intersections of segment p-q with a polyline.
+def segment_crossings(p, q, polyline):
+    """Count intersections of the segments p-q with a polyline: p and q
+    are points (..., 2) that broadcast, and the counts take their leading
+    shape; one point pair gives an int.  Rows are tested in blocks of at
+    most _CUT_BLOCK rows times segments.
 
     Touching and collinear overlaps count as crossings; callers use the
     count conservatively (nonzero means "do not integrate along p-q").
     """
     pts = np.asarray(polyline, dtype=float)
-    if pts.shape[0] < 2:
-        return 0
-    a = pts[:-1]
-    b = pts[1:]
-    px, py = float(p[0]), float(p[1])
-    qx, qy = float(q[0]), float(q[1])
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    shape = p.shape[:-1]
+    p, q = p.reshape(-1, 2), q.reshape(-1, 2)
+    count = np.zeros(len(p), dtype=np.intp)
+    a, b = pts[:-1], pts[1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
 
     def orient(ox, oy, ax, ay, bx, by):
         return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
-    d1 = orient(px, py, qx, qy, a[:, 0], a[:, 1])
-    d2 = orient(px, py, qx, qy, b[:, 0], b[:, 1])
-    d3 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], px, py)
-    d4 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], qx, qy)
-    hits = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
-    # reject far-apart degenerate cases where all four orientations vanish
-    # but bounding boxes do not overlap
-    if not hits.any():
-        return 0
-    amin = np.minimum(a, b)
-    amax = np.maximum(a, b)
-    lo_x, hi_x = min(px, qx), max(px, qx)
-    lo_y, hi_y = min(py, qy), max(py, qy)
-    boxes = (amin[:, 0] <= hi_x) & (amax[:, 0] >= lo_x) & \
-            (amin[:, 1] <= hi_y) & (amax[:, 1] >= lo_y)
-    return int(np.count_nonzero(hits & boxes))
+    block = max(1, _CUT_BLOCK // max(1, len(a)))
+    for r in range(0, len(p), block):
+        px, py, qx, qy = (c[r:r + block, None] for c in (*p.T, *q.T))
+        d1 = orient(px, py, qx, qy, a[:, 0], a[:, 1])
+        d2 = orient(px, py, qx, qy, b[:, 0], b[:, 1])
+        d3 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], px, py)
+        d4 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], qx, qy)
+        # the box test rejects far-apart degenerate cases where all four
+        # orientations vanish
+        hits = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0) \
+            & (lo[:, 0] <= np.maximum(px, qx)) & (hi[:, 0] >= np.minimum(px, qx)) \
+            & (lo[:, 1] <= np.maximum(py, qy)) & (hi[:, 1] >= np.minimum(py, qy))
+        count[r:r + block] = np.count_nonzero(hits, axis=1)
+    return int(count[0]) if not shape else count.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +167,7 @@ class _PlaneContinuation:
         self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
         self.bbox = tuple(float(v) for v in bbox)  # (xlo, xhi, ylo, yhi)
         self.step = float(step)
-        self._xs = self._ys = self._x0 = self._y0 = self._free = self._value = None
+        self._xs = self._ys = self._free = self._value = None
         r = range(-self.ANCHOR_RADIUS, self.ANCHOR_RADIUS + 1)
         self._anchor_offsets = [(dy, dx) for _, dy, dx in sorted(
             (dy * dy + dx * dx, dy, dx) for dy in r for dx in r)]
@@ -229,7 +211,6 @@ class _PlaneContinuation:
         if abs(z_start - z_base) > 1e-15:
             value[np.isfinite(value)] += integrate_reciprocal(z_base, z_start, self.pole)
         self._xs, self._ys, self._free, self._value = xs, ys, free, value
-        self._x0, self._y0 = float(xs[0]), float(ys[0])
 
     def _accumulate(self, free, xs, ys, dist, pdir, start):
         """Path integrals along the BFS tree: each reached cell gets its
@@ -270,107 +251,74 @@ class _PlaneContinuation:
 
     # -- evaluation --------------------------------------------------------
 
-    def _nearest_cell(self, px: float, py: float):
-        """(row, column) of the cell centre nearest (px, py), building the
-        table on first use.  Both anchor searches start here.  The indices
-        are not clamped: a point more than h/2 past the table's edge
-        centres gets one off the table.  The origin is kept as Python
-        floats, so round() takes no numpy path."""
-        self.ensure_built()
-        h = self.step
-        return round((py - self._y0) / h), round((px - self._x0) / h)
-
-    def _usable(self, iy: int, ix: int, z0: complex, target: complex) -> bool:
-        """Cell (iy, ix) is free and reached, and its straight leg to target
-        keeps 1e-9 away from the pole."""
-        return (bool(self._free[iy, ix]) and cmath.isfinite(self._value[iy, ix])
-                and _segment_point_distance(z0, target, self.pole) >= 1e-9)
-
-    def _anchored(self, px: float, py: float):
-        """Path integrals to (px, py), one per usable anchor cell whose leg
-        crosses no cut, nearest anchors first; each value is computed when
-        it is drawn."""
-        jy, jx = self._nearest_cell(px, py)
+    def _anchor(self, w, rows, qx, qy, iy, ix, cross: bool):
+        """Answer the points (qx, qy) through the cells (iy, ix), integer
+        arrays that may run off the table.  Where a cell is on the table,
+        free and reached, its straight leg keeps 1e-9 from the pole and,
+        when cross, crosses no cut, w[rows] gets the cell's value plus the
+        leg's log, taken by cmath over a list (np.log need not match
+        integrate_reciprocal in the last bit).  Returns the positions of
+        the points answered."""
         ny, nx = self._free.shape
-        jy, jx = min(max(jy, 0), ny - 1), min(max(jx, 0), nx - 1)
-        target = complex(px, py)
-        for dy, dx in self._anchor_offsets:
-            iy, ix = jy + dy, jx + dx
-            if not (0 <= iy < ny and 0 <= ix < nx):
-                continue
-            z0 = complex(self._xs[ix], self._ys[iy])
-            if not self._usable(iy, ix, z0, target):
-                continue
-            if any(segment_crossings((z0.real, z0.imag), (px, py), poly)
-                   for poly in self.cuts):
-                continue
-            yield complex(self._value[iy, ix]) + integrate_reciprocal(z0, target, self.pole)
-
-    def integral_to(self, px: float, py: float) -> complex:
-        """Path integral of dz/(z - pole) from the base point to (px, py).
-
-        The value is the first one _anchored draws.  A nearest cell on the
-        table has its centre within h/2 of the point per coordinate; when
-        that cell is usable it is the first anchor, and its straight leg,
-        which stays in the box of half-width h/2 around the centre, needs no
-        crossing test.  A cut point in that box has a cut sample within h/4
-        of it, so within 3h/4 of the centre, and that sample's nearest cell
-        is the cell or one of its eight neighbours: _block_cut_cells would
-        have blocked the cell.  Free centres are more than 1.5h from the
-        pole, so the leg keeps more than 0.79h from it; the pole test of
-        _usable stays, as 0.79h exceeds its 1e-9 only for h > 1.3e-9.
-        Queries whose nearest cell is blocked, unreached or off the table
-        run the full search.
-        """
-        xlo, xhi, ylo, yhi = self.bbox
-        if not (xlo <= px <= xhi and ylo <= py <= yhi):
-            raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
-        iy, ix = self._nearest_cell(px, py)
-        ny, nx = self._free.shape
-        if 0 <= iy < ny and 0 <= ix < nx:
-            z0, target = complex(self._xs[ix], self._ys[iy]), complex(px, py)
-            if self._usable(iy, ix, z0, target):
-                return complex(self._value[iy, ix]) + integrate_reciprocal(z0, target, self.pole)
-        for value in self._anchored(px, py):
-            return value
-        raise DisconnectedDomainError(
-            f"no continuation anchor reaches ({px:g}, {py:g})")
+        k = np.flatnonzero((0 <= iy) & (iy < ny) & (0 <= ix) & (ix < nx))
+        k = k[self._free[iy[k], ix[k]] & np.isfinite(self._value[iy[k], ix[k]])]
+        if not k.size:
+            return k
+        pole = self.pole
+        start = np.column_stack([self._xs[ix[k]], self._ys[iy[k]]])
+        end = np.column_stack([qx[k], qy[k]])
+        keep = _points_to_polyline_dist(np.full(k.size, pole.real), np.full(k.size, pole.imag),
+                                        np.stack([start, end], axis=1)) >= 1e-9
+        for poly in self.cuts if cross else ():
+            if keep.any():
+                keep[keep] = segment_crossings(start[keep], end[keep], poly) == 0
+        k, start = k[keep], start[keep]
+        legs = [cmath.log(complex(a, b) / complex(c, d)) for a, b, c, d in zip(
+            *(v.tolist() for v in (qx[k] - pole.real, qy[k] - pole.imag,
+                                   start[:, 0] - pole.real, start[:, 1] - pole.imag)))]
+        w[rows[k]] = self._value[iy[k], ix[k]] + np.array(legs, dtype=complex)
+        return k
 
     def integral_rows(self, px, py):
-        """integral_to at the points (px, py), float arrays (n,), as (w (n,)
-        complex, ok (n,)); ok is False where integral_to raises.
+        """Path integrals of dz/(z - pole) from the base point to the points
+        (px, py), float arrays (n,), as (w (n,) complex, ok (n,)); ok is
+        False outside the box and where no anchor reaches.
 
-        Each point's nearest cell is found at once, with round()'s
-        half-to-even index (np.rint) and _usable's test; a usable cell gives
-        its value plus the straight leg, whose log is taken by cmath over a
-        list, as integral_to takes it (np.log need not match it in the last
-        bit).  Only the other points in the box run integral_to itself."""
+        Each point first takes its nearest cell, with round()'s
+        half-to-even index (np.rint), unclamped: a point more than h/2 past
+        the table's edge centres gets one off the table.  A nearest cell on
+        the table has its centre within h/2 of the point per coordinate,
+        and its straight leg, which stays in the box of half-width h/2
+        around the centre, needs no crossing test.  A cut point in that
+        box has a cut sample within h/4 of it, so within 3h/4 of the
+        centre, and that sample's nearest cell is the cell or one of its
+        eight neighbours: _block_cut_cells would have blocked the cell.
+        Free centres are more than 1.5h from the pole, so the leg keeps
+        more than 0.79h from it; the pole test stays, as 0.79h exceeds its
+        1e-9 only for h > 1.3e-9.
+
+        The points left walk _anchor_offsets around their clamped nearest
+        cell, one array pass per offset over all of them, and each takes
+        the first anchor whose leg also crosses no cut.  The walk stops
+        once every point is answered."""
         self.ensure_built()
         xlo, xhi, ylo, yhi = self.bbox
-        h, pole = self.step, self.pole
+        h = self.step
         ny, nx = self._free.shape
         w = np.full(len(px), np.nan + 0j)
         ok = (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
         rows = np.flatnonzero(ok)
         qx, qy = px[rows], py[rows]
-        iy = np.rint((qy - self._y0) / h).astype(np.intp)
-        ix = np.rint((qx - self._x0) / h).astype(np.intp)
-        near = (0 <= iy) & (iy < ny) & (0 <= ix) & (ix < nx)
-        iy, ix = np.where(near, iy, 0), np.where(near, ix, 0)
-        value = self._value[iy, ix]
-        x0, y0 = self._xs[ix], self._ys[iy]
-        near &= self._free[iy, ix] & np.isfinite(value) \
-            & (_segment_point_distances(x0, y0, qx, qy, pole) >= 1e-9)
-        fast = near.nonzero()[0]
-        legs = [cmath.log(complex(a, b) / complex(c, d)) for a, b, c, d in zip(
-            *(v[fast].tolist() for v in (qx - pole.real, qy - pole.imag,
-                                          x0 - pole.real, y0 - pole.imag)))]
-        w[rows[fast]] = value[fast] + np.array(legs, dtype=complex)
-        for m in rows[~near].tolist():
-            try:
-                w[m] = self.integral_to(float(px[m]), float(py[m]))
-            except SliceRegError:
-                ok[m] = False
+        iy = np.rint((qy - self._ys[0]) / h).astype(np.intp)
+        ix = np.rint((qx - self._xs[0]) / h).astype(np.intp)
+        left = np.delete(np.arange(rows.size), self._anchor(w, rows, qx, qy, iy, ix, False))
+        iy, ix = np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)
+        for dy, dx in self._anchor_offsets:
+            if not left.size:
+                break
+            left = np.delete(left, self._anchor(w, rows[left], qx[left], qy[left],
+                                                iy[left] + dy, ix[left] + dx, True))
+        ok[rows[left]] = False
         return w, ok
 
 
@@ -410,15 +358,11 @@ class ContinuedLog(HoloSliceFunction):
             raise OutOfDomainError("function lives on the carrier's plane only")
         return replace(self, slice_unit=unit, _table=self._table)
 
-    def eval_plane(self, px: float, py: float) -> Quaternion:
-        w = self._table.integral_to(px, py)
-        c = self.carrier.as_quaternion()
-        return self.base_value + Quaternion(w.real) + c * w.imag
-
     def plane_rows(self, px, py):
-        """eval_plane at the plane points (px, py), float arrays (n,), as
+        """Values at the plane points (px, py), float arrays (n,), as
         eval_rows rows: (values (n, 4), ok (n,)), from one integral_rows
-        call; each row sums as eval_plane's quaternions do, bit for bit."""
+        call; each row sums as the quaternions base_value + w.real +
+        carrier * w.imag do, bit for bit."""
         w, ok = self._table.integral_rows(np.asarray(px, dtype=float),
                                           np.asarray(py, dtype=float))
         b, c, wr, wi = self.base_value, self.carrier, w.real, w.imag
@@ -426,6 +370,17 @@ class ContinuedLog(HoloSliceFunction):
                                   (b.y + 0.0) + c.vy * wi, (b.z + 0.0) + c.vz * wi])
         values[~ok] = np.nan
         return values, ok
+
+    def eval_plane(self, px: float, py: float) -> Quaternion:
+        """The one-row case of plane_rows.  Raises OutOfDomainError outside
+        the box and DisconnectedDomainError where no anchor reaches."""
+        values, ok = self.plane_rows([px], [py])
+        if not ok[0]:
+            xlo, xhi, ylo, yhi = self.bbox
+            if not (xlo <= px <= xhi and ylo <= py <= yhi):
+                raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
+            raise DisconnectedDomainError(f"no continuation anchor reaches ({px:g}, {py:g})")
+        return Quaternion.from_list(values[0])
 
     def eval_rows(self, x, y, vectors):
         """Values at the points x + yJ, as HoloSliceFunction.eval_rows, from

@@ -105,24 +105,25 @@ def build_tube(C, Y: DomainSpec, shrink: float,
     zero-height vertices form one contiguous run (a closed real interval,
     possibly a single point); its non-real part must lie in the open upper
     half slice of Y, which one contains_rows call checks on a resampling
-    of C; where, when given, names C in that check's message.  The tube
+    of C.  where, when given, names C in the messages of C's errors.  The tube
     is validated against Y (_validate_tube).
     """
     if not 0.0 < shrink < 1.0:
         raise PreconditionError("shrink must lie in (0, 1)")
+    named = f"{where}: " if where else ""
     pts = np.asarray(C, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise PreconditionError("C must be a polyline of (x, y) vertices")
+        raise PreconditionError(f"{named}C must be a polyline of (x, y) vertices")
     pts = pts.copy()
     pts[np.abs(pts[:, 1]) < 1e-12, 1] = 0.0
     if (pts[:, 1] < 0.0).any():
-        raise PreconditionError("C must not descend below the real axis")
+        raise PreconditionError(f"{named}C must not descend below the real axis")
     real_mask = pts[:, 1] == 0.0
     if not real_mask.any():
-        raise PreconditionError("C must meet the real axis in a closed interval")
+        raise PreconditionError(f"{named}C must meet the real axis in a closed interval")
     runs = np.nonzero(real_mask)[0]
     if runs.size > 1 and not (np.diff(runs) == 1).all():
-        raise PreconditionError("the real part of C must be one closed interval")
+        raise PreconditionError(f"{named}the real part of C must be one closed interval")
     if carrier is None:
         carrier = UNIT_I
     y_ref = float(pts[:, 1].max())
@@ -136,11 +137,10 @@ def build_tube(C, Y: DomainSpec, shrink: float,
     out = ~Y.contains_rows(up[:, 0], up[:, 1], np.broadcast_to(carrier.to_list(), (len(up), 3)))
     if out.any():
         px, py = up[out][0]
-        raise PreconditionError(f"{where + ': ' if where else ''}C leaves the upper half "
-                                f"slice of Y at ({px:g}, {py:g})")
+        raise PreconditionError(f"{named}C leaves the upper half slice of Y at ({px:g}, {py:g})")
     rt = np.asarray(Y.real_trace(dense[dense[:, 1] == 0.0][:, 0]), dtype=bool)
     if rt.size and not rt.all():
-        raise PreconditionError("the real part of C leaves Y")
+        raise PreconditionError(f"{named}the real part of C leaves Y")
 
     hi0 = max(y_ref, 0.5) * 2.0 + 0.5
     radii = _clearance_radii(dense, carrier, Y, hi0)
@@ -153,7 +153,7 @@ def build_tube(C, Y: DomainSpec, shrink: float,
     else:
         epsilon = shrink * float(radii.min())
     if not math.isfinite(epsilon) or epsilon <= 1e-9:
-        raise GeometryError("tube radius underflow: C touches the boundary of Y")
+        raise GeometryError(f"{named}tube radius underflow: C touches the boundary of Y")
 
     tube = TubeDomain(unit=carrier, polyline=pts, epsilon=epsilon,
                       y_ref=y_ref, h=min(Y.h, max(epsilon / 6.0, 1e-4)))

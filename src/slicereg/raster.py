@@ -22,6 +22,10 @@ MAX_GRID_CELLS = 16_000_000
 # cells of the row blocks _run_components scans a mask in: small enough to
 # be reused from the heap, so a large mask adds no page faults
 _SCAN_CELLS = 1 << 16
+# the most rows times polyline segments of one block of a distance or
+# crossing test (DomainSpec.contains_rows, holomorphic.segment_crossings),
+# so their temporaries stay within a few hundred kB
+_CUT_BLOCK = 1 << 12
 
 
 def _run_components(occupied: np.ndarray):
@@ -131,18 +135,20 @@ def _fit_scale(*values) -> np.ndarray:
 
 
 def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
-    """Distance from each point (px[k], py[k]) to the polyline.  Each
-    segment is parametrized from its vertex nearer the point, so the point
-    keeps its place along a segment whose far vertex is many orders
-    larger.  Each point is computed at the _fit_scale of its own
-    coordinates and the polyline's, so huge ones do not overflow and no
-    point's distance depends on the others."""
+    """Distance from each point (px[k], py[k]) to the polyline poly (m, 2),
+    or to its own polyline poly[k] when poly is (n, m, 2).  Each segment
+    is parametrized from its vertex nearer the point, so the point keeps
+    its place along a segment whose far vertex is many orders larger.
+    Each point is computed at the _fit_scale of its own coordinates and
+    its polyline's, so huge ones do not overflow and no point's distance
+    depends on the others."""
     pts = np.asarray(poly, dtype=float)
     px = np.asarray(px, dtype=float)[:, None]
     py = np.asarray(py, dtype=float)[:, None]
-    s = _fit_scale(px, py, np.max(np.abs(pts), initial=0.0))
+    s = _fit_scale(px, py, np.max(np.abs(pts), axis=(-2, -1), initial=0.0)[..., None])
     x, y = px * s, py * s
-    ax, ay, bx, by = (c * s for c in (pts[:-1, 0], pts[:-1, 1], pts[1:, 0], pts[1:, 1]))
+    ax, ay, bx, by = (c * s for c in (pts[..., :-1, 0], pts[..., :-1, 1],
+                                      pts[..., 1:, 0], pts[..., 1:, 1]))
     b_nearer = (x - bx) ** 2 + (y - by) ** 2 < (x - ax) ** 2 + (y - ay) ** 2
     ox, oy = np.where(b_nearer, bx, ax), np.where(b_nearer, by, ay)
     dx, dy = np.where(b_nearer, ax - bx, bx - ax), np.where(b_nearer, ay - by, by - ay)

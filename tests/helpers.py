@@ -6,6 +6,7 @@ The oracles deliberately avoid the code paths they check: polynomial
 evaluation sums explicit powers instead of Horner, and the winding oracle
 tracks argument increments instead of integrating.
 """
+import cmath
 import math
 import random
 from dataclasses import replace
@@ -14,8 +15,8 @@ from itertools import islice
 import numpy as np
 
 from slicereg import Quaternion, SliceCoord, UnitImaginary, rep_coeffs
-from slicereg.errors import (ConsistencyError, GeometryError, OutOfDomainError,
-                             PreconditionError, SliceRegError)
+from slicereg.errors import (ConsistencyError, DisconnectedDomainError, GeometryError,
+                             OutOfDomainError, PreconditionError, SliceRegError)
 from slicereg.counterexample import t_of
 from slicereg.domains import (SphereSample, Verdict, _and_grids, _hull_witness,
                               is_slice_domain, omega_jk_plus, rasterize)
@@ -97,10 +98,103 @@ def loop_consistency(fn, loop) -> float:
     return abs(polyline_integral(loop, fn._table.pole))
 
 
+def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
+    """Distance from p to the segment z0-z1, parametrized from z0: the pole
+    test of the scalar anchor search, independent of raster's kernel."""
+    d = z1 - z0
+    L2 = d.real * d.real + d.imag * d.imag  # inf, not OverflowError, when huge
+    if L2 == 0.0:
+        return abs(z0 - p)
+    t = ((p - z0).real * d.real + (p - z0).imag * d.imag) / L2
+    t = min(1.0, max(0.0, t))
+    return abs(z0 + t * d - p)
+
+
+def scalar_crossings(p, q, polyline) -> int:
+    """Scalar oracle of segment_crossings: the intersections of one segment
+    p-q with a polyline, touching and collinear overlaps included."""
+    pts = np.asarray(polyline, dtype=float)
+    if pts.shape[0] < 2:
+        return 0
+    a, b = pts[:-1], pts[1:]
+    px, py, qx, qy = float(p[0]), float(p[1]), float(q[0]), float(q[1])
+
+    def orient(ox, oy, ax, ay, bx, by):
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    d1 = orient(px, py, qx, qy, a[:, 0], a[:, 1])
+    d2 = orient(px, py, qx, qy, b[:, 0], b[:, 1])
+    d3 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], px, py)
+    d4 = orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], qx, qy)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    boxes = (lo[:, 0] <= max(px, qx)) & (hi[:, 0] >= min(px, qx)) \
+        & (lo[:, 1] <= max(py, qy)) & (hi[:, 1] >= min(py, qy))
+    return int(np.count_nonzero((d1 * d2 <= 0.0) & (d3 * d4 <= 0.0) & boxes))
+
+
+def _scalar_cell(table, px: float, py: float):
+    """(row, column) of the cell centre of a built table nearest (px, py),
+    by round() on Python floats; not clamped to the table."""
+    h = table.step
+    return round((py - float(table._ys[0])) / h), round((px - float(table._xs[0])) / h)
+
+
+def _scalar_usable(table, iy: int, ix: int, target: complex) -> bool:
+    """Cell (iy, ix) is on the table, free and reached, and its straight
+    leg to target keeps 1e-9 away from the pole."""
+    ny, nx = table._free.shape
+    return (0 <= iy < ny and 0 <= ix < nx and bool(table._free[iy, ix])
+            and cmath.isfinite(table._value[iy, ix])
+            and _segment_point_distance(complex(table._xs[ix], table._ys[iy]), target,
+                                        table.pole) >= 1e-9)
+
+
+def _scalar_leg(table, iy: int, ix: int, target: complex) -> complex:
+    z0 = complex(table._xs[ix], table._ys[iy])
+    return complex(table._value[iy, ix]) + cmath.log((target - table.pole) / (z0 - table.pole))
+
+
+def scalar_anchors(table, px: float, py: float):
+    """Scalar oracle of integral_rows' anchor walk: path integrals to (px,
+    py), one per usable anchor cell around the clamped nearest cell whose
+    leg crosses no cut, nearest anchors first; each value is computed when
+    it is drawn."""
+    table.ensure_built()
+    ny, nx = table._free.shape
+    jy, jx = _scalar_cell(table, px, py)
+    jy, jx = min(max(jy, 0), ny - 1), min(max(jx, 0), nx - 1)
+    target = complex(px, py)
+    for dy, dx in table._anchor_offsets:
+        iy, ix = jy + dy, jx + dx
+        if not _scalar_usable(table, iy, ix, target):
+            continue
+        if any(scalar_crossings((table._xs[ix], table._ys[iy]), (px, py), poly)
+               for poly in table.cuts):
+            continue
+        yield _scalar_leg(table, iy, ix, target)
+
+
+def scalar_integral(table, px: float, py: float) -> complex:
+    """Scalar oracle of integral_rows at one point: the nearest cell when
+    it is usable, with no crossing test, else the first value of
+    scalar_anchors.  Raises OutOfDomainError outside the box and
+    DisconnectedDomainError where no anchor reaches."""
+    xlo, xhi, ylo, yhi = table.bbox
+    if not (xlo <= px <= xhi and ylo <= py <= yhi):
+        raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
+    table.ensure_built()
+    iy, ix = _scalar_cell(table, px, py)
+    if _scalar_usable(table, iy, ix, complex(px, py)):
+        return _scalar_leg(table, iy, ix, complex(px, py))
+    for value in scalar_anchors(table, px, py):
+        return value
+    raise DisconnectedDomainError(f"no continuation anchor reaches ({px:g}, {py:g})")
+
+
 def anchored_integrals(table, px: float, py: float, count: int = 2) -> list:
     """Path integrals to (px, py) of a continuation table via its first
     count usable anchors, nearest first."""
-    return list(islice(table._anchored(px, py), count))
+    return list(islice(scalar_anchors(table, px, py), count))
 
 
 def arc_point(J, t: float, cfg) -> Quaternion:
@@ -317,15 +411,17 @@ def per_unit_is_simple(spec, sample, h=None):
 
 
 def continued_log_rows(fn, x, y, vectors):
-    """Scalar oracle of ContinuedLog.eval_rows: one eval_plane query per
-    row at the point's plane coordinates, mapped from SliceCoord.make(x, y,
-    UnitImaginary(*v)); rows that raise SliceRegError are not ok."""
+    """Scalar oracle of ContinuedLog.eval_rows: one scalar_integral per row
+    at the point's plane coordinates, mapped from SliceCoord.make(x, y,
+    UnitImaginary(*v)), dressed as base_value + w.real + carrier * w.imag
+    in Quaternion arithmetic; rows that raise SliceRegError are not ok."""
     vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
     n = len(vectors)
     values = np.full((n, 4), np.nan)
     ok = np.zeros(n, dtype=bool)
     xs = np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist()
     ys = np.broadcast_to(np.asarray(y, dtype=float), (n,)).tolist()
+    c = fn.carrier.as_quaternion()
     for m, (px, py, v) in enumerate(zip(xs, ys, vectors.tolist())):
         coord = SliceCoord.make(px, py, UnitImaginary(*v))
         if coord.is_real:
@@ -337,9 +433,10 @@ def continued_log_rows(fn, x, y, vectors):
         else:
             continue
         try:
-            values[m] = fn.eval_plane(*point).to_list()
+            w = scalar_integral(fn._table, *point)
         except SliceRegError:
             continue
+        values[m] = (fn.base_value + Quaternion(w.real) + c * w.imag).to_list()
         ok[m] = True
     return values, ok
 
@@ -417,10 +514,10 @@ def validate_holomorphic_loop(fI, domain, unit, h=1e-3):
             raise
         except SliceRegError:
             continue
-        if res > 1e-4 * scale:
+        if not res <= 1e-4 * scale:
             raise PreconditionError(
                 f"slice restriction is not holomorphic (dbar {res:.2e} at "
-                f"({x:.3f}, {y:.3f}))")
+                f"({x:.4g}, {y:.4g}))")
         checked += 1
 
 

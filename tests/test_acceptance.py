@@ -8,10 +8,11 @@ import pytest
 
 from slicereg import (PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, coefficient_identities,
-                      dbar_residual, formula_stem,
+                      formula_stem,
                       is_simple, is_slice_domain, local_extend, omega_jk_plus,
                       regular_ext, rep_coeffs, starlike_spec)
 from slicereg.extension import StemPair, extend_to_completion
+from slicereg.holomorphic import dbar_residual_rows
 from slicereg.counterexample import intersection_grid, log_pair, pair_set_grid
 from slicereg.quaternions import ONE, UNIT_I, UNIT_J, norm_rows
 
@@ -102,22 +103,22 @@ def test_criterion_3_extension_formula_restrictions():
 
 def _dbar_scan(stem: StemPair, units, points, label):
     """Residual bound at the default step 1e-4 plus the second-order decay
-    ratio between the steps 1e-3 and 5e-4 on in-domain points."""
+    ratio between the steps 1e-3 and 5e-4, on the points whose three
+    stencils and value are all defined: one dbar_residual_rows call per
+    step and one eval_rows call per unit."""
+    x, y = np.array(points, dtype=float).T
     worst_rel = 0.0
     ratios = []
     for W in units:
-        for x, y in points:
-            coord = SliceCoord.make(float(x), float(y), W)
-            try:
-                r_acc = dbar_residual(stem, coord, 1e-4)
-                r1 = dbar_residual(stem, coord, 1e-3)
-                r2 = dbar_residual(stem, coord, 5e-4)
-                scale = 1.0 + stem.eval(coord).norm()
-            except Exception:
-                continue
-            worst_rel = max(worst_rel, r_acc / scale)
-            if r1 > 1e-9:
-                ratios.append(r1 / r2)
+        vectors = np.broadcast_to(W.to_list(), (len(x), 3))
+        (r_acc, ok_acc), (r1, ok1), (r2, ok2) = (
+            dbar_residual_rows(stem, x, y, vectors, h) for h in (1e-4, 1e-3, 5e-4))
+        values, keep = stem.eval_rows(x, y, vectors)
+        keep &= ok_acc.all(axis=1) & ok1.all(axis=1) & ok2.all(axis=1)
+        rel = r_acc[keep] / (1.0 + norm_rows(values[keep]))
+        worst_rel = max([worst_rel, *rel.tolist()])
+        decays = keep & (r1 > 1e-9)
+        ratios += (r1[decays] / r2[decays]).tolist()
     assert worst_rel <= 1e-6, f"{label}: dbar {worst_rel:.2e}"
     return worst_rel, ratios
 

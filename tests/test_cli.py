@@ -675,6 +675,14 @@ _NAMED_ERRORS = {
                          ["tube", "{spec}", "--path", "{path}"],
                          "error: path.points: C leaves the upper half slice of Y at "
                          "(0.9, 0.5)\n"),
+    "shrink-too-large": ({"spec": {"type": "ball", "center": [0, 0, 0, 0], "radius": 1.0},
+                          "path": {"unit": [1, 0, 0], "points": [[0.0, 0.5], [0.0, 0.0]]}},
+                         ["tube", "{spec}", "--path", "{path}", "--shrink", "2"],
+                         "error: --shrink: shrink must lie in (0, 1)\n"),
+    "path-below-axis": ({"spec": {"type": "ball", "center": [0, 0, 0, 0], "radius": 1.0},
+                         "path": {"unit": [1, 0, 0], "points": [[0.0, 0.5], [0.0, -0.2]]}},
+                        ["tube", "{spec}", "--path", "{path}"],
+                        "error: path.points: C must not descend below the real axis\n"),
     "pair-disagrees": ({"pair": {
         "r": {"variant": "power-series", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]],
               "slice_unit": [1, 0, 0]},
@@ -700,8 +708,9 @@ def test_errors_after_the_walk_name_their_input(name, tmp_path, capsys):
 
 def test_ext_slice_refuses_a_stem_that_is_not_finite(tmp_path, capsys):
     """On a ball of radius 1e110 the cube's values pass the float range, so
-    the stem is not finite: ext-slice exits 1 naming the first such point,
-    writes no stem.csv and lets no RuntimeWarning out."""
+    its dbar residuals are NaN: ext-slice's holomorphy check refuses them,
+    exits 1 naming the first such point, writes no stem.csv and lets no
+    RuntimeWarning out."""
     spec, function = tmp_path / "spec.json", tmp_path / "cube.json"
     spec.write_text(json.dumps({"type": "ball", "radius": 1e110}))
     function.write_text(json.dumps(_CUBE_SERIES))
@@ -711,7 +720,8 @@ def test_ext_slice_refuses_a_stem_that_is_not_finite(tmp_path, capsys):
         code = main(["ext-slice", str(spec), "--function", str(function),
                      "--h", "1e108", "--samples", "4", "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == "error: no finite stem at (-9.975e+109, 0)\n"
+    assert capsys.readouterr().err == ("error: slice restriction is not holomorphic "
+                                       "(dbar nan at (-3.7e+109, 1.584e+109))\n")
     assert not (out / "stem.csv").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary
+from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary, holomorphic
 from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      CounterexampleConfig, arc_coords,
                                      demonstrate, intersection_grid,
@@ -448,25 +448,41 @@ def test_demonstrate_passes_all_checks_for_ten_seeds():
 def test_demonstrate_queries_take_the_nearest_cell(cfg, monkeypatch):
     """Every continuation query of the evidence bundle at seed 1 is
     answered by its nearest cell, as arrays: the rows calls take more than
-    1500 points, and neither a per-point eval_plane, the scalar
-    integral_to nor the anchor search runs.  The query points depend on
-    the seed only, so a small sample keeps the run short."""
-    calls = {"integral_rows": 0, "integral_to": 0, "_anchored": 0, "eval_plane": 0}
+    1500 points, no per-point eval_plane runs, and no crossing test runs
+    outside the table builds, so no point walks the anchor cells.  The
+    query points depend on the seed only, so a small sample keeps the run
+    short."""
+    calls = {"integral_rows": 0, "eval_plane": 0, "walk crossings": 0}
+    building = []
+    real_rows, real_plane = _PlaneContinuation.integral_rows, ContinuedLog.eval_plane
+    real_build, real_crossings = _PlaneContinuation._build, holomorphic.segment_crossings
 
-    def counting(cls, name):
-        real = getattr(cls, name)
+    def rows(table, px, py):
+        calls["integral_rows"] += len(px)
+        return real_rows(table, px, py)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += len(args[1]) if name == "integral_rows" else 1
-            return real(*args, **kwargs)
-        return wrapper
+    def plane(*args):
+        calls["eval_plane"] += 1
+        return real_plane(*args)
 
-    for name in calls:
-        cls = ContinuedLog if name == "eval_plane" else _PlaneContinuation
-        monkeypatch.setattr(cls, name, counting(cls, name))
+    def build(table):
+        building.append(table)
+        try:
+            return real_build(table)
+        finally:
+            building.pop()
+
+    def crossings(*args):
+        calls["walk crossings"] += not building
+        return real_crossings(*args)
+
+    monkeypatch.setattr(_PlaneContinuation, "integral_rows", rows)
+    monkeypatch.setattr(ContinuedLog, "eval_plane", plane)
+    monkeypatch.setattr(_PlaneContinuation, "_build", build)
+    monkeypatch.setattr(holomorphic, "segment_crossings", crossings)
     demonstrate(cfg, sample=SphereSample(4, extra=[cfg.axis]), seed=1)
     assert calls["integral_rows"] > 1500
-    assert calls["integral_to"] == calls["_anchored"] == calls["eval_plane"] == 0
+    assert calls["eval_plane"] == calls["walk crossings"] == 0
 
 
 def test_demonstrate_paints_no_label_image(monkeypatch):

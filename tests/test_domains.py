@@ -1390,3 +1390,16 @@ def test_polyline_distance_agrees_with_the_first_vertex_formula(poly, points):
     want = _first_vertex_dist(px, py, poly)
     scale = 2.0 * np.maximum(np.abs(np.array(points)).max(axis=1), np.abs(poly).max())
     assert (np.abs(got - want) <= 4.0 * np.spacing(scale)).all()
+
+
+def test_polyline_distance_takes_one_polyline_per_point():
+    """Polylines stacked one per point (n, m, 2) give each point its
+    distance to its own polyline, bit for bit, each at its own scale,
+    huge ones too."""
+    rng = np.random.default_rng(3)
+    polys = rng.uniform(-5.0, 5.0, (30, 4, 2))
+    polys[:3] *= 1e200
+    px, py = rng.uniform(-5.0, 5.0, (2, 30))
+    got = _points_to_polyline_dist(px, py, polys)
+    want = [_points_to_polyline_dist(px[k:k + 1], py[k:k + 1], polys[k])[0] for k in range(30)]
+    assert got.tolist() == want

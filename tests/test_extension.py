@@ -22,8 +22,8 @@ from slicereg.errors import (ConsistencyError, DegeneratePairError,
                              SliceRegError)
 from slicereg import consistency
 from slicereg.consistency import _block_stems
-from slicereg.extension import _two_slice_stem, extend_to_completion
-from slicereg.holomorphic import HoloSliceFunction
+from slicereg.extension import _two_slice_stem, extend_to_completion, formula_stem
+from slicereg.holomorphic import HoloSliceFunction, dbar_residual_rows
 from slicereg import extension, local
 from slicereg.domains import DomainSpec
 from slicereg.extension import _validate_holomorphic
@@ -925,6 +925,8 @@ def _holomorphic_cases():
         "table-over-budget": (huge_table, family.domain, UNIT_I),
         # no cross fits the tiny ball, so fI is never evaluated
         "no-points": (huge_table, ball_spec(0.0, 1e-4), UNIT_I),
+        # the cube's values pass the float range: NaN residuals
+        "overflow": (_CUBE.on_slice(UNIT_I), ball_spec(0.0, 1e110), UNIT_I),
     }
 
 
@@ -933,7 +935,7 @@ def test_validate_holomorphic_equals_its_per_point_oracle(name):
     fI, domain, unit = _holomorphic_cases()[name]
     want = _outcome(validate_holomorphic_loop, fI, domain, unit)
     assert _outcome(_validate_holomorphic, fI, domain, unit) == want
-    if name == "conjugate":
+    if name in ("conjugate", "overflow"):
         assert want[1].startswith("slice restriction is not holomorphic")
     if name == "table-over-budget":
         assert want[0] == "PreconditionError"
@@ -1021,6 +1023,25 @@ def _spy_blocks(monkeypatch):
     monkeypatch.setattr(DomainSpec, "contains_rows", spy_contains)
     monkeypatch.setattr(TubeDomain, "membership", spy_membership)
     return counts
+
+
+def test_regular_ext_refuses_a_nan_residual():
+    """At (3e109, 1e109) the cube's four stencil values are defined but
+    past the float range, so its dbar residual is NaN: the holomorphy
+    check of regular_ext counts that as a failure, not a pass."""
+    res, ok = dbar_residual_rows(_CUBE, 3e109, 1e109, [UNIT_I.to_list()], 1e-3)
+    assert ok.all() and np.isnan(res).all()
+    with pytest.raises(PreconditionError, match=r"not holomorphic \(dbar nan at"):
+        regular_ext(_CUBE.on_slice(UNIT_I), ball_spec(0.0, 1e110))
+
+
+def test_export_rows_refuses_a_stem_that_is_not_finite():
+    """A stem whose values pass the float range is not ok: export_rows
+    names the first such point."""
+    stem = formula_stem(_CUBE.on_slice(UNIT_I), _CUBE.on_slice(UNIT_J))
+    assert len(stem.export_rows([[0.5, 0.5]])) == 1
+    with pytest.raises(OutOfDomainError, match=r"no finite stem at \(-9.975e\+109, 0\)"):
+        stem.export_rows([[0.5, 0.5], [-9.975e109, 0.0], [1e110, 1.0]])
 
 
 def test_validators_make_one_membership_call_per_block(ball, monkeypatch):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, dbar_residual,
-                      extend_to_completion, regular_ext)
+                      extend_to_completion, holomorphic, regular_ext)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords, plane_log)
 from slicereg.raster import resample_polyline
@@ -24,8 +24,9 @@ from slicereg.serialize import load_holo_function, walk
 
 from conftest import random_polynomial, random_unit
 from helpers import (anchored_integrals, continued_log_rows, dbar_four_evals, level_loop_table,
-                     loop_consistency, poly_eval_direct, polyline_integral,
-                     stem_at, whole_array_table, winding_angle_sum, winding_number)
+                     loop_consistency, poly_eval_direct, polyline_integral, scalar_anchors,
+                     scalar_crossings, scalar_integral, stem_at, whole_array_table, winding_angle_sum,
+                     winding_number)
 
 Q = Quaternion
 
@@ -248,25 +249,29 @@ def _fast_path_queries(draw):
     return name, min(max(float(x), xlo), xhi), min(max(float(y), ylo), yhi)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_fast_path_queries())
-def test_integral_to_is_the_first_anchor_of_the_full_search(query):
-    """integral_to returns exactly the first value of the full anchor
-    search, and raises where that search finds no anchor."""
-    name, px, py = query
-    table = _FAST_PATH_LOGS[name]._table
-    try:
-        expected = next(table._anchored(px, py))
-    except StopIteration:
-        event("no anchor")
-        with pytest.raises(DisconnectedDomainError):
-            table.integral_to(px, py)
-    else:
-        iy, ix = table._nearest_cell(px, py)
-        on_table = 0 <= iy < table._ys.size and 0 <= ix < table._xs.size
-        event("nearest cell" if on_table and np.isfinite(table._value[iy, ix])
-              else "farther anchor")
-        assert table.integral_to(px, py) == expected
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_fast_path_queries(), min_size=1, max_size=30))
+def test_integral_rows_take_the_first_anchor_of_the_full_search(queries):
+    """integral_rows, on each table's batch of points, gives every point
+    exactly the first value of the scalar full anchor search (tobytes), and
+    ok False where that search finds no anchor."""
+    for name in sorted({q[0] for q in queries}):
+        table = _FAST_PATH_LOGS[name]._table
+        px, py = (np.array([q[k] for q in queries if q[0] == name]) for k in (1, 2))
+        w, ok = table.integral_rows(px, py)
+        want = np.full(len(px), np.nan + 0j)
+        want_ok = np.zeros(len(px), dtype=bool)
+        for m, (x, y) in enumerate(zip(px.tolist(), py.tolist())):
+            first = next(scalar_anchors(table, x, y), None)
+            if first is not None:
+                want[m], want_ok[m] = first, True
+            iy, ix = (int(np.rint((v - c[0]) / table.step)) for v, c in ((y, table._ys),
+                                                                         (x, table._xs)))
+            nearest = (0 <= iy < table._ys.size and 0 <= ix < table._xs.size
+                       and np.isfinite(table._value[iy, ix]))
+            event("no anchor" if first is None else "nearest cell" if nearest else "anchor walk")
+        assert ok.tolist() == want_ok.tolist()
+        assert w.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_FAST_PATH_LOGS))
@@ -274,7 +279,7 @@ def test_no_cut_point_lies_within_half_a_step_of_a_free_centre(name):
     """The lemma of the fast path, on the cuts resampled at h/100: a cut
     point within h/2 (per coordinate) of a cell centre blocks that cell."""
     table = _FAST_PATH_LOGS[name]._table
-    table._nearest_cell(0.0, 0.0)  # builds the table
+    table.ensure_built()
     h, xs, ys = table.step, table._xs, table._ys
     for poly in table.cuts:
         pts = resample_polyline(poly, h / 100.0)
@@ -324,6 +329,94 @@ def test_segment_crossings():
     assert segment_crossings((-1.0, 2.0), (1.0, 2.0), poly) == 0
 
 
+def test_segment_crossings_broadcast_as_the_scalar_oracle():
+    """Segments given as point arrays count, row by row, what the scalar
+    oracle counts, in the leading shape of the broadcast points; one pair
+    of points gives an int, and a polyline of one vertex crosses nothing."""
+    rng = np.random.default_rng(5)
+    poly = np.cumsum(rng.normal(0.0, 0.3, (300, 2)), axis=0)
+    p = rng.uniform(-3.0, 3.0, (40, 25, 2))
+    p[0, :5] = poly[3]  # legs that start on a vertex
+    q = p + rng.normal(0.0, 0.5, p.shape)
+    got = segment_crossings(p, q, poly)
+    want = [[scalar_crossings(a, b, poly) for a, b in zip(pa, qa)] for pa, qa in zip(p, q)]
+    assert got.shape == (40, 25) and got.tolist() == want and got.any()
+    assert segment_crossings(p[0], q[0, 0], poly).tolist() == [
+        scalar_crossings(a, q[0, 0], poly) for a in p[0]]
+    one = segment_crossings(p[1, 1], q[1, 1], poly)
+    assert type(one) is int and one == want[1][1]
+    assert segment_crossings(p, q, poly[:1]).tolist() == np.zeros((40, 25)).tolist()
+
+
+def test_eval_plane_is_the_one_row_case_of_plane_rows(logs):
+    """eval_plane gives plane_rows' row bit for bit, and raises
+    OutOfDomainError outside the box and DisconnectedDomainError where no
+    anchor reaches (the pole)."""
+    direct, _ = logs
+    px, py = np.array([0.5, -1.3, 2.9]), np.array([1.0, 2.2, -0.4])
+    values, ok = direct.plane_rows(px, py)
+    assert ok.all()
+    for m in range(3):
+        assert direct.eval_plane(px[m], py[m]).to_list() == values[m].tolist()
+    with pytest.raises(OutOfDomainError, match="outside the cut plane box"):
+        direct.eval_plane(100.0, 0.0)
+    with pytest.raises(DisconnectedDomainError, match="no continuation anchor reaches"):
+        direct.eval_plane(*direct.pole)
+
+
+def test_the_anchor_walk_runs_one_crossing_test_per_pass_and_cut(cfg, monkeypatch):
+    """On jump_heatmap's points, more than 1000 of which walk the anchor
+    cells, one integral_rows call runs at most one segment_crossings call
+    per anchor offset and cut polyline, each on all the points left: fewer
+    calls than walking points, although the points on a cut, which no
+    anchor reaches, walk all 81 offsets."""
+    xs, ys = np.arange(-2.2, 0.2, 0.02), np.arange(0.8, 3.2, 0.02)
+    px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    table = plane_log(cfg.axis, cfg)._table
+    table.ensure_built()
+    crossings, passes = [], []
+    real_crossings, real_anchor = holomorphic.segment_crossings, _PlaneContinuation._anchor
+
+    def spy_crossings(p, q, poly):
+        crossings.append(len(p))
+        return real_crossings(p, q, poly)
+
+    def spy_anchor(self, w, rows, *args):
+        passes.append(len(rows))
+        return real_anchor(self, w, rows, *args)
+
+    monkeypatch.setattr(holomorphic, "segment_crossings", spy_crossings)
+    monkeypatch.setattr(_PlaneContinuation, "_anchor", spy_anchor)
+    w, ok = table.integral_rows(px, py)
+    walked = passes[1]  # the points the nearest cell left
+    assert walked > 1000 and ok.sum() > 0.9 * len(px)
+    assert len(crossings) <= (len(passes) - 1) * len(table.cuts) < walked
+
+
+def test_the_anchor_walk_blocks_its_crossing_temporaries():
+    """3000 points next to a cut of 4000 vertices all walk the anchor
+    cells; their crossing tests run in blocks of at most _CUT_BLOCK rows
+    times segments, so the traced peak stays near the table's own size
+    (one unblocked test would hold 3000 x 3999 floats, 96 MB, per
+    temporary)."""
+    cut = np.column_stack([np.linspace(-3.0, 3.0, 4000), np.full(4000, 1.0)])
+    table = _plain_log(cuts=[cut])._table
+    table.ensure_built()
+    rng = np.random.default_rng(11)
+    px = rng.uniform(-2.9, 2.9, 3000)
+    py = 1.0 + rng.choice([-1.0, 1.0], 3000) * rng.uniform(0.0, 0.06, 3000)
+    tracemalloc.start()
+    try:
+        w, ok = table.integral_rows(px, py)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak <= 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
+    for m in range(0, 3000, 300):
+        assert w[m] == scalar_integral(table, px[m], py[m])
+
+
 def test_integrate_reciprocal_matches_closed_form():
     val = integrate_reciprocal(complex(1, 0), complex(0, 1), complex(0, 0))
     exact = complex(0.0, math.pi / 2.0)  # log(i) - log(1)
@@ -357,7 +450,7 @@ def test_table_cells_exponentiate_to_the_ratio(which, logs):
     fn = (_plain_log(cuts=[np.array([[0.0, 0.0], [0.0, -4.5]])]) if which == "plain"
           else logs[which == "conj"])
     table = fn._table
-    table.integral_to(*table.base)  # builds the table
+    table.ensure_built()
     iy, ix = np.nonzero(np.isfinite(table._value))
     assert iy.size > 1000
     z = table._xs[ix] + 1j * table._ys[iy]
@@ -382,7 +475,7 @@ def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch
 
     monkeypatch.setattr(_PlaneContinuation, "_accumulate", spy)
     table = _PlaneContinuation(fn.pole, fn.base, fn.cuts, fn.bbox, fn.step)
-    table.integral_to(*table.base)  # builds the table
+    table.ensure_built()
     want = level_loop_table(table.pole, *seen["args"])
     got = seen["value"]
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -616,9 +709,9 @@ def _query_rows(draw, fn):
 @given(st.data())
 def test_continued_log_rows_equal_the_per_row_scalar_queries(data):
     """ContinuedLog.eval_rows, whose rows are answered as arrays (nearest
-    cells at once, the legs' logs by cmath over a list, and only rows
-    whose nearest cell is unusable through integral_to), equals the
-    per-row eval_plane loop it replaced bit for bit, values and ok."""
+    cells at once, then one pass per anchor offset over the rows left),
+    equals the per-row scalar search it replaced bit for bit, values and
+    ok."""
     name = data.draw(st.sampled_from(sorted(_QUERY_LOGS)))
     fn = _QUERY_LOGS[name]
     rows = data.draw(st.lists(_query_rows(fn), min_size=1, max_size=12))
