@@ -15,8 +15,9 @@ _PUBLIC = {
     "holomorphic": ("ContinuedLog", "HoloSliceFunction", "PowerSeries", "dbar_residual"),
     "domains": ("DomainSpec", "PlanarRegionGrid", "SphereSample", "Verdict", "is_simple",
                 "is_slice_convex", "is_slice_domain", "is_symmetric", "omega_jk_plus",
-                "rasterize", "symmetric_completion"),
-    "specs": ("TubeDomain", "ball_spec", "halfspace_spec", "starlike_spec"),
+                "rasterize"),
+    "specs": ("TubeDomain", "ball_spec", "halfspace_spec", "starlike_spec",
+              "symmetric_completion"),
     "extension": ("ConsistencyReport", "StemPair", "check_compatible", "extend_to_completion",
                   "extension_formula", "formula_stem", "regular_ext", "rep_coeffs"),
     "local": ("LocalExtension", "build_tube", "local_extend"),

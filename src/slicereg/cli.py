@@ -26,17 +26,10 @@ if not any(name in os.environ for name in _BLAS_THREADS):
 import numpy as np  # noqa: E402  (after the thread default)
 
 from . import __version__
-from .domains import (SphereSample, is_simple, is_slice_convex,
-                      is_slice_domain, is_symmetric, rasterize,
-                      symmetric_completion)
 from .errors import (ConsistencyError, GridStepError, PreconditionError,
                      SliceRegError)
-from .extension import (extend_to_completion, formula_stem, regular_ext,
-                        rep_coeffs_rows)
-from .holomorphic import PowerSeries
 from .quaternions import (Quaternion, UNIT_I, UnitImaginary, imaginary_rows,
-                          mul_rows, norm_rows)
-from .raster import _arange_len, _check_cells
+                          mul_rows, norm_rows, slice_decompose)
 from .serialize import (dump_json, load_domain_spec, load_holo_function, walk,
                         write_csv, write_pgm)
 
@@ -51,8 +44,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _sample(args, values) -> SphereSample:
+def _sample(args, values):
     """The sphere sample; a counterexample spec adds its axis."""
+    from .domains import SphereSample
     return SphereSample(args.samples, extra=[values["axis"]]
                         if values["type"] == "counterexample" else [])
 
@@ -115,6 +109,7 @@ def _load_function(args, spec, values):
         return BranchedLogFamily(CounterexampleConfig(axis=values["axis"], h=spec.h,
                                                       bbox=values["bbox"]))
     if name in _BUILTIN_FUNCTIONS:
+        from .holomorphic import PowerSeries
         coeffs = tuple(Quaternion.from_list(c) for c in _BUILTIN_FUNCTIONS[name])
         return PowerSeries(coeffs)
     return load_holo_function(_read(name, "function"))
@@ -125,6 +120,7 @@ def _load_function(args, spec, values):
 # ---------------------------------------------------------------------------
 
 def cmd_check_domain(args) -> int:
+    from .domains import is_simple, is_slice_convex, is_slice_domain, is_symmetric, rasterize
     spec, data, values = _load_spec(args)
     sample = _sample(args, values)
     out = _out_dir(args)
@@ -158,10 +154,11 @@ def cmd_check_domain(args) -> int:
 
 
 def cmd_completion(args) -> int:
+    from .domains import is_symmetric
+    from .specs import symmetric_completion
     spec, data, values = _load_spec(args)
     sample = _sample(args, values)
     out = _out_dir(args)
-    comp = symmetric_completion(spec, sample)
     x_min, x_max, y_max = spec.bbox
     # rows y-major over the points (x, y), as fractions of the sample's
     # units J with x + yJ in the spec: one membership call on (y, x, unit)
@@ -175,7 +172,7 @@ def cmd_completion(args) -> int:
     frac[real] = np.asarray(spec.real_trace(x[real]), dtype=bool)
     write_csv(out / "coverage.csv", ["x", "y", "covered_fraction"],
               np.stack([x, y, frac], axis=2).reshape(-1, 3).tolist())
-    verdict = is_symmetric(comp, sample)
+    verdict = is_symmetric(symmetric_completion(spec, sample), sample)
     report = {"base_spec": data, "samples": sample.n_requested,
               "completion_symmetric": verdict.summary()}
     dump_json(report, out / "completion.json")
@@ -184,6 +181,8 @@ def cmd_completion(args) -> int:
 
 
 def cmd_repr(args) -> int:
+    from .extension import rep_coeffs_rows
+    from .holomorphic import PowerSeries
     out = _out_dir(args)
     rng = random.Random(args.seed)
     tol = args.tol if args.tol is not None else 1e-10
@@ -223,6 +222,8 @@ def cmd_repr(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .extension import formula_stem
+    from .raster import _arange_len, _check_cells
     out = _out_dir(args)
     pair = _read(args.pair, "pair")
     r, s = (load_holo_function(pair[key]) for key in ("r", "s"))
@@ -244,6 +245,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_ext_slice(args) -> int:
+    from .extension import regular_ext
     spec = _load_spec(args)[0]
     out = _out_dir(args)
     fn = load_holo_function(_read(args.function, "function"),
@@ -268,9 +270,7 @@ def cmd_local_extend(args) -> int:
     out = _out_dir(args)
     f = _load_function(args, spec, values)
     q = Quaternion(*args.point)
-    from .quaternions import slice_decompose
-    p0 = slice_decompose(q)
-    result = local_extend(f, spec, p0, seed=args.seed)
+    result = local_extend(f, spec, slice_decompose(q), seed=args.seed)
     report = {
         "point": q.to_list(),
         "j0": result.j0.to_list(),
@@ -292,6 +292,7 @@ def cmd_local_extend(args) -> int:
 def _scan_grid(spec) -> np.ndarray:
     """Sphere centres (x, y) of the global-extend scan: cell centres of a
     grid over the spec's box, x-major, with at least 4 h between them."""
+    from .raster import _arange_len, _check_cells
     x_min, x_max, y_max = spec.bbox
     step = max(4 * spec.h, min(x_max - x_min, y_max) / 40.0)
     x0, y0 = x_min + step / 2.0, step / 2.0
@@ -301,6 +302,7 @@ def _scan_grid(spec) -> np.ndarray:
 
 
 def cmd_global_extend(args) -> int:
+    from .extension import extend_to_completion
     spec, _, values = _load_spec(args)
     sample = _sample(args, values)
     out = _out_dir(args)
@@ -330,6 +332,7 @@ def cmd_counterexample(args) -> int:
     from .counterexample import (CounterexampleConfig, demonstrate,
                                  intersection_grid, jump_heatmap,
                                  omega_spec, pair_set_grid)
+    from .domains import SphereSample, rasterize
     out = _out_dir(args)
     axis = args.axis or UNIT_I
     args.step_from = "--h" if args.h else None

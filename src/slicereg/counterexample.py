@@ -22,7 +22,6 @@ import numpy as np
 from .domains import (DomainSpec, PlanarRegionGrid, SphereSample,
                       is_simple, is_slice_domain, omega_jk_plus, rasterize)
 from .errors import OutOfDomainError
-from .extension import formula_stem
 from .holomorphic import ContinuedLog, HoloSliceFunction
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
                           imaginary_rows, mul_rows, norm_rows)
@@ -275,6 +274,7 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
     intersection, the two-component pair set, the 2*pi jump between the two
     logarithm branches and between the two orderings of the extension
     formula, and the non-simplicity witness."""
+    from .extension import formula_stem
     axis = cfg.axis
     sample = sample or SphereSample(64, extra=[axis])
     spec = omega_spec(cfg)

@@ -9,8 +9,8 @@ Verdicts about connectivity are resolution-qualified: they are decided on
 occupancy grids of cell-center samples, with cut curves rasterized as
 8-connected dilated barriers so a one-cell-wide cut cannot leak diagonally.
 The array kernels behind the grids are in slicereg.raster, and the
-concrete specs (ball, half plane, starlike, union, intersection) in
-slicereg.specs.
+concrete specs (ball, half plane, starlike, union, intersection, the
+symmetric completions) in slicereg.specs.
 """
 from __future__ import annotations
 
@@ -389,38 +389,6 @@ def is_symmetric(spec: DomainSpec, sample: SphereSample,
                     return Verdict("no", {"x": float(px), "y": float(py),
                                           "units": [J.to_list(), K.to_list()]}, res)
     return Verdict("yes", None, res)
-
-
-def symmetric_completion(spec: DomainSpec, sample: SphereSample) -> DomainSpec:
-    """Sampled symmetric completion: a point joins when any sampled unit's
-    slice contains it.  Monotone in the sample size; exact where slices vary
-    monotonically with the distance to a reference unit."""
-    units = sample.units
-
-    def membership(x, y, jx, jy, jz):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        for K in units:
-            out |= np.asarray(spec.membership(x, y, K.vx, K.vy, K.vz), dtype=bool)
-            if out.all():
-                break
-        return out
-
-    return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
-                      cuts=None, name=f"completion({spec.name})", slicewise=True)
-
-
-def completion_of_slice(spec: DomainSpec, K0: UnitImaginary) -> DomainSpec:
-    """Exact symmetric completion of the single full slice through K0."""
-    def membership(x, y, jx, jy, jz):
-        up = np.asarray(spec.membership(x, y, K0.vx, K0.vy, K0.vz), dtype=bool)
-        dn = np.asarray(spec.membership(x, y, -K0.vx, -K0.vy, -K0.vz), dtype=bool)
-        return up | dn
-
-    return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
-                      cuts=None, name=f"slice-completion({spec.name})",
-                      slicewise=True)
 
 
 def _and_grids(a: PlanarRegionGrid, b: PlanarRegionGrid) -> PlanarRegionGrid:

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainSpec, SphereSample
+from .domains import DomainSpec, SphereSample, is_simple
 from .errors import (ConsistencyError, DegeneratePairError,
                      IncompatiblePairError, OutOfDomainError,
                      PreconditionError, SliceRegError)
-from .holomorphic import HoloSliceFunction, dbar_residual_rows
+from .holomorphic import ContinuedLog, HoloSliceFunction, PowerSeries, dbar_residual_rows
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
-                          imaginary_rows, mul_rows, norm_rows)
+                          imaginary_rows, mul_rows, norm_rows, orthonormal_to)
 
 # the random points a validator draws and tests at once
 _DRAW_BLOCK = 256
@@ -127,7 +127,6 @@ def _two_slice_stem(r, J: UnitImaginary, s, K: UnitImaginary,
 
 def _real_samples(fn: HoloSliceFunction, count: int = 9):
     """Real evaluation points where the function is defined."""
-    from .holomorphic import ContinuedLog, PowerSeries
     if isinstance(fn, PowerSeries):
         half = 0.7 * min(fn.radius, 2.0)
         return np.linspace(fn.center - half, fn.center + half, count)
@@ -216,7 +215,6 @@ def regular_ext(fI: HoloSliceFunction, domain: DomainSpec,
 
 
 def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary, where=None):
-    from .quaternions import orthonormal_to
     x_min, x_max, y_max = domain.bbox
     gx = np.linspace(x_min + 1e-3, x_max - 1e-3, 12)
     gy = np.linspace(1e-3, y_max - 1e-3, 6)
@@ -314,7 +312,6 @@ def extend_to_completion(f: HoloSliceFunction, omega: DomainSpec,
     (slicereg.consistency).
     """
     if not force:
-        from .domains import is_simple
         verdict = is_simple(omega, sample)
         if not verdict.is_yes:
             raise PreconditionError(

@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import (DomainSpec, SphereSample, completion_of_slice,
-                      is_slice_domain, rasterize)
+from .domains import DomainSpec, SphereSample, is_slice_domain, rasterize
 from .errors import (ConsistencyError, GeometryError, PathError,
                      PreconditionError, SliceRegError)
 from .extension import StemPair, _draws, _two_slice_stem
 from .quaternions import (SliceCoord, UNIT_I, UnitImaginary, norm_rows,
                           rotate_toward)
 from .raster import _grid_path, _points_to_polyline_dist, resample_polyline
-from .specs import TubeDomain, ball_spec, intersect_specs
+from .specs import TubeDomain, ball_spec, completion_of_slice, intersect_specs
 
 
 def _probe_units(J0: UnitImaginary):

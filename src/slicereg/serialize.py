@@ -16,7 +16,6 @@ import numpy as np
 
 from .domains import DomainSpec
 from .errors import PreconditionError, UnsupportedError
-from .holomorphic import ContinuedLog, PowerSeries
 from .quaternions import Quaternion, UnitImaginary
 from .specs import (TubeDomain, ball_spec, halfspace_spec, intersect_specs,
                     starlike_spec, union_spec)
@@ -256,6 +255,7 @@ def load_domain_spec(v: dict, where: str = "spec") -> DomainSpec:
 def load_holo_function(v: dict, default_unit=None):
     """Holomorphic slice function from a function's walked values; its
     slice unit is default_unit when the values give none."""
+    from .holomorphic import ContinuedLog, PowerSeries
     unit = v["slice_unit"] or default_unit
     if v["variant"] == "power-series":
         return PowerSeries(coeffs=tuple(Quaternion(*c) for c in v["coeffs"]),

@@ -1,8 +1,8 @@
 """Concrete domain specs: the ball, the slicewise half plane, the
-starlike domain, the pointwise union and intersection of specs, and the
-tube around a path in one slice plane.  Each gives a
-slicereg.domains.DomainSpec (a tube through TubeDomain.as_domain_spec);
-the counterexample's spec is slicereg.counterexample.omega_spec.
+starlike domain, the pointwise union and intersection of specs, the
+symmetric completions, and the tube around a path in one slice plane.
+Each gives a slicereg.domains.DomainSpec (a tube through its
+as_domain_spec); the counterexample's is slicereg.counterexample.omega_spec.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainSpec
+from .domains import DomainSpec, SphereSample
 from .errors import PreconditionError, UnsupportedError
 from .quaternions import Quaternion, UnitImaginary
 from .raster import _fit_scale
@@ -134,6 +134,38 @@ def union_spec(specs, name="union") -> DomainSpec:
     return DomainSpec(membership, real_trace, bbox,
                       min(s.h for s in specs), name=name,
                       slicewise=all(s.slicewise for s in specs))
+
+
+def symmetric_completion(spec: DomainSpec, sample: SphereSample) -> DomainSpec:
+    """Sampled symmetric completion: a point joins when any sampled unit's
+    slice contains it.  Monotone in the sample size; exact where slices vary
+    monotonically with the distance to a reference unit."""
+    units = sample.units
+
+    def membership(x, y, jx, jy, jz):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        for K in units:
+            out |= np.asarray(spec.membership(x, y, K.vx, K.vy, K.vz), dtype=bool)
+            if out.all():
+                break
+        return out
+
+    return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
+                      cuts=None, name=f"completion({spec.name})", slicewise=True)
+
+
+def completion_of_slice(spec: DomainSpec, K0: UnitImaginary) -> DomainSpec:
+    """Exact symmetric completion of the single full slice through K0."""
+    def membership(x, y, jx, jy, jz):
+        up = np.asarray(spec.membership(x, y, K0.vx, K0.vy, K0.vz), dtype=bool)
+        dn = np.asarray(spec.membership(x, y, -K0.vx, -K0.vy, -K0.vz), dtype=bool)
+        return up | dn
+
+    return DomainSpec(membership, spec.real_trace, spec.bbox, spec.h,
+                      cuts=None, name=f"slice-completion({spec.name})",
+                      slicewise=True)
 
 
 @dataclass(frozen=True)

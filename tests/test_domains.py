@@ -23,17 +23,16 @@ from slicereg import (Quaternion, SphereSample, UnitImaginary, ball_spec,
                       symmetric_completion)
 from slicereg import counterexample, domains, raster
 from slicereg.cli import main
-from slicereg.domains import (DomainSpec, PlanarRegionGrid, completion_of_slice,
-                              fibonacci_points)
+from slicereg.domains import DomainSpec, PlanarRegionGrid, fibonacci_points
 from slicereg.raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells,
                              _core, _core_hull, _first_cell_in_hull,
                              _grid_bfs, _grid_path, _half_step_rows,
                              _nearest_index, _points_to_polyline_dist,
                              resample_polyline)
-from slicereg.specs import intersect_specs, union_spec
+from slicereg.specs import (TubeDomain, completion_of_slice, intersect_specs,
+                            union_spec)
 from slicereg.errors import PreconditionError
 from slicereg.holomorphic import segment_crossings
-from slicereg.specs import TubeDomain
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
                                      omega_spec, pair_set_grid)
@@ -961,7 +960,7 @@ def test_check_domain_work_per_verdict(data, slicewise, tmp_path, monkeypatch):
     once per rasterize call; any other spec's at most once per unit and
     verdict."""
     from slicereg import cli
-    spy = _WorkSpy(monkeypatch, cli, _CHECKED)
+    spy = _WorkSpy(monkeypatch, domains, _CHECKED)
     load = cli.load_domain_spec
     monkeypatch.setattr(cli, "load_domain_spec", lambda values: spy.spied(load(values)))
     path = tmp_path / "spec.json"

@@ -481,7 +481,7 @@ def _clearance_radii_per_probe(samples, J0, Y, hi0, iters=16):
 def test_clearance_radii_match_per_probe_loop(ball, star, omega):
     """One membership call per bisection step gives the radii of one call
     per (probe unit, angle), bit for bit."""
-    from slicereg.domains import completion_of_slice
+    from slicereg.specs import completion_of_slice
     tube = TubeDomain(unit=UNIT_I, polyline=np.array([[0.0, 0.6], [0.1, 0.3], [0.0, 0.0]]),
                       epsilon=0.2, y_ref=0.6).as_domain_spec()
     path = resample_polyline(np.array([[0.0, 0.6], [0.1, 0.3], [0.0, 0.0]]), 0.02)

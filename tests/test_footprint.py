@@ -1,6 +1,7 @@
 """What every slicereg process loads: no OpenSSL, no numpy.random, no
-numpy at package import, one BLAS thread under the CLI, and no module
-whose compile sets the import-time memory peak."""
+numpy at package import, one BLAS thread under the CLI, only the slicereg
+modules a command calls, and no module whose compile sets the
+import-time memory peak."""
 import json
 import os
 import subprocess
@@ -125,16 +126,70 @@ def test_commands_that_draw_random_numbers_load_no_numpy_random(tmp_path):
 
 def test_the_cli_and_the_counterexample_load_no_local_extension():
     """A fresh import of slicereg.cli and slicereg.counterexample (what the
-    benchmark's launcher loads before main) leaves slicereg.local out: only
-    the tube and local-extend commands import it, when they run.  The tube
-    spec type lives in slicereg.specs, and every public path to it names
-    the one class."""
+    benchmark's launcher loads before main) leaves slicereg.local and
+    slicereg.extension out: only the commands that call them import them,
+    when they run.  The tube spec type lives in slicereg.specs, and every
+    public path to it names the one class."""
     code = ("import sys, slicereg.cli, slicereg.counterexample\n"
-            "print('slicereg.local' in sys.modules)")
-    assert _fresh_run(code) == "False"
+            "print([m in sys.modules for m in ('slicereg.local', 'slicereg.extension')])")
+    assert _fresh_run(code) == "[False, False]"
     import slicereg.local
     import slicereg.specs
     assert slicereg.TubeDomain is slicereg.local.TubeDomain is slicereg.specs.TubeDomain
+
+
+# the slicereg modules every command loads: the CLI and what it imports at
+# its top (serialize loads domains, specs and raster)
+LOADED_BY_ALL = ("cli", "domains", "errors", "quaternions", "raster", "serialize", "specs")
+EXTENSION = ("extension", "holomorphic")
+
+
+@pytest.mark.parametrize("argv, layers", [
+    pytest.param(["check-domain", "{ball}"], (), id="check-domain-ball"),
+    pytest.param(["completion", "{ball}"], (), id="completion-ball"),
+    pytest.param(["check-domain", "{omega}"], ("counterexample", "holomorphic"),
+                 id="check-domain-counterexample"),
+    pytest.param(["completion", "{omega}"], ("counterexample", "holomorphic"),
+                 id="completion-counterexample"),
+    pytest.param(["repr"], EXTENSION, id="repr"),
+    pytest.param(["extend", "{pair}"], EXTENSION, id="extend"),
+    pytest.param(["ext-slice", "{ball}", "--function", "{square}", "--unit", "[1, 0, 0]"],
+                 EXTENSION, id="ext-slice"),
+    pytest.param(["local-extend", "{ball}", "--function", "square",
+                  "--point", "[0, 0.3, 0.4, 0]"], (*EXTENSION, "local"), id="local-extend"),
+    pytest.param(["global-extend", "{ball}", "--function", "square"],
+                 (*EXTENSION, "consistency"), id="global-extend"),
+    pytest.param(["counterexample", "--h", "0.05"], (*EXTENSION, "counterexample"),
+                 id="counterexample"),
+    pytest.param(["tube", "{ball}", "--path", "{path}"], (*EXTENSION, "local"), id="tube"),
+])
+def test_each_command_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    """A command run in a fresh interpreter loads exactly the slicereg
+    modules it calls: the verdicts on a ball need only the raster layer
+    (no extension, holomorphic, local, consistency or counterexample), and
+    the counterexample spec adds its module and the continued logarithm
+    it imports, but no extension."""
+    files = {
+        "ball": {"type": "ball", "center": [0, 0, 0, 0], "radius": 1.0, "h": 0.1},
+        "omega": {"type": "counterexample", "axis": [1, 0, 0], "h": 0.05},
+        "square": {"variant": "power-series",
+                   "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "path": {"unit": [1, 0, 0], "points": [[0.0, 0.6], [0.0, 0.0]]},
+    }
+    files["pair"] = {"r": {**files["square"], "slice_unit": [1, 0, 0]},
+                     "s": {**files["square"], "slice_unit": [0, 1, 0]},
+                     "grid": {"x": [-0.5, 0.5, 0.25], "y": [0.0, 0.5, 0.25],
+                              "unit": [0, 0, 1]}}
+    names = {}
+    for name, value in files.items():
+        names[name] = str(tmp_path / f"{name}.json")
+        Path(names[name]).write_text(json.dumps(value))
+    argv = [a.format(**names) for a in argv] + ["--samples", "8", "--out", str(tmp_path / "out")]
+    code = ("import sys, slicereg.cli\n"
+            f"code = slicereg.cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('slicereg.')))")
+    expected = sorted(f"slicereg.{m}" for m in {*LOADED_BY_ALL, *layers})
+    assert _fresh_run(code).splitlines()[-1] == f"0 {expected}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
