@@ -226,7 +226,7 @@ def cmd_extend(args) -> int:
     from .raster import _arange_len, _check_cells
     out = _out_dir(args)
     pair = _read(args.pair, "pair")
-    r, s = (load_holo_function(pair[key]) for key in ("r", "s"))
+    r, s = (load_holo_function(pair[key], where=f"pair.{key}") for key in ("r", "s"))
     if r.slice_unit is None or s.slice_unit is None:
         raise PreconditionError("function pair must carry slice_unit entries")
     grid = pair["grid"]  # x and y are spans [start, stop, step], counted before np.arange

@@ -108,7 +108,7 @@ def plane_log(J: UnitImaginary, cfg: CounterexampleConfig) -> ContinuedLog:
     return ContinuedLog(pole=(0.0, 2.0), base=(1.0, 2.0),
                         base_value=Quaternion(0.0),
                         cuts=tuple(slice_cuts(J, cfg)), carrier=cfg.axis,
-                        bbox=(x_min, x_max, -y_max, y_max), step=0.05)
+                        bbox=(x_min, x_max, -y_max, y_max))
 
 
 def log_pair(cfg: CounterexampleConfig):
@@ -301,8 +301,7 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
         "disk": pgrid.component_at(-1.0, 2.0),
         "outer": pgrid.component_at(3.0, 1.0),
     }
-    # free the grids before the continuation tables and the rasters of
-    # is_simple are built
+    # free the grids before the rasters of is_simple are built
     del tgrid, pgrid
 
     direct, conj = log_pair(cfg)
@@ -352,8 +351,8 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
 
     # the two orderings of the extension formula at 100 disk points on the
     # axis slice, 100 outside points and 40 disk points on random slices,
-    # drawn in this order; the swapped views share the tables and the real
-    # trace of the pair, so one check covers both
+    # drawn in this order; the swapped views share the real trace of the
+    # pair, so one check covers both
     points = [(*disk_coord(), axis.to_list()) for _ in range(100)]
     points += [(*where(), UnitImaginary(*(rng.gauss(0.0, 1.0) for _ in range(3))).to_list())
                for where, count in ((outside_coord, 100), (disk_coord, 40))
@@ -369,8 +368,6 @@ def demonstrate(cfg: CounterexampleConfig, sample: SphereSample | None = None,
         "disk_general_unit_min": float(np.min(general)),
         "disk_general_unit_max": float(np.max(general)),
     }
-    # free the continuation tables before the rasters of is_simple are built
-    del direct, conj
 
     verdict_simple = is_simple(spec, sample)
     report["simple"] = verdict_simple.summary()

@@ -22,7 +22,7 @@ class StencilError(SliceRegError):
 
 
 class DisconnectedDomainError(SliceRegError):
-    """No continuation path connects the base point to the target."""
+    """A continuation's base point lies on a cut or at the pole."""
 
 
 class IncompatiblePairError(SliceRegError):

@@ -253,14 +253,14 @@ def _validate_holomorphic(fI: HoloSliceFunction, domain: DomainSpec,
         inside = domain.contains_rows(cx, cy, np.broadcast_to(unit.to_list(), (cx.size, 3)))
         inside = inside.reshape(-1, 4).all(axis=1)
         x, y = x[inside], y[inside]
-        if not x.size:  # no point passed: fI is not evaluated, nor its table built
+        if not x.size:  # no point passed: fI is not evaluated
             continue
         units = np.broadcast_to(unit.to_list(), (len(x), 3))
         try:
             res, stencil_ok = dbar_residual_rows(fI, x, y, units, h)
             values, ok = fI.eval_rows(x, y, units)
         except PreconditionError:
-            raise  # fI cannot be evaluated anywhere, e.g. its table cannot be built
+            raise  # fI cannot be evaluated anywhere
         except SliceRegError:
             continue
         keep = np.flatnonzero(stencil_ok.all(axis=1) & ok)[:6 - checked]

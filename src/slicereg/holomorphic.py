@@ -5,12 +5,11 @@ eval_rows, batched over arrays, and eval is its one-row case.  Two families
 are provided: power series with real center (slice regular on their ball,
 powers act on the left of the coefficients) and path-continued logarithms
 on a cut plane.
-The continued logarithm carries its own raster table of path integrals so
-that repeated evaluations share one breadth-first continuation tree.  Its
-one query, integral_rows, is batched: every point takes its nearest cell
-at once, and the points left walk the anchor cells around it, one array
-pass per anchor offset.  The pole tests measure a leg with raster's one
-segment-distance kernel.
+A continued logarithm is evaluated in closed form: the principal Log plus
+2 pi i times a winding number about the point, counted over the chain of
+cuts that runs from the pole out of the box.  Its one query,
+integral_rows, is batched; its tests of the pole and the cuts measure a
+point with raster's one segment-distance kernel.
 """
 from __future__ import annotations
 
@@ -20,8 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import (_CUT_BLOCK, _GRID_STEPS, _arange_len, _block_cut_cells,
-                     _check_cells, _grid_bfs, _points_to_polyline_dist)
+from .raster import _CUT_BLOCK, _fit_scale, _points_to_polyline_dist
 from .errors import (DisconnectedDomainError, OutOfDomainError,
                      PreconditionError, StencilError)
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
@@ -151,175 +149,124 @@ class PowerSeries(HoloSliceFunction):
         return values, ok
 
 
-class _PlaneContinuation:
-    """Shared raster table of path integrals of 1/(z - pole) on a cut plane.
+# a point this close to the pole or to a cut is not answered, and cut end
+# points this close join
+_ON_CUT = 1e-9
+# the points of one run of a sweep: sorted, a run spans a short range
+_SWEEP_ROWS = 128
 
-    The table is a breadth-first continuation tree over free grid cells;
-    evaluations add one closed-form straight leg from the nearest usable cell
-    center.  Built on first use, read-only afterwards.
-    """
 
-    ANCHOR_RADIUS = 4
+def _cut_chain(pole, cuts, inside):
+    """The vertices (m, 2), from the pole, of the first chain of cut
+    polylines joined end to end that runs from the pole to a vertex that
+    inside (a test of vertex rows) rejects, up to that vertex; the pole
+    alone when inside rejects it, and None when there is no chain.  A
+    depth-first search over the end point graph takes polylines in input
+    order and enters each end point once."""
+    if not inside(pole[None])[0]:
+        return pole[None]
+    ends = np.array([[c[0], c[-1]] for c in cuts]).reshape(-1, 2)
+    entered = np.zeros(len(ends), dtype=bool)
 
-    def __init__(self, pole, base, cuts, bbox, step):
-        self.pole = complex(pole[0], pole[1])
-        self.base = (float(base[0]), float(base[1]))
-        self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
-        self.bbox = tuple(float(v) for v in bbox)  # (xlo, xhi, ylo, yhi)
-        self.step = float(step)
-        self._xs = self._ys = self._free = self._value = None
-        r = range(-self.ANCHOR_RADIUS, self.ANCHOR_RADIUS + 1)
-        self._anchor_offsets = [(dy, dx) for _, dy, dx in sorted(
-            (dy * dy + dx * dx, dy, dx) for dy in r for dx in r)]
+    def enter(point):
+        near = np.flatnonzero(_points_to_polyline_dist(ends[:, 0], ends[:, 1],
+                                                       [point, point]) <= _ON_CUT)
+        entered[near] = True
+        return iter(near.tolist())
 
-    # -- construction ------------------------------------------------------
+    path, frames = [pole[None]], [enter(pole)]
+    while frames:
+        k = next(frames[-1], None)
+        if k is None:
+            path.pop()
+            frames.pop()
+            continue
+        poly = cuts[k // 2] if k % 2 == 0 else cuts[k // 2][::-1]  # from end k
+        out = np.flatnonzero(~inside(poly))
+        if out.size:
+            return np.vstack(path + [poly[:out[0] + 1]])
+        if not entered[k ^ 1]:
+            path.append(poly)
+            frames.append(enter(poly[-1]))
+    return None
 
-    def _build(self):
-        xlo, xhi, ylo, yhi = self.bbox
-        h = self.step
-        if not h > 0.0:
-            raise PreconditionError("continuation step must be positive")
-        _check_cells(_arange_len(ylo + h / 2.0, yhi, h), _arange_len(xlo + h / 2.0, xhi, h),
-                     f"a continuation table at step {h:g}")
-        bx, by = self.base
-        if not (xlo <= bx <= xhi and ylo <= by <= yhi):
-            raise PreconditionError(
-                f"continuation base ({bx:g}, {by:g}) lies outside the table box "
-                f"[{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}]")
-        xs = np.arange(xlo + h / 2.0, xhi, h)
-        ys = np.arange(ylo + h / 2.0, yhi, h)
-        free = np.ones((ys.size, xs.size), dtype=bool)
-        _block_cut_cells(free, xs, ys, self.cuts, h)
-        free &= np.abs(xs[None, :] + 1j * ys[:, None] - self.pole) > 1.5 * h
 
-        # the base's nearest cell centre, clipped for a base within h of the
-        # box's top or right edge, where _block_cut_cells may drop the
-        # samples of a cut between the base and the centre: the leg is tested
-        ib = int(np.clip(round((by - ys[0]) / h), 0, ys.size - 1))
-        jb = int(np.clip(round((bx - xs[0]) / h), 0, xs.size - 1))
-        if not free[ib, jb]:
-            raise DisconnectedDomainError("base point cell is blocked by a cut")
-        if any(segment_crossings((bx, by), (xs[jb], ys[ib]), poly) for poly in self.cuts):
-            raise DisconnectedDomainError("a cut separates the base point from its cell")
+def _winding_polygon(pole, chain, bbox) -> np.ndarray:
+    """The closed polygon (m, 2) of the winding test: the pole, its branch
+    ray {pole - t} out to a ring around the box, the ring to the chain's
+    last vertex pushed straight out of the box, and the chain back to the
+    pole.  Only the ray and the chain meet the closed box, so the way
+    round the ring shifts the box's winding numbers by one constant."""
+    xlo, xhi, ylo, yhi = bbox
+    end = chain[-1]
+    pts = np.vstack([chain, [[xlo, ylo], [xhi, yhi]]])
+    pad = 1.0 + np.max(np.abs(pts))
+    lo, hi = pts.min(axis=0) - pad, pts.max(axis=0) + pad
+    past_lo, past_hi = end <= (xlo, ylo), end >= (xhi, yhi)
+    out = np.where(past_hi, hi, np.where(past_lo, lo, end))
+    # the ring's corners counterclockwise from the side out lies on to the
+    # left side, where the ray meets the ring
+    side = 3 if past_lo[0] else 2 if past_hi[1] else 1 if past_hi[0] else 0
+    ring = [(hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])][side:]
+    return np.vstack([[pole, (lo[0], pole[1])], *ring[::-1], [out], chain[::-1]])
 
-        dist, pdir = _grid_bfs(free, (ib, jb))
-        value = self._accumulate(free, xs, ys, dist, pdir, (ib, jb))
-        # the table is anchored at cell centers; shift so entries measure the
-        # integral from the exact base point
-        z_start = complex(xs[jb], ys[ib])
-        z_base = complex(bx, by)
-        if abs(z_start - z_base) > 1e-15:
-            value[np.isfinite(value)] += integrate_reciprocal(z_base, z_start, self.pole)
-        self._xs, self._ys, self._free, self._value = xs, ys, free, value
 
-    def _accumulate(self, free, xs, ys, dist, pdir, start):
-        """Path integrals along the BFS tree: each reached cell gets its
-        parent's value plus the closed-form log of its edge.  Cells are flat
-        indices sorted by level, so a level is one slice whose parents are
-        already set.  Each level's parents and edge logs are computed inside
-        the level loop, so the temporaries are bounded by the widest level;
-        the edge log is computed in place in the buffer of z1."""
-        ny, nx = free.shape
-        value = np.full(ny * nx, np.nan + 0j, dtype=complex)
-        value[start[0] * nx + start[1]] = 0.0 + 0.0j
-        level = dist.ravel()
-        cells = np.flatnonzero(level > 0)
-        cells = cells[np.argsort(level[cells], kind="stable")]
-        level = level[cells]
-        offsets = np.array([dy * nx + dx for dy, dx in _GRID_STEPS])
-        codes = pdir.ravel()
-        lo = 0
-        # level k ends where level k + 1 starts; no level is empty
-        for hi in np.searchsorted(level, np.arange(2, level[-1] + 2)) if level.size else ():
-            cell = cells[lo:hi]
-            parent = cell - offsets[codes[cell]]
-            edge = xs[cell % nx] + 1j * ys[cell // nx]  # z1
-            edge -= self.pole
-            z0 = xs[parent % nx] + 1j * ys[parent // nx]
-            z0 -= self.pole
-            edge /= z0
-            np.log(edge, out=edge)
-            value[cell] = value[parent] + edge
-            lo = hi
-        return value.reshape(ny, nx)
+def _blocks(key, lo, hi):
+    """Blocks (rows, items) of index arrays: the rows, in the order of
+    key (n,), in runs of _SWEEP_ROWS, each with the items whose range
+    [lo, hi] meets the run's range of key, in chunks of at most
+    _CUT_BLOCK rows times items."""
+    order = np.argsort(key, kind="stable")
+    for r in range(0, len(key), _SWEEP_ROWS):
+        rows = order[r:r + _SWEEP_ROWS]
+        items = np.flatnonzero((lo <= key[rows[-1]]) & (hi >= key[rows[0]]))
+        step = _CUT_BLOCK // len(rows)
+        for s in range(0, len(items), step):
+            yield rows, items[s:s + step]
 
-    def ensure_built(self):
-        """Build the table unless it is built; a table that cannot be built
-        raises its own error on every call."""
-        if self._xs is None:
-            self._build()
 
-    # -- evaluation --------------------------------------------------------
+def _winding_rows(x, y, polygon) -> np.ndarray:
+    """Winding numbers (n,), as floats, of a closed polygon about the
+    points (x, y), float arrays (n,), by the signed crossings of the ray
+    to +x.  An edge from a to c counts where a_y <= y < c_y or c_y <= y <
+    a_y: horizontal edges are skipped, and a point on a horizontal line
+    through a vertex takes the winding number just above it."""
+    a, c = polygon[:-1], polygon[1:]
+    a, c = a[a[:, 1] != c[:, 1]], c[a[:, 1] != c[:, 1]]
+    lo, hi = np.minimum(a[:, 1], c[:, 1]), np.maximum(a[:, 1], c[:, 1])
+    sign = np.where(a[:, 1] < c[:, 1], 1.0, -1.0)
+    wind = np.zeros(len(x))
+    for rows, edges in _blocks(y, lo, hi):
+        ys = y[rows, None]
+        row, k = np.nonzero((lo[edges] <= ys) & (ys < hi[edges]))
+        e, at = edges[k], rows[row]
+        t = (y[at] - a[e, 1]) / (c[e, 1] - a[e, 1])
+        right = x[at] < a[e, 0] + t * (c[e, 0] - a[e, 0])
+        wind[rows] += np.bincount(row, sign[e] * right, minlength=len(rows))
+    return wind
 
-    def _anchor(self, w, rows, qx, qy, iy, ix, cross: bool):
-        """Answer the points (qx, qy) through the cells (iy, ix), integer
-        arrays that may run off the table.  Where a cell is on the table,
-        free and reached, its straight leg keeps 1e-9 from the pole and,
-        when cross, crosses no cut, w[rows] gets the cell's value plus the
-        leg's log, taken by cmath over a list (np.log need not match
-        integrate_reciprocal in the last bit).  Returns the positions of
-        the points answered."""
-        ny, nx = self._free.shape
-        k = np.flatnonzero((0 <= iy) & (iy < ny) & (0 <= ix) & (ix < nx))
-        k = k[self._free[iy[k], ix[k]] & np.isfinite(self._value[iy[k], ix[k]])]
-        if not k.size:
-            return k
-        pole = self.pole
-        start = np.column_stack([self._xs[ix[k]], self._ys[iy[k]]])
-        end = np.column_stack([qx[k], qy[k]])
-        keep = _points_to_polyline_dist(np.full(k.size, pole.real), np.full(k.size, pole.imag),
-                                        np.stack([start, end], axis=1)) >= 1e-9
-        for poly in self.cuts if cross else ():
-            if keep.any():
-                keep[keep] = segment_crossings(start[keep], end[keep], poly) == 0
-        k, start = k[keep], start[keep]
-        legs = [cmath.log(complex(a, b) / complex(c, d)) for a, b, c, d in zip(
-            *(v.tolist() for v in (qx[k] - pole.real, qy[k] - pole.imag,
-                                   start[:, 0] - pole.real, start[:, 1] - pole.imag)))]
-        w[rows[k]] = self._value[iy[k], ix[k]] + np.array(legs, dtype=complex)
-        return k
 
-    def integral_rows(self, px, py):
-        """Path integrals of dz/(z - pole) from the base point to the points
-        (px, py), float arrays (n,), as (w (n,) complex, ok (n,)); ok is
-        False outside the box and where no anchor reaches.
+def _clear_rows(x, y, segments) -> np.ndarray:
+    """Whether each point (x, y), float arrays (n,), lies more than 1e-9
+    from every segment (S, 2, 2).  Only the (point, segment) pairs whose
+    segment box, widened by 1e-9, holds the point are measured."""
+    lo, hi = segments.min(axis=1) - _ON_CUT, segments.max(axis=1) + _ON_CUT
+    clear = np.ones(len(x), dtype=bool)
+    for rows, segs in _blocks(x, lo[:, 0], hi[:, 0]):
+        xs, ys = x[rows, None], y[rows, None]
+        row, k = np.nonzero((lo[segs, 0] <= xs) & (xs <= hi[segs, 0])
+                            & (lo[segs, 1] <= ys) & (ys <= hi[segs, 1]))
+        at = rows[row]
+        near = _points_to_polyline_dist(x[at], y[at], segments[segs[k]]) <= _ON_CUT
+        clear[at[near]] = False
+    return clear
 
-        Each point first takes its nearest cell, with round()'s
-        half-to-even index (np.rint), unclamped: a point more than h/2 past
-        the table's edge centres gets one off the table.  A nearest cell on
-        the table has its centre within h/2 of the point per coordinate,
-        and its straight leg, which stays in the box of half-width h/2
-        around the centre, needs no crossing test.  A cut point in that
-        box has a cut sample within h/4 of it, so within 3h/4 of the
-        centre, and that sample's nearest cell is the cell or one of its
-        eight neighbours: _block_cut_cells would have blocked the cell.
-        Free centres are more than 1.5h from the pole, so the leg keeps
-        more than 0.79h from it; the pole test stays, as 0.79h exceeds its
-        1e-9 only for h > 1.3e-9.
 
-        The points left walk _anchor_offsets around their clamped nearest
-        cell, one array pass per offset over all of them, and each takes
-        the first anchor whose leg also crosses no cut.  The walk stops
-        once every point is answered."""
-        self.ensure_built()
-        xlo, xhi, ylo, yhi = self.bbox
-        h = self.step
-        ny, nx = self._free.shape
-        w = np.full(len(px), np.nan + 0j)
-        ok = (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
-        rows = np.flatnonzero(ok)
-        qx, qy = px[rows], py[rows]
-        iy = np.rint((qy - self._ys[0]) / h).astype(np.intp)
-        ix = np.rint((qx - self._xs[0]) / h).astype(np.intp)
-        left = np.delete(np.arange(rows.size), self._anchor(w, rows, qx, qy, iy, ix, False))
-        iy, ix = np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)
-        for dy, dx in self._anchor_offsets:
-            if not left.size:
-                break
-            left = np.delete(left, self._anchor(w, rows[left], qx[left], qy[left],
-                                                iy[left] + dy, ix[left] + dx, True))
-        ok[rows[left]] = False
-        return w, ok
+def _principal_log(x, y, pole) -> np.ndarray:
+    """Log(z - pole) at z = x + iy, float arrays (n,).  Adding 0.0 turns a
+    height of -0.0 into +0.0, so a point on the branch ray {pole - t}
+    takes the value from above, as the winding test does."""
+    return np.log((x - pole[0]) + 1j * (y - pole[1] + 0.0))
 
 
 @dataclass(frozen=True)
@@ -327,10 +274,17 @@ class ContinuedLog(HoloSliceFunction):
     """Logarithm-type function continued over a cut plane.
 
     Value at a plane point z is base_value + dress(integral of 1/(z - pole)
-    along a path from the base point), where dress maps u + iv to the
-    quaternion u + carrier*v.  The plane carries the coordinates of the
-    carrier unit's slice; evaluation accepts points of L_carrier written
-    with either the carrier or its antipode.
+    along a path from the base point that crosses no cut), where dress
+    maps u + iv to the quaternion u + carrier*v.  The plane carries the
+    coordinates of the carrier unit's slice; evaluation accepts points of
+    L_carrier written with either the carrier or its antipode.
+
+    On the box less Gamma, the first chain of cuts joined end to end that
+    runs from the pole to a vertex on or outside the box's edge (none when
+    the pole is there), the integral is Log(z - pole) - Log(base - pole) +
+    2 pi i (w(z) - w(base)), w the winding number of _winding_polygon.
+    Points of the closed box more than 1e-9 from the pole and every cut
+    are answered, in a pocket that cuts separate from the base too.
     """
 
     pole: tuple
@@ -340,31 +294,73 @@ class ContinuedLog(HoloSliceFunction):
     carrier: UnitImaginary
     slice_unit: UnitImaginary = None
     bbox: tuple = (-5.0, 5.0, -5.0, 5.0)
-    step: float = 0.05
-    _table: _PlaneContinuation = field(default=None, compare=False, repr=False)
+    # the cut and pole segments (S, 2, 2), the winding polygon and the
+    # power of two it is scaled by, Log(base - pole) and w(base)
+    _branch: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(np.asarray(c, float) for c in self.cuts))
+        """Raises PreconditionError naming base or cuts, where the base lies
+        outside the box or there is no chain, and DisconnectedDomainError
+        where the base lies within 1e-9 of the pole or a cut."""
+        cuts = tuple(np.asarray(c, dtype=float).reshape(-1, 2) for c in self.cuts)
+        object.__setattr__(self, "cuts", cuts)
         if self.slice_unit is None:
             object.__setattr__(self, "slice_unit", self.carrier)
-        if self._table is None:
-            object.__setattr__(self, "_table", _PlaneContinuation(
-                self.pole, self.base, self.cuts, self.bbox, self.step))
+        pole = np.array(self.pole, dtype=float)
+        xlo, xhi, ylo, yhi = self.bbox
+        bx, by = (np.array([float(v)]) for v in self.base)
+        base = f"base: ({bx[0]:g}, {by[0]:g}) lies"
+        box = f"[{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}]"
+        if not (xlo <= bx[0] <= xhi and ylo <= by[0] <= yhi):
+            raise PreconditionError(f"{base} outside the box {box}")
+        # every segment, a polyline's first vertex and the pole as length 0
+        ends = np.array([c[0] for c in cuts] + [pole])
+        segments = np.concatenate([np.stack([c[:-1], c[1:]], axis=1) for c in cuts]
+                                  + [np.stack([ends, ends], axis=1)])
+        if not _clear_rows(bx, by, segments)[0]:
+            raise DisconnectedDomainError(f"{base} within 1e-9 of the pole or a cut")
+        chain = _cut_chain(pole, cuts, lambda v: (xlo < v[:, 0]) & (v[:, 0] < xhi)
+                           & (ylo < v[:, 1]) & (v[:, 1] < yhi))
+        if chain is None:
+            raise PreconditionError(
+                f"cuts: no chain of them joins the pole ({pole[0]:g}, {pole[1]:g}) to the "
+                f"edge of the box {box}, so log(z - pole) has no single-valued branch on it")
+        # the winding test runs at a power of two that keeps its products finite
+        scale = float(_fit_scale(np.max(np.abs([*chain.ravel(), *self.bbox]))))
+        polygon = _winding_polygon(pole * scale, chain * scale,
+                                   tuple(v * scale for v in self.bbox))
+        object.__setattr__(self, "_branch", (
+            segments, polygon, scale, _principal_log(bx, by, pole)[0],
+            _winding_rows(bx * scale, by * scale, polygon)[0]))
 
     def on_slice(self, unit: UnitImaginary) -> "ContinuedLog":
         """View of the same function attached to the given slice unit
-        (must be the carrier or its antipode); shares the table."""
+        (must be the carrier or its antipode)."""
         if not (unit.approx(self.carrier) or unit.approx(-self.carrier)):
             raise OutOfDomainError("function lives on the carrier's plane only")
-        return replace(self, slice_unit=unit, _table=self._table)
+        return replace(self, slice_unit=unit)
+
+    def integral_rows(self, px, py):
+        """Path integrals of dz/(z - pole) from the base point to the plane
+        points (px, py), float arrays (n,), as (w (n,) complex, ok (n,));
+        rows outside the closed box or within 1e-9 of the pole or a cut
+        are not ok and NaN."""
+        segments, polygon, scale, log_base, wind_base = self._branch
+        xlo, xhi, ylo, yhi = self.bbox
+        w = np.full(len(px), np.nan + 0j)
+        ok = (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
+        ok[ok] = _clear_rows(px[ok], py[ok], segments)
+        x, y = px[ok], py[ok]
+        turns = _winding_rows(x * scale, y * scale, polygon) - wind_base
+        w[ok] = (_principal_log(x, y, self.pole) - log_base) + 2j * math.pi * turns
+        return w, ok
 
     def plane_rows(self, px, py):
         """Values at the plane points (px, py), float arrays (n,), as
-        eval_rows rows: (values (n, 4), ok (n,)), from one integral_rows
-        call; each row sums as the quaternions base_value + w.real +
-        carrier * w.imag do, bit for bit."""
-        w, ok = self._table.integral_rows(np.asarray(px, dtype=float),
-                                          np.asarray(py, dtype=float))
+        eval_rows rows: (values (n, 4), ok (n,)), from one integral_rows call;
+        each row sums as the quaternions base_value + w.real + carrier *
+        w.imag do, bit for bit."""
+        w, ok = self.integral_rows(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
         b, c, wr, wi = self.base_value, self.carrier, w.real, w.imag
         values = np.column_stack([(b.w + wr) + 0.0 * wi, (b.x + 0.0) + c.vx * wi,
                                   (b.y + 0.0) + c.vy * wi, (b.z + 0.0) + c.vz * wi])
@@ -373,26 +369,26 @@ class ContinuedLog(HoloSliceFunction):
 
     def eval_plane(self, px: float, py: float) -> Quaternion:
         """The one-row case of plane_rows.  Raises OutOfDomainError outside
-        the box and DisconnectedDomainError where no anchor reaches."""
+        the box and within 1e-9 of the pole or a cut."""
         values, ok = self.plane_rows([px], [py])
         if not ok[0]:
             xlo, xhi, ylo, yhi = self.bbox
             if not (xlo <= px <= xhi and ylo <= py <= yhi):
                 raise OutOfDomainError(f"point ({px:g}, {py:g}) outside the cut plane box")
-            raise DisconnectedDomainError(f"no continuation anchor reaches ({px:g}, {py:g})")
+            raise OutOfDomainError(f"point ({px:g}, {py:g}) lies within 1e-9 of the pole "
+                                   "or a cut")
         return Quaternion.from_list(values[0])
 
     def eval_rows(self, x, y, vectors):
         """Values at the points x + yJ, as HoloSliceFunction.eval_rows, from
-        one plane_rows call: a table that cannot be built raises its own
-        error here, once, rather than leaving every row not ok.
+        one plane_rows call.
 
         Each row is mapped to its plane point as SliceCoord.make(x, y,
         UnitImaginary(*v)) and the carrier's plane would map it: a real
         point to (x, 0), a unit within a 1e-9 chord of the carrier to (x,
         y) and of its antipode to (x, -y), where a point below the axis is
-        x + |y|(-J).  Rows off the plane, out of the box or beyond every
-        anchor are not ok."""
+        x + |y|(-J).  Rows off the plane, out of the box, at the pole or
+        on a cut are not ok."""
         v = np.asarray(vectors, dtype=float).reshape(-1, 3)
         x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
         # UnitImaginary's normalization; a norm that overflows or is too

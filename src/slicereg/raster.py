@@ -3,8 +3,7 @@ component labelling, polylines and the one cut rasterizer, the one grid
 breadth-first search, and the integer hull kernels of the convexity test.
 
 Every kernel works on plain numpy arrays (bool masks and cell centres);
-the domain specs and verdicts that call them live in slicereg.domains,
-and the continuation tables in slicereg.holomorphic.
+the domain specs and verdicts that call them live in slicereg.domains.
 """
 from __future__ import annotations
 
@@ -15,16 +14,17 @@ import numpy as np
 
 from .errors import PreconditionError
 
-# the most cells one raster or continuation table may hold, and the most
-# entries of a sphere sample's pairwise dot matrix: 4x the 4.0e6 cells of
-# the counterexample's full slice at h = 0.005
+# the most cells one raster may hold, and the most entries of a sphere
+# sample's pairwise dot matrix: 4x the 4.0e6 cells of the counterexample's
+# full slice at h = 0.005
 MAX_GRID_CELLS = 16_000_000
 # cells of the row blocks _run_components scans a mask in: small enough to
 # be reused from the heap, so a large mask adds no page faults
 _SCAN_CELLS = 1 << 16
 # the most rows times polyline segments of one block of a distance or
-# crossing test (DomainSpec.contains_rows, holomorphic.segment_crossings),
-# so their temporaries stay within a few hundred kB
+# crossing test (DomainSpec.contains_rows, holomorphic.segment_crossings,
+# and the distance and winding tests of a continued log's queries), so
+# their temporaries stay within a few hundred kB
 _CUT_BLOCK = 1 << 12
 
 

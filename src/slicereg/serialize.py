@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .domains import DomainSpec
-from .errors import PreconditionError, UnsupportedError
+from .errors import PreconditionError, SliceRegError, UnsupportedError
 from .quaternions import Quaternion, UnitImaginary
 from .specs import (TubeDomain, ball_spec, halfspace_spec, intersect_specs,
                     starlike_spec, union_spec)
@@ -132,8 +132,7 @@ SCHEMA = {
     "function": {"variant": {"power-series", "continued-log"}, "slice_unit": ("unit", None)},
     "power-series": {"coeffs": [4, 0], "center": ("number", 0), "radius": ("positive", None)},
     "continued-log": {"pole": 2, "base": 2, "carrier": "unit", "base_value": (4, [0, 0, 0, 0]),
-                      "cuts": ([POLYLINE, 0], []), "bbox": ("plane box", [-5, 5, -5, 5]),
-                      "step": ("positive", 0.05)},
+                      "cuts": ([POLYLINE, 0], []), "bbox": ("plane box", [-5, 5, -5, 5])},
     "pair": {"r": "function", "s": "function", "grid": ("grid", {})},
     "grid": {"x": (3, [-1, 1, 0.1]), "y": (3, [0, 1, 0.1]), "unit": ("unit", [0, 0, 1])},
     "path": {"points": POLYLINE, "unit": ("unit", [1, 0, 0])},
@@ -252,15 +251,19 @@ def load_domain_spec(v: dict, where: str = "spec") -> DomainSpec:
     return spec
 
 
-def load_holo_function(v: dict, default_unit=None):
+def load_holo_function(v: dict, default_unit=None, where: str = "function"):
     """Holomorphic slice function from a function's walked values; its
-    slice unit is default_unit when the values give none."""
+    slice unit is default_unit when the values give none.  where names the
+    function before the key that a continued log's error names."""
     from .holomorphic import ContinuedLog, PowerSeries
     unit = v["slice_unit"] or default_unit
     if v["variant"] == "power-series":
         return PowerSeries(coeffs=tuple(Quaternion(*c) for c in v["coeffs"]),
                            center=v["center"], radius=v["radius"] or math.inf,
                            slice_unit=unit)
-    return ContinuedLog(pole=v["pole"], base=v["base"], base_value=Quaternion(*v["base_value"]),
-                        cuts=v["cuts"], carrier=v["carrier"], slice_unit=unit,
-                        bbox=v["bbox"], step=v["step"])
+    try:
+        return ContinuedLog(pole=v["pole"], base=v["base"],
+                            base_value=Quaternion(*v["base_value"]), cuts=v["cuts"],
+                            carrier=v["carrier"], slice_unit=unit, bbox=v["bbox"])
+    except SliceRegError as exc:
+        raise type(exc)(f"{where}.{exc}") from None

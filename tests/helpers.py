@@ -20,9 +20,9 @@ from slicereg.errors import (ConsistencyError, DisconnectedDomainError, Geometry
 from slicereg.counterexample import t_of
 from slicereg.domains import (SphereSample, Verdict, _and_grids, _hull_witness,
                               is_slice_domain, omega_jk_plus, rasterize)
-from slicereg.raster import (_GRID_STEPS, _grid_bfs, _points_to_polyline_dist,
-                             _run_components)
-from slicereg.holomorphic import integrate_reciprocal
+from slicereg.raster import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
+                             _grid_bfs, _points_to_polyline_dist, _run_components)
+from slicereg.holomorphic import integrate_reciprocal, segment_crossings
 from slicereg.local import _probe_units
 from slicereg.quaternions import rotate_toward
 
@@ -95,12 +95,200 @@ def winding_number(points, point) -> float:
 def loop_consistency(fn, loop) -> float:
     """|integral of dz/(z - pole)| around a closed polyline, at the pole of
     the continued logarithm fn."""
-    return abs(polyline_integral(loop, fn._table.pole))
+    return abs(polyline_integral(loop, complex(*fn.pole)))
+
+
+# ---------------------------------------------------------------------------
+# the continuation table
+# ---------------------------------------------------------------------------
+# The raster table that continued logarithms were evaluated on before the
+# closed form: a breadth-first tree of path integrals over free grid cells,
+# answered through the nearest usable anchor cell.  ContinuedLog's values
+# are checked against it.
+
+class _PlaneContinuation:
+    """Shared raster table of path integrals of 1/(z - pole) on a cut plane.
+
+    The table is a breadth-first continuation tree over free grid cells;
+    evaluations add one closed-form straight leg from the nearest usable cell
+    center.  Built on first use, read-only afterwards.
+    """
+
+    ANCHOR_RADIUS = 4
+
+    def __init__(self, pole, base, cuts, bbox, step):
+        self.pole = complex(pole[0], pole[1])
+        self.base = (float(base[0]), float(base[1]))
+        self.cuts = tuple(np.asarray(c, dtype=float) for c in cuts)
+        self.bbox = tuple(float(v) for v in bbox)  # (xlo, xhi, ylo, yhi)
+        self.step = float(step)
+        self._xs = self._ys = self._free = self._value = None
+        r = range(-self.ANCHOR_RADIUS, self.ANCHOR_RADIUS + 1)
+        self._anchor_offsets = [(dy, dx) for _, dy, dx in sorted(
+            (dy * dy + dx * dx, dy, dx) for dy in r for dx in r)]
+
+    # -- construction ------------------------------------------------------
+
+    def _build(self):
+        xlo, xhi, ylo, yhi = self.bbox
+        h = self.step
+        if not h > 0.0:
+            raise PreconditionError("continuation step must be positive")
+        _check_cells(_arange_len(ylo + h / 2.0, yhi, h), _arange_len(xlo + h / 2.0, xhi, h),
+                     f"a continuation table at step {h:g}")
+        bx, by = self.base
+        if not (xlo <= bx <= xhi and ylo <= by <= yhi):
+            raise PreconditionError(
+                f"continuation base ({bx:g}, {by:g}) lies outside the table box "
+                f"[{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}]")
+        xs = np.arange(xlo + h / 2.0, xhi, h)
+        ys = np.arange(ylo + h / 2.0, yhi, h)
+        free = np.ones((ys.size, xs.size), dtype=bool)
+        _block_cut_cells(free, xs, ys, self.cuts, h)
+        free &= np.abs(xs[None, :] + 1j * ys[:, None] - self.pole) > 1.5 * h
+
+        # the base's nearest cell centre, clipped for a base within h of the
+        # box's top or right edge, where _block_cut_cells may drop the
+        # samples of a cut between the base and the centre: the leg is tested
+        ib = int(np.clip(round((by - ys[0]) / h), 0, ys.size - 1))
+        jb = int(np.clip(round((bx - xs[0]) / h), 0, xs.size - 1))
+        if not free[ib, jb]:
+            raise DisconnectedDomainError("base point cell is blocked by a cut")
+        if any(segment_crossings((bx, by), (xs[jb], ys[ib]), poly) for poly in self.cuts):
+            raise DisconnectedDomainError("a cut separates the base point from its cell")
+
+        dist, pdir = _grid_bfs(free, (ib, jb))
+        value = self._accumulate(free, xs, ys, dist, pdir, (ib, jb))
+        # the table is anchored at cell centers; shift so entries measure the
+        # integral from the exact base point
+        z_start = complex(xs[jb], ys[ib])
+        z_base = complex(bx, by)
+        if abs(z_start - z_base) > 1e-15:
+            value[np.isfinite(value)] += integrate_reciprocal(z_base, z_start, self.pole)
+        self._xs, self._ys, self._free, self._value = xs, ys, free, value
+
+    def _accumulate(self, free, xs, ys, dist, pdir, start):
+        """Path integrals along the BFS tree: each reached cell gets its
+        parent's value plus the closed-form log of its edge.  Cells are flat
+        indices sorted by level, so a level is one slice whose parents are
+        already set.  Each level's parents and edge logs are computed inside
+        the level loop, so the temporaries are bounded by the widest level;
+        the edge log is computed in place in the buffer of z1."""
+        ny, nx = free.shape
+        value = np.full(ny * nx, np.nan + 0j, dtype=complex)
+        value[start[0] * nx + start[1]] = 0.0 + 0.0j
+        level = dist.ravel()
+        cells = np.flatnonzero(level > 0)
+        cells = cells[np.argsort(level[cells], kind="stable")]
+        level = level[cells]
+        offsets = np.array([dy * nx + dx for dy, dx in _GRID_STEPS])
+        codes = pdir.ravel()
+        lo = 0
+        # level k ends where level k + 1 starts; no level is empty
+        for hi in np.searchsorted(level, np.arange(2, level[-1] + 2)) if level.size else ():
+            cell = cells[lo:hi]
+            parent = cell - offsets[codes[cell]]
+            edge = xs[cell % nx] + 1j * ys[cell // nx]  # z1
+            edge -= self.pole
+            z0 = xs[parent % nx] + 1j * ys[parent // nx]
+            z0 -= self.pole
+            edge /= z0
+            np.log(edge, out=edge)
+            value[cell] = value[parent] + edge
+            lo = hi
+        return value.reshape(ny, nx)
+
+    def ensure_built(self):
+        """Build the table unless it is built; a table that cannot be built
+        raises its own error on every call."""
+        if self._xs is None:
+            self._build()
+
+    # -- evaluation --------------------------------------------------------
+
+    def _anchor(self, w, rows, qx, qy, iy, ix, cross: bool):
+        """Answer the points (qx, qy) through the cells (iy, ix), integer
+        arrays that may run off the table.  Where a cell is on the table,
+        free and reached, its straight leg keeps 1e-9 from the pole and,
+        when cross, crosses no cut, w[rows] gets the cell's value plus the
+        leg's log, taken by cmath over a list (np.log need not match
+        integrate_reciprocal in the last bit).  Returns the positions of
+        the points answered."""
+        ny, nx = self._free.shape
+        k = np.flatnonzero((0 <= iy) & (iy < ny) & (0 <= ix) & (ix < nx))
+        k = k[self._free[iy[k], ix[k]] & np.isfinite(self._value[iy[k], ix[k]])]
+        if not k.size:
+            return k
+        pole = self.pole
+        start = np.column_stack([self._xs[ix[k]], self._ys[iy[k]]])
+        end = np.column_stack([qx[k], qy[k]])
+        keep = _points_to_polyline_dist(np.full(k.size, pole.real), np.full(k.size, pole.imag),
+                                        np.stack([start, end], axis=1)) >= 1e-9
+        for poly in self.cuts if cross else ():
+            if keep.any():
+                keep[keep] = segment_crossings(start[keep], end[keep], poly) == 0
+        k, start = k[keep], start[keep]
+        legs = [cmath.log(complex(a, b) / complex(c, d)) for a, b, c, d in zip(
+            *(v.tolist() for v in (qx[k] - pole.real, qy[k] - pole.imag,
+                                   start[:, 0] - pole.real, start[:, 1] - pole.imag)))]
+        w[rows[k]] = self._value[iy[k], ix[k]] + np.array(legs, dtype=complex)
+        return k
+
+    def integral_rows(self, px, py):
+        """Path integrals of dz/(z - pole) from the base point to the points
+        (px, py), float arrays (n,), as (w (n,) complex, ok (n,)); ok is
+        False outside the box and where no anchor reaches.
+
+        Each point first takes its nearest cell, with round()'s
+        half-to-even index (np.rint), unclamped: a point more than h/2 past
+        the table's edge centres gets one off the table.  A nearest cell on
+        the table has its centre within h/2 of the point per coordinate,
+        and its straight leg, which stays in the box of half-width h/2
+        around the centre, needs no crossing test.  A cut point in that
+        box has a cut sample within h/4 of it, so within 3h/4 of the
+        centre, and that sample's nearest cell is the cell or one of its
+        eight neighbours: _block_cut_cells would have blocked the cell.
+        Free centres are more than 1.5h from the pole, so the leg keeps
+        more than 0.79h from it; the pole test stays, as 0.79h exceeds its
+        1e-9 only for h > 1.3e-9.
+
+        The points left walk _anchor_offsets around their clamped nearest
+        cell, one array pass per offset over all of them, and each takes
+        the first anchor whose leg also crosses no cut.  The walk stops
+        once every point is answered."""
+        self.ensure_built()
+        xlo, xhi, ylo, yhi = self.bbox
+        h = self.step
+        ny, nx = self._free.shape
+        w = np.full(len(px), np.nan + 0j)
+        ok = (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
+        rows = np.flatnonzero(ok)
+        qx, qy = px[rows], py[rows]
+        iy = np.rint((qy - self._ys[0]) / h).astype(np.intp)
+        ix = np.rint((qx - self._xs[0]) / h).astype(np.intp)
+        left = np.delete(np.arange(rows.size), self._anchor(w, rows, qx, qy, iy, ix, False))
+        iy, ix = np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)
+        for dy, dx in self._anchor_offsets:
+            if not left.size:
+                break
+            left = np.delete(left, self._anchor(w, rows[left], qx[left], qy[left],
+                                                iy[left] + dy, ix[left] + dx, True))
+        ok[rows[left]] = False
+        return w, ok
+
+
+def oracle_table(fn, step: float = 0.05):
+    """The continuation table of the continued log fn at the given step."""
+    return _PlaneContinuation(fn.pole, fn.base, fn.cuts, fn.bbox, step)
 
 
 def _segment_point_distance(z0: complex, z1: complex, p: complex) -> float:
-    """Distance from p to the segment z0-z1, parametrized from z0: the pole
-    test of the scalar anchor search, independent of raster's kernel."""
+    """Distance from p to the segment z0-z1, parametrized from its vertex
+    nearer p, as raster's kernel measures it, so a point at the threshold
+    from a vertex reads that vertex's distance: the pole test of the
+    scalar anchor search, independent of raster's kernel."""
+    if abs(z1 - p) < abs(z0 - p):
+        z0, z1 = z1, z0
     d = z1 - z0
     L2 = d.real * d.real + d.imag * d.imag  # inf, not OverflowError, when huge
     if L2 == 0.0:
@@ -411,10 +599,11 @@ def per_unit_is_simple(spec, sample, h=None):
 
 
 def continued_log_rows(fn, x, y, vectors):
-    """Scalar oracle of ContinuedLog.eval_rows: one scalar_integral per row
-    at the point's plane coordinates, mapped from SliceCoord.make(x, y,
+    """Oracle of ContinuedLog.eval_rows: one integral_rows query per row at
+    the point's plane coordinates, mapped from SliceCoord.make(x, y,
     UnitImaginary(*v)), dressed as base_value + w.real + carrier * w.imag
-    in Quaternion arithmetic; rows that raise SliceRegError are not ok."""
+    in Quaternion arithmetic; rows off the plane or not answered are not
+    ok."""
     vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
     n = len(vectors)
     values = np.full((n, 4), np.nan)
@@ -432,12 +621,10 @@ def continued_log_rows(fn, x, y, vectors):
             point = (coord.x, -coord.y)
         else:
             continue
-        try:
-            w = scalar_integral(fn._table, *point)
-        except SliceRegError:
-            continue
-        values[m] = (fn.base_value + Quaternion(w.real) + c * w.imag).to_list()
-        ok[m] = True
+        w, answered = fn.integral_rows(np.array([point[0]]), np.array([point[1]]))
+        if answered[0]:
+            values[m] = (fn.base_value + Quaternion(w[0].real) + c * w[0].imag).to_list()
+            ok[m] = True
     return values, ok
 
 

@@ -417,19 +417,19 @@ def test_extend_command(tmp_path):
     assert len(rows) > 4
 
 
-def test_extend_reports_the_table_error_of_a_continued_log(tmp_path, capsys):
-    """check_compatible evaluates each function once on the shared real
-    points, so a continued log whose table cannot be built exits 1 with the
-    table's own error, not as a pair with no shared real trace."""
+def test_extend_reports_the_cut_error_of_a_continued_log(tmp_path, capsys):
+    """A continued log with no cut from its pole to its box's edge has no
+    single-valued branch: extend exits 1 with the log's own error, naming
+    its key in the pair, not as a pair with no shared real trace."""
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({
         "r": {"variant": "continued-log", "pole": [0, 2], "base": [1, 2],
-              "carrier": [1, 0, 0], "step": 1e300, "slice_unit": [1, 0, 0]},
+              "carrier": [1, 0, 0], "slice_unit": [1, 0, 0]},
         "s": {"variant": "power-series", "coeffs": [[0, 0, 0, 0], [1, 0, 0, 0]],
               "slice_unit": [0, 1, 0]}}))
     assert main(["extend", str(pair), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "a continuation table at step 1e+300 has 0 x 0 cells" in err
+    assert "error: pair.r.cuts: no chain of them joins the pole (0, 2)" in err
     assert "no shared real trace" not in err and "Traceback" not in err
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary, holomorphic
+from slicereg import Quaternion, SliceCoord, SphereSample, UnitImaginary
 from slicereg.counterexample import (ARC_CLEARANCE, BranchedLogFamily,
                                      CounterexampleConfig, arc_coords,
                                      demonstrate, intersection_grid,
@@ -16,7 +16,7 @@ from slicereg.domains import PlanarRegionGrid, rasterize
 from slicereg.raster import _block_cut_cells, _mirror, _points_to_polyline_dist
 from slicereg.errors import OutOfDomainError, SliceRegError
 from slicereg.extension import extension_formula, formula_stem, rep_coeffs
-from slicereg.holomorphic import ContinuedLog, _PlaneContinuation, dbar_residual
+from slicereg.holomorphic import ContinuedLog, dbar_residual
 from slicereg.quaternions import UNIT_I, UNIT_J, norm_rows, rotate_toward, slice_decompose
 
 from conftest import random_unit
@@ -251,7 +251,7 @@ def _old_log(cfg, cuts, unit):
     slice unit, built without plane_log."""
     return ContinuedLog(pole=(0.0, 2.0), base=(1.0, 2.0),
                         base_value=Q(0.0), cuts=tuple(cuts), carrier=cfg.axis,
-                        slice_unit=unit, bbox=(-5.0, 5.0, -5.0, 5.0), step=0.05)
+                        slice_unit=unit, bbox=(-5.0, 5.0, -5.0, 5.0))
 
 
 def _plane_points(rng, count):
@@ -285,12 +285,12 @@ def test_log_pair_matches_per_side_construction(logs, cfg):
     assert _same_values(conj, _old_log(cfg, _mirror(cuts), -axis), points) > 100
 
 
-# path-continued oracle tables, one per cut geometry (t_of(J), t_of(-J))
+# continued logs of plane_log, one per cut geometry (t_of(J), t_of(-J))
 _ORACLE_TABLES: dict = {}
 
 
 def _oracle_value(cfg, coord):
-    """The family's value at coord from plane_log's continuation table."""
+    """The family's value at coord from plane_log's continued log."""
     J = coord.unit
     key = (t_of(J, cfg), t_of(-J, cfg))
     if key not in _ORACLE_TABLES:
@@ -366,7 +366,7 @@ def test_family_matches_continuation_tables(point):
 @pytest.mark.parametrize("n, tables", [(8, 11), (32, 33)])
 def test_family_builds_one_table_per_cut_geometry(cfg, n, tables):
     """The units of a sample fall into `tables` cut geometries; on every unit
-    the family matches the one path-continued table of its geometry, and
+    the family matches the one continued log of its geometry, and
     builds none itself."""
     family = BranchedLogFamily(cfg)
     before = dict(vars(family))
@@ -437,52 +437,39 @@ def test_demonstrate_bundle(cfg):
 
 def test_demonstrate_passes_all_checks_for_ten_seeds():
     """The checks hold whichever points random.Random draws: at h = 0.02
-    every check passes for seeds 0 to 9."""
+    every check passes for seeds 0 to 9, and the closed-form logs jump by
+    2 pi within 1e-12 in the disk and agree within 1e-12 elsewhere."""
     cfg = CounterexampleConfig(h=0.02)
     for seed in range(10):
         report = demonstrate(cfg, seed=seed)
         failed = [name for name, ok in report["checks"].items() if not ok]
         assert not failed, (seed, failed)
+        log_jump, ordering = report["log_jump"], report["ordering_jump"]
+        assert max(log_jump["disk_abs_max_dev_from_2pi"], log_jump["elsewhere_max"],
+                   ordering["disk_axis_max_dev_from_2pi"], ordering["outside_max"]) <= 1e-12
 
 
-def test_demonstrate_queries_take_the_nearest_cell(cfg, monkeypatch):
-    """Every continuation query of the evidence bundle at seed 1 is
-    answered by its nearest cell, as arrays: the rows calls take more than
-    1500 points, no per-point eval_plane runs, and no crossing test runs
-    outside the table builds, so no point walks the anchor cells.  The
-    query points depend on the seed only, so a small sample keeps the run
-    short."""
-    calls = {"integral_rows": 0, "eval_plane": 0, "walk crossings": 0}
-    building = []
-    real_rows, real_plane = _PlaneContinuation.integral_rows, ContinuedLog.eval_plane
-    real_build, real_crossings = _PlaneContinuation._build, holomorphic.segment_crossings
+def test_demonstrate_queries_are_arrays(cfg, monkeypatch):
+    """Every continuation query of the evidence bundle runs as arrays:
+    the integral_rows calls take more than 1500 points and no per-point
+    eval_plane runs.  The query points depend on the seed only, so a
+    small sample keeps the run short."""
+    calls = {"integral_rows": 0, "eval_plane": 0}
+    real_rows, real_plane = ContinuedLog.integral_rows, ContinuedLog.eval_plane
 
-    def rows(table, px, py):
+    def rows(fn, px, py):
         calls["integral_rows"] += len(px)
-        return real_rows(table, px, py)
+        return real_rows(fn, px, py)
 
     def plane(*args):
         calls["eval_plane"] += 1
         return real_plane(*args)
 
-    def build(table):
-        building.append(table)
-        try:
-            return real_build(table)
-        finally:
-            building.pop()
-
-    def crossings(*args):
-        calls["walk crossings"] += not building
-        return real_crossings(*args)
-
-    monkeypatch.setattr(_PlaneContinuation, "integral_rows", rows)
+    monkeypatch.setattr(ContinuedLog, "integral_rows", rows)
     monkeypatch.setattr(ContinuedLog, "eval_plane", plane)
-    monkeypatch.setattr(_PlaneContinuation, "_build", build)
-    monkeypatch.setattr(holomorphic, "segment_crossings", crossings)
     demonstrate(cfg, sample=SphereSample(4, extra=[cfg.axis]), seed=1)
     assert calls["integral_rows"] > 1500
-    assert calls["eval_plane"] == calls["walk crossings"] == 0
+    assert calls["eval_plane"] == 0
 
 
 def test_demonstrate_paints_no_label_image(monkeypatch):

@@ -914,17 +914,14 @@ def _holomorphic_cases():
     cfg = CounterexampleConfig()
     family = BranchedLogFamily(cfg)
     from slicereg.counterexample import plane_log
-    from dataclasses import replace
-    huge_table = replace(plane_log(UNIT_I, cfg), step=1e-5, _table=None)
     return {
         "ball": (_CUBE.on_slice(UNIT_I), ball_spec(0.0, 1.0), UNIT_I),
         "cut-ball": (_CUBE.on_slice(UNIT_J), _cut_ball(), UNIT_J),
         "conjugate": (_Conjugate(), ball_spec(0.0, 1.0), UNIT_I),
         "family": (family, family.domain, cfg.axis),
         "family-off-axis": (family, family.domain, UnitImaginary(0.3, -0.5, 0.8)),
-        "table-over-budget": (huge_table, family.domain, UNIT_I),
         # no cross fits the tiny ball, so fI is never evaluated
-        "no-points": (huge_table, ball_spec(0.0, 1e-4), UNIT_I),
+        "no-points": (plane_log(UNIT_I, cfg), ball_spec(0.0, 1e-4), UNIT_I),
         # the cube's values pass the float range: NaN residuals
         "overflow": (_CUBE.on_slice(UNIT_I), ball_spec(0.0, 1e110), UNIT_I),
     }
@@ -937,8 +934,6 @@ def test_validate_holomorphic_equals_its_per_point_oracle(name):
     assert _outcome(_validate_holomorphic, fI, domain, unit) == want
     if name in ("conjugate", "overflow"):
         assert want[1].startswith("slice restriction is not holomorphic")
-    if name == "table-over-budget":
-        assert want[0] == "PreconditionError"
 
 
 def _tube_cases(ball):

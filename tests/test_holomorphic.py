@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,23 +11,23 @@ from scipy.integrate import quad
 
 from slicereg import (ContinuedLog, PowerSeries, Quaternion, SliceCoord,
                       SphereSample, UnitImaginary, ball_spec, dbar_residual,
-                      extend_to_completion, holomorphic, regular_ext)
+                      extend_to_completion, regular_ext)
 from slicereg.counterexample import (BranchedLogFamily, CounterexampleConfig,
                                      arc_coords, plane_log)
-from slicereg.raster import resample_polyline
+from slicereg.raster import _points_to_polyline_dist, resample_polyline
 from slicereg.errors import (DisconnectedDomainError, OutOfDomainError,
                              PreconditionError, SliceRegError, StencilError)
-from slicereg.holomorphic import (HoloSliceFunction, _PlaneContinuation,
-                                  dbar_residual_rows, integrate_reciprocal,
-                                  segment_crossings)
+from slicereg.holomorphic import (HoloSliceFunction, dbar_residual_rows,
+                                  integrate_reciprocal, segment_crossings)
 from slicereg.quaternions import UNIT_I, UNIT_J
 from slicereg.serialize import load_holo_function, walk
 
 from conftest import random_polynomial, random_unit
-from helpers import (anchored_integrals, continued_log_rows, dbar_four_evals, level_loop_table,
-                     loop_consistency, poly_eval_direct, polyline_integral, scalar_anchors,
-                     scalar_crossings, scalar_integral, stem_at, whole_array_table, winding_angle_sum,
-                     winding_number)
+import helpers
+from helpers import (_PlaneContinuation, anchored_integrals, continued_log_rows, dbar_four_evals,
+                     level_loop_table, loop_consistency, oracle_table, poly_eval_direct,
+                     polyline_integral, scalar_anchors, scalar_crossings, scalar_integral,
+                     stem_at, whole_array_table, winding_angle_sum, winding_number)
 
 Q = Quaternion
 
@@ -117,62 +118,80 @@ def test_dbar_stencil_error():
 # continued logarithm
 # ---------------------------------------------------------------------------
 
-def _plain_log(cuts=()):
+_DOWN_CUT = np.array([[0.0, 0.0], [0.0, -4.5]])
+
+
+def _plain_log(cuts=(_DOWN_CUT,)):
     return ContinuedLog(pole=(0.0, 0.0), base=(1.0, 0.0),
                         base_value=Q(0.0), cuts=tuple(cuts), carrier=UNIT_I,
-                        bbox=(-4.0, 4.0, -4.0, 4.0), step=0.05)
+                        bbox=(-4.0, 4.0, -4.0, 4.0))
 
 
 @pytest.mark.parametrize("step, message", [(1e-3, "continuation table"),
                                            (0.0, "must be positive"),
                                            (-0.05, "must be positive")])
 def test_continued_log_table_step_is_checked_before_building(step, message):
-    """A table step that is not positive, or whose grid would exceed
-    MAX_GRID_CELLS (8/1e-3 squared is 6.4e7 cells), fails with
+    """The oracle table's step: one that is not positive, or whose grid
+    would exceed MAX_GRID_CELLS (8/1e-3 squared is 6.4e7 cells), fails with
     PreconditionError before the table is built."""
     fn = _plain_log()
-    bad = replace(fn, step=step, _table=None)
     with pytest.raises(PreconditionError, match=message):
-        bad.eval_plane(1.0, 1.0)
-    assert replace(bad, step=0.05, _table=None).eval_plane(1.0, 0.0).isclose(Q(0.0))
+        oracle_table(fn, step).ensure_built()
+    w, ok = oracle_table(fn, 0.05).integral_rows(np.array([1.0]), np.array([0.0]))
+    assert ok[0] and abs(w[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("base", [(1.0, 1e300), (4.5, 0.0), (-4.0 - 1e-9, 0.0)])
-def test_a_base_outside_the_box_fails_once_naming_base_and_box(base, ball, monkeypatch):
-    """A base outside the table's box is an error naming both, not a base
-    clipped to the nearest cell; eval_rows raises it once instead of
-    failing every row, and regular_ext's holomorphy check stops at it."""
-    bad = replace(_plain_log(), base=base, _table=None)
-    builds = []
-    real = _PlaneContinuation._build
-    monkeypatch.setattr(_PlaneContinuation, "_build",
-                        lambda table: builds.append(1) or real(table))
-    with pytest.raises(PreconditionError, match=r"continuation base \(.*\) lies outside "
-                       r"the table box \[-4, 4\] x \[-4, 4\]"):
-        bad.eval_rows([1.0, 2.0, 3.0], 1.0, [UNIT_I.to_list()] * 3)
-    assert builds == [1]
-    with pytest.raises(PreconditionError, match="lies outside the table box"):
-        regular_ext(bad, ball)
-    assert builds == [1, 1]
-    with pytest.raises(PreconditionError, match="lies outside the table box"):
-        bad.eval(SliceCoord(1.0, 1.0, UNIT_I))
+def test_a_base_outside_the_box_fails_once_naming_base_and_box(base):
+    """A base outside the box is an error naming both, raised once when
+    the log is built, not a base clipped into the box."""
+    with pytest.raises(PreconditionError, match=r"^base: \(.*\) lies outside the box "
+                       r"\[-4, 4\] x \[-4, 4\]$"):
+        replace(_plain_log(), base=base)
+
+
+def test_a_base_at_the_pole_or_on_a_cut_is_an_error():
+    """A base within 1e-9 of the pole or of a cut, whatever side it would
+    take, is an error when the log is built; 2e-9 away it is a base."""
+    for base in [(0.0, 0.0), (0.0, -2.0), (-1e-9, -3.5), (4e-10, 3e-10)]:
+        with pytest.raises(DisconnectedDomainError,
+                           match=r"^base: \(.*\) lies within 1e-9 of the pole or a cut$"):
+            replace(_plain_log(), base=base)
+    fn = replace(_plain_log(), base=(2e-9, -2.0))
+    assert fn.eval_plane(2e-9, -2.0).isclose(Q(0.0), atol=0.0)
+
+
+def test_a_pocket_takes_the_chain_branch_and_cuts_are_not_answered():
+    """A closed cut around a pocket that holds neither the pole nor the
+    base leaves the pocket's values those of the log without it: Gamma's
+    branch, which the table, with no path into the pocket, did not answer.
+    The pole, cut vertices and points on cut segments are not ok, with
+    NaN values and no RuntimeWarning."""
+    square = np.array([[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 3.0], [2.0, 2.0]])
+    fn, plain = _plain_log(cuts=(_DOWN_CUT, square)), _plain_log()
+    px, py = np.array([2.5, 2.01, -1.0, -3.9]), np.array([2.5, 2.99, -1.0, 3.9])
+    w, ok = fn.integral_rows(px, py)
+    assert ok.all() and w.tobytes() == plain.integral_rows(px, py)[0].tobytes()
+    assert not oracle_table(fn).integral_rows(px[:2], py[:2])[1].any()
+    qx, qy = np.array([0.0, 0.0, 0.0, 2.0, 2.5, 3.0]), np.array([0.0, -4.5, -1.7, 2.0, 2.0, 2.6])
+    w, ok = fn.integral_rows(qx, qy)
+    assert not ok.any() and np.isnan(w).all()
 
 
 def test_a_cut_between_the_base_and_its_cell_is_an_error():
-    """The box's right edge lies 0.0499 past the last column of centres
-    (4.025); a cut at x = 4.07 is 0.045 from that column, more than the 3h/4
-    within which _block_cut_cells keeps a sample, so the base's cell stays
-    free and only the test of the leg from the base sees the cut."""
-    fn = ContinuedLog(pole=(0.0, 0.0), base=(4.0749, 0.5), base_value=Q(0.0),
-                      cuts=(np.array([[4.07, -1.0], [4.07, 1.0]]),), carrier=UNIT_I,
-                      bbox=(-4.0, 4.0749, -4.0, 4.0), step=0.05)
+    """In the oracle table, the box's right edge lies 0.0499 past the last
+    column of centres (4.025); a cut at x = 4.07 is 0.045 from that column,
+    more than the 3h/4 within which _block_cut_cells keeps a sample, so the
+    base's cell stays free and only the test of the leg from the base sees
+    the cut."""
+    cuts, bbox = (np.array([[4.07, -1.0], [4.07, 1.0]]),), (-4.0, 4.0749, -4.0, 4.0)
+    table = _PlaneContinuation((0.0, 0.0), (4.0749, 0.5), cuts, bbox, 0.05)
     with pytest.raises(DisconnectedDomainError, match="separates the base point"):
-        fn.eval_plane(1.0, 1.0)
-    at_centre = replace(fn, base=(4.025, 0.5), _table=None)
-    at_centre.eval_plane(4.025, 0.5)
-    table = at_centre._table
-    assert table._xs[-1] == pytest.approx(4.025)
-    assert table._free[np.argmin(np.abs(table._ys - 0.5)), -1]
+        table.ensure_built()
+    at_centre = _PlaneContinuation((0.0, 0.0), (4.025, 0.5), cuts, bbox, 0.05)
+    at_centre.ensure_built()
+    assert at_centre._xs[-1] == pytest.approx(4.025)
+    assert at_centre._free[np.argmin(np.abs(at_centre._ys - 0.5)), -1]
 
 
 def test_continued_log_principal_values():
@@ -203,18 +222,18 @@ def test_continued_log_jump_across_cut():
 
 
 def test_continued_log_two_anchor_agreement():
-    fn = _plain_log()
-    vals = anchored_integrals(fn._table, 0.7, 1.3, count=3)
+    vals = anchored_integrals(oracle_table(_plain_log()), 0.7, 1.3, count=3)
     assert len(vals) >= 2
     for v in vals[1:]:
         assert abs(vals[0] - v) <= 1e-9
 
 
-# tables of the nearest-cell fast path: the counterexample's planes of
-# axis, -axis and a unit at chord >= 1, and a plain log whose box is no
-# multiple of the step: its top and right edge centres lie 0.045 inside
-# the box, so the cut along y = 4.065 runs 0.04 > 3h/4 past the top row,
-# blocks none of it, and is met only by queries off the table
+# logs whose oracle tables at step 0.05 take the nearest-cell fast path:
+# the counterexample's planes of axis, -axis and a unit at chord >= 1, and
+# a plain log whose box is no multiple of the step: its top and right edge
+# centres lie 0.045 inside the box, so the cut along y = 4.065 runs 0.04 >
+# 3h/4 past the top row, blocks none of it, and is met only by queries off
+# the table
 _FAST_PATH_LOGS = {
     "axis": plane_log(UNIT_I, CounterexampleConfig()),
     "-axis": plane_log(-UNIT_I, CounterexampleConfig()),
@@ -222,16 +241,44 @@ _FAST_PATH_LOGS = {
     "plain": ContinuedLog(pole=(0.0, 0.0), base=(1.0, 0.0), base_value=Q(0.0),
                           cuts=(np.array([[0.0, 0.0], [0.0, 4.065], [4.07, 4.065]]),
                                 np.array([[-1.0, -1.0], [-3.0, -2.5], [-4.0, -2.0]])),
-                          carrier=UNIT_I, bbox=(-4.0, 4.07, -4.0, 4.07), step=0.05),
+                          carrier=UNIT_I, bbox=(-4.0, 4.07, -4.0, 4.07)),
 }
+_JSON_LOG = load_holo_function(walk(
+    {"variant": "continued-log", "pole": [0.5, -1.0], "base": [2.0, 1.0],
+     "carrier": [0.0, 1.0, 1.0], "base_value": [0.5, -1.0, 0.25, 2.0],
+     "cuts": [[[0.5, -1.0], [-1.0, -2.0], [-3.0, -2.5]], [[1.0, 3.0], [1.0, 0.5]]],
+     "bbox": [-3.0, 3.0, -3.0, 3.0]}, "function", "function"))
+
+# the eight logs of the oracle property, with the step of their oracle
+# tables: the counterexample's planes of axis, -axis, a unit at chord >= 1
+# and one near the axis, the plain and down-cut logs, the JSON log, and a
+# log whose cut runs from the pole to the top edge
+_ORACLE_LOGS = {
+    **{name: (fn, 0.05) for name, fn in _FAST_PATH_LOGS.items()},
+    "near-axis": (plane_log(UnitImaginary(1.0, 0.15, 0.0), CounterexampleConfig()), 0.05),
+    "down": (_plain_log(), 0.05),
+    "json": (_JSON_LOG, 0.1),
+    "top": (ContinuedLog(pole=(0.0, 0.5), base=(1.0, 0.5), base_value=Q(0.1, 0, 0, 0.2),
+                         cuts=(np.array([[0.0, 0.5], [0.0, 2.0]]),), carrier=UNIT_J,
+                         bbox=(-2.0, 2.0, -2.0, 2.0)), 0.1),
+}
+
+
+@functools.cache
+def _table(name):
+    """The built oracle table of _ORACLE_LOGS[name], shared by the tests."""
+    fn, step = _ORACLE_LOGS[name]
+    table = oracle_table(fn, step)
+    table.ensure_built()
+    return table
 
 
 @st.composite
 def _fast_path_queries(draw):
-    """A table and a point of its box within a few h of a cut vertex or
-    segment, the pole, a box edge, or anywhere."""
+    """An oracle table and a point of its box within a few h of a cut
+    vertex or segment, the pole, a box edge, or anywhere."""
     name = draw(st.sampled_from(sorted(_FAST_PATH_LOGS)))
-    table = _FAST_PATH_LOGS[name]._table
+    table = _table(name)
     xlo, xhi, ylo, yhi = table.bbox
     near = draw(st.sampled_from(["cut", "pole", "edge", "anywhere"]))
     x, y = draw(st.floats(xlo, xhi)), draw(st.floats(ylo, yhi))
@@ -252,11 +299,11 @@ def _fast_path_queries(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_fast_path_queries(), min_size=1, max_size=30))
 def test_integral_rows_take_the_first_anchor_of_the_full_search(queries):
-    """integral_rows, on each table's batch of points, gives every point
-    exactly the first value of the scalar full anchor search (tobytes), and
-    ok False where that search finds no anchor."""
+    """The oracle table's integral_rows, on each table's batch of points,
+    gives every point exactly the first value of the scalar full anchor
+    search (tobytes), and ok False where that search finds no anchor."""
     for name in sorted({q[0] for q in queries}):
-        table = _FAST_PATH_LOGS[name]._table
+        table = _table(name)
         px, py = (np.array([q[k] for q in queries if q[0] == name]) for k in (1, 2))
         w, ok = table.integral_rows(px, py)
         want = np.full(len(px), np.nan + 0j)
@@ -276,10 +323,10 @@ def test_integral_rows_take_the_first_anchor_of_the_full_search(queries):
 
 @pytest.mark.parametrize("name", sorted(_FAST_PATH_LOGS))
 def test_no_cut_point_lies_within_half_a_step_of_a_free_centre(name):
-    """The lemma of the fast path, on the cuts resampled at h/100: a cut
-    point within h/2 (per coordinate) of a cell centre blocks that cell."""
-    table = _FAST_PATH_LOGS[name]._table
-    table.ensure_built()
+    """The lemma of the oracle table's fast path, on the cuts resampled at
+    h/100: a cut point within h/2 (per coordinate) of a cell centre blocks
+    that cell."""
+    table = _table(name)
     h, xs, ys = table.step, table._xs, table._ys
     for poly in table.cuts:
         pts = resample_polyline(poly, h / 100.0)
@@ -298,11 +345,20 @@ def test_loop_consistency_far_from_pole():
 
 
 def test_loop_consistency_encircling_in_uncut_plane():
-    fn = _plain_log()
+    """A loop around the pole integrates to 2 pi i, so unless a chain of
+    cuts runs from the pole to the box's edge, log(z) has no single-valued
+    branch on the box and building one is refused, naming the cuts: with
+    no cut, with a cut that stops inside the box, and with two cuts that
+    meet only at a point inside both."""
     t = np.linspace(0.0, 2.0 * math.pi, 200)
     loop = np.column_stack([1.5 * np.cos(t), 1.5 * np.sin(t)])
-    assert abs(loop_consistency(fn, loop) - 2.0 * math.pi) <= 1e-9
+    assert abs(abs(polyline_integral(loop, 0j)) - 2.0 * math.pi) <= 1e-9
     assert abs(winding_angle_sum(loop, 0.0, 0.0) - 1.0) <= 1e-9
+    for cuts in ([], [[[0.0, 0.0], [0.0, -3.0]]],
+                 [[[0.0, 0.0], [0.0, 2.0]], [[1.0, 1.0], [-5.0, 1.0]]]):
+        with pytest.raises(PreconditionError, match=r"^cuts: no chain of them joins the pole "
+                           r"\(0, 0\) to the edge of the box \[-4, 4\] x \[-4, 4\]"):
+            _plain_log(cuts=[np.array(c) for c in cuts])
 
 
 def test_loop_consistency_in_cut_domain(logs):
@@ -350,8 +406,7 @@ def test_segment_crossings_broadcast_as_the_scalar_oracle():
 
 def test_eval_plane_is_the_one_row_case_of_plane_rows(logs):
     """eval_plane gives plane_rows' row bit for bit, and raises
-    OutOfDomainError outside the box and DisconnectedDomainError where no
-    anchor reaches (the pole)."""
+    OutOfDomainError outside the box and at the pole."""
     direct, _ = logs
     px, py = np.array([0.5, -1.3, 2.9]), np.array([1.0, 2.2, -0.4])
     values, ok = direct.plane_rows(px, py)
@@ -360,22 +415,22 @@ def test_eval_plane_is_the_one_row_case_of_plane_rows(logs):
         assert direct.eval_plane(px[m], py[m]).to_list() == values[m].tolist()
     with pytest.raises(OutOfDomainError, match="outside the cut plane box"):
         direct.eval_plane(100.0, 0.0)
-    with pytest.raises(DisconnectedDomainError, match="no continuation anchor reaches"):
+    with pytest.raises(OutOfDomainError, match="lies within 1e-9 of the pole or a cut"):
         direct.eval_plane(*direct.pole)
 
 
 def test_the_anchor_walk_runs_one_crossing_test_per_pass_and_cut(cfg, monkeypatch):
-    """On jump_heatmap's points, more than 1000 of which walk the anchor
-    cells, one integral_rows call runs at most one segment_crossings call
-    per anchor offset and cut polyline, each on all the points left: fewer
-    calls than walking points, although the points on a cut, which no
-    anchor reaches, walk all 81 offsets."""
+    """On jump_heatmap's points, more than 1000 of which walk the oracle
+    table's anchor cells, one integral_rows call runs at most one
+    segment_crossings call per anchor offset and cut polyline, each on all
+    the points left: fewer calls than walking points, although the points
+    on a cut, which no anchor reaches, walk all 81 offsets."""
     xs, ys = np.arange(-2.2, 0.2, 0.02), np.arange(0.8, 3.2, 0.02)
     px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)
-    table = plane_log(cfg.axis, cfg)._table
+    table = oracle_table(plane_log(cfg.axis, cfg))
     table.ensure_built()
     crossings, passes = [], []
-    real_crossings, real_anchor = holomorphic.segment_crossings, _PlaneContinuation._anchor
+    real_crossings, real_anchor = helpers.segment_crossings, _PlaneContinuation._anchor
 
     def spy_crossings(p, q, poly):
         crossings.append(len(p))
@@ -385,7 +440,7 @@ def test_the_anchor_walk_runs_one_crossing_test_per_pass_and_cut(cfg, monkeypatc
         passes.append(len(rows))
         return real_anchor(self, w, rows, *args)
 
-    monkeypatch.setattr(holomorphic, "segment_crossings", spy_crossings)
+    monkeypatch.setattr(helpers, "segment_crossings", spy_crossings)
     monkeypatch.setattr(_PlaneContinuation, "_anchor", spy_anchor)
     w, ok = table.integral_rows(px, py)
     walked = passes[1]  # the points the nearest cell left
@@ -394,13 +449,13 @@ def test_the_anchor_walk_runs_one_crossing_test_per_pass_and_cut(cfg, monkeypatc
 
 
 def test_the_anchor_walk_blocks_its_crossing_temporaries():
-    """3000 points next to a cut of 4000 vertices all walk the anchor
-    cells; their crossing tests run in blocks of at most _CUT_BLOCK rows
-    times segments, so the traced peak stays near the table's own size
-    (one unblocked test would hold 3000 x 3999 floats, 96 MB, per
-    temporary)."""
+    """3000 points next to a cut of 4000 vertices all walk the oracle
+    table's anchor cells; their crossing tests run in blocks of at most
+    _CUT_BLOCK rows times segments, so the traced peak stays near the
+    table's own size (one unblocked test would hold 3000 x 3999 floats,
+    96 MB, per temporary)."""
     cut = np.column_stack([np.linspace(-3.0, 3.0, 4000), np.full(4000, 1.0)])
-    table = _plain_log(cuts=[cut])._table
+    table = _PlaneContinuation((0.0, 0.0), (1.0, 0.0), [cut], (-4.0, 4.0, -4.0, 4.0), 0.05)
     table.ensure_built()
     rng = np.random.default_rng(11)
     px = rng.uniform(-2.9, 2.9, 3000)
@@ -415,6 +470,30 @@ def test_the_anchor_walk_blocks_its_crossing_temporaries():
     assert peak <= 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
     for m in range(0, 3000, 300):
         assert w[m] == scalar_integral(table, px[m], py[m])
+
+
+def test_a_query_blocks_its_temporaries():
+    """Points next to a cut of 4000 vertices that runs from the pole out
+    of the box meet many of its segments in the distance test and of its
+    edges in the winding test; both run in blocks of at most _CUT_BLOCK
+    rows times segments, so a query's traced peak, less 256 bytes per row
+    for its (n,)-sized arrays, stays under 1 MB at 3000 and at 30000 rows
+    (one unblocked test of 3000 rows would hold 3000 x 3999 floats, 96 MB,
+    per temporary)."""
+    xs = np.linspace(0.0, 4.5, 4000)
+    fn = _plain_log(cuts=[np.column_stack([xs, 0.3 * np.sin(8.0 * xs)])])
+    rng = np.random.default_rng(11)
+    for n in (3000, 30000):
+        px = rng.uniform(0.1, 3.9, n)
+        py = 0.3 * np.sin(8.0 * px) + rng.choice([-1.0, 1.0], n) * rng.uniform(1e-4, 0.06, n)
+        tracemalloc.start()
+        try:
+            w, ok = fn.integral_rows(px, py)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+        assert peak - 256 * n <= 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB at {n} rows"
 
 
 def test_integrate_reciprocal_matches_closed_form():
@@ -446,24 +525,29 @@ def test_integrate_reciprocal_matches_quadrature(z0, z1, pole):
 
 @pytest.mark.parametrize("which", ["plain", "direct", "conj"])
 def test_table_cells_exponentiate_to_the_ratio(which, logs):
-    """Each finite table entry is a logarithm of (z - pole)/(base - pole)."""
-    fn = (_plain_log(cuts=[np.array([[0.0, 0.0], [0.0, -4.5]])]) if which == "plain"
-          else logs[which == "conj"])
-    table = fn._table
+    """At every cell centre the oracle table reaches, the continued log is
+    a logarithm of (z - pole)/(base - pole), and within 1e-12 (1 + |w|) of
+    the table's entry there."""
+    fn = _plain_log() if which == "plain" else logs[which == "conj"]
+    table = oracle_table(fn)
     table.ensure_built()
     iy, ix = np.nonzero(np.isfinite(table._value))
     assert iy.size > 1000
+    w, ok = fn.integral_rows(table._xs[ix], table._ys[iy])
+    assert ok.all()
     z = table._xs[ix] + 1j * table._ys[iy]
     ratio = (z - table.pole) / (complex(*table.base) - table.pole)
-    err = np.abs(np.exp(table._value[iy, ix]) - ratio) / np.abs(ratio)
-    assert err.max() <= 1e-12
+    assert (np.abs(np.exp(w) - ratio) / np.abs(ratio)).max() <= 1e-12
+    want = table._value[iy, ix]
+    assert (np.abs(w - want) / (1.0 + np.abs(want))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("which", ["plain", "direct", "conj"])
 def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch):
-    """_accumulate on flat cells sorted by level, with each level's edge
-    logs computed in the level loop, gives the 2-D level loop's table bit
-    for bit, on both counterexample tables and on a cut-free one."""
+    """The oracle table's _accumulate on flat cells sorted by level, with
+    each level's edge logs computed in the level loop, gives the 2-D level
+    loop's table bit for bit, on both counterexample tables and on the
+    down-cut one."""
     fn = _plain_log() if which == "plain" else logs[which == "conj"]
     seen = {}
     real = _PlaneContinuation._accumulate
@@ -474,7 +558,7 @@ def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch
         return value
 
     monkeypatch.setattr(_PlaneContinuation, "_accumulate", spy)
-    table = _PlaneContinuation(fn.pole, fn.base, fn.cuts, fn.bbox, fn.step)
+    table = oracle_table(fn)
     table.ensure_built()
     want = level_loop_table(table.pole, *seen["args"])
     got = seen["value"]
@@ -485,10 +569,10 @@ def test_table_build_matches_the_level_loop_bit_for_bit(which, logs, monkeypatch
 
 @pytest.mark.parametrize("which", ["direct", "conj"])
 def test_table_values_match_the_whole_array_build_bit_for_bit(which, logs):
-    """A built table's values, from edge logs computed one level at a time,
-    equal bit for bit those of the build that computed every edge log in
-    one array, on both counterexample tables."""
-    table = logs[which == "conj"]._table
+    """A built oracle table's values, from edge logs computed one level at
+    a time, equal bit for bit those of the build that computed every edge
+    log in one array, on both counterexample tables."""
+    table = oracle_table(logs[which == "conj"])
     table.ensure_built()
     want = whole_array_table(table)
     assert np.isfinite(want).sum() > 1000
@@ -496,11 +580,11 @@ def test_table_values_match_the_whole_array_build_bit_for_bit(which, logs):
 
 
 def test_a_counterexample_table_build_peaks_below_its_bound(cfg):
-    """Building plane_log(axis)'s 200 x 200 table at step 0.05 holds the
-    table (0.64 MB of values) and the BFS arrays, but only one level's
+    """Building plane_log(axis)'s 200 x 200 oracle table at step 0.05 holds
+    the table (0.64 MB of values) and the BFS arrays, but only one level's
     parents and edge logs at a time: the traced peak stays at or below
     2.25 MB (3.5 MB when every edge was held at once)."""
-    table = plane_log(cfg.axis, cfg)._table
+    table = oracle_table(plane_log(cfg.axis, cfg))
     tracemalloc.start()
     try:
         table.ensure_built()
@@ -655,11 +739,6 @@ def test_dbar_residual_rows_are_the_one_row_cases(name, rows, h):
                 dbar_residual(f, coord, h)
 
 
-_JSON_LOG = load_holo_function(walk(
-    {"variant": "continued-log", "pole": [0.5, -1.0], "base": [2.0, 1.0],
-     "carrier": [0.0, 1.0, 1.0], "base_value": [0.5, -1.0, 0.25, 2.0],
-     "cuts": [[[0.5, -1.0], [-1.0, -2.0], [-3.0, -2.5]], [[1.0, 3.0], [1.0, 0.5]]],
-     "bbox": [-3.0, 3.0, -3.0, 3.0], "step": 0.1}, "function", "function"))
 _QUERY_LOGS = {
     "axis": plane_log(UNIT_I, _ROWS_CFG),
     "axis-view": plane_log(UNIT_I, _ROWS_CFG).on_slice(-UNIT_I),
@@ -670,12 +749,12 @@ _QUERY_LOGS = {
 
 @st.composite
 def _query_rows(draw, fn):
-    """One row (x, y, vector) for fn: a plane point within 1.25 h of a cut
-    vertex or segment, near the pole, outside the box, on the real axis or
-    anywhere, written with the carrier or its antipode (the point mirrored,
-    as SliceCoord.make reads it), a unit within a 1e-9 chord of them, a
-    multiple of the carrier or a unit off the plane."""
-    h, pole = fn.step, fn._table.pole
+    """One row (x, y, vector) for fn: a plane point within 1.25 h = 0.0625
+    of a cut vertex or segment, near the pole, outside the box, on the
+    real axis or anywhere, written with the carrier or its antipode (the
+    point mirrored, as SliceCoord.make reads it), a unit within a 1e-9
+    chord of them, a multiple of the carrier or a unit off the plane."""
+    h, pole = 0.05, complex(*fn.pole)
     xlo, xhi, ylo, yhi = fn.bbox
     near = st.floats(-1.25 * h, 1.25 * h)
     where = draw(st.sampled_from(["cut", "pole", "outside", "real", "any"]))
@@ -708,10 +787,9 @@ def _query_rows(draw, fn):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_continued_log_rows_equal_the_per_row_scalar_queries(data):
-    """ContinuedLog.eval_rows, whose rows are answered as arrays (nearest
-    cells at once, then one pass per anchor offset over the rows left),
-    equals the per-row scalar search it replaced bit for bit, values and
-    ok."""
+    """ContinuedLog.eval_rows, whose rows are answered as arrays, equals
+    the per-row queries at the points SliceCoord.make maps them to bit
+    for bit, values and ok."""
     name = data.draw(st.sampled_from(sorted(_QUERY_LOGS)))
     fn = _QUERY_LOGS[name]
     rows = data.draw(st.lists(_query_rows(fn), min_size=1, max_size=12))
@@ -721,3 +799,36 @@ def test_continued_log_rows_equal_the_per_row_scalar_queries(data):
     assert ok.tolist() == want_ok.tolist()
     assert values.tobytes() == want.tobytes()
     event(f"{name}: {'no' if not ok.any() else 'all' if ok.all() else 'some'} rows ok")
+
+
+@st.composite
+def _oracle_points(draw):
+    """(name, x, y): a point of the log's box, anywhere or on one of four
+    exact rows: the pole's, the base's, the real axis and the pole's
+    mirror image."""
+    name = draw(st.sampled_from(sorted(_ORACLE_LOGS)))
+    fn = _ORACLE_LOGS[name][0]
+    xlo, xhi, ylo, yhi = fn.bbox
+    x = draw(st.floats(xlo, xhi))
+    rows = [fn.pole[1], fn.base[1], 0.0, -fn.pole[1]]
+    y = draw(st.one_of(st.floats(ylo, yhi), st.sampled_from(rows)))
+    return name, x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_oracle_points(), min_size=1, max_size=40))
+def test_continued_log_matches_the_table_oracle(points):
+    """The closed form is within 1e-12 (1 + |w|) of the continuation table
+    it replaced wherever both answer, and answers wherever the table does
+    except within 1e-9 of a cut."""
+    for name in sorted({p[0] for p in points}):
+        fn = _ORACLE_LOGS[name][0]
+        px, py = (np.array([p[k] for p in points if p[0] == name]) for k in (1, 2))
+        w, ok = fn.integral_rows(px, py)
+        want, want_ok = _table(name).integral_rows(px, py)
+        both = ok & want_ok
+        assert (np.abs(w - want)[both] <= 1e-12 * (1.0 + np.abs(want[both]))).all()
+        for m in np.flatnonzero(want_ok & ~ok):
+            assert min(_points_to_polyline_dist(px[m:m + 1], py[m:m + 1], c)[0]
+                       for c in fn.cuts) <= 1e-9
+        event(f"{name}: {both.sum()} of {len(px)} compared")

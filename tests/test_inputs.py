@@ -40,8 +40,8 @@ VALID = {
     "function": [
         SERIES,
         {"variant": "continued-log", "pole": [0, 2], "base": [1, 2], "carrier": [1, 0, 0],
-         "base_value": [0, 0, 0, 0], "cuts": [[[-3, 2], [-2, 2]]],
-         "bbox": [-3, 3, -3, 3], "step": 0.1},
+         "base_value": [0, 0, 0, 0], "cuts": [[[-3, 2], [0, 2]]],
+         "bbox": [-3, 3, -3, 3]},
     ],
     "pair": [{"r": SERIES, "s": {**SERIES, "slice_unit": [0, 1, 0]},
               "grid": {"x": [-0.5, 0.5, 0.25], "y": [0, 0.5, 0.25], "unit": [0, 0, 1]}}],
@@ -112,6 +112,8 @@ def test_hostile_files_exit_one_naming_their_path(name, data, where, tmp_path):
     ("pair", {**VALID["pair"][0], "grid": {"x": [-1, 1, 0.5], "step": 0.1}},
      "pair.grid.step"),
     ("path", {**VALID["path"][0], "carrier": [1, 0, 0]}, "path.carrier"),
+    # a continued log has no grid step since it is computed in closed form
+    ("function", {**VALID["function"][1], "step": 0.05}, "function.step"),
 ])
 def test_unknown_keys_exit_one_naming_their_path(name, data, where, tmp_path):
     """A key outside its entry, such as a misspelt optional key, is an
@@ -139,14 +141,14 @@ GLOBAL = ["global-extend", "{spec}", "--function", "{function}"]
               "epsilon": 0.2, "y_ref": 1e-300}, ["check-domain", "{spec}"], 0, ""),
     ("spec", {"type": "tube", "polyline": [[1e300, 0.6], [0.3, 0]], "unit": [1, 0, 0],
               "epsilon": 0.2}, GLOBAL, 2, ""),
-    # a base outside the table's box, and a table step that leaves no cell:
-    # the table's own error, once
+    # a base outside the box, and no cut from the pole to the box's edge:
+    # the log's own error, once, naming the key
     ("function", {"variant": "continued-log", "pole": [0, 2], "base": [1, 1e300],
                   "carrier": [1, 0, 0]}, EXT_SLICE,
-     1, "error: continuation base (1, 1e+300) lies outside the table box"),
+     1, "error: function.base: (1, 1e+300) lies outside the box [-5, 5] x [-5, 5]"),
     ("function", {"variant": "continued-log", "pole": [0, 2], "base": [1, 2],
-                  "carrier": [1, 0, 0], "cuts": [[[-3, 2], [-2, 2]]], "step": 1e300},
-     EXT_SLICE, 1, "error: a continuation table at step 1e+300 has 0 x 0 cells"),
+                  "carrier": [1, 0, 0]}, EXT_SLICE,
+     1, "error: function.cuts: no chain of them joins the pole (0, 2) to the edge of the box"),
     ("pair", {**VALID["pair"][0], "grid": {"x": [0, -1, 0.25], "y": [0, 1e300, 0.25]}},
      ["extend", "{pair}"], 1, "the extend grid has 4e+300 x 0 cells"),
     # a ball squares its centre and radius; the counterexample's half line

@@ -54,7 +54,7 @@ _SERIES = PowerSeries((Q(0.2, 0.1, 0, 0), Q(0, 1, 0.3, 0), Q(0.5, 0, 0, -0.4),
                        Q(-0.1, 0.2, 0, 0.3)), radius=1.6)
 _LOG = ContinuedLog(pole=(0.0, 0.5), base=(1.0, 0.5), base_value=Q(0.1, 0, 0, 0.2),
                     cuts=(np.array([[0.0, 0.5], [0.0, 2.0]]),), carrier=UNIT_J,
-                    bbox=(-2.0, 2.0, -2.0, 2.0), step=0.1)
+                    bbox=(-2.0, 2.0, -2.0, 2.0))
 _UNITS = [UNIT_I, -UNIT_I, UNIT_J, -UNIT_J, UNIT_K, UnitImaginary(0.36, -0.48, 0.8)]
 
 
