@@ -161,17 +161,15 @@ def cmd_completion(args) -> int:
     out = _out_dir(args)
     x_min, x_max, y_max = spec.bbox
     # rows y-major over the points (x, y), as fractions of the sample's
-    # units J with x + yJ in the spec: one membership call on (y, x, unit)
-    # axes, and the real trace on the row y == 0
-    x, y = np.meshgrid(np.linspace(x_min, x_max, 81), np.linspace(0.0, y_max, 41))
-    vec = sample.vectors
-    mem = np.broadcast_to(np.asarray(spec.membership(x[..., None], y[..., None], *vec.T),
-                                     dtype=bool), x.shape + (len(vec),))
-    frac = np.count_nonzero(mem, axis=2) / len(vec)
-    real = y == 0.0
-    frac[real] = np.asarray(spec.real_trace(x[real]), dtype=bool)
+    # units J with x + yJ in the spec, cuts counted: one contains_rows call
+    # per unit over the grid
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(x_min, x_max, 81),
+                                           np.linspace(0.0, y_max, 41)))
+    covered = np.zeros(x.size, dtype=np.intp)
+    for v in sample.vectors:
+        covered += spec.contains_rows(x, y, np.broadcast_to(v, (x.size, 3)))
     write_csv(out / "coverage.csv", ["x", "y", "covered_fraction"],
-              np.stack([x, y, frac], axis=2).reshape(-1, 3).tolist())
+              np.column_stack([x, y, covered / len(sample.vectors)]).tolist())
     verdict = is_symmetric(symmetric_completion(spec, sample), sample)
     report = {"base_spec": data, "samples": sample.n_requested,
               "completion_symmetric": verdict.summary()}

@@ -22,11 +22,10 @@ import numpy as np
 
 from .errors import GridStepError, PreconditionError
 from .quaternions import UnitImaginary
-from .raster import (MAX_GRID_CELLS, _CUT_BLOCK, _arange_len, _block_cut_cells,
-                     _check_cells, _core, _core_hull, _first_cell_in_hull,
-                     _half_step_rows, _mirror, _nearest_index,
-                     _points_to_polyline_dist, _run_components, _turn,
-                     resample_polyline)
+from .raster import (MAX_GRID_CELLS, _arange_len, _block_cut_cells, _check_cells,
+                     _clear_rows, _core, _core_hull, _first_cell_in_hull,
+                     _half_step_rows, _mirror, _nearest_index, _run_components,
+                     _segments, _turn, resample_polyline)
 
 # the interpreter's builtin blake2 (hashlib's blake2b is this one): importing
 # hashlib would load OpenSSL (_hashlib), about 3.7 MB of resident memory
@@ -137,8 +136,8 @@ class DomainSpec:
         in HoloSliceFunction.eval_rows.  A row with y < 0 is the point
         x + |y|(-J), a row with y == 0 reads real_trace, and a point within
         cut_clearance of a cut of its unit is outside; the cuts are read
-        once per distinct unit, and distances are taken in blocks of at
-        most _CUT_BLOCK rows times segments."""
+        once per distinct unit, and tested with one _clear_rows call, the
+        near-cut test continued logs use too."""
         v = np.asarray(vectors, dtype=float).reshape(-1, 3)
         x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
         below = y < 0.0
@@ -156,10 +155,7 @@ class DomainSpec:
         units, unit_of = np.unique(v[inside], axis=0, return_inverse=True)
         for k, u in enumerate(units.tolist()):
             rows = inside[unit_of.reshape(-1) == k]
-            for poly in self.cuts(UnitImaginary(*u)):
-                block = max(1, _CUT_BLOCK // max(1, len(poly) - 1))
-                for r in np.array_split(rows, range(block, len(rows), block)):
-                    ok[r] &= ~(_points_to_polyline_dist(x[r], y[r], poly) <= tol)
+            ok[rows] = _clear_rows(x[rows], y[rows], _segments(self.cuts(UnitImaginary(*u))), tol)
         return ok
 
     def contains(self, x: float, y: float, J: UnitImaginary | None) -> bool:
@@ -427,11 +423,13 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
     pairs = chain(sample.antipodal_pairs(), zip(range(n), range(n)),
                   ((a, b) for a, b in combinations(range(n), 2)
                    if b - a != sample.base_count))  # antipodal pairs are scanned
-    grids, by_key, kept, counts = {}, {}, {}, {}
+    # the occupancy digest of each unit's raster and of each raster key's,
+    # and the one kept raster of each digest
+    digests, by_key, kept, counts = {}, {}, {}, {}
     kept_bytes = 0
     for mi, mk in pairs:
         for m in (mi, mk):
-            if m in grids:
+            if m in digests:
                 continue
             key = _raster_key(spec, units[m], full_slice=False)
             if key not in by_key:
@@ -445,11 +443,11 @@ def is_simple(spec: DomainSpec, sample: SphereSample,
                             f"{kept_bytes:.4g} bytes in all, more than the budget of "
                             f"{MAX_KEPT_BYTES:.4g}; use fewer samples or a coarser grid step")
                     kept[digest] = grid
-                by_key[key] = kept[digest]
-            grids[m] = by_key[key]
-        a, b = grids[mi], grids[mk]
-        pair = frozenset((id(a), id(b)))  # one kept raster per digest
+                by_key[key] = digest
+            digests[m] = by_key[key]
+        pair = frozenset((digests[mi], digests[mk]))
         if pair not in counts:
+            a, b = kept[digests[mi]], kept[digests[mk]]
             grid = a if a is b else _and_grids(a, b)
             counts[pair] = grid.component_count() if grid.occupied.any() else 0
         if counts[pair] > 1:

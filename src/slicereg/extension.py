@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import DomainSpec, SphereSample, is_simple
+from .domains import DomainSpec, SphereSample, is_simple, is_symmetric
 from .errors import (ConsistencyError, DegeneratePairError,
                      IncompatiblePairError, OutOfDomainError,
                      PreconditionError, SliceRegError)
 from .holomorphic import ContinuedLog, HoloSliceFunction, PowerSeries, dbar_residual_rows
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
-                          imaginary_rows, mul_rows, norm_rows, orthonormal_to)
+                          imaginary_rows, mul_rows, norm_rows)
 
 # the random points a validator draws and tests at once
 _DRAW_BLOCK = 256
@@ -204,30 +204,16 @@ def regular_ext(fI: HoloSliceFunction, domain: DomainSpec,
                 where: str | None = None) -> StemPair:
     """Regular extension of a holomorphic function on one slice of a
     symmetric slice domain; the result restricts back to the input.  The
-    domain's symmetry and fI's holomorphy are checked first; where, when
-    given, names the domain in the symmetry check's message."""
+    domain's symmetry (is_symmetric on SphereSample(8), so cuts count) and
+    fI's holomorphy are checked first; where, when given, names the domain
+    in the symmetry check's message."""
     unit = fI.slice_unit
     if unit is None:
         raise PreconditionError("regular extension needs a slice-attached input")
-    _validate_symmetric(domain, unit, where)
+    if not is_symmetric(domain, SphereSample(8)).is_yes:
+        raise PreconditionError(f"{where + ': ' if where else ''}domain is not symmetric")
     _validate_holomorphic(fI, domain, unit)
     return _two_slice_stem(fI, unit, fI, -unit)
-
-
-def _validate_symmetric(domain: DomainSpec, unit: UnitImaginary, where=None):
-    x_min, x_max, y_max = domain.bbox
-    gx = np.linspace(x_min + 1e-3, x_max - 1e-3, 12)
-    gy = np.linspace(1e-3, y_max - 1e-3, 6)
-    X, Y = np.meshgrid(gx, gy)
-    probes = [unit, -unit, orthonormal_to(unit), -orthonormal_to(unit)]
-    ref = None
-    for J in probes:
-        mem = np.asarray(domain.membership(X, Y, J.vx, J.vy, J.vz), dtype=bool)
-        mem = np.broadcast_to(mem, X.shape)
-        if ref is None:
-            ref = mem
-        elif (mem != ref).any():
-            raise PreconditionError(f"{where + ': ' if where else ''}domain is not symmetric")
 
 
 def _draws(draw, attempts: int):

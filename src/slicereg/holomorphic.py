@@ -8,8 +8,8 @@ on a cut plane.
 A continued logarithm is evaluated in closed form: the principal Log plus
 2 pi i times a winding number about the point, counted over the chain of
 cuts that runs from the pole out of the box.  Its one query,
-integral_rows, is batched; its tests of the pole and the cuts measure a
-point with raster's one segment-distance kernel.
+integral_rows, is batched; its test of the pole and the cuts is raster's
+one near-cut test, _clear_rows, which DomainSpec.contains_rows runs too.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .raster import _CUT_BLOCK, _fit_scale, _points_to_polyline_dist
+from .raster import (_CUT_BLOCK, _blocks, _clear_rows, _fit_scale,
+                     _points_to_polyline_dist, _segments)
 from .errors import (DisconnectedDomainError, OutOfDomainError,
                      PreconditionError, StencilError)
 from .quaternions import (Quaternion, SliceCoord, UNIT_I, UnitImaginary,
@@ -152,8 +153,6 @@ class PowerSeries(HoloSliceFunction):
 # a point this close to the pole or to a cut is not answered, and cut end
 # points this close join
 _ON_CUT = 1e-9
-# the points of one run of a sweep: sorted, a run spans a short range
-_SWEEP_ROWS = 128
 
 
 def _cut_chain(pole, cuts, inside):
@@ -211,20 +210,6 @@ def _winding_polygon(pole, chain, bbox) -> np.ndarray:
     return np.vstack([[pole, (lo[0], pole[1])], *ring[::-1], [out], chain[::-1]])
 
 
-def _blocks(key, lo, hi):
-    """Blocks (rows, items) of index arrays: the rows, in the order of
-    key (n,), in runs of _SWEEP_ROWS, each with the items whose range
-    [lo, hi] meets the run's range of key, in chunks of at most
-    _CUT_BLOCK rows times items."""
-    order = np.argsort(key, kind="stable")
-    for r in range(0, len(key), _SWEEP_ROWS):
-        rows = order[r:r + _SWEEP_ROWS]
-        items = np.flatnonzero((lo <= key[rows[-1]]) & (hi >= key[rows[0]]))
-        step = _CUT_BLOCK // len(rows)
-        for s in range(0, len(items), step):
-            yield rows, items[s:s + step]
-
-
 def _winding_rows(x, y, polygon) -> np.ndarray:
     """Winding numbers (n,), as floats, of a closed polygon about the
     points (x, y), float arrays (n,), by the signed crossings of the ray
@@ -244,22 +229,6 @@ def _winding_rows(x, y, polygon) -> np.ndarray:
         right = x[at] < a[e, 0] + t * (c[e, 0] - a[e, 0])
         wind[rows] += np.bincount(row, sign[e] * right, minlength=len(rows))
     return wind
-
-
-def _clear_rows(x, y, segments) -> np.ndarray:
-    """Whether each point (x, y), float arrays (n,), lies more than 1e-9
-    from every segment (S, 2, 2).  Only the (point, segment) pairs whose
-    segment box, widened by 1e-9, holds the point are measured."""
-    lo, hi = segments.min(axis=1) - _ON_CUT, segments.max(axis=1) + _ON_CUT
-    clear = np.ones(len(x), dtype=bool)
-    for rows, segs in _blocks(x, lo[:, 0], hi[:, 0]):
-        xs, ys = x[rows, None], y[rows, None]
-        row, k = np.nonzero((lo[segs, 0] <= xs) & (xs <= hi[segs, 0])
-                            & (lo[segs, 1] <= ys) & (ys <= hi[segs, 1]))
-        at = rows[row]
-        near = _points_to_polyline_dist(x[at], y[at], segments[segs[k]]) <= _ON_CUT
-        clear[at[near]] = False
-    return clear
 
 
 def _principal_log(x, y, pole) -> np.ndarray:
@@ -313,11 +282,9 @@ class ContinuedLog(HoloSliceFunction):
         box = f"[{xlo:g}, {xhi:g}] x [{ylo:g}, {yhi:g}]"
         if not (xlo <= bx[0] <= xhi and ylo <= by[0] <= yhi):
             raise PreconditionError(f"{base} outside the box {box}")
-        # every segment, a polyline's first vertex and the pole as length 0
-        ends = np.array([c[0] for c in cuts] + [pole])
-        segments = np.concatenate([np.stack([c[:-1], c[1:]], axis=1) for c in cuts]
-                                  + [np.stack([ends, ends], axis=1)])
-        if not _clear_rows(bx, by, segments)[0]:
+        # every segment of the cuts, and the pole as one of length 0
+        segments = _segments([*cuts, pole[None]])
+        if not _clear_rows(bx, by, segments, _ON_CUT)[0]:
             raise DisconnectedDomainError(f"{base} within 1e-9 of the pole or a cut")
         chain = _cut_chain(pole, cuts, lambda v: (xlo < v[:, 0]) & (v[:, 0] < xhi)
                            & (ylo < v[:, 1]) & (v[:, 1] < yhi))
@@ -349,7 +316,7 @@ class ContinuedLog(HoloSliceFunction):
         xlo, xhi, ylo, yhi = self.bbox
         w = np.full(len(px), np.nan + 0j)
         ok = (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
-        ok[ok] = _clear_rows(px[ok], py[ok], segments)
+        ok[ok] = _clear_rows(px[ok], py[ok], segments, _ON_CUT)
         x, y = px[ok], py[ok]
         turns = _winding_rows(x * scale, y * scale, polygon) - wind_base
         w[ok] = (_principal_log(x, y, self.pole) - log_base) + 2j * math.pi * turns

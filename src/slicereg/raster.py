@@ -21,11 +21,14 @@ MAX_GRID_CELLS = 16_000_000
 # cells of the row blocks _run_components scans a mask in: small enough to
 # be reused from the heap, so a large mask adds no page faults
 _SCAN_CELLS = 1 << 16
-# the most rows times polyline segments of one block of a distance or
-# crossing test (DomainSpec.contains_rows, holomorphic.segment_crossings,
-# and the distance and winding tests of a continued log's queries), so
-# their temporaries stay within a few hundred kB
+# the most rows times segments of one block of a distance or crossing
+# test (_clear_rows, the one near-cut test of DomainSpec.contains_rows and
+# a continued log's queries, the winding test of those queries, and
+# holomorphic.segment_crossings), so their temporaries stay within a few
+# hundred kB
 _CUT_BLOCK = 1 << 12
+# the points of one run of a sweep: sorted, a run spans a short range
+_SWEEP_ROWS = 128
 
 
 def _run_components(occupied: np.ndarray):
@@ -158,6 +161,47 @@ def _points_to_polyline_dist(px, py, poly) -> np.ndarray:
     dist = np.sqrt(np.min((ox + t * dx - x) ** 2 + (oy + t * dy - y) ** 2, axis=1))
     with np.errstate(over="ignore"):  # a distance past the float range is inf
         return dist / s[:, 0]
+
+
+def _segments(polylines) -> np.ndarray:
+    """The segments (S, 2, 2) of the polylines, arrays (m, 2), in order:
+    one per pair of consecutive vertices, and one of length 0 at a
+    polyline of one vertex."""
+    parts = [np.asarray(p, dtype=float).reshape(-1, 2) for p in polylines]
+    return np.concatenate([np.empty((0, 2, 2))] + [
+        np.stack([p[:-1], p[1:]] if len(p) > 1 else [p, p], axis=1) for p in parts])
+
+
+def _blocks(key, lo, hi):
+    """Blocks (rows, items) of index arrays: the rows, in the order of
+    key (n,), in runs of _SWEEP_ROWS, each with the items whose range
+    [lo, hi] meets the run's range of key, in chunks of at most
+    _CUT_BLOCK rows times items."""
+    order = np.argsort(key, kind="stable")
+    for r in range(0, len(key), _SWEEP_ROWS):
+        rows = order[r:r + _SWEEP_ROWS]
+        items = np.flatnonzero((lo <= key[rows[-1]]) & (hi >= key[rows[0]]))
+        step = _CUT_BLOCK // len(rows)
+        for s in range(0, len(items), step):
+            yield rows, items[s:s + step]
+
+
+def _clear_rows(x, y, segments, tol) -> np.ndarray:
+    """Whether each point (x, y), float arrays (n,), lies more than tol
+    from every segment (S, 2, 2): the one near-cut test.  The points are
+    swept in x order against the segments whose x range meets their run's,
+    and only the (point, segment) pairs whose segment box, widened by tol,
+    holds the point are measured."""
+    lo, hi = segments.min(axis=1) - tol, segments.max(axis=1) + tol
+    clear = np.ones(len(x), dtype=bool)
+    for rows, segs in _blocks(x, lo[:, 0], hi[:, 0]):
+        xs, ys = x[rows, None], y[rows, None]
+        row, k = np.nonzero((lo[segs, 0] <= xs) & (xs <= hi[segs, 0])
+                            & (lo[segs, 1] <= ys) & (ys <= hi[segs, 1]))
+        at = rows[row]
+        near = _points_to_polyline_dist(x[at], y[at], segments[segs[k]]) <= tol
+        clear[at[near]] = False
+    return clear
 
 
 def _nearest_index(centres: np.ndarray, values) -> np.ndarray:

@@ -20,8 +20,9 @@ from slicereg.errors import (ConsistencyError, DisconnectedDomainError, Geometry
 from slicereg.counterexample import t_of
 from slicereg.domains import (SphereSample, Verdict, _and_grids, _hull_witness,
                               is_slice_domain, omega_jk_plus, rasterize)
-from slicereg.raster import (_GRID_STEPS, _arange_len, _block_cut_cells, _check_cells,
-                             _grid_bfs, _points_to_polyline_dist, _run_components)
+from slicereg.raster import (_CUT_BLOCK, _GRID_STEPS, _arange_len, _block_cut_cells,
+                             _check_cells, _grid_bfs, _points_to_polyline_dist,
+                             _run_components)
 from slicereg.holomorphic import integrate_reciprocal, segment_crossings
 from slicereg.local import _probe_units
 from slicereg.quaternions import rotate_toward
@@ -654,6 +655,35 @@ def scalar_contains(spec, x, y, J):
         if _points_to_polyline_dist([x], [y], poly)[0] <= tol:
             return False
     return True
+
+
+def blocked_contains_rows(spec, x, y, vectors):
+    """Oracle of DomainSpec.contains_rows: its loop before the near-cut
+    test was raster._clear_rows, one polyline of cuts(J) at a time, each
+    measured against every row of the unit in blocks of at most
+    _CUT_BLOCK rows times segments."""
+    v = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    x, y = (np.broadcast_to(np.asarray(a, dtype=float), (len(v),)) for a in (x, y))
+    below = y < 0.0
+    v, y = np.where(below[:, None], -v, v), np.where(below, -y, y)
+    ok = np.zeros(len(v), dtype=bool)
+    real = y == 0.0
+    if real.any():
+        ok[real] = spec.real_trace(x[real])
+    if not real.all():
+        ok[~real] = spec.membership(x[~real], y[~real], *v[~real].T)
+    if spec.cuts is None or not ok.any():
+        return ok
+    tol = max(spec.cut_clearance, 0.0)
+    inside = np.flatnonzero(ok)
+    units, unit_of = np.unique(v[inside], axis=0, return_inverse=True)
+    for k, u in enumerate(units.tolist()):
+        rows = inside[unit_of.reshape(-1) == k]
+        for poly in spec.cuts(UnitImaginary(*u)):
+            block = max(1, _CUT_BLOCK // max(1, len(poly) - 1))
+            for r in np.array_split(rows, range(block, len(rows), block)):
+                ok[r] &= ~(_points_to_polyline_dist(x[r], y[r], poly) <= tol)
+    return ok
 
 
 def tube_contains(tube, x, y, J):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from slicereg.cli import _scan_grid, main
-from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
+from slicereg.counterexample import (CounterexampleConfig, intersection_grid, omega_spec,
                                      pair_set_grid)
+from slicereg.domains import SphereSample
 from slicereg.serialize import write_pgm
 
 from helpers import paint_labels
@@ -392,6 +393,27 @@ def test_completion_command(ball_json, tmp_path):
     assert report["completion_symmetric"].startswith("yes")
 
 
+def test_completion_coverage_counts_the_cuts(counterexample_json, tmp_path):
+    """coverage.csv tests each unit's cut curves too: on the counterexample
+    at N = 8 (18 units) the points on or near the arcs of some units lose
+    those units, and every other point keeps the fraction its membership
+    gives, 0 to 1 off the axis and the real trace on it."""
+    out = tmp_path / "out"
+    assert main(["completion", str(counterexample_json), "--samples", "8",
+                 "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "coverage.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (81 * 41, 3)
+    spec = omega_spec(CounterexampleConfig())
+    sample = SphereSample(8, extra=[CounterexampleConfig().axis])
+    x, y = rows[:, 0], rows[:, 1]
+    blind = np.mean([spec.membership(x, y, *v) for v in sample.vectors], axis=0)
+    blind[y == 0.0] = spec.real_trace(x[y == 0.0])
+    cut = {(-1.0, 1.0): 5 / 18, (0.0, 2.0): 0.0, (-2.0, 2.0): 0.0, (-1.0, 3.0): 17 / 18}
+    want = [cut.get((px, py), b) for px, py, b in zip(x, y, blind)]
+    assert rows[:, 2].tolist() == want
+    assert sum(b != w for b, w in zip(blind, want)) == 4
+
+
 def test_repr_command(tmp_path):
     out = tmp_path / "out"
     assert main(["repr", "--out", str(out)]) == 0
@@ -722,6 +744,20 @@ def test_ext_slice_refuses_a_stem_that_is_not_finite(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == ("error: slice restriction is not holomorphic "
                                        "(dbar nan at (-3.7e+109, 1.584e+109))\n")
+    assert not (out / "stem.csv").exists()
+
+
+def test_ext_slice_refuses_the_counterexample(tmp_path, capsys):
+    """The counterexample's membership ignores the unit but its cuts do
+    not, so regular_ext's symmetry check refuses it: exit 1, the spec
+    named, no stem.csv."""
+    spec, function = tmp_path / "spec.json", tmp_path / "cube.json"
+    spec.write_text(json.dumps({"type": "counterexample"}))
+    function.write_text(json.dumps(_CUBE_SERIES))
+    out = tmp_path / "out"
+    assert main(["ext-slice", str(spec), "--function", str(function),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spec: domain is not symmetric\n"
     assert not (out / "stem.csv").exists()
 
 

@@ -38,9 +38,9 @@ from slicereg.counterexample import (CounterexampleConfig, intersection_grid,
                                      omega_spec, pair_set_grid)
 
 from conftest import random_unit
-from helpers import (cut_probe_loop, paint_labels, per_unit_is_simple,
-                     per_unit_is_slice_convex, per_unit_is_slice_domain,
-                     scalar_contains)
+from helpers import (blocked_contains_rows, cut_probe_loop, paint_labels,
+                     per_unit_is_simple, per_unit_is_slice_convex,
+                     per_unit_is_slice_domain, scalar_contains)
 
 Q = Quaternion
 
@@ -1302,6 +1302,22 @@ def test_contains_rows_equals_the_scalar_oracle(name, data):
     assert spec.contains(x[0], abs(y[0]), None) == scalar_contains(spec, x[0], abs(y[0]), None)
 
 
+def test_a_cut_of_one_vertex_is_a_point(tmp_path):
+    """The schema lets a cut have one vertex: contains_rows takes it as a
+    segment of length 0, so the point itself is outside on every unit (a
+    row below the axis too) and a point 1e-9 from it inside; the
+    per-polyline distance raised on an empty reduction, and so did
+    check-domain and ext-slice on such a spec."""
+    spec = replace(ball_spec(0.0, 1.0), cuts=lambda J: [np.array([[0.2, 0.3]])])
+    got = spec.contains_rows([0.2, 0.2, 0.2], [0.3, 0.3 + 1e-9, -0.3],
+                             [UNIT_I.to_list(), UNIT_I.to_list(), UNIT_J.to_list()])
+    assert got.tolist() == [False, True, False]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"type": "ball", "radius": 1.0, "cuts": [[[0.2, 0.3]]]}))
+    assert main(["check-domain", str(path), "--h", "0.05", "--samples", "4",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_contains_without_a_unit_refuses_a_negative_height(ball):
     with pytest.raises(ValueError, match="requires a unit"):
         ball.contains(0.1, -0.2, None)
@@ -1310,7 +1326,9 @@ def test_contains_without_a_unit_refuses_a_negative_height(ball):
 def test_contains_rows_blocks_its_distance_temporaries(omega, cfg, monkeypatch):
     """Rows near the counterexample's arcs, a polyline of 255 segments, are
     measured in blocks of at most _CUT_BLOCK rows times segments, with the
-    result of one unblocked call."""
+    result of one unblocked call.  The near-cut kernel, raster._clear_rows,
+    looks the distance up in raster and passes it one segment (2, 2) per
+    row."""
     J = UnitImaginary(0.3, -0.5, 0.8)
     arc = counterexample.arc_coords(J, cfg)
     k = np.arange(2000)
@@ -1320,13 +1338,34 @@ def test_contains_rows_blocks_its_distance_temporaries(omega, cfg, monkeypatch):
     real = raster._points_to_polyline_dist
 
     def spy(px, py, poly):
-        sizes.append(len(px) * (len(poly) - 1))
+        sizes.append(len(px) * (np.shape(poly)[-2] - 1))
         return real(px, py, poly)
 
-    monkeypatch.setattr(domains, "_points_to_polyline_dist", spy)
+    monkeypatch.setattr(raster, "_points_to_polyline_dist", spy)
     got = omega.contains_rows(pts[:, 0], pts[:, 1], np.tile(J.to_list(), (len(pts), 1)))
     assert np.array_equal(got, want) and not got.all() and got.any()
-    assert len(sizes) > 2 and max(sizes) <= domains._CUT_BLOCK
+    assert len(sizes) > 2 and max(sizes) <= raster._CUT_BLOCK
+
+
+@pytest.mark.parametrize("name", ["counterexample-h0.25", "ball-and-counterexample"])
+def test_contains_rows_equals_the_blocked_oracle_on_the_completion_grid(name):
+    """On the grid of the completion command (81 x 41 points of the box)
+    and the 18 units of its counterexample sample at N = 8, contains_rows
+    equals the per-polyline blocked loop it replaced, bit for bit, in one
+    call over every (unit, point) row and in one call per unit."""
+    spec = _MEMBERSHIP_SPECS[name]
+    sample = SphereSample(8, extra=[CounterexampleConfig().axis])
+    x_min, x_max, y_max = spec.bbox
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(x_min, x_max, 81),
+                                           np.linspace(0.0, y_max, 41)))
+    n = len(sample.vectors)
+    X, Y, V = np.tile(x, n), np.tile(y, n), np.repeat(sample.vectors, x.size, axis=0)
+    want = blocked_contains_rows(spec, X, Y, V)
+    assert len(want) == 3321 * 18 and want.any() and not want.all()
+    assert np.array_equal(spec.contains_rows(X, Y, V), want)
+    per_unit = [spec.contains_rows(x, y, np.broadcast_to(v, (x.size, 3)))
+                for v in sample.vectors]
+    assert np.array_equal(np.concatenate(per_unit), want)
 
 
 @pytest.mark.parametrize("name", ["cut-ball", "counterexample-h0.25", "ball-and-counterexample"])
